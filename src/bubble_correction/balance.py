@@ -34,6 +34,8 @@ from .polynomials import (
     directional_pairing,
     gradient,
     iterated_laplacian,
+    json_int,
+    rational_from_json,
 )
 
 __all__ = [
@@ -85,7 +87,7 @@ class ViolationReport:
 
 def _parse_rational(value):
     if isinstance(value, dict):
-        return Fraction(int(value["num"]), int(value["den"]))
+        return rational_from_json(value)
     return as_coefficient(value)
 
 
@@ -139,7 +141,7 @@ class BlowupConfiguration:
 
     @classmethod
     def from_json(cls, data):
-        n = int(data["n"])
+        n = json_int(data["n"])
         return cls(
             n=n,
             points=tuple(
@@ -382,9 +384,8 @@ def single_point_constraints(poly, point):
             passed=value == 0,
         )
     )
-    expansion = ShiftExpansion(poly)
-    for h in range(1, ell):
-        piece = expansion.term(h, point)
+    pieces = ShiftExpansion(poly).intermediate_terms(point)
+    for h, piece in enumerate(pieces, start=1):
         mult = j_multiple(piece)
         reports.append(
             ViolationReport(

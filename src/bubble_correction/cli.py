@@ -27,6 +27,7 @@ from . import reduction
 from .errors import (
     CharacteristicGuardError,
     DivergentMomentError,
+    ExactnessError,
     ResidueObstructionError,
     UnsupportedCaseError,
 )
@@ -43,6 +44,10 @@ def _write_atomic(path, text):
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp creates 0600; give the artifact the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -281,7 +286,9 @@ def main(argv=None):
         args.delta = [0.1, 0.3]
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (
+        FileNotFoundError, json.JSONDecodeError, KeyError, ValueError, ExactnessError
+    ) as exc:
         if isinstance(exc, (DivergentMomentError, UnsupportedCaseError)):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_OBSTRUCTION

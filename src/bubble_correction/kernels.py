@@ -1,40 +1,24 @@
 """Hot float kernels: batch evaluation of polynomials, bubbles and tails.
 
 Every sampling loop in the package (sphere scans, residual scans, quadrature
-grids) funnels through the three kernels here.  Each kernel has a numba
-``@njit`` implementation and a pure-numpy implementation; the active path is
-chosen at import time.  Set ``BUBBLE_CORRECTION_NO_NUMBA=1`` to force the
-numpy path (it is also used automatically when numba is absent).
-``BUBBLE_CORRECTION_THREADS`` caps numba's thread pool.
+grids) funnels through the three vectorized numpy kernels here; there is one
+implementation of each and nothing to configure.
 
-The exact-rational tier of the package never comes through here: arbitrary
-precision rationals are outside numba's type system, so correctness-critical
-identities stay in pure Python and only float sampling is accelerated.
+The exact-rational tier of the package never comes through here: the
+correctness-critical identities stay in ``Fraction`` arithmetic, and only
+float sampling is vectorized.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
     "eval_poly",
-    "eval_poly_numpy",
-    "eval_poly_numba",
     "bubble_values",
-    "bubble_values_numpy",
-    "bubble_values_numba",
     "tail_values",
-    "tail_values_numpy",
-    "tail_values_numba",
     "poly_arrays",
 ]
-
-
-def _env_flag(name):
-    return os.environ.get(name, "").strip() not in ("", "0", "false", "False")
 
 
 def poly_arrays(poly):
@@ -51,10 +35,7 @@ def poly_arrays(poly):
     return exps, coeffs
 
 
-# ----------------------------------------------------------- numpy versions
-
-
-def eval_poly_numpy(points, exps, coeffs):
+def eval_poly(points, exps, coeffs):
     """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i]."""
     points = np.asarray(points, dtype=np.float64)
     if coeffs.size == 0:
@@ -63,14 +44,14 @@ def eval_poly_numpy(points, exps, coeffs):
     return powers.prod(axis=2) @ coeffs
 
 
-def bubble_values_numpy(points, eps, center, exponent):
+def bubble_values(points, eps, center, exponent):
     """(eps / (eps^2 + |y - center|^2))**exponent, row-wise."""
     points = np.asarray(points, dtype=np.float64)
     diff = points - np.asarray(center, dtype=np.float64)[None, :]
     return (eps / (eps * eps + (diff * diff).sum(axis=1))) ** exponent
 
 
-def tail_values_numpy(points, sources, weights, power):
+def tail_values(points, sources, weights, power):
     """sum_j weights[j] * |y - sources[j]|^(-power), row-wise."""
     points = np.asarray(points, dtype=np.float64)
     diff = points[:, None, :] - np.asarray(sources, dtype=np.float64)[None, :, :]
@@ -78,107 +59,6 @@ def tail_values_numpy(points, sources, weights, power):
     return (np.asarray(weights, dtype=np.float64)[None, :] * dist**-power).sum(
         axis=1
     )
-
-
-# ----------------------------------------------------------- numba versions
-
-_HAS_NUMBA = False
-if not _env_flag("BUBBLE_CORRECTION_NO_NUMBA"):
-    try:
-        import numba
-
-        _HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - environment dependent
-        _HAS_NUMBA = False
-
-if _HAS_NUMBA:
-    threads = os.environ.get("BUBBLE_CORRECTION_THREADS", "").strip()
-    if threads:
-        try:
-            numba.set_num_threads(max(1, int(threads)))
-        except (ValueError, RuntimeError):  # pragma: no cover
-            pass
-
-    @numba.njit(cache=True)
-    def eval_poly_numba(points, exps, coeffs):
-        m = points.shape[0]
-        t = exps.shape[0]
-        n = points.shape[1]
-        out = np.zeros(m)
-        for p in range(m):
-            acc = 0.0
-            for term in range(t):
-                mono = coeffs[term]
-                for i in range(n):
-                    e = exps[term, i]
-                    if e:
-                        mono *= points[p, i] ** e
-                acc += mono
-            out[p] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def bubble_values_numba(points, eps, center, exponent):
-        m = points.shape[0]
-        n = points.shape[1]
-        out = np.empty(m)
-        e2 = eps * eps
-        for p in range(m):
-            d2 = 0.0
-            for i in range(n):
-                d = points[p, i] - center[i]
-                d2 += d * d
-            out[p] = (eps / (e2 + d2)) ** exponent
-        return out
-
-    @numba.njit(cache=True)
-    def tail_values_numba(points, sources, weights, power):
-        m = points.shape[0]
-        k = sources.shape[0]
-        n = points.shape[1]
-        out = np.zeros(m)
-        for p in range(m):
-            acc = 0.0
-            for j in range(k):
-                d2 = 0.0
-                for i in range(n):
-                    d = points[p, i] - sources[j, i]
-                    d2 += d * d
-                acc += weights[j] * d2 ** (-0.5 * power)
-            out[p] = acc
-        return out
-
-    BACKEND = "numba"
-
-    def eval_poly(points, exps, coeffs):
-        return eval_poly_numba(
-            np.ascontiguousarray(points, dtype=np.float64), exps, coeffs
-        )
-
-    def bubble_values(points, eps, center, exponent):
-        return bubble_values_numba(
-            np.ascontiguousarray(points, dtype=np.float64),
-            float(eps),
-            np.ascontiguousarray(center, dtype=np.float64),
-            float(exponent),
-        )
-
-    def tail_values(points, sources, weights, power):
-        return tail_values_numba(
-            np.ascontiguousarray(points, dtype=np.float64),
-            np.ascontiguousarray(sources, dtype=np.float64),
-            np.ascontiguousarray(weights, dtype=np.float64),
-            float(power),
-        )
-
-else:
-    BACKEND = "numpy"
-    eval_poly_numba = None
-    bubble_values_numba = None
-    tail_values_numba = None
-    eval_poly = eval_poly_numpy
-    bubble_values = bubble_values_numpy
-    tail_values = tail_values_numpy
 
 
 def eval_polynomial(poly, points):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gamma, pi
+from math import factorial, gamma, pi
 
 import numpy as np
 
@@ -189,39 +189,14 @@ def weighted_integral(poly):
 # -------------------------------------------------------------------- shifts
 
 
-def _mixed_expansion(poly):
-    """Terms of poly(s + z) as a map (beta, gamma) -> coeff, where beta is
-    the multi-index on the shift s and gamma the one on z."""
-    n = poly.dimension
-    out = {}
-    for alpha, coeff in poly.terms.items():
-        partial = {((0,) * n, (0,) * n): coeff}
-        for i, a in enumerate(alpha):
-            if a == 0:
-                continue
-            expanded = {}
-            for (beta, gam), c in partial.items():
-                for j in range(a + 1):
-                    c2 = c * comb(a, j)
-                    key = (
-                        beta[:i] + (a - j,) + beta[i + 1 :],
-                        gam[:i] + (j,) + gam[i + 1 :],
-                    )
-                    expanded[key] = expanded.get(key, Fraction(0)) + c2
-            partial = expanded
-        for key, c in partial.items():
-            out[key] = out.get(key, Fraction(0)) + c
-    return out
-
-
 class ShiftExpansion:
     """Decomposition of Q(shift + z) by homogeneity in the shift.
 
     For a homogeneous Q of degree ell the pieces are: the base Q(z) (shift
     degree 0), the intermediate terms of shift degree h = 1 .. ell - 1, and
-    the constant Q(shift) (shift degree ell).  Each intermediate term equals
-    sum_{|beta| = h} shift^beta / beta! * (D^beta Q)(z), realized here by
-    direct binomial expansion.
+    the constant Q(shift) (shift degree ell).  Every monomial of Q(shift + z)
+    has shift degree plus z-degree equal to ell, so the piece of shift degree
+    h is the degree-(ell - h) homogeneous part of ``compose_shift(Q, shift)``.
     """
 
     def __init__(self, poly):
@@ -230,41 +205,33 @@ class ShiftExpansion:
         self.source = poly
         self.degree = poly.degree()
         self.dimension = poly.dimension
-        by_shift_degree = {}
-        for (beta, gam), coeff in _mixed_expansion(poly).items():
-            by_shift_degree.setdefault(sum(beta), {})[(beta, gam)] = coeff
-        self._pieces = by_shift_degree
 
     @property
     def term_count(self):
         """Number of intermediate terms (degree - 1)."""
         return self.degree - 1
 
+    def _pieces(self, shift, shift_degrees):
+        parts = compose_shift(self.source, shift).homogeneous_parts()
+        zero = Polynomial.zero(self.dimension)
+        return [parts.get(self.degree - h, zero) for h in shift_degrees]
+
     def base(self):
         """The unshifted part, equal to the source polynomial."""
-        return self.term(0, (0,) * self.dimension)
+        return self.source
 
     def term(self, shift_degree, shift):
         """The shift-degree-h piece as a polynomial in z, for a concrete
         exact shift vector."""
-        shift = [as_coefficient(s) for s in shift]
-        terms = {}
-        for (beta, gam), coeff in self._pieces.get(shift_degree, {}).items():
-            c = coeff
-            for s, b in zip(shift, beta):
-                if b:
-                    c *= s**b
-            if c:
-                terms[gam] = terms.get(gam, Fraction(0)) + c
-        return Polynomial(self.dimension, terms)
+        return self._pieces(shift, [shift_degree])[0]
 
     def intermediate_terms(self, shift):
         """All pieces of shift degree 1 .. degree - 1."""
-        return [self.term(h, shift) for h in range(1, self.degree)]
+        return self._pieces(shift, range(1, self.degree))
 
     def constant(self, shift):
         """Q(shift), the shift-degree-ell piece."""
-        return self.term(self.degree, shift).constant_term()
+        return compose_shift(self.source, shift).constant_term()
 
     def reconstruct(self, shift):
         """base + intermediates + constant; equals Q(shift + z) exactly."""
@@ -344,13 +311,14 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     scale = lam**ell
 
     main = scale * moment_integral(poly).numeric
-    expansion = ShiftExpansion(poly)
+    shifted_q = compose_shift(poly, xi_over_lam)
+    parts = shifted_q.homogeneous_parts()
     intermediate = []
     for h in range(1, ell):
-        piece = expansion.term(h, xi_over_lam)
+        piece = parts.get(ell - h, Polynomial.zero(n))
         _, value = weighted_integral(piece)
         intermediate.append(scale * value)
-    drift = scale * float(expansion.constant(xi_over_lam)) * j_value(n, 0)
+    drift = scale * float(shifted_q.constant_term()) * j_value(n, 0)
 
     # independent evaluation of the original integral over the shifted ball
     # (centering the ball on xi changes the value at a far smaller order

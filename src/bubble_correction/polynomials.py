@@ -13,6 +13,7 @@ degree is reported as ``None`` rather than an arbitrary sentinel number.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +22,8 @@ from .errors import DimensionMismatchError, ExactnessError
 __all__ = [
     "Polynomial",
     "as_coefficient",
+    "json_int",
+    "rational_from_json",
     "laplacian",
     "iterated_laplacian",
     "partial_derivative",
@@ -43,6 +46,25 @@ def as_coefficient(value):
     if isinstance(value, str):
         return Fraction(value)
     raise ExactnessError(f"not an exact rational coefficient: {value!r}")
+
+
+def json_int(value):
+    """An integer read from JSON: an int (not a bool) or a decimal string.
+    Anything else, floats included, is refused rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"not an integer or decimal string: {value!r}")
+
+
+def rational_from_json(data):
+    """Fraction from {"num": ..., "den": ...}, both read by ``json_int``;
+    a zero denominator is refused."""
+    den = json_int(data["den"])
+    if den == 0:
+        raise ValueError(f"zero denominator in {data!r}")
+    return Fraction(json_int(data["num"]), den)
 
 
 def _grlex_key(alpha):
@@ -263,11 +285,9 @@ class Polynomial:
     @classmethod
     def from_json(cls, data):
         try:
-            dimension = int(data["dimension"])
+            dimension = json_int(data["dimension"])
             terms = {
-                tuple(int(a) for a in entry["alpha"]): Fraction(
-                    int(entry["num"]), int(entry["den"])
-                )
+                tuple(json_int(a) for a in entry["alpha"]): rational_from_json(entry)
                 for entry in data["terms"]
             }
         except (KeyError, TypeError, ValueError) as exc:

@@ -22,7 +22,6 @@ from .reduction import apply_L
 __all__ = [
     "BubbleParams",
     "BubbleProfile",
-    "PerturbedProfile",
     "bubble",
     "stereographic_to_plane",
     "stereographic_from_plane",
@@ -101,41 +100,6 @@ class BubbleProfile:
         # written exactly as the kernel computes it, so that evaluating at
         # the center reproduces the peak bit for bit
         return (self.eps / (self.eps * self.eps)) ** ((self.dimension - 2) / 2.0)
-
-
-class PerturbedProfile:
-    """Bubble plus a smooth positive ripple; used as a negative control for
-    identities that hold only on exact solutions."""
-
-    def __init__(self, params, amplitude=0.3, width=1.0):
-        self.base = BubbleProfile(params)
-        self.dimension = params.n
-        self.center = self.base.center
-        self.amplitude = float(amplitude)
-        self.width = float(width)
-
-    def values(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        r2 = (points * points).sum(axis=1)
-        bump = self.amplitude * (1.0 + r2 / self.width**2) ** (
-            -(self.dimension - 2) / 2.0
-        )
-        return self.base.values(points) + bump
-
-    def __call__(self, points):
-        return self.values(points)
-
-    def gradients(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        r2 = (points * points).sum(axis=1)
-        n = self.dimension
-        w2 = self.width**2
-        factor = (
-            self.amplitude
-            * (-(n - 2) / w2)
-            * (1.0 + r2 / w2) ** (-(n - 2) / 2.0 - 1.0)
-        )
-        return self.base.gradients(points) + factor[:, None] * points
 
 
 def bubble(params):
@@ -503,18 +467,6 @@ class RefinedProfile:
             s.lam ** (s.ell + 1)
             * kernels.eval_polynomial(s.gamma, Y)
             * (s.lam / d2) ** (s.n / 2.0)
-        )
-
-    def correction_critical_power_form(self, points):
-        """The same addend written as lam^(ell+1) * Gamma(Y) times the bubble
-        raised to n/(n-2); agreement with ``correction`` is asserted in the
-        test suite."""
-        s = self.spec
-        Y = self._local(points)
-        return (
-            s.lam ** (s.ell + 1)
-            * kernels.eval_polynomial(s.gamma, Y)
-            * self.bubble(points) ** (s.n / (s.n - 2.0))
         )
 
     def tail_difference(self, points):

@@ -5,9 +5,6 @@ the unit sphere have an exact Gamma-function form, and the radial factor is
 integrated with Gauss-Legendre nodes after the substitution r = tan(theta),
 which maps [0, inf) onto [0, pi/2).  Node sets are fixed (256 points by
 default) so every result is reproducible; there is no adaptivity.
-
-A seeded Monte Carlo estimator (importance sampling from a heavy-tailed
-multivariate-t) is provided purely to validate the deterministic oracle once.
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ from functools import lru_cache
 from math import gamma, pi, atan
 
 import numpy as np
-
-from . import kernels
 
 __all__ = [
     "gauss_legendre",
@@ -28,7 +23,6 @@ __all__ = [
     "sphere_nodes",
     "sphere_average",
     "ball_integral",
-    "monte_carlo_weighted_integral",
 ]
 
 DEFAULT_RADIAL_NODES = 256
@@ -130,41 +124,3 @@ def ball_integral(func, n, radius, radial_nodes=96, sphere_count=2048, seed=0):
         vals = func(ri * nodes)
         total += wi * ri ** (n - 1) * area * float(np.mean(vals))
     return total
-
-
-def monte_carlo_weighted_integral(poly, samples=10_000_000, seed=0, chunk=1_000_000):
-    """Seeded importance-sampling estimate of the bubble-weighted integral of
-    ``poly`` plus its standard error.
-
-    Samples come from a multivariate-t with one degree of freedom, whose
-    tails are heavy enough that the estimator has finite variance for every
-    degree the closed form accepts.  Used once, to validate the deterministic
-    oracle; not part of any production path.
-    """
-    n = poly.dimension
-    rng = np.random.default_rng(seed)
-    exps, coeffs = kernels.poly_arrays(poly)
-    nu = 1.0
-    log_norm = (
-        np.log(gamma((nu + n) / 2.0))
-        - np.log(gamma(nu / 2.0))
-        - 0.5 * n * np.log(nu * pi)
-    )
-    total = 0.0
-    total_sq = 0.0
-    drawn = 0
-    while drawn < samples:
-        m = min(chunk, samples - drawn)
-        g = rng.standard_normal((m, n))
-        s = rng.chisquare(nu, m)
-        y = g * np.sqrt(nu / s)[:, None]
-        r2 = (y * y).sum(axis=1)
-        log_p = log_norm - 0.5 * (nu + n) * np.log1p(r2 / nu)
-        vals = kernels.eval_poly(y, exps, coeffs)
-        w = vals * np.exp(-n * np.log1p(r2) - log_p)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-        drawn += m
-    mean = total / drawn
-    var = max(total_sq / drawn - mean * mean, 0.0)
-    return mean, (var / drawn) ** 0.5

@@ -157,6 +157,8 @@ def coefficient_table(n, ell, columns=None):
     naming the blocked cell and which root of the characteristic equation
     fired.
     """
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1 (got n={n})")
     if ell < 2:
         raise UnsupportedCaseError("source degree must be >= 2")
     if n % 2 == 0 and ell >= n + 2:
@@ -185,12 +187,6 @@ def coefficient_table(n, ell, columns=None):
                 for cell in ((j - 1, k - 1), (j, k - 1), (j + 1, k))
                 if 0 <= cell[0] <= cell[1] <= columns - 1 and cell != (j, k)
             ]
-            for cell in deps:
-                if cell not in C:
-                    raise RuntimeError(
-                        f"dependency cycle: cell {(j, k)} needs {cell} "
-                        "before it is built"
-                    )
             source = Fraction(1 if (j, k) == (0, 0) else 0)
             feed = sum(
                 (

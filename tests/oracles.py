@@ -1,0 +1,143 @@
+"""Independent numeric oracles that only the test suite uses: finite
+differences, a perturbed bubble for negative controls, a Monte Carlo
+estimator for the quadrature oracle, and a second form of the profile
+correction."""
+
+from math import gamma, pi
+
+import numpy as np
+
+from bubble_correction import kernels
+from bubble_correction.profiles import BubbleProfile
+
+
+# -------------------------------------------------------- finite differences
+
+
+def fd_gradient(func, point, step=1e-6):
+    """Central-difference gradient of a scalar function of one point."""
+    point = np.asarray(point, dtype=float)
+    out = np.zeros_like(point)
+    for i in range(point.size):
+        e = np.zeros_like(point)
+        e[i] = step
+        out[i] = (func(point + e) - func(point - e)) / (2.0 * step)
+    return out
+
+
+def fd_laplacian(func, point, step=1e-4):
+    """Second-order central-difference Laplacian."""
+    point = np.asarray(point, dtype=float)
+    center = func(point)
+    total = 0.0
+    for i in range(point.size):
+        e = np.zeros_like(point)
+        e[i] = step
+        total += func(point + e) - 2.0 * center + func(point - e)
+    return total / step**2
+
+
+def fd_laplacian_4th(func, point, step=5e-3):
+    """Fourth-order central-difference Laplacian (five-point stencil per
+    axis); preferred when the target tolerance is below ~1e-7."""
+    point = np.asarray(point, dtype=float)
+    center = func(point)
+    total = 0.0
+    for i in range(point.size):
+        e = np.zeros_like(point)
+        e[i] = step
+        f1p, f1m = func(point + e), func(point - e)
+        f2p, f2m = func(point + 2 * e), func(point - 2 * e)
+        total += (-f2p + 16 * f1p - 30 * center + 16 * f1m - f2m) / 12.0
+    return total / step**2
+
+
+# ------------------------------------------------------------------ profiles
+
+
+class PerturbedProfile:
+    """Bubble plus a smooth positive ripple; used as a negative control for
+    identities that hold only on exact solutions."""
+
+    def __init__(self, params, amplitude=0.3, width=1.0):
+        self.base = BubbleProfile(params)
+        self.dimension = params.n
+        self.center = self.base.center
+        self.amplitude = float(amplitude)
+        self.width = float(width)
+
+    def values(self, points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        r2 = (points * points).sum(axis=1)
+        bump = self.amplitude * (1.0 + r2 / self.width**2) ** (
+            -(self.dimension - 2) / 2.0
+        )
+        return self.base.values(points) + bump
+
+    def __call__(self, points):
+        return self.values(points)
+
+    def gradients(self, points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        r2 = (points * points).sum(axis=1)
+        n = self.dimension
+        w2 = self.width**2
+        factor = (
+            self.amplitude
+            * (-(n - 2) / w2)
+            * (1.0 + r2 / w2) ** (-(n - 2) / 2.0 - 1.0)
+        )
+        return self.base.gradients(points) + factor[:, None] * points
+
+
+def correction_critical_power_form(profile, points):
+    """The correction addend of a RefinedProfile written as
+    lam^(ell+1) * Gamma(Y) times the bubble raised to n/(n-2)."""
+    s = profile.spec
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    Y = (points - np.asarray(s.xi, float)[None, :]) / s.lam
+    return (
+        s.lam ** (s.ell + 1)
+        * kernels.eval_polynomial(s.gamma, Y)
+        * profile.bubble(points) ** (s.n / (s.n - 2.0))
+    )
+
+
+# ---------------------------------------------------------------- Monte Carlo
+
+
+def monte_carlo_weighted_integral(poly, samples=10_000_000, seed=0, chunk=1_000_000):
+    """Seeded importance-sampling estimate of the bubble-weighted integral of
+    ``poly`` plus its standard error.
+
+    Samples come from a multivariate-t with one degree of freedom, whose
+    tails are heavy enough that the estimator has finite variance for every
+    degree the closed form accepts.
+    """
+    n = poly.dimension
+    rng = np.random.default_rng(seed)
+    exps, coeffs = kernels.poly_arrays(poly)
+    nu = 1.0
+    log_norm = (
+        np.log(gamma((nu + n) / 2.0))
+        - np.log(gamma(nu / 2.0))
+        - 0.5 * n * np.log(nu * pi)
+    )
+    total = 0.0
+    total_sq = 0.0
+    drawn = 0
+    while drawn < samples:
+        m = min(chunk, samples - drawn)
+        g = rng.standard_normal((m, n))
+        s = rng.chisquare(nu, m)
+        y = g * np.sqrt(nu / s)[:, None]
+        r2 = (y * y).sum(axis=1)
+        log_p = log_norm - 0.5 * (nu + n) * np.log1p(r2 / nu)
+        vals = kernels.eval_poly(y, exps, coeffs)
+        w = vals * np.exp(-n * np.log1p(r2) - log_p)
+        total += float(w.sum())
+        total_sq += float((w * w).sum())
+        drawn += m
+    mean = total / drawn
+    var = max(total_sq / drawn - mean * mean, 0.0)
+    return mean, (var / drawn) ** 0.5

@@ -23,13 +23,13 @@ from bubble_correction.polynomials import (
 )
 from bubble_correction.profiles import (
     BubbleParams,
-    PerturbedProfile,
     bubble,
 )
 from bubble_correction.profiles import constant_curvature
 from bubble_correction.reduction import h_of, project_to_admissible
 
 from conftest import alternating_quartic, random_homogeneous
+from oracles import PerturbedProfile
 
 
 def var(n, i, p=1):

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,52 @@ def test_malformed_input_exit_one(tmp_path):
     assert_input_error(result)
 
 
+# y1^2 in dimension 3 integrates cleanly; each case spoils one field of it
+CLEAN_TERM = {"alpha": [2, 0, 0], "num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dimension": 3, "terms": [{**CLEAN_TERM, "num": 1.9}]},
+        {"dimension": 3, "terms": [{**CLEAN_TERM, "alpha": [2.6, 0, 0]}]},
+        {"dimension": 3, "terms": [{**CLEAN_TERM, "den": "0"}]},
+        {"dimension": 3.0, "terms": [CLEAN_TERM]},
+        {"dimension": 3, "terms": [{**CLEAN_TERM, "num": True}]},
+    ],
+    ids=["float-num", "float-alpha", "zero-den", "float-dimension", "bool-num"],
+)
+def test_integrate_rejects_inexact_polynomial_json(tmp_path, payload):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(payload))
+    result = run_cli(
+        ["integrate", "--input", str(path), "--output", str(tmp_path / "o.json")],
+        tmp_path,
+    )
+    assert_input_error(result)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k_values", [48, 2.0, 2]),
+        ("k_values", [48, {"num": 2.5, "den": "1"}, 2]),
+        ("n", 8.0),
+    ],
+    ids=["float-k", "float-num-in-dict", "float-n"],
+)
+def test_balance_rejects_inexact_config(tmp_path, field, value):
+    config = balance_config_json()
+    config[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    result = run_cli(
+        ["balance", "--input", str(path), "--output", str(tmp_path / "o.json")],
+        tmp_path,
+    )
+    assert_input_error(result)
+
+
 def test_table_dump_contains_reference_cell(tmp_path):
     out = tmp_path / "table.json"
     result = run_cli(["table", "--n", "5", "--ell", "4", "--output", str(out)], tmp_path)
@@ -105,6 +153,27 @@ def test_table_rejects_large_even_degree(tmp_path):
         tmp_path,
     )
     assert result.returncode == 2
+
+
+def test_table_rejects_nonpositive_dimension(tmp_path):
+    result = run_cli(
+        ["table", "--n", "0", "--ell", "2", "--output", str(tmp_path / "t.json")],
+        tmp_path,
+    )
+    assert_input_error(result)
+
+
+def test_artifacts_get_the_umask_mode(tmp_path):
+    out = tmp_path / "table.json"
+    old = os.umask(0o022)  # inherited by the child
+    try:
+        result = run_cli(
+            ["table", "--n", "5", "--ell", "4", "--output", str(out)], tmp_path
+        )
+    finally:
+        os.umask(old)
+    assert result.returncode == 0, result.stderr
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 def test_table_single_cell_for_degree_two(tmp_path):

@@ -1,9 +1,8 @@
-import os
-import subprocess
-import sys
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from bubble_correction import kernels
 from bubble_correction.polynomials import Polynomial
@@ -30,73 +29,29 @@ def test_eval_polynomial_matches_exact_evaluation(rng):
         assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
 
-def test_numpy_and_active_backends_agree(rng):
+def test_bubble_and_tail_match_scalar_closed_forms():
+    rng = np.random.default_rng(0)
     n = 3
-    p = random_homogeneous(rng, n, 4)
-    exps, coeffs = kernels.poly_arrays(p)
-    pts = np.random.default_rng(0).uniform(-1.5, 1.5, (64, n))
-    a = kernels.eval_poly(pts, exps, coeffs)
-    b = kernels.eval_poly_numpy(pts, exps, coeffs)
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-
-    center = np.zeros(n)
-    a = kernels.bubble_values(pts, 0.7, center, (n - 2) / 2.0)
-    b = kernels.bubble_values_numpy(pts, 0.7, center, (n - 2) / 2.0)
-    assert np.allclose(a, b, rtol=1e-13)
-
+    pts = rng.uniform(-1.5, 1.5, (64, n))
+    center = np.array([0.2, -0.1, 0.3])
+    eps, exponent = 0.7, (n - 2) / 2.0
     sources = np.array([[2.0, 0.0, 0.0], [0.0, -3.0, 1.0]])
     weights = np.array([1.0, 0.5])
-    a = kernels.tail_values(pts, sources, weights, n - 2)
-    b = kernels.tail_values_numpy(pts, sources, weights, n - 2)
-    assert np.allclose(a, b, rtol=1e-12)
+    power = n - 2
+
+    bubble = kernels.bubble_values(pts, eps, center, exponent)
+    tail = kernels.tail_values(pts, sources, weights, power)
+    for p, b, t in zip(pts.tolist(), bubble, tail):
+        d2 = sum((x - c) ** 2 for x, c in zip(p, center.tolist()))
+        assert b == pytest.approx((eps / (eps * eps + d2)) ** exponent, rel=1e-13)
+        expected = sum(
+            w * math.dist(p, s) ** -power
+            for s, w in zip(sources.tolist(), weights.tolist())
+        )
+        assert t == pytest.approx(expected, rel=1e-13)
 
 
 def test_empty_polynomial_evaluates_to_zero():
     exps, coeffs = kernels.poly_arrays(Polynomial.zero(3))
     pts = np.ones((5, 3))
     assert kernels.eval_poly(pts, exps, coeffs).tolist() == [0.0] * 5
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ)
-    env["BUBBLE_CORRECTION_NO_NUMBA"] = "1"
-    out = subprocess.run(
-        [sys.executable, "-c", "from bubble_correction import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_default_backend_is_numba_when_available():
-    numba_present = True
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        numba_present = False
-    env = dict(os.environ)
-    env.pop("BUBBLE_CORRECTION_NO_NUMBA", None)
-    out = subprocess.run(
-        [sys.executable, "-c", "from bubble_correction import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    expected = "numba" if numba_present else "numpy"
-    assert out.stdout.strip() == expected
-
-
-def test_thread_cap_env_var_is_accepted():
-    env = dict(os.environ)
-    env["BUBBLE_CORRECTION_THREADS"] = "1"
-    out = subprocess.run(
-        [sys.executable, "-c", "from bubble_correction import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.returncode == 0

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubble_correction import fd
 from bubble_correction.errors import DimensionMismatchError, ExactnessError
 from bubble_correction.polynomials import (
     Polynomial,
@@ -20,6 +19,7 @@ from bubble_correction.polynomials import (
 )
 from bubble_correction.reduction import a_multiplier, h_of
 
+import oracles
 from conftest import random_homogeneous
 
 
@@ -260,7 +260,7 @@ def test_laplacian_against_finite_differences():
         lap = laplacian(p)
         for _ in range(25):
             y = np.array([rng.uniform(-0.8, 0.8) for _ in range(n)])
-            approx = fd.fd_laplacian(
+            approx = oracles.fd_laplacian(
                 lambda z: p.evaluate(list(z)), y, step=1e-4
             )
             assert abs(approx - float(lap.evaluate(list(y)))) <= 1e-6
@@ -308,3 +308,15 @@ def test_compose_shift_reconstructs_binomial():
     shifted = compose_shift(p, [Fraction(3)])
     expect = var(1, 0, 2) + 6 * var(1, 0) + Polynomial.constant(1, 9)
     assert shifted == expect
+
+
+def test_compose_shift_evaluates_as_the_shifted_polynomial(rng):
+    # exact oracle: (Q o shift)(y) == Q(y + s) at a rational point
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        q = random_homogeneous(rng, n, rng.randint(1, 6))
+        s = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+        y = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+        assert compose_shift(q, s).evaluate(y) == q.evaluate(
+            [a + b for a, b in zip(y, s)]
+        )
