@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels, quadrature
-from .errors import UnsupportedCaseError
+from .errors import ExactnessError, UnsupportedCaseError
 from .moments import (
     ShiftExpansion,
     gradient_moment,
@@ -121,6 +121,8 @@ class BlowupConfiguration:
         }
         if len(counts) != 1:
             raise ValueError("all per-point lists must have equal length")
+        if not self.points:
+            raise ValueError("a configuration needs at least one point")
         if any(x != 0 for x in self.points[0]):
             raise ValueError("the first point must be the origin")
         if len({tuple(p) for p in self.points}) != len(self.points):
@@ -141,24 +143,32 @@ class BlowupConfiguration:
 
     @classmethod
     def from_json(cls, data):
-        n = json_int(data["n"])
-        return cls(
-            n=n,
-            points=tuple(
-                tuple(_parse_rational(x) for x in p) for p in data["points"]
-            ),
-            k_values=tuple(_parse_rational(k) for k in data["k_values"]),
-            taylor_polys=tuple(
-                Polynomial.from_json(p) for p in data["taylor_polys"]
-            ),
-            flex_vectors=tuple(
-                tuple(_parse_rational(x) for x in v) for v in data["flex_vectors"]
-            ),
-            flex_exponents=tuple(
-                _parse_rational(e) for e in data["flex_exponents"]
-            ),
-            scale_ratios=tuple(_parse_rational(s) for s in data["scale_ratios"]),
-        )
+        try:
+            fields = dict(
+                n=json_int(data["n"]),
+                points=tuple(
+                    tuple(_parse_rational(x) for x in p) for p in data["points"]
+                ),
+                k_values=tuple(_parse_rational(k) for k in data["k_values"]),
+                taylor_polys=tuple(
+                    Polynomial.from_json(p) for p in data["taylor_polys"]
+                ),
+                flex_vectors=tuple(
+                    tuple(_parse_rational(x) for x in v)
+                    for v in data["flex_vectors"]
+                ),
+                flex_exponents=tuple(
+                    _parse_rational(e) for e in data["flex_exponents"]
+                ),
+                scale_ratios=tuple(
+                    _parse_rational(s) for s in data["scale_ratios"]
+                ),
+            )
+        except ExactnessError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed balance configuration: {exc}") from exc
+        return cls(**fields)
 
     def to_json(self):
         def rat(x):

@@ -7,6 +7,20 @@ implementation of each and nothing to configure.
 The exact-rational tier of the package never comes through here: the
 correctness-critical identities stay in ``Fraction`` arithmetic, and only
 float sampling is vectorized.
+
+``eval_poly`` on m points, t terms and n variables works from per-variable
+power tables: for each variable i it raises column i to the distinct
+exponents that occur in it (always including 0), once, and gathers the
+(m, t) factor matrix from that table.  The factors are multiplied into one
+C-contiguous (m, t) monomial matrix in variable order 0..n-1, variables whose
+exponents are all 0 are skipped, and a single matvec over all m rows
+finishes.  Memory is about two (m, t) float64 matrices, 2 * m * t * 8 bytes,
+never an (m, t, n) cube.  The result is bit-identical to the cube formula
+``(points[:, None, :] ** exps[None]).prod(axis=2) @ coeffs`` on C-contiguous
+points: every power is the same ``pow``, the product runs in the same order,
+and multiplying by 1.0 (the start value, and x**0) is exact.  Keep it so:
+numpy's one-entry ``x ** [2]`` fast path rounds differently from ``pow``,
+and a matvec split over row chunks changes the last bits.
 """
 
 from __future__ import annotations
@@ -36,12 +50,28 @@ def poly_arrays(poly):
 
 
 def eval_poly(points, exps, coeffs):
-    """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i]."""
+    """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i] from
+    per-variable power tables (layout and bit-identity rule: module
+    docstring)."""
     points = np.asarray(points, dtype=np.float64)
-    if coeffs.size == 0:
-        return np.zeros(points.shape[0])
-    powers = points[:, None, :] ** exps[None, :, :]
-    return powers.prod(axis=2) @ coeffs
+    m = points.shape[0]
+    t = coeffs.size
+    if t == 0:
+        return np.zeros(m)
+    mono = np.ones((m, t))
+    factor = np.empty((m, t))
+    for i in range(exps.shape[1]):
+        column = exps[:, i]
+        if not column.any():
+            continue
+        # 0 is always in the table: a one-entry exponent vector [2] would
+        # take numpy's x*x fast path, which need not round like pow(x, 2)
+        used = np.union1d(0, column)
+        table = points[:, i : i + 1] ** used
+        # mode="clip" skips the bounds buffer; every index is in range
+        np.take(table, np.searchsorted(used, column), axis=1, out=factor, mode="clip")
+        mono *= factor
+    return mono @ coeffs
 
 
 def bubble_values(points, eps, center, exponent):

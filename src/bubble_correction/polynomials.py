@@ -37,11 +37,12 @@ __all__ = [
 
 
 def as_coefficient(value):
-    """Coerce ints / strings / Fractions to Fraction.  Floats are refused:
-    they would silently break the exactness contract of this module."""
+    """Coerce ints / strings / Fractions to Fraction.  Floats and booleans
+    are refused: they would silently break the exactness contract of this
+    module."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -343,13 +344,13 @@ def gradient(poly):
 
 
 def euler_operator(poly):
-    """y . grad(poly); equals (degree * poly) on homogeneous input."""
-    out = Polynomial.zero(poly.dimension)
-    for i in range(poly.dimension):
-        out = out + Polynomial.variable(poly.dimension, i) * partial_derivative(
-            poly, i
-        )
-    return out
+    """y . grad(poly); equals (degree * poly) on homogeneous input.
+
+    Each monomial is an eigenvector: y . grad(y^alpha) = |alpha| y^alpha."""
+    return Polynomial(
+        poly.dimension,
+        {alpha: sum(alpha) * coeff for alpha, coeff in poly.terms.items()},
+    )
 
 
 def directional_pairing(direction, poly):

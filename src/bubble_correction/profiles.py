@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, quadrature
-from .polynomials import Polynomial, euler_operator, laplacian
+from .polynomials import Polynomial, euler_operator, json_int, laplacian
 from .reduction import apply_L
 
 __all__ = [
@@ -414,16 +414,23 @@ class RefinedProfileSpec:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            n=int(data["n"]),
-            ell=int(data["ell"]),
-            lam=float(data["lam"]),
-            xi=tuple(float(x) for x in data["xi"]),
-            gamma=Polynomial.from_json(data["gamma"]),
-            harmonic_points=tuple(tuple(float(x) for x in p) for p in data["harmonic_points"]),
-            harmonic_weights=tuple(float(w) for w in data["harmonic_weights"]),
-            joint_radius_c=float(data["joint_radius_c"]),
-        )
+        """``n`` and ``ell`` are read by ``json_int``."""
+        try:
+            fields = dict(
+                n=json_int(data["n"]),
+                ell=json_int(data["ell"]),
+                lam=float(data["lam"]),
+                xi=tuple(float(x) for x in data["xi"]),
+                gamma=Polynomial.from_json(data["gamma"]),
+                harmonic_points=tuple(
+                    tuple(float(x) for x in p) for p in data["harmonic_points"]
+                ),
+                harmonic_weights=tuple(float(w) for w in data["harmonic_weights"]),
+                joint_radius_c=float(data["joint_radius_c"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed profile spec: {exc}") from exc
+        return cls(**fields)
 
 
 class RefinedProfile:

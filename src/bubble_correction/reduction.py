@@ -36,6 +36,7 @@ from .polynomials import (
     Polynomial,
     euler_operator,
     iterated_laplacian,
+    json_int,
     laplacian,
     r2_multiply,
 )
@@ -276,18 +277,26 @@ class CorrectionSolution:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            gamma=Polynomial.from_json(data["gamma"]),
-            radial_completion=(
-                None
-                if data.get("radial_completion") is None
-                else Polynomial.from_json(data["radial_completion"])
-            ),
-            vanishing_order=int(data["vanishing_order"]),
-            verified=bool(data["verified"]),
-            n=int(data["n"]),
-            ell=int(data["ell"]),
-        )
+        """Integer fields are read by ``json_int``; ``verified`` must be a
+        JSON boolean."""
+        try:
+            fields = dict(
+                gamma=Polynomial.from_json(data["gamma"]),
+                radial_completion=(
+                    None
+                    if data.get("radial_completion") is None
+                    else Polynomial.from_json(data["radial_completion"])
+                ),
+                vanishing_order=json_int(data["vanishing_order"]),
+                verified=data["verified"],
+                n=json_int(data["n"]),
+                ell=json_int(data["ell"]),
+            )
+            if not isinstance(fields["verified"], bool):
+                raise ValueError(f"verified is not a boolean: {data['verified']!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed solution JSON: {exc}") from exc
+        return cls(**fields)
 
 
 def _validated_source(poly):
@@ -310,21 +319,35 @@ def _laplacian_chain(poly, h):
     return chain
 
 
-def residue_terms(poly):
-    """The radial leftover [lap^h P] * sum_k a_k (|y|^2)^k that L produces on
-    the full combination; identically zero exactly when lap^h P vanishes."""
-    ell = _validated_source(poly)
-    n = poly.dimension
-    h = h_of(ell)
-    top = iterated_laplacian(poly, h)
-    if top.is_zero:
-        return Polynomial.zero(n)
-    table = coefficient_table(n, ell)
+def _radial_residue(top, table):
+    """top * sum_k a_k (|y|^2)^k over the full table's residue weights."""
+    n = top.dimension
     radial = Polynomial.zero(n)
     for k, a in enumerate(table.residues):
         if a:
             radial = radial + a * (Polynomial.r_squared(n) ** k)
     return top * radial
+
+
+def residue_terms(poly):
+    """The radial leftover [lap^h P] * sum_k a_k (|y|^2)^k that L produces on
+    the full combination; identically zero exactly when lap^h P vanishes."""
+    ell = _validated_source(poly)
+    n = poly.dimension
+    top = iterated_laplacian(poly, h_of(ell))
+    if top.is_zero:
+        return Polynomial.zero(n)
+    return _radial_residue(top, coefficient_table(n, ell))
+
+
+def _obstruction(chain, table):
+    h = len(chain) - 1
+    return ResidueObstructionError(
+        f"top iterated Laplacian (order {h}) does not vanish; "
+        "no pure polynomial solution of this form exists",
+        residue=_radial_residue(chain[h], table),
+        top_laplacian=chain[h],
+    )
 
 
 def _combination(poly, chain, table, columns):
@@ -348,17 +371,17 @@ def solve_gamma(poly):
     to ``solve_general``.
     """
     ell = _validated_source(poly)
+    chain = _laplacian_chain(poly, h_of(ell))
+    if not chain[-1].is_zero:
+        raise _obstruction(chain, coefficient_table(poly.dimension, ell))
+    return _solve_admissible(poly, ell, chain)
+
+
+def _solve_admissible(poly, ell, chain):
+    """solve_gamma on a source whose top iterated Laplacian vanishes."""
     n = poly.dimension
-    h = h_of(ell)
-    chain = _laplacian_chain(poly, h)
-    vanishing = next((k for k in range(1, h + 1) if chain[k].is_zero), h + 1)
-    if not chain[h].is_zero:
-        raise ResidueObstructionError(
-            f"top iterated Laplacian (order {h}) does not vanish; "
-            "no pure polynomial solution of this form exists",
-            residue=residue_terms(poly),
-            top_laplacian=chain[h],
-        )
+    h = len(chain) - 1
+    vanishing = next(k for k in range(1, h + 1) if chain[k].is_zero)
     columns = min(h, vanishing)
     table = coefficient_table(n, ell, columns=columns)
     gamma = _combination(poly, chain, table, columns)
@@ -425,33 +448,34 @@ def solve_general(poly):
     radial completion when n >= 4 and ell <= n - 2 are both even.
 
     Returns the same result as ``solve_gamma`` when no completion is needed.
+    The Laplacian chain and the full coefficient table are built once and
+    shared by the residue and the completion.
     """
-    try:
-        return solve_gamma(poly)
-    except ResidueObstructionError as obstruction:
-        ell = poly.degree()
-        n = poly.dimension
-        if n < 4 or n % 2 or ell % 2 or ell > n - 2:
-            raise UnsupportedCaseError(
-                "residue present and outside the radial-completion hypotheses "
-                f"(need n >= 4 even and ell <= n - 2 even; got n={n}, ell={ell})"
-            ) from obstruction
-        h = h_of(ell)
-        top = obstruction.top_laplacian.constant_term()
-        table = coefficient_table(n, ell)
-        chain = _laplacian_chain(poly, h)
-        gamma = _combination(poly, chain, table, h)
-        completion = radial_completion(n, ell, [top * a for a in table.residues])
-        if apply_L(gamma + completion) != poly:
-            raise AssertionError("completed construction failed exact verification")
-        return CorrectionSolution(
-            gamma=gamma,
-            radial_completion=completion,
-            vanishing_order=h + 1,
-            verified=True,
-            n=n,
-            ell=ell,
-        )
+    ell = _validated_source(poly)
+    chain = _laplacian_chain(poly, h_of(ell))
+    if chain[-1].is_zero:
+        return _solve_admissible(poly, ell, chain)
+    n = poly.dimension
+    h = len(chain) - 1
+    table = coefficient_table(n, ell)
+    if n < 4 or n % 2 or ell % 2 or ell > n - 2:
+        raise UnsupportedCaseError(
+            "residue present and outside the radial-completion hypotheses "
+            f"(need n >= 4 even and ell <= n - 2 even; got n={n}, ell={ell})"
+        ) from _obstruction(chain, table)
+    top = chain[h].constant_term()
+    gamma = _combination(poly, chain, table, h)
+    completion = radial_completion(n, ell, [top * a for a in table.residues])
+    if apply_L(gamma + completion) != poly:
+        raise AssertionError("completed construction failed exact verification")
+    return CorrectionSolution(
+        gamma=gamma,
+        radial_completion=completion,
+        vanishing_order=h + 1,
+        verified=True,
+        n=n,
+        ell=ell,
+    )
 
 
 def project_to_admissible(poly):

@@ -1,13 +1,15 @@
 """Independent numeric oracles that only the test suite uses: finite
 differences, a perturbed bubble for negative controls, a Monte Carlo
-estimator for the quadrature oracle, and a second form of the profile
-correction."""
+estimator for the quadrature oracle, a second form of the profile
+correction, the Euler operator by products, and the power-cube formula the
+polynomial kernel must match."""
 
 from math import gamma, pi
 
 import numpy as np
 
 from bubble_correction import kernels
+from bubble_correction.polynomials import Polynomial, partial_derivative
 from bubble_correction.profiles import BubbleProfile
 
 
@@ -101,6 +103,33 @@ def correction_critical_power_form(profile, points):
         * kernels.eval_polynomial(s.gamma, Y)
         * profile.bubble(points) ** (s.n / (s.n - 2.0))
     )
+
+
+# --------------------------------------------------------------- exact tier
+
+
+def euler_operator_by_products(poly):
+    """y . grad(poly) as the sum over i of y_i * d(poly)/d(y_i), one exact
+    Polynomial product per variable."""
+    out = Polynomial.zero(poly.dimension)
+    for i in range(poly.dimension):
+        out = out + Polynomial.variable(poly.dimension, i) * partial_derivative(
+            poly, i
+        )
+    return out
+
+
+# ------------------------------------------------------------------ kernels
+
+
+def eval_poly_cube(points, exps, coeffs):
+    """sum_t coeffs[t] * prod_i points[:, i]**exps[t, i] through the full
+    (m, t, n) power cube: the formula ``kernels.eval_poly`` must reproduce
+    bit for bit on C-contiguous points."""
+    points = np.asarray(points, dtype=np.float64)
+    if coeffs.size == 0:
+        return np.zeros(points.shape[0])
+    return (points[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
 
 
 # ---------------------------------------------------------------- Monte Carlo

@@ -315,6 +315,8 @@ def test_configuration_invariants_enforced():
             flex_exponents=(Fraction(1, 9),),
             scale_ratios=(Fraction(1),),
         )
+    with pytest.raises(ValueError, match="at least one point"):
+        BlowupConfiguration(n, (), (), (), (), (), ())
 
 
 # -------------------------------------------------------------- balance law

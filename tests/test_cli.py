@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bubble_correction.polynomials import Polynomial
+from bubble_correction.reduction import solve_gamma
 
 from conftest import alternating_quartic, run_cli
 
@@ -121,8 +122,15 @@ def test_integrate_rejects_inexact_polynomial_json(tmp_path, payload):
         ("k_values", [48, 2.0, 2]),
         ("k_values", [48, {"num": 2.5, "den": "1"}, 2]),
         ("n", 8.0),
+        ("k_values", [True, 2, 2]),
+        ("points", 5),
+        ("flex_vectors", [1, 2, 3]),
+        ("taylor_polys", None),
     ],
-    ids=["float-k", "float-num-in-dict", "float-n"],
+    ids=[
+        "float-k", "float-num-in-dict", "float-n", "bool-k", "int-points",
+        "int-vectors", "null-polys",
+    ],
 )
 def test_balance_rejects_inexact_config(tmp_path, field, value):
     config = balance_config_json()
@@ -247,6 +255,32 @@ def test_residual_scan(tmp_path, admissible_source):
     assert data["count"] == 500
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("ell", 4.5), ("n", "8.0"), ("vanishing_order", None), ("verified", "false")],
+    ids=["float-ell", "decimal-n", "null-order", "string-verified"],
+)
+def test_residual_scan_rejects_malformed_solution(
+    tmp_path, admissible_source, field, value
+):
+    source = Polynomial.from_json(json.loads(admissible_source.read_text()))
+    data = solve_gamma(source).to_json()
+    data[field] = value
+    sol = tmp_path / "solution.json"
+    sol.write_text(json.dumps(data))
+    result = run_cli(
+        [
+            "residual-scan",
+            "--input", str(sol),
+            "--source", str(admissible_source),
+            "--samples", "10",
+            "--output", str(tmp_path / "scan.json"),
+        ],
+        tmp_path,
+    )
+    assert_input_error(result)
+
+
 def test_green_check_report(tmp_path):
     out = tmp_path / "green.json"
     result = run_cli(
@@ -292,6 +326,24 @@ def test_profile_csv_schema(tmp_path):
     assert len(lines) == 21
     row = [float(x) for x in lines[1].split(",")]
     assert row[-1] == pytest.approx(sum(row[-4:-1]), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("ell", 4.9), ("n", 6.0), ("xi", None)],
+    ids=["float-ell", "float-n", "null-xi"],
+)
+def test_profile_rejects_malformed_spec(tmp_path, field, value):
+    spec = profile_spec_json()
+    spec[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = run_cli(
+        ["profile", "--input", str(path), "--samples", "5",
+         "--output", str(tmp_path / "profile.csv")],
+        tmp_path,
+    )
+    assert_input_error(result)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, admissible_source):

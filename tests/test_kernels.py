@@ -8,6 +8,7 @@ from bubble_correction import kernels
 from bubble_correction.polynomials import Polynomial
 
 from conftest import random_homogeneous
+from oracles import eval_poly_cube
 
 
 def test_poly_arrays_follow_term_order():
@@ -55,3 +56,47 @@ def test_empty_polynomial_evaluates_to_zero():
     exps, coeffs = kernels.poly_arrays(Polynomial.zero(3))
     pts = np.ones((5, 3))
     assert kernels.eval_poly(pts, exps, coeffs).tolist() == [0.0] * 5
+
+
+def assert_matches_cube(points, exps, coeffs):
+    fast = kernels.eval_poly(points, exps, coeffs)
+    assert np.array_equal(fast, eval_poly_cube(points, exps, coeffs))
+
+
+def test_eval_poly_matches_power_cube_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        n = int(rng.integers(1, 11))
+        t = int(rng.integers(1, 80))
+        m = int(rng.integers(1, 2000))
+        exps = rng.integers(0, int(rng.integers(1, 9)) + 1, (t, n))
+        coeffs = rng.standard_normal(t) * 10.0 ** int(rng.integers(-3, 4))
+        points = 3.0 * rng.standard_normal((m, n))
+        assert_matches_cube(points, exps, coeffs)
+
+
+def test_eval_poly_lone_square_matches_pow():
+    # a variable whose only exponent is 2: pow(x, 2), not numpy's x*x path
+    rng = np.random.default_rng(21)
+    points = 3.0 * rng.standard_normal((20_000, 3))
+    assert_matches_cube(points, np.array([[0, 2, 0]]), np.array([1.3]))
+
+
+def test_eval_poly_skips_all_zero_exponent_columns():
+    rng = np.random.default_rng(22)
+    points = rng.standard_normal((500, 4))
+    exps = np.array([[3, 0, 1, 0], [0, 0, 2, 0], [1, 0, 0, 0]])
+    assert_matches_cube(points, exps, rng.standard_normal(3))
+    constant = np.zeros((2, 4), dtype=np.int64)
+    assert_matches_cube(points, constant, np.array([0.5, 0.25]))
+    assert kernels.eval_poly(points, constant, np.array([0.5, 0.25])).tolist() == (
+        [0.75] * 500
+    )
+
+
+def test_eval_poly_matches_power_cube_on_many_rows():
+    # enough rows for the matvec to take the threaded BLAS path
+    rng = np.random.default_rng(23)
+    exps = rng.integers(0, 6, (40, 8))
+    points = rng.standard_normal((25_000, 8))
+    assert_matches_cube(points, exps, rng.standard_normal(40))

@@ -82,6 +82,11 @@ def test_float_coefficients_are_refused():
         Polynomial(2, {(1, 0): 0.5})
 
 
+def test_boolean_coefficients_are_refused():
+    with pytest.raises(ExactnessError):
+        Polynomial(2, {(1, 0): True})
+
+
 def test_zero_coefficients_are_never_stored():
     p = var(2, 0) - var(2, 0)
     assert p.terms == {}
@@ -130,6 +135,25 @@ def test_euler_operator_examples():
     assert euler_operator(Polynomial.constant(3, 7)).is_zero
     q = var(2, 0, 2) + var(2, 0) * var(2, 1)
     assert euler_operator(q) == 2 * q
+
+
+def test_euler_operator_matches_sum_of_variable_times_partial(rng):
+    # mixed degrees, always with a constant and a linear term
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(n)): Fraction(
+                rng.randint(-9, 9), rng.randint(1, 7)
+            )
+            for _ in range(rng.randint(0, 6))
+        }
+        j = rng.randrange(n)
+        terms[(0,) * n] = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+        terms[tuple(int(i == j) for i in range(n))] = Fraction(
+            rng.randint(1, 9), rng.randint(1, 7)
+        )
+        p = Polynomial(n, terms)
+        assert euler_operator(p) == oracles.euler_operator_by_products(p)
 
 
 def test_gradient_examples():
