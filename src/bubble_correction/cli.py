@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -149,6 +150,9 @@ def cmd_residual_scan(args):
 
 
 def cmd_green_check(args):
+    deltas = [0.1, 0.3] if args.delta is None else args.delta
+    if not 0 <= args.tol_quad < math.inf:
+        raise ValueError(f"--tol-quad must be finite and >= 0, got {args.tol_quad!r}")
     ball = profiles_mod.greens_ball(args.n, args.radius)
     rng = np.random.default_rng(args.seed)
     xi = rng.uniform(-0.3, 0.3, args.n) * args.radius
@@ -165,7 +169,7 @@ def cmd_green_check(args):
         "poisson_normalization": normalization,
         "poisson_normalization_ok": bool(abs(normalization - 1.0) <= args.tol_quad),
         "bounds": [
-            ball.check_bounds(delta, seed=args.seed) for delta in args.delta
+            ball.check_bounds(delta, seed=args.seed) for delta in deltas
         ],
     }
     _dump_json(args.output, payload)
@@ -282,8 +286,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "delta", "missing") is None:
-        args.delta = [0.1, 0.3]
     try:
         return args.func(args)
     except (

@@ -1,11 +1,14 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are ``fractions.Fraction`` throughout and every operation
-renormalizes, so algebraic identities can be asserted with ``==`` instead of
-tolerances.  A multi-index is a plain tuple of non-negative ints whose length
-equals the ambient dimension; stored terms never carry a zero coefficient.
-Iteration and serialized output follow graded-lexicographic order so that
-artifacts are byte-reproducible.
+Coefficients are ``fractions.Fraction`` throughout, so algebraic identities
+can be asserted with ``==`` instead of tolerances.  A multi-index is a plain
+tuple of non-negative ints (never bools or anything truncated to an int)
+whose length equals the ambient dimension; stored terms never carry a zero
+coefficient.  Input is validated once, by ``Polynomial(...)`` and the named
+constructors built on it.  Every operation on polynomials returns through the
+private normaliser ``Polynomial._of``, which trusts its already-validated
+terms and only drops zero coefficients.  Iteration and serialized output
+follow graded-lexicographic order so that artifacts are byte-reproducible.
 
 The zero polynomial is the empty term map (with an explicit dimension); its
 degree is reported as ``None`` rather than an arbitrary sentinel number.
@@ -72,30 +75,43 @@ def _grlex_key(alpha):
     return (sum(alpha), alpha)
 
 
+def _accumulate(terms, alpha, coeff):
+    """Add ``coeff`` at ``alpha``; a zero sum stays until ``Polynomial._of``."""
+    terms[alpha] = terms.get(alpha, 0) + coeff
+
+
 class Polynomial:
     """Sparse polynomial in ``dimension`` variables with rational coefficients."""
 
     __slots__ = ("dimension", "terms")
 
     def __init__(self, dimension, terms=None):
-        if not isinstance(dimension, int) or dimension < 1:
+        """Validate outside input; operation results are built by ``_of``."""
+        if type(dimension) is not int or dimension < 1:
             raise ValueError(f"dimension must be a positive int, got {dimension!r}")
-        clean = {}
+        checked = {}
         for alpha, coeff in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
+            alpha = tuple(alpha)
             if len(alpha) != dimension:
                 raise DimensionMismatchError(
                     f"multi-index {alpha} has length {len(alpha)}, expected {dimension}"
                 )
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in multi-index {alpha}")
-            coeff = as_coefficient(coeff)
-            if coeff:
-                clean[alpha] = clean.get(alpha, Fraction(0)) + coeff
-                if not clean[alpha]:
-                    del clean[alpha]
+            if any(type(a) is not int or a < 0 for a in alpha):
+                raise ValueError(f"exponents must be non-negative ints: {alpha!r}")
+            checked[alpha] = as_coefficient(coeff)
+        self._store(dimension, checked)
+
+    def _store(self, dimension, terms):
+        """The one normaliser: keep ``terms`` without its zero coefficients."""
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {a: c for a, c in terms.items() if c})
+
+    @classmethod
+    def _of(cls, dimension, terms):
+        """Operation results: ``terms`` is already valid, so nothing is checked."""
+        poly = object.__new__(cls)
+        poly._store(dimension, terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -108,14 +124,14 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dimension, value):
-        return cls(dimension, {(0,) * dimension: as_coefficient(value)})
+        return cls(dimension, {(0,) * dimension: value})
 
     @classmethod
     def variable(cls, dimension, index, power=1, coeff=1):
         """The monomial coeff * y_index**power (index is 0-based)."""
         alpha = [0] * dimension
         alpha[index] = power
-        return cls(dimension, {tuple(alpha): as_coefficient(coeff)})
+        return cls(dimension, {tuple(alpha): coeff})
 
     @classmethod
     def r_squared(cls, dimension):
@@ -153,7 +169,7 @@ class Polynomial:
         for alpha, coeff in self.terms.items():
             parts.setdefault(sum(alpha), {})[alpha] = coeff
         return {
-            d: Polynomial(self.dimension, t) for d, t in sorted(parts.items())
+            d: Polynomial._of(self.dimension, t) for d, t in sorted(parts.items())
         }
 
     def sorted_terms(self):
@@ -182,15 +198,11 @@ class Polynomial:
         self._check_dimension(other)
         terms = dict(self.terms)
         for alpha, coeff in other.terms.items():
-            total = terms.get(alpha, Fraction(0)) + coeff
-            if total:
-                terms[alpha] = total
-            else:
-                terms.pop(alpha, None)
-        return Polynomial(self.dimension, terms)
+            _accumulate(terms, alpha, coeff)
+        return Polynomial._of(self.dimension, terms)
 
     def __neg__(self):
-        return Polynomial(
+        return Polynomial._of(
             self.dimension, {a: -c for a, c in self.terms.items()}
         )
 
@@ -205,15 +217,10 @@ class Polynomial:
             terms = {}
             for a1, c1 in self.terms.items():
                 for a2, c2 in other.terms.items():
-                    key = tuple(x + y for x, y in zip(a1, a2))
-                    total = terms.get(key, Fraction(0)) + c1 * c2
-                    if total:
-                        terms[key] = total
-                    else:
-                        terms.pop(key, None)
-            return Polynomial(self.dimension, terms)
+                    _accumulate(terms, tuple(x + y for x, y in zip(a1, a2)), c1 * c2)
+            return Polynomial._of(self.dimension, terms)
         coeff = as_coefficient(other)
-        return Polynomial(
+        return Polynomial._of(
             self.dimension, {a: c * coeff for a, c in self.terms.items()}
         )
 
@@ -305,9 +312,9 @@ def partial_derivative(poly, index):
     for alpha, coeff in poly.terms.items():
         a = alpha[index]
         if a:
-            key = alpha[:index] + (a - 1,) + alpha[index + 1 :]
-            terms[key] = terms.get(key, Fraction(0)) + coeff * a
-    return Polynomial(poly.dimension, terms)
+            # lowering one exponent is one-to-one, so keys stay distinct
+            terms[alpha[:index] + (a - 1,) + alpha[index + 1 :]] = coeff * a
+    return Polynomial._of(poly.dimension, terms)
 
 
 def laplacian(poly):
@@ -317,13 +324,8 @@ def laplacian(poly):
         for i, a in enumerate(alpha):
             if a >= 2:
                 key = alpha[:i] + (a - 2,) + alpha[i + 1 :]
-                add = coeff * a * (a - 1)
-                total = terms.get(key, Fraction(0)) + add
-                if total:
-                    terms[key] = total
-                else:
-                    terms.pop(key, None)
-    return Polynomial(poly.dimension, terms)
+                _accumulate(terms, key, coeff * a * (a - 1))
+    return Polynomial._of(poly.dimension, terms)
 
 
 def iterated_laplacian(poly, count):
@@ -347,7 +349,7 @@ def euler_operator(poly):
     """y . grad(poly); equals (degree * poly) on homogeneous input.
 
     Each monomial is an eigenvector: y . grad(y^alpha) = |alpha| y^alpha."""
-    return Polynomial(
+    return Polynomial._of(
         poly.dimension,
         {alpha: sum(alpha) * coeff for alpha, coeff in poly.terms.items()},
     )
@@ -389,27 +391,18 @@ def compose_shift(poly, shift):
         for i, a in enumerate(alpha):
             if a == 0:
                 continue
+            # every beta in partial has beta[i] == 0, so keys stay distinct
             expanded = {}
             powers = [shift[i] ** (a - j) for j in range(a + 1)]
             for beta, c in partial.items():
                 for j in range(a + 1):
                     c2 = c * comb(a, j) * powers[j]
-                    if not c2:
-                        continue
-                    key = beta[:i] + (j,) + beta[i + 1 :]
-                    total = expanded.get(key, Fraction(0)) + c2
-                    if total:
-                        expanded[key] = total
-                    else:
-                        expanded.pop(key, None)
+                    if c2:
+                        expanded[beta[:i] + (j,) + beta[i + 1 :]] = c2
             partial = expanded
         for beta, c in partial.items():
-            total = out.get(beta, Fraction(0)) + c
-            if total:
-                out[beta] = total
-            else:
-                out.pop(beta, None)
-    return Polynomial(n, out)
+            _accumulate(out, beta, c)
+    return Polynomial._of(n, out)
 
 
 def apply_signed_permutation(poly, permutation, signs):
@@ -432,6 +425,6 @@ def apply_signed_permutation(poly, permutation, signs):
             beta[permutation[i]] = a
             if a % 2 and signs[i] == -1:
                 sign = -sign
-        key = tuple(beta)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return Polynomial(n, terms)
+        # T permutes the multi-indices, so keys stay distinct
+        terms[tuple(beta)] = sign * coeff
+    return Polynomial._of(n, terms)

@@ -11,6 +11,7 @@ separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -368,6 +369,15 @@ def interpolation_R():
 # ------------------------------------------------------------ refined profile
 
 
+def _json_float(value):
+    """A float read from JSON: a finite int or float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a JSON number: {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RefinedProfileSpec:
     """Everything needed to assemble a refined profile.
@@ -414,21 +424,24 @@ class RefinedProfileSpec:
 
     @classmethod
     def from_json(cls, data):
-        """``n`` and ``ell`` are read by ``json_int``."""
+        """``n`` and ``ell`` are read by ``json_int``, the float fields by
+        ``_json_float``."""
         try:
             fields = dict(
                 n=json_int(data["n"]),
                 ell=json_int(data["ell"]),
-                lam=float(data["lam"]),
-                xi=tuple(float(x) for x in data["xi"]),
+                lam=_json_float(data["lam"]),
+                xi=tuple(_json_float(x) for x in data["xi"]),
                 gamma=Polynomial.from_json(data["gamma"]),
                 harmonic_points=tuple(
-                    tuple(float(x) for x in p) for p in data["harmonic_points"]
+                    tuple(_json_float(x) for x in p) for p in data["harmonic_points"]
                 ),
-                harmonic_weights=tuple(float(w) for w in data["harmonic_weights"]),
-                joint_radius_c=float(data["joint_radius_c"]),
+                harmonic_weights=tuple(
+                    _json_float(w) for w in data["harmonic_weights"]
+                ),
+                joint_radius_c=_json_float(data["joint_radius_c"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed profile spec: {exc}") from exc
         return cls(**fields)
 
@@ -561,8 +574,8 @@ class GreensBall:
     constants exposed."""
 
     def __init__(self, n, a):
-        if a <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < a < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {a!r}")
         if n < 3:
             raise ValueError("inverse-power form needs dimension >= 3")
         self.n = n
@@ -627,6 +640,8 @@ class GreensBall:
         """Measure the constants in the interior Green bound and the Poisson
         bound for sources with |xi| <= (1 - delta) a; returns the measured
         constants together with the reference envelopes."""
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
         rng = np.random.default_rng(seed)
         n = self.n
         green_const = 0.0

@@ -183,25 +183,17 @@ def coefficient_table(n, ell, columns=None):
             denom = characteristic_denominator(n, ell, j, k)
             if denom == 0:
                 raise CharacteristicGuardError(n, ell, j, k, _guard_root(n, ell, j, k))
-            deps = [
-                cell
-                for cell in ((j - 1, k - 1), (j, k - 1), (j + 1, k))
-                if 0 <= cell[0] <= cell[1] <= columns - 1 and cell != (j, k)
-            ]
+            # the neighbours inside the table, all built by now
+            deps = tuple(
+                cell for cell in ((j - 1, k - 1), (j, k - 1), (j + 1, k)) if cell in C
+            )
             source = Fraction(1 if (j, k) == (0, 0) else 0)
             feed = sum(
-                (
-                    C[(j - 1, k - 1)] if (j - 1, k - 1) in C and j >= 1 else Fraction(0),
-                    C[(j, k - 1)] if (j, k - 1) in C else Fraction(0),
-                    (C[(j + 1, k)] * a_multiplier(n, ell, j + 1, k))
-                    if (j + 1, k) in C
-                    else Fraction(0),
-                ),
-                Fraction(0),
+                C[cell] * A[cell] if cell == (j + 1, k) else C[cell] for cell in deps
             )
             C[(j, k)] = (source - feed) / denom
             build_order.append((j, k))
-            dependencies[(j, k)] = tuple(deps)
+            dependencies[(j, k)] = deps
 
     residues = None
     if full:
@@ -319,14 +311,19 @@ def _laplacian_chain(poly, h):
     return chain
 
 
+def _radial_sum(n, weights):
+    """sum_k w_k (|y|^2)^k over the (k, w_k) pairs in ``weights``."""
+    r2 = Polynomial.r_squared(n)
+    out = Polynomial.zero(n)
+    for k, w in weights:
+        if w:
+            out = out + w * (r2**k)
+    return out
+
+
 def _radial_residue(top, table):
     """top * sum_k a_k (|y|^2)^k over the full table's residue weights."""
-    n = top.dimension
-    radial = Polynomial.zero(n)
-    for k, a in enumerate(table.residues):
-        if a:
-            radial = radial + a * (Polynomial.r_squared(n) ** k)
-    return top * radial
+    return top * _radial_sum(top.dimension, enumerate(table.residues))
 
 
 def residue_terms(poly):
@@ -435,12 +432,7 @@ def radial_completion(n, ell, residues):
         climb = Fraction((2 * (k - 1) - 2) * (2 * (k - 1) - n))
         B[k] = -(a_at(k - 1) + climb * B[k - 1]) / Fraction(2 * k * (2 * k + n - 2))
 
-    out = Polynomial.zero(n)
-    r2 = Polynomial.r_squared(n)
-    for k, b in B.items():
-        if b:
-            out = out + b * (r2**k)
-    return out
+    return _radial_sum(n, B.items())
 
 
 def solve_general(poly):

@@ -294,6 +294,26 @@ def test_green_check_report(tmp_path):
     assert {b["delta"] for b in data["bounds"]} == {0.1, 0.3}
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--radius", "nan"], ["--radius", "inf"], ["--radius", "0"],
+        ["--delta", "0"], ["--delta", "nan"], ["--delta", "1"],
+        ["--tol-quad", "nan"], ["--tol-quad", "-1"],
+    ],
+    ids=[
+        "nan-radius", "infinite-radius", "zero-radius", "zero-delta",
+        "nan-delta", "unit-delta", "nan-tol", "negative-tol",
+    ],
+)
+def test_green_check_rejects_out_of_range_flags(tmp_path, flags):
+    result = run_cli(
+        ["green-check", "--n", "4", *flags, "--output", str(tmp_path / "g.json")],
+        tmp_path,
+    )
+    assert_input_error(result)
+
+
 def profile_spec_json():
     from test_profiles import example_profile_spec
 
@@ -330,8 +350,15 @@ def test_profile_csv_schema(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("ell", 4.9), ("n", 6.0), ("xi", None)],
-    ids=["float-ell", "float-n", "null-xi"],
+    [
+        ("ell", 4.9), ("n", 6.0), ("xi", None), ("lam", True),
+        ("lam", float("nan")), ("lam", float("inf")), ("lam", "inf"),
+        ("xi", [0.0] * 5 + [float("nan")]), ("joint_radius_c", 10**400),
+    ],
+    ids=[
+        "float-ell", "float-n", "null-xi", "bool-lam", "nan-lam", "infinite-lam",
+        "string-lam", "nan-in-xi", "huge-int-radius",
+    ],
 )
 def test_profile_rejects_malformed_spec(tmp_path, field, value):
     spec = profile_spec_json()

@@ -15,12 +15,13 @@ from bubble_correction.polynomials import (
     gradient,
     iterated_laplacian,
     laplacian,
+    partial_derivative,
     r2_multiply,
 )
 from bubble_correction.reduction import a_multiplier, h_of
 
 import oracles
-from conftest import random_homogeneous
+from conftest import harmonic_homogeneous, random_homogeneous
 
 
 def var(n, i, p=1, c=1):
@@ -87,9 +88,61 @@ def test_boolean_coefficients_are_refused():
         Polynomial(2, {(1, 0): True})
 
 
+@pytest.mark.parametrize(
+    "alpha", [(1.5, 0), ("2", "0"), (True, 0)], ids=["float", "string", "bool"]
+)
+def test_exponents_must_be_ints(alpha):
+    with pytest.raises(ValueError):
+        Polynomial(2, {alpha: 1})
+
+
+@pytest.mark.parametrize("dimension", [True, 2.0, 0], ids=["bool", "float", "zero"])
+def test_dimension_must_be_a_positive_int(dimension):
+    with pytest.raises(ValueError):
+        Polynomial(dimension, {})
+
+
 def test_zero_coefficients_are_never_stored():
     p = var(2, 0) - var(2, 0)
     assert p.terms == {}
+
+
+def assert_normalised(q, n):
+    """No stored zero, only int-tuple keys of length n, and the public
+    constructor accepts the terms unchanged."""
+    assert q.dimension == n
+    for alpha, coeff in q.terms.items():
+        assert type(alpha) is tuple and len(alpha) == n
+        assert all(type(a) is int and a >= 0 for a in alpha)
+        assert type(coeff) is Fraction and coeff != 0
+    assert Polynomial(q.dimension, q.terms) == q
+
+
+@given(polynomials(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_operation_returns_normalised_terms(p, data):
+    n = p.dimension
+    q = data.draw(polynomials(min_n=n, max_n=n))
+    c = data.draw(rationals)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    harmonic = harmonic_homogeneous(rng, n, rng.randint(2, 4))
+    shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice([1, -1]) for _ in range(n)]
+    cancelled = [p - p, p + (-p), laplacian(harmonic), 0 * p]
+    for r in cancelled:
+        assert r.is_zero
+    assert compose_shift(p, [0] * n) == p
+    results = cancelled + [
+        p + q, -p, p * q, (p + q) * (p - q), c * p, p**2, p**0,
+        *(partial_derivative(p, i) for i in range(n)),
+        laplacian(p), euler_operator(p), euler_operator(Polynomial.constant(n, c)),
+        compose_shift(p, [0] * n), compose_shift(p, shift),
+        apply_signed_permutation(p, perm, signs),
+        *p.homogeneous_parts().values(),
+    ]
+    for r in results:
+        assert_normalised(r, n)
 
 
 # ------------------------------------------------------------- derivatives

@@ -129,6 +129,33 @@ def test_table_build_order_satisfies_dependencies():
         seen.add(cell)
 
 
+def test_table_cells_satisfy_the_three_term_recurrence():
+    # denom * C[j,k] = [j = k = 0] - C[j-1,k-1] - C[j,k-1] - A(j+1,k) C[j+1,k],
+    # absent neighbours 0; A and the denominator written out from their
+    # closed forms rather than taken from the module
+    checked = 0
+    for n in range(3, 13):
+        for ell in range(2, 11):
+            try:
+                C = coefficient_table(n, ell).C
+            except (UnsupportedCaseError, CharacteristicGuardError):
+                continue
+            for (j, k), c in C.items():
+                a_next = 2 * (j + 1) * (2 * (j + 1) + n - 2 + 2 * ell - 4 * k)
+                denom = 2 * j * (2 * j + n - 2 + 2 * ell - 4 * k) - 2 * n * (
+                    ell + 2 * (j - k) - 1
+                )
+                rhs = (
+                    int((j, k) == (0, 0))
+                    - C.get((j - 1, k - 1), 0)
+                    - C.get((j, k - 1), 0)
+                    - a_next * C.get((j + 1, k), 0)
+                )
+                assert denom * c == rhs, (n, ell, j, k)
+                checked += 1
+    assert checked > 300
+
+
 def test_residue_weights_assemble_from_last_column():
     table = coefficient_table(7, 6)
     h = table.h

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (``perfbench/tracer.py``) rebinds the package's
+layer-boundary functions by name, so a refactor that renames or drops one of
+them breaks ``Tracer.install``.  This test only reads that file."""
+
+import importlib.util
+from pathlib import Path
+
+import bubble_correction.cli  # noqa: F401  (loads every traced module)
+from bubble_correction import polynomials, reduction
+from bubble_correction.polynomials import Polynomial
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_and_uninstall_resolve_every_target():
+    tracer = load_tracer().Tracer()
+    apply_L, r2_multiply = reduction.apply_L, polynomials.r2_multiply
+    tracer.install()
+    try:
+        assert reduction.apply_L is not apply_L
+        assert reduction.r2_multiply is not r2_multiply
+        reduction.apply_L(Polynomial.variable(3, 0, 2))
+    finally:
+        tracer.uninstall()
+    assert reduction.apply_L is apply_L
+    assert polynomials.r2_multiply is r2_multiply
+    assert reduction.r2_multiply is r2_multiply
+    names = [span[0] for span in tracer.spans]
+    assert "reduction.apply_L" in names and "polynomials.laplacian" in names
