@@ -1,91 +1,14 @@
 """Exact polynomial corrections to bubble profiles, bubble-weighted moment
-calculus, and balance checks at simple concentration points."""
+calculus, and balance checks at simple concentration points.
 
-from .errors import (
-    CharacteristicGuardError,
-    DimensionMismatchError,
-    DivergentMomentError,
-    ExactnessError,
-    ResidueObstructionError,
-    UnsupportedCaseError,
-)
-from .polynomials import (
-    Polynomial,
-    apply_signed_permutation,
-    compose_shift,
-    directional_pairing,
-    euler_operator,
-    gradient,
-    iterated_laplacian,
-    laplacian,
-    partial_derivative,
-    r2_multiply,
-)
-from .reduction import (
-    CoefficientTable,
-    CorrectionSolution,
-    a_multiplier,
-    apply_L,
-    characteristic_guard,
-    coefficient_table,
-    h_of,
-    kernel_basis,
-    project_to_admissible,
-    radial_completion,
-    residue_terms,
-    solve_gamma,
-    solve_general,
-)
-from .moments import (
-    IntegralResult,
-    ShiftExpansion,
-    b_constant,
-    change_of_center,
-    double_factorial_minus2,
-    gradient_moment,
-    j_multiple,
-    j_multiple_via_laplacian,
-    j_value,
-    laplacian_identity_check,
-    moment_integral,
-    reduction_identity_check,
-    shift_expansion,
-    weighted_integral,
-)
-from .balance import (
-    BlowupConfiguration,
-    FalsifierResult,
-    ViolationReport,
-    eta_admissible,
-    flexibility_falsifier,
-    gradient_lower_bound,
-    interference_check,
-    multi_point_balance,
-    parity_certificate,
-    pohozaev_volume_vs_surface,
-    single_point_constraints,
-)
-from .profiles import (
-    BubbleParams,
-    BubbleProfile,
-    GreensBall,
-    HarmonicTail,
-    RefinedProfile,
-    RefinedProfileSpec,
-    ResidualReport,
-    bubble,
-    d_pi,
-    greens_ball,
-    harmonic_tail,
-    interpolation_R,
-    linearization_bound_check,
-    linearized_residual,
-    pi_eval,
-    refined_profile,
-    rescaled_average,
-    stereographic_from_plane,
-    stereographic_to_plane,
-    synth_K,
-)
+Each module's ``__all__`` is the one list of its public names; every one of
+them is importable from the package."""
+
+from .errors import *  # noqa: F401,F403
+from .polynomials import *  # noqa: F401,F403
+from .reduction import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .balance import *  # noqa: F401,F403
+from .profiles import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

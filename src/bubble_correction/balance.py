@@ -36,6 +36,7 @@ from .polynomials import (
     iterated_laplacian,
     json_int,
     rational_from_json,
+    rational_to_json,
 )
 
 __all__ = [
@@ -68,18 +69,13 @@ class ViolationReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self):
+        exact = self.residual_exact
         data = {
             "constraint": self.constraint,
             "residual_float": self.residual_float,
             "pass": self.passed,
+            "residual_exact": None if exact is None else rational_to_json(exact),
         }
-        if self.residual_exact is not None:
-            data["residual_exact"] = {
-                "num": str(self.residual_exact.numerator),
-                "den": str(self.residual_exact.denominator),
-            }
-        else:
-            data["residual_exact"] = None
         if self.details:
             data["details"] = self.details
         return data
@@ -171,10 +167,7 @@ class BlowupConfiguration:
         return cls(**fields)
 
     def to_json(self):
-        def rat(x):
-            f = Fraction(x)
-            return {"num": str(f.numerator), "den": str(f.denominator)}
-
+        rat = rational_to_json
         return {
             "n": self.n,
             "points": [[rat(x) for x in p] for p in self.points],
@@ -202,13 +195,10 @@ def gradient_lower_bound(poly, rho=1.0, samples=10_000, seed=0):
     if ell is None or ell < 2:
         raise ValueError("needs a polynomial of degree >= 2")
     nodes = quadrature.sphere_nodes(n, samples, seed)
-    grads = gradient(poly)
     norms_sq = np.zeros(len(nodes))
-    for g in grads:
-        if not g.is_zero:
-            exps, coeffs = kernels.poly_arrays(g)
-            vals = kernels.eval_poly(nodes, exps, coeffs)
-            norms_sq += vals * vals
+    for g in gradient(poly):
+        vals = kernels.eval_polynomial(g, nodes)
+        norms_sq += vals * vals
     norms = np.sqrt(norms_sq)
     scale = float(rho) ** (ell - 1)
     return float(norms.min()) * scale, float(norms.max()) * scale
@@ -478,12 +468,10 @@ def multi_point_balance(config, tol=TOL_FLOAT, tol_exact=0):
             base = Fraction(n * (n - 2)) / (ctilde * Fraction(config.k_values[m]))
             s_ratio = Fraction(config.scale_ratios[m])
             exponent = Fraction(n - 3) * (1 + Fraction(eta))
-            weight_exact = None
             if n % 2 == 0 and s_ratio == 1:
-                weight_exact = base ** (n // 2)
-            if weight_exact is not None:
-                terms_exact.append(weight_exact * pairing)
-                terms_float.append(float(weight_exact * pairing))
+                term = base ** (n // 2) * pairing
+                terms_exact.append(term)
+                terms_float.append(float(term))
             else:
                 weight = float(base) ** (n / 2.0) * float(s_ratio) ** float(exponent)
                 terms_exact.append(None)
@@ -505,7 +493,7 @@ def multi_point_balance(config, tol=TOL_FLOAT, tol_exact=0):
         all_pass = all_pass and passed
         group_details.append(
             {
-                "eta": {"num": str(Fraction(eta).numerator), "den": str(Fraction(eta).denominator)},
+                "eta": rational_to_json(eta),
                 "members": members,
                 "sum": total,
                 "exact": total_exact == 0 if total_exact is not None else None,

@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
 Subcommands wrap the library one to one and speak JSON/CSV on disk.  Exit
-codes form a contract: 0 on success, 1 on malformed input or I/O problems,
-2 on a mathematical obstruction (nonvanishing residue, blocked recurrence
-cell).  An obstruction is a result, not a crash, so it still writes a
-machine-readable report before exiting.
+codes form a contract: 0 on success, 1 on malformed input, usage errors or
+I/O problems, 2 on a mathematical obstruction (nonvanishing residue, blocked
+recurrence cell, divergent moment).  An obstruction is a result, not a
+crash, so ``solve`` still writes a machine-readable report before exiting.
 
 Runs are deterministic: fixed ``--seed`` plus identical inputs give byte
 identical outputs; files are written atomically.
@@ -25,18 +25,16 @@ from . import balance as balance_mod
 from . import moments as moments_mod
 from . import profiles as profiles_mod
 from . import reduction
-from .errors import (
-    CharacteristicGuardError,
-    DivergentMomentError,
-    ExactnessError,
-    ResidueObstructionError,
-    UnsupportedCaseError,
-)
+from .errors import ExactnessError, Obstruction, ResidueObstructionError
 from .polynomials import Polynomial
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_OBSTRUCTION = 2
+
+# ``green-check`` draws its interior point from uniform(-0.3, 0.3)^n times the
+# radius; 0.3 * sqrt(n) < 1 keeps it inside the ball, so n <= 11
+GREEN_MAX_N = 11
 
 
 def _write_atomic(path, text):
@@ -150,6 +148,8 @@ def cmd_residual_scan(args):
 
 
 def cmd_green_check(args):
+    if args.n > GREEN_MAX_N:
+        raise ValueError(f"--n must be <= {GREEN_MAX_N}, got {args.n}")
     deltas = [0.1, 0.3] if args.delta is None else args.delta
     if not 0 <= args.tol_quad < math.inf:
         raise ValueError(f"--tol-quad must be finite and >= 0, got {args.tol_quad!r}")
@@ -201,8 +201,16 @@ def cmd_profile(args):
 # ------------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means an obstruction."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"input error: {self.prog}: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bubble-correction",
         description=(
             "Exact polynomial corrections to bubble profiles, bubble-weighted "
@@ -286,19 +294,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # two families: obstructions (first, since two of them are also
+    # ValueErrors), then malformed input or an unusable path
     try:
         return args.func(args)
-    except (
-        FileNotFoundError, json.JSONDecodeError, KeyError, ValueError, ExactnessError
-    ) as exc:
-        if isinstance(exc, (DivergentMomentError, UnsupportedCaseError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_OBSTRUCTION
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CharacteristicGuardError as exc:
+    except Obstruction as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
+    except (OSError, KeyError, ValueError, ExactnessError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

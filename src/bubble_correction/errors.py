@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``Obstruction`` is the one base of the mathematical obstructions: an input
+that is well formed but outside what the construction can do.  The command
+line maps it to exit 2 and every other input problem to exit 1.
+"""
+
+__all__ = [
+    "Obstruction",
+    "DimensionMismatchError",
+    "ExactnessError",
+    "ResidueObstructionError",
+    "CharacteristicGuardError",
+    "DivergentMomentError",
+    "UnsupportedCaseError",
+]
+
+
+class Obstruction(Exception):
+    """A mathematical obstruction, not malformed input."""
 
 
 class DimensionMismatchError(ValueError):
@@ -9,7 +28,7 @@ class ExactnessError(TypeError):
     """A non-exact value (float) tried to enter the rational coefficient tier."""
 
 
-class ResidueObstructionError(Exception):
+class ResidueObstructionError(Obstruction):
     """The correction equation has no pure polynomial solution for this input.
 
     Raised when the top iterated Laplacian of the source polynomial does not
@@ -23,7 +42,7 @@ class ResidueObstructionError(Exception):
         self.top_laplacian = top_laplacian
 
 
-class CharacteristicGuardError(Exception):
+class CharacteristicGuardError(Obstruction):
     """A recurrence denominator vanished while building the coefficient table.
 
     ``root`` names which root of the characteristic equation fired:
@@ -42,9 +61,9 @@ class CharacteristicGuardError(Exception):
         self.root = root
 
 
-class DivergentMomentError(ValueError):
+class DivergentMomentError(Obstruction, ValueError):
     """Bubble-weighted moment of a polynomial of degree >= n diverges."""
 
 
-class UnsupportedCaseError(ValueError):
+class UnsupportedCaseError(Obstruction, ValueError):
     """Inputs fall outside the hypotheses of the requested method."""

@@ -34,6 +34,7 @@ from .polynomials import (
     compose_shift,
     gradient,
     iterated_laplacian,
+    rational_to_json,
 )
 
 __all__ = [
@@ -137,10 +138,7 @@ class IntegralResult:
 
     def to_json(self):
         return {
-            "j_multiple": {
-                "num": str(self.j_multiple.numerator),
-                "den": str(self.j_multiple.denominator),
-            },
+            "j_multiple": rational_to_json(self.j_multiple),
             "numeric": self.numeric,
             "method": self.method,
         }
@@ -252,13 +250,7 @@ def gradient_moment_exact(poly, point):
     """Per-component exact data for the weighted moment of grad(P)(y + X):
     a list of (multiples-by-degree, float) pairs."""
     point = [as_coefficient(x) for x in point]
-    out = []
-    for dp in gradient(poly):
-        if dp.is_zero:
-            out.append(({}, 0.0))
-        else:
-            out.append(weighted_integral(compose_shift(dp, point)))
-    return out
+    return [weighted_integral(compose_shift(dp, point)) for dp in gradient(poly)]
 
 def gradient_moment(poly, point):
     """Weighted moment vector of grad(P)(y + X) as floats; the exact rational

@@ -27,6 +27,7 @@ __all__ = [
     "as_coefficient",
     "json_int",
     "rational_from_json",
+    "rational_to_json",
     "laplacian",
     "iterated_laplacian",
     "partial_derivative",
@@ -69,6 +70,11 @@ def rational_from_json(data):
     if den == 0:
         raise ValueError(f"zero denominator in {data!r}")
     return Fraction(json_int(data["num"]), den)
+
+
+def rational_to_json(value):
+    """{"num": str, "den": str} for an int or a Fraction, taken as is."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def _grlex_key(alpha):

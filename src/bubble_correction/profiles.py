@@ -166,10 +166,8 @@ class SynthesizedCurvature:
         self.dimension = poly.dimension
         n = poly.dimension
         self.ctilde = (n - 2) / (4.0 * (n - 1))
-        self._scaled_terms = -1 * euler_operator(poly)
-        if remainder is not None:
-            self._scaled_terms = self._scaled_terms + euler_operator(remainder)
         self._model = -1 * poly if remainder is None else (remainder - poly)
+        self._scaled_terms = euler_operator(self._model)
 
     def ctilde_K(self, points):
         n = self.dimension
@@ -189,35 +187,15 @@ class SynthesizedCurvature:
 
 
 def synth_K(poly, remainder=None):
-    if poly.is_zero or not poly.is_homogeneous() or poly.degree() < 2:
-        if not poly.is_zero:
-            raise ValueError("curvature model expects homogeneous degree >= 2")
+    if not poly.is_zero and (not poly.is_homogeneous() or poly.degree() < 2):
+        raise ValueError("curvature model expects homogeneous degree >= 2")
     return SynthesizedCurvature(poly, remainder)
 
 
-class _ConstantCurvature:
+def constant_curvature(n):
     """c~ K = n(n-2) everywhere; the model under which bubbles solve
     exactly."""
-
-    def __init__(self, n):
-        self.dimension = n
-        self.ctilde = (n - 2) / (4.0 * (n - 1))
-
-    def ctilde_K(self, points):
-        points = np.atleast_2d(points)
-        n = self.dimension
-        return np.full(points.shape[0], float(n * (n - 2)))
-
-    def values(self, points):
-        return self.ctilde_K(points) / self.ctilde
-
-    def radial_pairing(self, points):
-        points = np.atleast_2d(points)
-        return np.zeros(points.shape[0])
-
-
-def constant_curvature(n):
-    return _ConstantCurvature(n)
+    return SynthesizedCurvature(Polynomial.zero(n))
 
 
 # --------------------------------------------------------------- correction
@@ -242,17 +220,13 @@ class ResidualReport:
     count: int
     max_abs: float
     mean_abs: float
-    details: dict | None = None
 
     def to_json(self):
-        data = {
+        return {
             "count": self.count,
             "max_abs": self.max_abs,
             "mean_abs": self.mean_abs,
         }
-        if self.details:
-            data["details"] = self.details
-        return data
 
 
 def linearized_residual(gamma, source, samples=1000, seed=0, scale=3.0):
@@ -628,20 +602,18 @@ class GreensBall:
         kernel = (self.a**2 - norm_xi**2) / (
             self.a * quadrature.sphere_area(n) * d2 ** (n / 2.0)
         )
-        if n > 2:
-            lat = quadrature.sphere_area(n - 1) * np.maximum(1 - t * t, 0) ** (
-                (n - 3) / 2.0
-            )
-        else:
-            lat = np.ones_like(t)
+        lat = quadrature.sphere_area(n - 1) * np.maximum(1 - t * t, 0) ** (
+            (n - 3) / 2.0
+        )
         return float((kernel * lat * w).sum()) * self.a ** (n - 1)
 
     def check_bounds(self, delta, samples=200, seed=0):
         """Measure the constants in the interior Green bound and the Poisson
         bound for sources with |xi| <= (1 - delta) a; returns the measured
         constants together with the reference envelopes."""
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        # source radii are drawn from uniform(0.05, 1 - delta)
+        if not 0 < delta <= 0.95:
+            raise ValueError(f"delta must lie in (0, 0.95], got {delta!r}")
         rng = np.random.default_rng(seed)
         n = self.n
         green_const = 0.0

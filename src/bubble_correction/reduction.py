@@ -39,6 +39,7 @@ from .polynomials import (
     json_int,
     laplacian,
     r2_multiply,
+    rational_to_json,
 )
 
 __all__ = [
@@ -89,14 +90,6 @@ def characteristic_guard(n, ell, j, k):
     return characteristic_denominator(n, ell, j, k) != 0
 
 
-def _guard_root(n, ell, j, k):
-    if 2 * j == n:
-        return "half-dimension"
-    if j == (ell - 1) - 2 * (k - j):
-        return "degree"
-    return "unknown"
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Recurrence coefficients C^j_k for 0 <= j <= k <= columns - 1, the
@@ -120,14 +113,12 @@ class CoefficientTable:
     def to_json(self):
         cells = []
         for j, k in self.build_order:
-            c = self.C[(j, k)]
-            a = self.A[(j, k)]
             cells.append(
                 {
                     "j": j,
                     "k": k,
-                    "C": {"num": str(c.numerator), "den": str(c.denominator)},
-                    "A": {"num": str(a.numerator), "den": str(a.denominator)},
+                    "C": rational_to_json(self.C[(j, k)]),
+                    "A": rational_to_json(self.A[(j, k)]),
                     "guard_ok": True,
                     "depends": [list(d) for d in self.dependencies[(j, k)]],
                 }
@@ -140,10 +131,7 @@ class CoefficientTable:
             "cells": cells,
         }
         if self.residues is not None:
-            data["residues"] = [
-                {"num": str(a.numerator), "den": str(a.denominator)}
-                for a in self.residues
-            ]
+            data["residues"] = [rational_to_json(a) for a in self.residues]
         return data
 
 
@@ -182,7 +170,9 @@ def coefficient_table(n, ell, columns=None):
             A[(j, k)] = a_multiplier(n, ell, j, k)
             denom = characteristic_denominator(n, ell, j, k)
             if denom == 0:
-                raise CharacteristicGuardError(n, ell, j, k, _guard_root(n, ell, j, k))
+                # by its factorisation, a zero off 2j = n is the degree root
+                root = "half-dimension" if 2 * j == n else "degree"
+                raise CharacteristicGuardError(n, ell, j, k, root)
             # the neighbours inside the table, all built by now
             deps = tuple(
                 cell for cell in ((j - 1, k - 1), (j, k - 1), (j + 1, k)) if cell in C
@@ -347,14 +337,10 @@ def _obstruction(chain, table):
     )
 
 
-def _combination(poly, chain, table, columns):
-    n = poly.dimension
-    out = Polynomial.zero(n)
+def _combination(poly, chain, table):
+    """sum over the table's cells of C^j_k (|y|^2)^j lap^k(P)."""
+    out = Polynomial.zero(poly.dimension)
     for (j, k), c in table.C.items():
-        if k >= columns:
-            continue
-        if chain[k].is_zero:
-            continue
         out = out + c * r2_multiply(chain[k], j)
     return out
 
@@ -379,9 +365,8 @@ def _solve_admissible(poly, ell, chain):
     n = poly.dimension
     h = len(chain) - 1
     vanishing = next(k for k in range(1, h + 1) if chain[k].is_zero)
-    columns = min(h, vanishing)
-    table = coefficient_table(n, ell, columns=columns)
-    gamma = _combination(poly, chain, table, columns)
+    table = coefficient_table(n, ell, columns=vanishing)
+    gamma = _combination(poly, chain, table)
 
     if apply_L(gamma) != poly:
         raise AssertionError("construction failed exact verification")
@@ -456,7 +441,7 @@ def solve_general(poly):
             f"(need n >= 4 even and ell <= n - 2 even; got n={n}, ell={ell})"
         ) from _obstruction(chain, table)
     top = chain[h].constant_term()
-    gamma = _combination(poly, chain, table, h)
+    gamma = _combination(poly, chain, table)
     completion = radial_completion(n, ell, [top * a for a in table.residues])
     if apply_L(gamma + completion) != poly:
         raise AssertionError("completed construction failed exact verification")

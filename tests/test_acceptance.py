@@ -141,7 +141,7 @@ def test_criterion_04_soundness_and_residue_ledger():
         poly = random_homogeneous(rng, n, ell)
         h = h_of(ell)
         table = coefficient_table(n, ell)
-        combo = _combination(poly, _laplacian_chain(poly, h), table, h)
+        combo = _combination(poly, _laplacian_chain(poly, h), table)
         assert apply_L(combo) == poly + residue_terms(poly)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.2f}s"

@@ -396,3 +396,91 @@ def test_repeated_runs_are_byte_identical(tmp_path, admissible_source):
         paths.append((sol, scan, green))
     for first, second in zip(*paths):
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["integrate", "--input", "folder", "--output", "o.json"],
+        ["table", "--n", "5", "--ell", "4", "--output", "folder"],
+    ],
+    ids=["directory-input", "directory-output"],
+)
+def test_directory_paths_exit_one(tmp_path, args):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    result = run_cli(args, tmp_path)
+    assert_input_error(result)
+    assert not list(tmp_path.rglob(".tmp-*.part"))
+    assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+    assert not list(folder.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--n", "x", "--ell", "2", "--output", "t.json"],
+        ["solve", "--output", "o.json"],
+    ],
+    ids=["non-integer-n", "missing-input"],
+)
+def test_usage_errors_exit_one(tmp_path, args):
+    result = run_cli(args, tmp_path)
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage:"), result.stderr
+    assert result.stderr.splitlines()[-1].startswith("input error:")
+    assert "Traceback" not in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_zero(tmp_path):
+    result = run_cli(["table", "--help"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "--ell" in result.stdout
+
+
+def test_obstructions_share_one_prefix(tmp_path):
+    path = tmp_path / "p.json"
+    write_poly(path, Polynomial.variable(4, 0, 4))
+    runs = [
+        ["integrate", "--input", str(path), "--output", str(tmp_path / "r.json")],
+        ["table", "--n", "6", "--ell", "8", "--output", str(tmp_path / "t.json")],
+    ]
+    for args in runs:
+        result = run_cli(args, tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("obstruction:"), result.stderr
+
+
+def test_green_check_delta_band(tmp_path):
+    out = tmp_path / "g.json"
+    edge = run_cli(
+        ["green-check", "--n", "4", "--delta", "0.95", "--output", str(out)], tmp_path
+    )
+    assert edge.returncode == 0, edge.stderr
+    assert json.loads(out.read_text())["bounds"][0]["delta"] == 0.95
+    beyond = run_cli(
+        ["green-check", "--n", "4", "--delta", "0.96", "--output", str(tmp_path / "h.json")],
+        tmp_path,
+    )
+    assert_input_error(beyond)
+    assert "(0, 0.95]" in beyond.stderr
+
+
+def test_green_check_largest_dimension_passes(tmp_path):
+    out = tmp_path / "g.json"
+    result = run_cli(["green-check", "--n", "11", "--output", str(out)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    data = json.loads(out.read_text())
+    assert data["poisson_normalization_ok"] is True
+    assert all(b["green_ok"] and b["poisson_ok"] for b in data["bounds"])
+
+
+@pytest.mark.parametrize("n", ["12", "250"])
+def test_green_check_refuses_large_dimension(tmp_path, n):
+    result = run_cli(
+        ["green-check", "--n", n, "--output", str(tmp_path / "g.json")], tmp_path
+    )
+    assert_input_error(result)
+    assert "--n must be <= 11" in result.stderr
+    assert not list(tmp_path.iterdir())

@@ -1,0 +1,56 @@
+"""The package namespace is the union of the modules' ``__all__`` lists."""
+
+import bubble_correction
+from bubble_correction import balance, errors, moments, polynomials, profiles, reduction
+
+# every public name of ``bubble_correction`` before its ``__init__`` was
+# reduced to star imports of the modules
+EARLIER_NAMES = """
+BlowupConfiguration BubbleParams BubbleProfile CharacteristicGuardError
+CoefficientTable CorrectionSolution DimensionMismatchError DivergentMomentError
+ExactnessError FalsifierResult GreensBall HarmonicTail IntegralResult Polynomial
+RefinedProfile RefinedProfileSpec ResidualReport ResidueObstructionError
+ShiftExpansion UnsupportedCaseError ViolationReport a_multiplier apply_L
+apply_signed_permutation b_constant balance bubble change_of_center
+characteristic_guard coefficient_table compose_shift d_pi directional_pairing
+double_factorial_minus2 errors eta_admissible euler_operator
+flexibility_falsifier gradient gradient_lower_bound gradient_moment greens_ball
+h_of harmonic_tail interference_check interpolation_R iterated_laplacian
+j_multiple j_multiple_via_laplacian j_value kernel_basis kernels laplacian
+laplacian_identity_check linearization_bound_check linearized_residual
+moment_integral moments multi_point_balance parity_certificate
+partial_derivative pi_eval pohozaev_volume_vs_surface polynomials profiles
+project_to_admissible quadrature r2_multiply radial_completion reduction
+reduction_identity_check refined_profile rescaled_average residue_terms
+shift_expansion single_point_constraints solve_gamma solve_general
+stereographic_from_plane stereographic_to_plane synth_K weighted_integral
+__version__
+""".split()
+
+MODULES = (errors, polynomials, reduction, moments, balance, profiles)
+
+
+def test_earlier_names_stay_importable():
+    missing = [name for name in EARLIER_NAMES if not hasattr(bubble_correction, name)]
+    assert not missing
+
+
+def test_every_module_export_is_the_modules_own_object():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names)), "two modules export the same name"
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(bubble_correction, name) is getattr(module, name)
+
+
+def test_obstructions_share_one_base():
+    for cls in (
+        errors.ResidueObstructionError,
+        errors.CharacteristicGuardError,
+        errors.DivergentMomentError,
+        errors.UnsupportedCaseError,
+    ):
+        assert issubclass(cls, errors.Obstruction)
+    assert issubclass(errors.DivergentMomentError, ValueError)
+    assert issubclass(errors.UnsupportedCaseError, ValueError)
+    assert not issubclass(errors.ExactnessError, errors.Obstruction)

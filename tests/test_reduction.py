@@ -317,7 +317,7 @@ def test_residue_ledger_identity(rng):
         h = h_of(ell)
         table = coefficient_table(n, ell)
         chain = _laplacian_chain(p, h)
-        combo = _combination(p, chain, table, h)
+        combo = _combination(p, chain, table)
         assert apply_L(combo) == p + residue_terms(p)
 
 
