@@ -85,6 +85,7 @@ def cmd_solve(args):
                 "top_laplacian": exc.top_laplacian.to_json(),
             },
         )
+        print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
     _dump_json(args.output, solution.to_json())
     return EXIT_OK

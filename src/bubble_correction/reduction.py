@@ -5,21 +5,24 @@ The operator under study is
     L(G) = (1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G,
 
 acting on polynomials in n variables.  Given a homogeneous source P of degree
-ell whose top iterated Laplacian vanishes, ``solve_gamma`` produces the exact
-polynomial solution of L(G) = P as a finite combination of the building
-blocks (|y|^2)^j * lap^(k)(P).  The combination's coefficients C^j_k satisfy a
-three-term recurrence whose cells are filled in an explicit dependency order
-(same-degree diagonal first, then column by column in the offset k - j,
-ascending j inside each column); each cell divides by a characteristic
-denominator that is checked before use.
+ell, one construction (``_solve``, behind ``solve_gamma`` and
+``solve_general``) builds the Laplacian chain lap^k(P) once and combines the
+building blocks (|y|^2)^j * lap^(k)(P).  The combination's coefficients C^j_k
+satisfy a three-term recurrence whose cells are filled in an explicit
+dependency order (same-degree diagonal first, then column by column in the
+offset k - j, ascending j inside each column); each cell divides by a
+characteristic denominator that is checked before use.
 
 When the top iterated Laplacian does not vanish, L(G) = P picks up a purely
 radial residue.  For even n and even ell <= n - 2 the residue can be absorbed
 by an even radial polynomial of degree up to n (``radial_completion``), at
-the price of losing uniqueness modulo the kernel of L.
+the price of losing uniqueness modulo the kernel of L.  The completion is the
+degree-0 column of the same recurrence: L acts on (|y|^2)^k through
+``a_multiplier(n, 0, k, 0)`` and ``characteristic_denominator(n, 0, k, 0)``.
 
-Everything here is exact: solutions are verified by applying L and comparing
-polynomials with ``==`` before they are returned.
+Everything here is exact: every solution passes one gate, L applied to it
+compared with P by ``==``, before it is returned.  Source degrees are capped
+at ``MAX_ELL`` so that no input asks for unbounded work.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .polynomials import (
 )
 
 __all__ = [
+    "MAX_ELL",
     "h_of",
     "a_multiplier",
     "characteristic_denominator",
@@ -58,6 +62,17 @@ __all__ = [
     "project_to_admissible",
     "kernel_basis",
 ]
+
+
+# Largest source degree that ``coefficient_table`` and the solvers accept.  The
+# table has h(h + 1)/2 cells for h = ell // 2 and its denominators grow with
+# ell, so 100 bounds it at 1,275 cells (ell = 401 at n = 9 takes 1.2 s).
+MAX_ELL = 100
+
+
+def _check_degree(ell):
+    if ell > MAX_ELL:
+        raise ValueError(f"source degree must be <= {MAX_ELL} (got ell={ell})")
 
 
 def h_of(ell):
@@ -148,6 +163,7 @@ def coefficient_table(n, ell, columns=None):
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1 (got n={n})")
+    _check_degree(ell)
     if ell < 2:
         raise UnsupportedCaseError("source degree must be >= 2")
     if n % 2 == 0 and ell >= n + 2:
@@ -285,6 +301,7 @@ def _validated_source(poly):
     if poly.is_zero or not poly.is_homogeneous():
         raise UnsupportedCaseError("source must be a nonzero homogeneous polynomial")
     ell = poly.degree()
+    _check_degree(ell)
     if ell < 2:
         raise UnsupportedCaseError(
             "degree-1 sources are outside the construction; see the kernel "
@@ -302,18 +319,17 @@ def _laplacian_chain(poly, h):
 
 
 def _radial_sum(n, weights):
-    """sum_k w_k (|y|^2)^k over the (k, w_k) pairs in ``weights``."""
+    """sum_k w_k (|y|^2)^k for the weights w_0, w_1, ..., by Horner in |y|^2."""
     r2 = Polynomial.r_squared(n)
     out = Polynomial.zero(n)
-    for k, w in weights:
-        if w:
-            out = out + w * (r2**k)
+    for w in reversed(weights):
+        out = out * r2 + Polynomial.constant(n, w)
     return out
 
 
 def _radial_residue(top, table):
     """top * sum_k a_k (|y|^2)^k over the full table's residue weights."""
-    return top * _radial_sum(top.dimension, enumerate(table.residues))
+    return top * _radial_sum(top.dimension, table.residues)
 
 
 def residue_terms(poly):
@@ -327,22 +343,92 @@ def residue_terms(poly):
     return _radial_residue(top, coefficient_table(n, ell))
 
 
-def _obstruction(chain, table):
-    h = len(chain) - 1
-    return ResidueObstructionError(
-        f"top iterated Laplacian (order {h}) does not vanish; "
-        "no pure polynomial solution of this form exists",
-        residue=_radial_residue(chain[h], table),
-        top_laplacian=chain[h],
-    )
-
-
 def _combination(poly, chain, table):
     """sum over the table's cells of C^j_k (|y|^2)^j lap^k(P)."""
     out = Polynomial.zero(poly.dimension)
     for (j, k), c in table.C.items():
         out = out + c * r2_multiply(chain[k], j)
     return out
+
+
+def radial_completion(n, ell, residues):
+    """Even radial polynomial F = sum_{k=1}^{n/2} B_k (|y|^2)^k with
+    L(F) = -(a_0 + a_1 |y|^2 + ... + a_h (|y|^2)^h), built bottom-up.
+
+    L maps (|y|^2)^k to a_multiplier(n, 0, k, 0) (|y|^2)^(k-1) plus
+    characteristic_denominator(n, 0, k, 0) (|y|^2)^k, the degree-0 column of
+    the block recurrence, so B_0 = 0 and B_k = -(a_{k-1} +
+    characteristic_denominator(n, 0, k-1, 0) B_{k-1}) / a_multiplier(n, 0, k, 0).
+    The top power (|y|^2)^(n/2) does not regenerate itself, which is what
+    closes the construction.  Requires n >= 4 even and ell <= n - 2 even.
+    """
+    if n < 4 or n % 2 or ell % 2 or ell > n - 2:
+        raise UnsupportedCaseError(
+            "outside the radial-completion hypotheses (need n >= 4 even and "
+            f"ell <= n - 2 even; got n={n}, ell={ell})"
+        )
+    residues = [Fraction(a) for a in residues]
+    h = h_of(ell)
+    if len(residues) != h + 1:
+        raise ValueError(f"expected {h + 1} residue weights, got {len(residues)}")
+    residues += [Fraction(0)] * (n // 2 - 1 - h)
+
+    B = [Fraction(0)]
+    for k in range(1, n // 2 + 1):
+        climb = characteristic_denominator(n, 0, k - 1, 0) * B[k - 1]
+        B.append(-(residues[k - 1] + climb) / a_multiplier(n, 0, k, 0))
+    return _radial_sum(n, B)
+
+
+def _solve(poly, allow_radial):
+    """The one construction behind ``solve_gamma`` and ``solve_general``.
+
+    Builds the chain once and the table once: partial (up to the vanishing
+    order) when some lap^k P vanishes, full otherwise.  A nonvanishing top
+    Laplacian is absorbed by the radial completion when ``allow_radial`` is
+    set and its hypotheses hold, and raised as a ResidueObstructionError
+    carrying the residue otherwise.  Every result passes the exact gate
+    L(total) == P before it is returned.
+    """
+    ell = _validated_source(poly)
+    n = poly.dimension
+    chain = _laplacian_chain(poly, h_of(ell))
+    h = len(chain) - 1
+    vanishing = next((k for k in range(1, h + 1) if chain[k].is_zero), h + 1)
+    table = coefficient_table(n, ell, columns=vanishing if vanishing <= h else None)
+
+    completion = None
+    if vanishing > h:
+        top = chain[h]
+        message = (
+            f"top iterated Laplacian (order {h}) does not vanish; "
+            "no pure polynomial solution of this form exists"
+        )
+        if allow_radial:
+            weights = [top.constant_term() * a for a in table.residues]
+            try:
+                completion = radial_completion(n, ell, weights)
+            except UnsupportedCaseError as exc:
+                message = f"{message}; residue {exc}"
+        if completion is None:
+            raise ResidueObstructionError(
+                message, residue=_radial_residue(top, table), top_laplacian=top
+            )
+
+    gamma = _combination(poly, chain, table)
+    total = gamma if completion is None else gamma + completion
+    if apply_L(total) != poly:
+        raise AssertionError("construction failed exact verification")
+    if gamma.constant_term():
+        raise AssertionError("solution unexpectedly contains a constant term")
+    if any(sum(alpha) == 1 for alpha in gamma.terms):
+        raise AssertionError("solution unexpectedly contains linear terms")
+    if gamma.degree() is not None and gamma.degree() > ell:
+        raise AssertionError("solution degree exceeds the source degree")
+
+    return CorrectionSolution(
+        gamma, completion, vanishing, verified=True, n=n, ell=ell
+    )
 
 
 def solve_gamma(poly):
@@ -353,106 +439,18 @@ def solve_gamma(poly):
     top iterated Laplacian does not vanish; the caller may route such inputs
     to ``solve_general``.
     """
-    ell = _validated_source(poly)
-    chain = _laplacian_chain(poly, h_of(ell))
-    if not chain[-1].is_zero:
-        raise _obstruction(chain, coefficient_table(poly.dimension, ell))
-    return _solve_admissible(poly, ell, chain)
-
-
-def _solve_admissible(poly, ell, chain):
-    """solve_gamma on a source whose top iterated Laplacian vanishes."""
-    n = poly.dimension
-    h = len(chain) - 1
-    vanishing = next(k for k in range(1, h + 1) if chain[k].is_zero)
-    table = coefficient_table(n, ell, columns=vanishing)
-    gamma = _combination(poly, chain, table)
-
-    if apply_L(gamma) != poly:
-        raise AssertionError("construction failed exact verification")
-    if gamma.constant_term():
-        raise AssertionError("solution unexpectedly contains a constant term")
-    if any(sum(alpha) == 1 for alpha in gamma.terms):
-        raise AssertionError("solution unexpectedly contains linear terms")
-    if gamma.degree() is not None and gamma.degree() > ell:
-        raise AssertionError("solution degree exceeds the source degree")
-
-    return CorrectionSolution(
-        gamma=gamma,
-        radial_completion=None,
-        vanishing_order=vanishing,
-        verified=True,
-        n=n,
-        ell=ell,
-    )
-
-
-def radial_completion(n, ell, residues):
-    """Even radial polynomial F = sum_{k=1}^{n/2} B_k (|y|^2)^k with
-    L(F) = -(a_0 + a_1 |y|^2 + ... + a_h (|y|^2)^h), built bottom-up.
-
-    The recurrence is B_1 = -a_0 / (2n) and, for 2 <= k <= n/2,
-    B_k = -(a_{k-1} + (2(k-1) - 2)(2(k-1) - n) B_{k-1}) / ((2k)(2k + n - 2)).
-    The top power (|y|^2)^(n/2) does not regenerate itself, which is what
-    closes the construction.  Requires n >= 4 even and ell <= n - 2 even.
-    """
-    if n < 4 or n % 2:
-        raise UnsupportedCaseError(
-            "radial completion requires an even dimension n >= 4"
-        )
-    if ell % 2 or ell > n - 2:
-        raise UnsupportedCaseError(
-            "radial completion requires an even source degree <= n - 2"
-        )
-    residues = [Fraction(a) for a in residues]
-    h = h_of(ell)
-    if len(residues) != h + 1:
-        raise ValueError(f"expected {h + 1} residue weights, got {len(residues)}")
-
-    def a_at(index):
-        return residues[index] if index <= h else Fraction(0)
-
-    B = {1: -a_at(0) / (2 * n)}
-    for k in range(2, n // 2 + 1):
-        climb = Fraction((2 * (k - 1) - 2) * (2 * (k - 1) - n))
-        B[k] = -(a_at(k - 1) + climb * B[k - 1]) / Fraction(2 * k * (2 * k + n - 2))
-
-    return _radial_sum(n, B.items())
+    return _solve(poly, allow_radial=False)
 
 
 def solve_general(poly):
     """Solve L(G) = P, absorbing a nonvanishing top Laplacian into an even
     radial completion when n >= 4 and ell <= n - 2 are both even.
 
-    Returns the same result as ``solve_gamma`` when no completion is needed.
-    The Laplacian chain and the full coefficient table are built once and
-    shared by the residue and the completion.
+    Returns the same result as ``solve_gamma`` when no completion is needed,
+    and raises the same ResidueObstructionError, its message naming the
+    failed hypotheses, when a residue is present outside them.
     """
-    ell = _validated_source(poly)
-    chain = _laplacian_chain(poly, h_of(ell))
-    if chain[-1].is_zero:
-        return _solve_admissible(poly, ell, chain)
-    n = poly.dimension
-    h = len(chain) - 1
-    table = coefficient_table(n, ell)
-    if n < 4 or n % 2 or ell % 2 or ell > n - 2:
-        raise UnsupportedCaseError(
-            "residue present and outside the radial-completion hypotheses "
-            f"(need n >= 4 even and ell <= n - 2 even; got n={n}, ell={ell})"
-        ) from _obstruction(chain, table)
-    top = chain[h].constant_term()
-    gamma = _combination(poly, chain, table)
-    completion = radial_completion(n, ell, [top * a for a in table.residues])
-    if apply_L(gamma + completion) != poly:
-        raise AssertionError("completed construction failed exact verification")
-    return CorrectionSolution(
-        gamma=gamma,
-        radial_completion=completion,
-        vanishing_order=h + 1,
-        verified=True,
-        n=n,
-        ell=ell,
-    )
+    return _solve(poly, allow_radial=True)
 
 
 def project_to_admissible(poly):

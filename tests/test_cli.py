@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bubble_correction.polynomials import Polynomial
-from bubble_correction.reduction import solve_gamma
+from bubble_correction.reduction import MAX_ELL, solve_gamma
 
 from conftest import alternating_quartic, run_cli
 
@@ -56,6 +56,27 @@ def test_solve_obstruction_exit_two_with_residue(tmp_path):
     data = json.loads(out.read_text())
     assert data["error"] == "residue_obstruction"
     assert data["residue"]["terms"]
+
+
+def test_allow_radial_outside_the_hypotheses_writes_the_same_report(tmp_path):
+    # |y|^4 in odd n: a residue that the radial completion cannot absorb
+    path = tmp_path / "radial.json"
+    write_poly(path, Polynomial.r_squared(7) ** 2)
+    reports = []
+    for flags in ([], ["--allow-radial"]):
+        out = tmp_path / f"solution{len(flags)}.json"
+        result = run_cli(
+            ["solve", *flags, "--input", str(path), "--output", str(out)], tmp_path
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("obstruction:"), result.stderr
+        reports.append(json.loads(out.read_text()))
+    plain, radial = reports
+    assert plain["error"] == radial["error"] == "residue_obstruction"
+    assert plain["residue"] == radial["residue"]
+    assert plain["top_laplacian"] == radial["top_laplacian"]
+    assert radial["message"].startswith(plain["message"])
+    assert "ell <= n - 2 even; got n=7, ell=4" in radial["message"]
 
 
 def test_solve_with_radial_completion(tmp_path):
@@ -445,6 +466,7 @@ def test_obstructions_share_one_prefix(tmp_path):
     runs = [
         ["integrate", "--input", str(path), "--output", str(tmp_path / "r.json")],
         ["table", "--n", "6", "--ell", "8", "--output", str(tmp_path / "t.json")],
+        ["solve", "--input", str(path), "--output", str(tmp_path / "s.json")],
     ]
     for args in runs:
         result = run_cli(args, tmp_path)
@@ -484,3 +506,23 @@ def test_green_check_refuses_large_dimension(tmp_path, n):
     assert_input_error(result)
     assert "--n must be <= 11" in result.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_source_degree_cap_is_an_input_error(tmp_path):
+    at_cap = run_cli(
+        ["table", "--n", "9", "--ell", str(MAX_ELL), "--output", "t.json"], tmp_path
+    )
+    assert at_cap.returncode == 0, at_cap.stderr
+    (tmp_path / "t.json").unlink()
+    path = tmp_path / "p.json"
+    write_poly(path, Polynomial.variable(3, 0, MAX_ELL + 1))
+    runs = [
+        ["table", "--n", "9", "--ell", str(MAX_ELL + 1), "--output", "t.json"],
+        ["solve", "--input", str(path), "--output", "s.json"],
+        ["solve", "--allow-radial", "--input", str(path), "--output", "s.json"],
+    ]
+    for args in runs:
+        result = run_cli(args, tmp_path)
+        assert_input_error(result)
+        assert f"source degree must be <= {MAX_ELL}" in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]

@@ -398,8 +398,48 @@ def test_radial_completion_parity_preconditions():
         radial_completion(6, 6, [Fraction(1)] * 4)
     n = 5
     p = Polynomial.r_squared(n) ** 2
-    with pytest.raises(UnsupportedCaseError):
+    with pytest.raises(ResidueObstructionError) as err:
         solve_general(p)
+    assert err.value.residue == residue_terms(p)
+
+
+def random_radial_weights(rng, ell):
+    return [
+        Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(h_of(ell) + 1)
+    ]
+
+
+def negated_radial(n, weights):
+    """-sum_k a_k (|y|^2)^k, summed in ascending powers of |y|^2."""
+    r2 = Polynomial.r_squared(n)
+    power, out = Polynomial.constant(n, 1), Polynomial.zero(n)
+    for a in weights:
+        out = out - a * power
+        power = power * r2
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_radial_completion_solves_arbitrary_weights(rng, n):
+    # weights not produced by a solve: the recurrence must absorb any
+    # sum_k a_k (|y|^2)^k with k <= h, each power feeding the ones above it
+    for ell in range(2, n - 1, 2):
+        weights = random_radial_weights(rng, ell)
+        assert apply_L(radial_completion(n, ell, weights)) == negated_radial(n, weights)
+
+
+@pytest.mark.slow
+def test_radial_completion_solves_arbitrary_weights_in_dimension_12(rng):
+    # one apply_L on an n = 12 completion (18,563 terms) takes about 2 s, so
+    # the five degrees share one: L is linear and each degree's weights are
+    # drawn independently, so one wrong completion cannot cancel out
+    n = 12
+    completions = target = Polynomial.zero(n)
+    for ell in range(2, n - 1, 2):
+        weights = random_radial_weights(rng, ell)
+        completions = completions + radial_completion(n, ell, weights)
+        target = target + negated_radial(n, weights)
+    assert apply_L(completions) == target
 
 
 # ----------------------------------------------------------------- projector
