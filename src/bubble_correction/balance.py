@@ -436,16 +436,16 @@ def _pairing_at(config, m):
     return paired.evaluate([as_coefficient(x) for x in config.flex_vectors[m]])
 
 
-def multi_point_balance(config, tol=TOL_FLOAT, tol_exact=0):
+def multi_point_balance(config, tol=TOL_FLOAT):
     """Weighted balance sums over groups of equal drift exponents.
 
     Each point contributes [n(n-2) / (c~ K)]^(n/2) * S^((n-3)(1+eta)) times
     the exact pairing of its location with the gradient of its Taylor
-    polynomial at its drift vector; every group must sum to zero.  Rational
-    factors stay exact whenever the powers are exact (even n, unit scale
-    ratios); otherwise the group sum is a float compared at ``tol`` relative
-    to the largest term.  ``tol_exact`` loosens the exact tier (default 0:
-    exact sums must vanish identically).
+    polynomial at its drift vector; every group must sum to zero.  A term
+    stays an exact Fraction whenever its powers are exact (even n, unit scale
+    ratio) and is a float otherwise.  A group of exact terms passes only when
+    its sum == 0; any other group sum is a float compared at ``tol`` relative
+    to the largest term.
     """
     n = config.n
     if n <= 6:
@@ -459,52 +459,45 @@ def multi_point_balance(config, tol=TOL_FLOAT, tol_exact=0):
     group_details = []
     worst = 0.0
     all_pass = True
-    exact_zero = True
     for eta, members in sorted(groups.items()):
-        terms_exact = []
-        terms_float = []
+        terms = []
         for m in members:
             pairing = _pairing_at(config, m)
             base = Fraction(n * (n - 2)) / (ctilde * Fraction(config.k_values[m]))
             s_ratio = Fraction(config.scale_ratios[m])
-            exponent = Fraction(n - 3) * (1 + Fraction(eta))
             if n % 2 == 0 and s_ratio == 1:
-                term = base ** (n // 2) * pairing
-                terms_exact.append(term)
-                terms_float.append(float(term))
+                terms.append(base ** (n // 2) * pairing)
             else:
+                exponent = Fraction(n - 3) * (1 + eta)
                 weight = float(base) ** (n / 2.0) * float(s_ratio) ** float(exponent)
-                terms_exact.append(None)
-                terms_float.append(weight * float(pairing))
-        if all(t is not None for t in terms_exact):
-            total_exact = sum(terms_exact, Fraction(0))
-            total = float(total_exact)
-            passed = abs(total_exact) <= tol_exact
-            if total_exact != 0:
-                exact_zero = False
+                terms.append(weight * float(pairing))
+        if all(isinstance(t, Fraction) for t in terms):
+            exact_sum = sum(terms, Fraction(0))
+            total = float(exact_sum)
+            passed = exact = exact_sum == 0
         else:
-            total_exact = None
-            total = sum(terms_float)
-            scale = max((abs(t) for t in terms_float), default=0.0)
+            floats = [float(t) for t in terms]
+            total = sum(floats)
+            scale = max(abs(t) for t in floats)
             passed = abs(total) <= tol * scale if scale else total == 0.0
-            exact_zero = False
-        residual = abs(total)
-        worst = max(worst, residual)
+            exact = None
+        worst = max(worst, abs(total))
         all_pass = all_pass and passed
         group_details.append(
             {
                 "eta": rational_to_json(eta),
                 "members": members,
                 "sum": total,
-                "exact": total_exact == 0 if total_exact is not None else None,
+                "exact": exact,
                 "pass": passed,
             }
         )
 
+    # an exact zero overall only when every group is an exact zero
     return ViolationReport(
         constraint="multi_point_balance",
         residual_float=worst,
-        residual_exact=Fraction(0) if (all_pass and exact_zero) else None,
+        residual_exact=Fraction(0) if all(g["exact"] for g in group_details) else None,
         passed=all_pass,
         details={"groups": group_details},
     )

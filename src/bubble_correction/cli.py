@@ -110,11 +110,10 @@ def cmd_integrate(args):
 
 
 def cmd_balance(args):
+    if not 0 <= args.tol_float < math.inf:
+        raise ValueError(f"--tol-float must be finite and >= 0, got {args.tol_float!r}")
     config = balance_mod.BlowupConfiguration.from_json(_load_json(args.input))
-    tol = args.tol_float if args.tol_float is not None else balance_mod.TOL_FLOAT
-    report = balance_mod.multi_point_balance(
-        config, tol=tol, tol_exact=args.tol_exact
-    )
+    report = balance_mod.multi_point_balance(config, tol=args.tol_float)
     # equal exponents are handled by the grouped sums, so only interference
     # across distinct exponents counts against the verdict; the full
     # all-pairs report is still included for inspection
@@ -247,12 +246,9 @@ def build_parser():
     bal.add_argument("--input", required=True, help="configuration JSON")
     bal.add_argument("--output", required=True)
     bal.add_argument(
-        "--tol-float", type=float, default=None,
-        help="relative tolerance for mixed float group sums (default 1e-10)",
-    )
-    bal.add_argument(
-        "--tol-exact", type=float, default=0.0,
-        help="tolerance for exact-rational group sums (default 0: identical zero)",
+        "--tol-float", type=float, default=balance_mod.TOL_FLOAT,
+        help="relative tolerance for mixed float group sums (default 1e-10); "
+        "exact group sums must be == 0",
     )
     bal.set_defaults(func=cmd_balance)
 

@@ -20,6 +20,10 @@ the price of losing uniqueness modulo the kernel of L.  The completion is the
 degree-0 column of the same recurrence: L acts on (|y|^2)^k through
 ``a_multiplier(n, 0, k, 0)`` and ``characteristic_denominator(n, 0, k, 0)``.
 
+Every |y|^2-graded sum here (the combination, grouped by row j; the residue;
+the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``, and
+every radial constant of L, the projection's included, is an ``a_multiplier``.
+
 Everything here is exact: every solution passes one gate, L applied to it
 compared with P by ``==``, before it is returned.  Source degrees are capped
 at ``MAX_ELL`` so that no input asks for unbounded work.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     CharacteristicGuardError,
@@ -37,6 +42,7 @@ from .errors import (
 )
 from .polynomials import (
     Polynomial,
+    as_coefficient,
     euler_operator,
     iterated_laplacian,
     json_int,
@@ -203,13 +209,11 @@ def coefficient_table(n, ell, columns=None):
 
     residues = None
     if full:
+        # a_m = C^m_{h-1} + C^{m-1}_{h-1}, a cell outside the table counting 0
         last = h - 1
-        a = [Fraction(0)] * (h + 1)
-        a[h] = C[(last, last)]
-        for m in range(1, h):
-            a[m] = C[(m, last)] + C[(m - 1, last)]
-        a[0] = C[(0, last)]
-        residues = tuple(a)
+        residues = tuple(
+            C.get((m, last), 0) + C.get((m - 1, last), 0) for m in range(h + 1)
+        )
 
     return CoefficientTable(
         n=n,
@@ -318,12 +322,16 @@ def _laplacian_chain(poly, h):
     return chain
 
 
-def _radial_sum(n, weights):
-    """sum_k w_k (|y|^2)^k for the weights w_0, w_1, ..., by Horner in |y|^2."""
+def _radial_sum(n, blocks):
+    """sum_j (|y|^2)^j Q_j for the blocks Q_0, Q_1, ..., by Horner in |y|^2.
+
+    A block is a polynomial or an exact weight (a constant polynomial)."""
     r2 = Polynomial.r_squared(n)
     out = Polynomial.zero(n)
-    for w in reversed(weights):
-        out = out * r2 + Polynomial.constant(n, w)
+    for q in reversed(blocks):
+        if not isinstance(q, Polynomial):
+            q = Polynomial.constant(n, q)
+        out = out * r2 + q
     return out
 
 
@@ -344,11 +352,12 @@ def residue_terms(poly):
 
 
 def _combination(poly, chain, table):
-    """sum over the table's cells of C^j_k (|y|^2)^j lap^k(P)."""
-    out = Polynomial.zero(poly.dimension)
+    """sum over the table's cells of C^j_k (|y|^2)^j lap^k(P), grouped by row:
+    sum_j (|y|^2)^j Q_j with Q_j = sum_k C^j_k lap^k(P)."""
+    rows = [Polynomial.zero(poly.dimension)] * table.columns
     for (j, k), c in table.C.items():
-        out = out + c * r2_multiply(chain[k], j)
-    return out
+        rows[j] = rows[j] + c * chain[k]
+    return _radial_sum(poly.dimension, rows)
 
 
 def radial_completion(n, ell, residues):
@@ -367,7 +376,7 @@ def radial_completion(n, ell, residues):
             "outside the radial-completion hypotheses (need n >= 4 even and "
             f"ell <= n - 2 even; got n={n}, ell={ell})"
         )
-    residues = [Fraction(a) for a in residues]
+    residues = [as_coefficient(a) for a in residues]
     h = h_of(ell)
     if len(residues) != h + 1:
         raise ValueError(f"expected {h + 1} residue weights, got {len(residues)}")
@@ -415,20 +424,20 @@ def _solve(poly, allow_radial):
                 message, residue=_radial_residue(top, table), top_laplacian=top
             )
 
-    gamma = _combination(poly, chain, table)
-    total = gamma if completion is None else gamma + completion
-    if apply_L(total) != poly:
+    solution = CorrectionSolution(
+        _combination(poly, chain, table), completion, vanishing,
+        verified=True, n=n, ell=ell,
+    )
+    if apply_L(solution.total()) != poly:
         raise AssertionError("construction failed exact verification")
+    gamma = solution.gamma
     if gamma.constant_term():
         raise AssertionError("solution unexpectedly contains a constant term")
     if any(sum(alpha) == 1 for alpha in gamma.terms):
         raise AssertionError("solution unexpectedly contains linear terms")
     if gamma.degree() is not None and gamma.degree() > ell:
         raise AssertionError("solution degree exceeds the source degree")
-
-    return CorrectionSolution(
-        gamma, completion, vanishing, verified=True, n=n, ell=ell
-    )
+    return solution
 
 
 def solve_gamma(poly):
@@ -458,7 +467,9 @@ def project_to_admissible(poly):
     top iterated Laplacian of the result vanishes identically.
 
     Used to manufacture admissible test inputs; already-admissible inputs are
-    returned unchanged.
+    returned unchanged.  The top Laplacian T = lap^h P is a constant or a
+    linear form, so it is harmonic and lap^h((|y|^2)^h T) = d T with
+    d = prod_{i=1..h} a_multiplier(n, ell - 2h, i, 0).
     """
     ell = _validated_source(poly)
     n = poly.dimension
@@ -466,21 +477,8 @@ def project_to_admissible(poly):
     top = iterated_laplacian(poly, h)
     if top.is_zero:
         return poly
-    r2 = Polynomial.r_squared(n)
-    if ell % 2 == 0:
-        reference = iterated_laplacian(r2 ** (ell // 2), h).constant_term()
-        adjusted = poly - (top.constant_term() / reference) * (r2 ** (ell // 2))
-    else:
-        # top is a linear form; |y|^(ell-1) * y_i reproduces d * y_i exactly
-        base = r2 ** ((ell - 1) // 2)
-        probe = iterated_laplacian(base * Polynomial.variable(n, 0), h)
-        d = probe.coefficient((1,) + (0,) * (n - 1))
-        adjusted = poly
-        for i in range(n):
-            alpha = tuple(1 if idx == i else 0 for idx in range(n))
-            b = top.coefficient(alpha)
-            if b:
-                adjusted = adjusted - (b / d) * (base * Polynomial.variable(n, i))
+    d = prod(a_multiplier(n, ell - 2 * h, i, 0) for i in range(1, h + 1))
+    adjusted = poly - r2_multiply(top, h) * (1 / d)
     if not iterated_laplacian(adjusted, h).is_zero:
         raise AssertionError("projection failed to clear the top Laplacian")
     return adjusted

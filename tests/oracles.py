@@ -1,15 +1,22 @@
 """Independent numeric oracles that only the test suite uses: finite
 differences, a perturbed bubble for negative controls, a Monte Carlo
 estimator for the quadrature oracle, a second form of the profile
-correction, the Euler operator by products, and the power-cube formula the
+correction, the Euler operator by products, L built by sympy, the probe
+constant of the admissible projection, and the power-cube formula the
 polynomial kernel must match."""
 
+from fractions import Fraction
 from math import gamma, pi
 
 import numpy as np
+import sympy
 
 from bubble_correction import kernels
-from bubble_correction.polynomials import Polynomial, partial_derivative
+from bubble_correction.polynomials import (
+    Polynomial,
+    iterated_laplacian,
+    partial_derivative,
+)
 from bubble_correction.profiles import BubbleProfile
 
 
@@ -117,6 +124,42 @@ def euler_operator_by_products(poly):
             poly, i
         )
     return out
+
+
+def sympy_apply_L(poly):
+    """L(G) = (1 + |y|^2) lap(G) - 2n (y . grad G) + 2n G computed by sympy's
+    own polynomial arithmetic over QQ, converted back to an exact
+    Polynomial; shares no code with ``reduction.apply_L``."""
+    n = poly.dimension
+    ys = sympy.symbols(f"y1:{n + 1}")
+    g = sympy.Poly.from_dict(
+        {alpha: sympy.Rational(c.numerator, c.denominator)
+         for alpha, c in poly.terms.items()},
+        *ys, domain=sympy.QQ,
+    )
+    zero = sympy.Poly(0, *ys, domain=sympy.QQ)
+    lap = sum((g.diff((y, 2)) for y in ys), zero)
+    r2 = sum((sympy.Poly(y**2, *ys) for y in ys), zero)
+    euler = sum((sympy.Poly(y, *ys) * g.diff(y) for y in ys), zero)
+    image = (1 + r2) * lap - 2 * n * euler + 2 * n * g
+    return Polynomial(
+        n,
+        {alpha: Fraction(int(c.p), int(c.q))
+         for alpha, c in image.as_dict(native=False).items()},
+    )
+
+
+def projection_reference(n, ell):
+    """The constant d with lap^h((|y|^2)^h T) = d T for the top Laplacian T
+    of a degree-ell source, h = ell // 2, read off a probe: lap^h of
+    (|y|^2)^(ell/2) for even ell, the y_1 coefficient of lap^h of
+    (|y|^2)^((ell-1)/2) y_1 for odd ell."""
+    h = ell // 2
+    r2 = Polynomial.r_squared(n)
+    if ell % 2 == 0:
+        return iterated_laplacian(r2**h, h).constant_term()
+    probe = iterated_laplacian(r2**h * Polynomial.variable(n, 0), h)
+    return probe.coefficient((1,) + (0,) * (n - 1))
 
 
 # ------------------------------------------------------------------ kernels

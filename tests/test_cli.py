@@ -252,6 +252,19 @@ def test_balance_mirrored_configuration_passes(tmp_path):
     assert data["pass"] is True
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_balance_rejects_out_of_range_tol_float(tmp_path, tol):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(balance_config_json()))
+    out = tmp_path / "report.json"
+    result = run_cli(
+        ["balance", "--input", str(path), "--output", str(out), "--tol-float", tol],
+        tmp_path,
+    )
+    assert_input_error(result)
+    assert not out.exists()
+
+
 def test_residual_scan(tmp_path, admissible_source):
     sol = tmp_path / "solution.json"
     result = run_cli(
@@ -442,8 +455,9 @@ def test_directory_paths_exit_one(tmp_path, args):
     [
         ["table", "--n", "x", "--ell", "2", "--output", "t.json"],
         ["solve", "--output", "o.json"],
+        ["balance", "--input", "c.json", "--output", "o.json", "--tol-exact", "0"],
     ],
-    ids=["non-integer-n", "missing-input"],
+    ids=["non-integer-n", "missing-input", "removed-tol-exact"],
 )
 def test_usage_errors_exit_one(tmp_path, args):
     result = run_cli(args, tmp_path)

@@ -80,12 +80,15 @@ def test_bubble_solves_critical_equation_by_fd():
     n = 5
     profile = bubble(BubbleParams(n=n, eps=1.0, center=(0.1, 0.0, -0.2, 0.0, 0.3)))
     rng = np.random.default_rng(1)
-    worst = 0.0
+    worst = worst_closed_form = 0.0
     for point in rng.uniform(-2, 2, (60, n)):
         lap = oracles.fd_laplacian_4th(lambda y: profile.values(y[None, :])[0], point)
         v = profile.values(point[None, :])[0]
         worst = max(worst, abs(lap + n * (n - 2) * v ** ((n + 2) / (n - 2))))
+        closed_form = profile.laplacians(point[None, :])[0]
+        worst_closed_form = max(worst_closed_form, abs(lap - closed_form))
     assert worst < 1e-8
+    assert worst_closed_form < 1e-8
 
 
 def test_bubble_closed_form_gradient_matches_fd():

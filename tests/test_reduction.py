@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bubble_correction.errors import (
     CharacteristicGuardError,
+    ExactnessError,
     ResidueObstructionError,
     UnsupportedCaseError,
 )
 from bubble_correction.polynomials import (
     Polynomial,
     iterated_laplacian,
+    r2_multiply,
 )
 from bubble_correction.reduction import (
     a_multiplier,
@@ -26,6 +30,7 @@ from bubble_correction.reduction import (
     solve_general,
 )
 
+import oracles
 from conftest import harmonic_homogeneous, random_homogeneous
 
 
@@ -403,6 +408,12 @@ def test_radial_completion_parity_preconditions():
     assert err.value.residue == residue_terms(p)
 
 
+def test_radial_completion_refuses_float_weights():
+    # a float weight would carry its binary rounding into the rational tier
+    with pytest.raises(ExactnessError):
+        radial_completion(6, 2, [0.1, 0])
+
+
 def random_radial_weights(rng, ell):
     return [
         Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(h_of(ell) + 1)
@@ -470,6 +481,30 @@ def test_projector_clears_odd_top_laplacian(rng):
     assert iterated_laplacian(q, h_of(ell)).is_zero
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(3, 8),
+    st.integers(2, 7),
+    st.randoms(use_true_random=False),
+    st.lists(st.fractions(-5, 5, max_denominator=4), min_size=8, max_size=8),
+)
+def test_projector_subtracts_the_exact_radial_multiple(n, ell, rnd, weights):
+    # adding (|y|^2)^h T for a constant T (even ell) or a linear form T in
+    # every variable (odd ell) makes the top Laplacian nonzero in general
+    h = h_of(ell)
+    if ell % 2:
+        top = sum(
+            (c * var(n, i) for i, c in enumerate(weights[:n])), Polynomial.zero(n)
+        )
+    else:
+        top = Polynomial.constant(n, weights[0])
+    p = random_homogeneous(rnd, n, ell) + r2_multiply(top, h)
+    assume(not p.is_zero)
+    reference = oracles.projection_reference(n, ell)
+    expected = p - r2_multiply(iterated_laplacian(p, h), h) * (1 / reference)
+    assert project_to_admissible(p) == expected
+
+
 # --------------------------------------------------------------- exceptions
 
 
@@ -488,3 +523,52 @@ def test_solution_json_round_trip(rng):
     assert back.gamma == solution.gamma
     assert back.radial_completion is None
     assert back.vanishing_order == solution.vanishing_order
+
+
+# ------------------------------------------------------------- sympy oracle
+
+SYMPY_ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def rational_polynomials(draw, max_n=5, max_degree=6):
+    """Up to six terms in n <= 5 variables of degree <= 6 with small rational
+    coefficients; not necessarily homogeneous."""
+    n = draw(st.integers(1, max_n))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        left = draw(st.integers(0, max_degree))
+        alpha = []
+        for _ in range(n):
+            alpha.append(draw(st.integers(0, left)))
+            left -= alpha[-1]
+        terms[tuple(alpha)] = draw(st.fractions(-9, 9, max_denominator=7))
+    return Polynomial(n, terms)
+
+
+@st.composite
+def construction_sources(draw):
+    """Homogeneous sources inside the construction's range: n <= 5, degree
+    2..6, and ell < n + 2 for even n."""
+    n = draw(st.integers(2, 5))
+    ell = draw(st.integers(2, 6 if n % 2 else min(6, n + 1)))
+    return random_homogeneous(draw(st.randoms(use_true_random=False)), n, ell)
+
+
+@SYMPY_ORACLE
+@given(rational_polynomials())
+def test_apply_L_matches_sympy(poly):
+    assert apply_L(poly) == oracles.sympy_apply_L(poly)
+
+
+@SYMPY_ORACLE
+@given(construction_sources())
+def test_solutions_satisfy_L_built_by_sympy(source):
+    admissible = project_to_admissible(source)
+    if not admissible.is_zero:
+        assert oracles.sympy_apply_L(solve_gamma(admissible).total()) == admissible
+    try:
+        solution = solve_general(source)
+    except ResidueObstructionError:
+        return
+    assert oracles.sympy_apply_L(solution.total()) == source
