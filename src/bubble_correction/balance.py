@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels, quadrature
+from ._numpy import np
 from .errors import ExactnessError, UnsupportedCaseError
 from .moments import (
     ShiftExpansion,
@@ -326,7 +325,7 @@ def eta_admissible(n, ell, eta):
     Degree n - 2: eta < 2 / (3n - 2).  Degree n - 3 (dimension > 6):
     eta < (n - 6) / ((n - 3)(3n - 2)).  Other degrees are unsupported.
     """
-    eta = Fraction(eta)
+    eta = as_coefficient(eta)
     if ell == n - 2:
         bound = Fraction(2, 3 * n - 2)
     elif ell == n - 3:
@@ -413,7 +412,7 @@ def interference_check(n, etas, distinct_only=False):
     """
     if n <= 6:
         raise UnsupportedCaseError("interference condition needs dimension > 6")
-    etas = [Fraction(e) for e in etas]
+    etas = [as_coefficient(e) for e in etas]
     violations = []
     for m, em in enumerate(etas):
         for j, ej in enumerate(etas):

@@ -19,12 +19,11 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import balance as balance_mod
 from . import moments as moments_mod
 from . import profiles as profiles_mod
 from . import reduction
+from ._numpy import np
 from .errors import ExactnessError, Obstruction, ResidueObstructionError
 from .polynomials import Polynomial
 

@@ -25,7 +25,7 @@ and a matvec split over row chunks changes the last bits.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "eval_poly",

@@ -24,9 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gamma, pi
 
-import numpy as np
-
 from . import quadrature
+from ._numpy import np
 from .errors import DivergentMomentError
 from .polynomials import (
     Polynomial,

@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels, quadrature
+from ._numpy import np
 from .polynomials import Polynomial, euler_operator, json_int, laplacian
 from .reduction import apply_L
 

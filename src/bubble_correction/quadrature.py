@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gamma, pi, atan
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "gauss_legendre",

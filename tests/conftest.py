@@ -18,16 +18,16 @@ from bubble_correction.polynomials import Polynomial, laplacian
 PACKAGE_ROOT = str(Path(bubble_correction.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd):
-    """Run ``python -m bubble_correction.cli`` in ``cwd`` with the package
-    root first on the child's ``PYTHONPATH``."""
+def run_cli(args, cwd, launcher=("-m", "bubble_correction.cli")):
+    """Run ``python -m bubble_correction.cli`` (or ``python <launcher>``) in
+    ``cwd`` with the package root first on the child's ``PYTHONPATH``."""
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (
         PACKAGE_ROOT + os.pathsep + inherited if inherited else PACKAGE_ROOT
     )
     return subprocess.run(
-        [sys.executable, "-m", "bubble_correction.cli", *args],
+        [sys.executable, *launcher, *args],
         capture_output=True,
         text=True,
         cwd=cwd,

@@ -15,7 +15,7 @@ from bubble_correction.balance import (
     pohozaev_volume_vs_surface,
     single_point_constraints,
 )
-from bubble_correction.errors import UnsupportedCaseError
+from bubble_correction.errors import ExactnessError, UnsupportedCaseError
 from bubble_correction.polynomials import (
     Polynomial,
     apply_signed_permutation,
@@ -101,15 +101,22 @@ def test_falsifier_respects_the_certificate_class():
 
 
 def test_eta_admissibility_reference_values():
-    assert eta_admissible(8, 6, 0.05)  # bound 1/11
+    assert eta_admissible(8, 6, Fraction(1, 20))  # bound 1/11
     assert not eta_admissible(8, 6, Fraction(1, 11))  # strict
-    assert not eta_admissible(8, 5, 0.02)  # bound 1/55
+    assert not eta_admissible(8, 5, Fraction(1, 50))  # bound 1/55
     assert eta_admissible(8, 5, Fraction(1, 56))
     assert eta_admissible(8, 6, 0)
     with pytest.raises(UnsupportedCaseError):
-        eta_admissible(8, 4, 0.01)
+        eta_admissible(8, 4, Fraction(1, 100))
     with pytest.raises(UnsupportedCaseError):
-        eta_admissible(6, 3, 0.01)
+        eta_admissible(6, 3, Fraction(1, 100))
+
+
+@pytest.mark.parametrize("eta", [0.05, True])
+def test_eta_admissibility_refuses_inexact_exponents(eta):
+    # True would be read as 1, 0.05 as its binary expansion
+    with pytest.raises(ExactnessError):
+        eta_admissible(8, 6, eta)
 
 
 def test_single_point_constraints_pass_at_origin():
@@ -165,6 +172,15 @@ def test_interference_check():
     assert not report.passed
     assert report.details["violations"]
     assert interference_check(8, [Fraction(1, 7)]).passed
+
+
+def test_interference_check_refuses_inexact_exponents():
+    # 4 * 3/10 == 3 * 2/5 exactly; as floats 0.3 and 0.4 miss the collision
+    assert not interference_check(7, [Fraction(3, 10), Fraction(2, 5)]).passed
+    assert not interference_check(7, ["3/10", "2/5"]).passed
+    for etas in ([0.3, 0.4], [Fraction(1, 7), True]):
+        with pytest.raises(ExactnessError):
+            interference_check(7, etas)
 
 
 def mirrored_pair_config(n=8, perturb=None):

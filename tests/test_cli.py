@@ -540,3 +540,63 @@ def test_source_degree_cap_is_an_input_error(tmp_path):
         assert_input_error(result)
         assert f"source degree must be <= {MAX_ELL}" in result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
+# A child that runs one command in-process, then fails unless numpy's core
+# is still unloaded; it exits with the command's own code.
+EXACT_TIER_CHILD = """
+import sys
+from bubble_correction import cli
+code = cli.main(sys.argv[1:])
+assert "numpy._core" not in sys.modules, "numpy was executed"
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, source, expected",
+    [
+        (["solve"], lambda: (-1 * alternating_quartic(8)).to_json(), 0),
+        (["solve", "--allow-radial"], lambda: (Polynomial.r_squared(8) ** 2).to_json(), 0),
+        (["solve"], lambda: (Polynomial.r_squared(7) ** 2).to_json(), 2),
+        (["table", "--n", "5", "--ell", "4"], None, 0),
+        (["table", "--n", "0", "--ell", "2"], None, 1),
+        (["integrate"], lambda: (-1 * alternating_quartic(8)).to_json(), 0),
+        (["balance"], balance_config_json, 0),
+    ],
+    ids=["solve", "allow-radial", "solve-obstructed", "table", "table-malformed",
+         "integrate", "balance"],
+)
+def test_exact_tier_never_executes_numpy(tmp_path, command, source, expected):
+    args = list(command)
+    if source is not None:
+        (tmp_path / "in.json").write_text(json.dumps(source()))
+        args += ["--input", "in.json"]
+    result = run_cli(args + ["--output", "out.json"], tmp_path,
+                     launcher=("-c", EXACT_TIER_CHILD))
+    assert result.returncode == expected, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_numpy_binding_keeps_an_earlier_import_and_a_missing_numpy_fails(tmp_path):
+    earlier = (
+        "import sys, types, numpy\n"
+        "from bubble_correction import cli\n"
+        "from bubble_correction._numpy import np\n"
+        "assert np is numpy is sys.modules['numpy']\n"
+        "assert type(np) is types.ModuleType\n"
+    )
+    result = run_cli([], tmp_path, launcher=("-c", earlier))
+    assert result.returncode == 0, result.stderr
+    blocked = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import bubble_correction\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    assert exc.name == 'numpy', exc\n"
+        "else:\n"
+        "    raise SystemExit('imported without numpy')\n"
+    )
+    result = run_cli([], tmp_path, launcher=("-c", blocked))
+    assert result.returncode == 0, result.stderr
