@@ -106,6 +106,15 @@ class BlowupConfiguration:
     scale_ratios: tuple
 
     def __post_init__(self):
+        # every per-point value becomes an exact Fraction here, once, so no
+        # float or boolean reaches the exact balance sums
+        def exact(values):
+            return tuple(as_coefficient(x) for x in values)
+
+        for name in ("points", "flex_vectors"):
+            object.__setattr__(self, name, tuple(map(exact, getattr(self, name))))
+        for name in ("k_values", "flex_exponents", "scale_ratios"):
+            object.__setattr__(self, name, exact(getattr(self, name)))
         counts = {
             len(self.points),
             len(self.k_values),
@@ -432,7 +441,7 @@ def interference_check(n, etas, distinct_only=False):
 def _pairing_at(config, m):
     poly = config.taylor_polys[m]
     paired = directional_pairing(config.points[m], poly)
-    return paired.evaluate([as_coefficient(x) for x in config.flex_vectors[m]])
+    return paired.evaluate(config.flex_vectors[m])
 
 
 def multi_point_balance(config, tol=TOL_FLOAT):
@@ -453,7 +462,7 @@ def multi_point_balance(config, tol=TOL_FLOAT):
 
     groups = {}
     for m, eta in enumerate(config.flex_exponents):
-        groups.setdefault(Fraction(eta), []).append(m)
+        groups.setdefault(eta, []).append(m)
 
     group_details = []
     worst = 0.0
@@ -462,8 +471,8 @@ def multi_point_balance(config, tol=TOL_FLOAT):
         terms = []
         for m in members:
             pairing = _pairing_at(config, m)
-            base = Fraction(n * (n - 2)) / (ctilde * Fraction(config.k_values[m]))
-            s_ratio = Fraction(config.scale_ratios[m])
+            base = Fraction(n * (n - 2)) / (ctilde * config.k_values[m])
+            s_ratio = config.scale_ratios[m]
             if n % 2 == 0 and s_ratio == 1:
                 terms.append(base ** (n // 2) * pairing)
             else:
@@ -588,15 +597,13 @@ def _axial_sphere_nodes(n, axis, count):
     summing to the sphere area.  Exact for integrands depending only on the
     polar angle; a good deterministic set otherwise."""
     axis = axis / np.linalg.norm(axis)
-    t, w = quadrature.gauss_legendre(count)  # t = cos(theta)
+    t, w, lat = quadrature.latitude_rule(n, count)  # t = cos(theta)
     # complete t to unit vectors in the plane spanned by axis and one
-    # orthogonal direction, weighting each latitude by its measure
+    # orthogonal direction
     ortho = np.zeros(n)
     ortho[np.argmin(np.abs(axis))] = 1.0
     ortho = ortho - axis * (ortho @ axis)
     ortho /= np.linalg.norm(ortho)
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     nodes = t[:, None] * axis[None, :] + s[:, None] * ortho[None, :]
-    lat_area = quadrature.sphere_area(n - 1) * s ** (n - 3) if n > 2 else np.ones_like(s)
-    weights = w * lat_area
-    return nodes, weights
+    return nodes, w * lat

@@ -56,6 +56,12 @@ def _dump_json(path, payload):
     _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _require(ok, flag, rule, value):
+    """Refuse a flag value before any work, naming the flag."""
+    if not ok:
+        raise ValueError(f"--{flag} must be {rule}, got {value!r}")
+
+
 def _load_json(path):
     with open(path) as handle:
         return json.load(handle)
@@ -109,8 +115,9 @@ def cmd_integrate(args):
 
 
 def cmd_balance(args):
-    if not 0 <= args.tol_float < math.inf:
-        raise ValueError(f"--tol-float must be finite and >= 0, got {args.tol_float!r}")
+    _require(
+        0 <= args.tol_float < math.inf, "tol-float", "finite and >= 0", args.tol_float
+    )
     config = balance_mod.BlowupConfiguration.from_json(_load_json(args.input))
     report = balance_mod.multi_point_balance(config, tol=args.tol_float)
     # equal exponents are handled by the grouped sums, so only interference
@@ -137,6 +144,8 @@ def cmd_balance(args):
 
 
 def cmd_residual_scan(args):
+    _require(args.samples >= 1, "samples", ">= 1", args.samples)
+    _require(args.seed >= 0, "seed", ">= 0", args.seed)
     solution = reduction.CorrectionSolution.from_json(_load_json(args.input))
     source = _load_polynomial(args.source)
     report = profiles_mod.linearized_residual(
@@ -147,11 +156,12 @@ def cmd_residual_scan(args):
 
 
 def cmd_green_check(args):
-    if args.n > GREEN_MAX_N:
-        raise ValueError(f"--n must be <= {GREEN_MAX_N}, got {args.n}")
+    _require(args.n <= GREEN_MAX_N, "n", f"<= {GREEN_MAX_N}", args.n)
     deltas = [0.1, 0.3] if args.delta is None else args.delta
-    if not 0 <= args.tol_quad < math.inf:
-        raise ValueError(f"--tol-quad must be finite and >= 0, got {args.tol_quad!r}")
+    _require(
+        0 <= args.tol_quad < math.inf, "tol-quad", "finite and >= 0", args.tol_quad
+    )
+    _require(args.seed >= 0, "seed", ">= 0", args.seed)
     ball = profiles_mod.greens_ball(args.n, args.radius)
     rng = np.random.default_rng(args.seed)
     xi = rng.uniform(-0.3, 0.3, args.n) * args.radius
@@ -176,6 +186,9 @@ def cmd_green_check(args):
 
 
 def cmd_profile(args):
+    _require(args.samples >= 1, "samples", ">= 1", args.samples)
+    _require(args.seed >= 0, "seed", ">= 0", args.seed)
+    _require(0 < args.scale < math.inf, "scale", "finite and > 0", args.scale)
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
     profile = profiles_mod.refined_profile(spec)
     rng = np.random.default_rng(args.seed)

@@ -29,7 +29,6 @@ from ._numpy import np
 from .errors import DivergentMomentError
 from .polynomials import (
     Polynomial,
-    as_coefficient,
     compose_shift,
     gradient,
     iterated_laplacian,
@@ -49,7 +48,6 @@ __all__ = [
     "ShiftExpansion",
     "shift_expansion",
     "gradient_moment",
-    "gradient_moment_exact",
     "CenterBreakdown",
     "change_of_center",
     "reduction_identity_check",
@@ -143,44 +141,37 @@ class IntegralResult:
         }
 
 
-def moment_integral(poly):
-    """Weighted integral of a homogeneous polynomial of degree <= n - 1.
-
-    Odd degrees integrate to zero by symmetry; even degrees return the exact
-    multiple of J(n, degree) along with the float value.
-    """
-    n = poly.dimension
-    if not poly.is_homogeneous():
-        raise ValueError("moment_integral expects a homogeneous polynomial")
-    ell = poly.degree() or 0
-    if ell >= n:
-        raise DivergentMomentError(
-            f"degree {ell} moment diverges in dimension {n} (needs degree <= n - 1)"
-        )
-    mult = j_multiple(poly)
-    if ell % 2:
-        numeric = 0.0
-    else:
-        numeric = float(mult) * j_value(n, ell)
-    return IntegralResult(j_multiple=mult, numeric=numeric, method="closed_form")
-
-
 def weighted_integral(poly):
     """Weighted integral of a general polynomial of degree <= n - 1: exact
-    multiples of J per homogeneous degree, plus the float total."""
+    multiples of J per homogeneous degree, plus the float total.  Odd
+    degrees integrate to zero by symmetry."""
     n = poly.dimension
     multiples = {}
     total = 0.0
     for degree, part in poly.homogeneous_parts().items():
         if degree >= n:
             raise DivergentMomentError(
-                f"degree {degree} part diverges in dimension {n}"
+                f"degree {degree} moment diverges in dimension {n} "
+                "(needs degree <= n - 1)"
             )
         mult = j_multiple(part)
         multiples[degree] = mult
         if degree % 2 == 0 and mult:
             total += float(mult) * j_value(n, degree)
     return multiples, total
+
+
+def moment_integral(poly):
+    """Weighted integral of a homogeneous polynomial of degree <= n - 1: the
+    homogeneous case of weighted_integral, with its one multiple of J."""
+    if not poly.is_homogeneous():
+        raise ValueError("moment_integral expects a homogeneous polynomial")
+    multiples, numeric = weighted_integral(poly)
+    return IntegralResult(
+        j_multiple=sum(multiples.values(), Fraction(0)),
+        numeric=numeric,
+        method="closed_form",
+    )
 
 
 # -------------------------------------------------------------------- shifts
@@ -208,10 +199,11 @@ class ShiftExpansion:
         """Number of intermediate terms (degree - 1)."""
         return self.degree - 1
 
-    def _pieces(self, shift, shift_degrees):
+    def _pieces(self, shift):
+        """The pieces of shift degree 0 .. ell, from one exact shift."""
         parts = compose_shift(self.source, shift).homogeneous_parts()
         zero = Polynomial.zero(self.dimension)
-        return [parts.get(self.degree - h, zero) for h in shift_degrees]
+        return [parts.get(self.degree - h, zero) for h in range(self.degree + 1)]
 
     def base(self):
         """The unshifted part, equal to the source polynomial."""
@@ -219,23 +211,25 @@ class ShiftExpansion:
 
     def term(self, shift_degree, shift):
         """The shift-degree-h piece as a polynomial in z, for a concrete
-        exact shift vector."""
-        return self._pieces(shift, [shift_degree])[0]
+        exact shift vector (zero outside 0 .. ell)."""
+        if not 0 <= shift_degree <= self.degree:
+            return Polynomial.zero(self.dimension)
+        return self._pieces(shift)[shift_degree]
 
     def intermediate_terms(self, shift):
         """All pieces of shift degree 1 .. degree - 1."""
-        return self._pieces(shift, range(1, self.degree))
+        return self._pieces(shift)[1:-1]
 
     def constant(self, shift):
         """Q(shift), the shift-degree-ell piece."""
-        return compose_shift(self.source, shift).constant_term()
+        return self._pieces(shift)[-1].constant_term()
 
     def reconstruct(self, shift):
         """base + intermediates + constant; equals Q(shift + z) exactly."""
         out = self.base()
-        for piece in self.intermediate_terms(shift):
+        for piece in self._pieces(shift)[1:]:
             out = out + piece
-        return out + Polynomial.constant(self.dimension, self.constant(shift))
+        return out
 
 
 def shift_expansion(poly):
@@ -245,18 +239,13 @@ def shift_expansion(poly):
 # ---------------------------------------------------------------- gradients
 
 
-def gradient_moment_exact(poly, point):
-    """Per-component exact data for the weighted moment of grad(P)(y + X):
-    a list of (multiples-by-degree, float) pairs."""
-    point = [as_coefficient(x) for x in point]
-    return [weighted_integral(compose_shift(dp, point)) for dp in gradient(poly)]
-
 def gradient_moment(poly, point):
-    """Weighted moment vector of grad(P)(y + X) as floats; the exact rational
-    multiples of J are retained by gradient_moment_exact."""
+    """Weighted moment vector of grad(P)(y + X) as floats.  Differentiation
+    commutes with the shift, so P is shifted once and then differentiated."""
     if poly.degree() is not None and poly.degree() > poly.dimension - 1:
         raise DivergentMomentError("gradient moment requires degree <= n - 1")
-    return np.array([total for _, total in gradient_moment_exact(poly, point)])
+    shifted = compose_shift(poly, point)
+    return np.array([weighted_integral(dp)[1] for dp in gradient(shifted)])
 
 
 # ---------------------------------------------------------- change of center
@@ -290,8 +279,9 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     deterministic quadrature of the original ball integral.
     """
     n = poly.dimension
-    if not poly.is_homogeneous() or poly.is_zero:
-        raise ValueError("change_of_center expects a nonzero homogeneous input")
+    # degree 0 would make the centered and drift groups the same piece
+    if not poly.is_homogeneous() or not poly.degree():
+        raise ValueError("change_of_center expects a homogeneous input of degree >= 1")
     ell = poly.degree()
     if ell > n - 2:
         raise DivergentMomentError("change of center requires degree <= n - 2")
@@ -301,15 +291,10 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     xi_over_lam = [Fraction(x) / lam_f for x in xi]
     scale = lam**ell
 
-    main = scale * moment_integral(poly).numeric
-    shifted_q = compose_shift(poly, xi_over_lam)
-    parts = shifted_q.homogeneous_parts()
-    intermediate = []
-    for h in range(1, ell):
-        piece = parts.get(ell - h, Polynomial.zero(n))
-        _, value = weighted_integral(piece)
-        intermediate.append(scale * value)
-    drift = scale * float(shifted_q.constant_term()) * j_value(n, 0)
+    main, *intermediate, drift = [
+        scale * weighted_integral(piece)[1]
+        for piece in ShiftExpansion(poly)._pieces(xi_over_lam)
+    ]
 
     # independent evaluation of the original integral over the shifted ball
     # (centering the ball on xi changes the value at a far smaller order

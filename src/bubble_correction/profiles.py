@@ -595,14 +595,10 @@ class GreensBall:
         xi = np.asarray(xi, dtype=float)
         n = self.n
         norm_xi = np.linalg.norm(xi)
-        axis = xi / norm_xi if norm_xi > 0 else np.eye(n)[0]
-        t, w = quadrature.gauss_legendre(nodes)
+        t, w, lat = quadrature.latitude_rule(n, nodes)
         d2 = self.a**2 - 2.0 * self.a * norm_xi * t + norm_xi**2
         kernel = (self.a**2 - norm_xi**2) / (
             self.a * quadrature.sphere_area(n) * d2 ** (n / 2.0)
-        )
-        lat = quadrature.sphere_area(n - 1) * np.maximum(1 - t * t, 0) ** (
-            (n - 3) / 2.0
         )
         return float((kernel * lat * w).sum()) * self.a ** (n - 1)
 

@@ -17,6 +17,7 @@ from ._numpy import np
 __all__ = [
     "gauss_legendre",
     "sphere_area",
+    "latitude_rule",
     "surface_monomial_integral",
     "radial_weight_integral",
     "weighted_poly_integral",
@@ -44,6 +45,16 @@ def _mapped_nodes(a, b, count):
 def sphere_area(n):
     """Surface measure of the unit sphere in R^n."""
     return 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
+
+
+def latitude_rule(n, count):
+    """Gauss-Legendre rule in t = cos(theta) for functions of the polar
+    angle on the unit sphere in R^n: nodes t, weights w and the latitude
+    measure |S^(n-2)| * (1 - t^2)^((n-3)/2), so that sum(f(t) * lat * w) is
+    the surface integral of f."""
+    t, w = gauss_legendre(count)
+    lat = sphere_area(n - 1) * np.maximum(1 - t * t, 0) ** ((n - 3) / 2.0)
+    return t, w, lat
 
 
 def surface_monomial_integral(n, alpha):

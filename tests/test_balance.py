@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -333,6 +334,31 @@ def test_configuration_invariants_enforced():
         )
     with pytest.raises(ValueError, match="at least one point"):
         BlowupConfiguration(n, (), (), (), (), (), ())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("flex_exponents", (Fraction(1, 10), Fraction(1, 10), 0.1)),
+        ("k_values", (48, 0.1 + 0.2, Fraction(3, 10))),
+        ("scale_ratios", (1, 1.0, True)),
+    ],
+    ids=["float-exponent", "float-curvature-scale", "float-and-bool-ratio"],
+)
+def test_configuration_refuses_inexact_values(field, value):
+    # a float exponent would land in a group of its own and flip the verdict
+    with pytest.raises(ExactnessError):
+        dataclasses.replace(mirrored_pair_config(), **{field: value})
+
+
+def test_configuration_stores_exact_fractions():
+    config = dataclasses.replace(
+        mirrored_pair_config(), k_values=(48, 2, "2"), scale_ratios=(1, 1, 1)
+    )
+    values = config.k_values + config.scale_ratios + config.flex_exponents
+    values += sum(config.points + config.flex_vectors, ())
+    assert all(type(x) is Fraction for x in values)
+    assert multi_point_balance(config).passed
 
 
 # -------------------------------------------------------------- balance law

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bubble_correction import cli
 from bubble_correction.polynomials import Polynomial
 from bubble_correction.reduction import MAX_ELL, solve_gamma
 
@@ -520,6 +521,55 @@ def test_green_check_refuses_large_dimension(tmp_path, n):
     assert_input_error(result)
     assert "--n must be <= 11" in result.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture
+def sampling_commands(tmp_path, admissible_source):
+    """The sampling commands, each with its input files written."""
+    source = Polynomial.from_json(json.loads(admissible_source.read_text()))
+    sol = tmp_path / "solution.json"
+    sol.write_text(json.dumps(solve_gamma(source).to_json()))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(profile_spec_json()))
+    return {
+        "residual-scan": [
+            "residual-scan", "--input", str(sol), "--source", str(admissible_source),
+        ],
+        "profile": ["profile", "--input", str(spec)],
+        "green-check": ["green-check", "--n", "3"],
+    }
+
+
+# (command, flag, rejected values with the first rejected one first, the
+# first accepted value)
+SAMPLING_RULES = [
+    ("residual-scan", "--samples", ["0", "-1"], "1"),
+    ("residual-scan", "--seed", ["-1"], "0"),
+    ("profile", "--samples", ["0", "-1"], "1"),
+    ("profile", "--seed", ["-1"], "0"),
+    ("profile", "--scale", ["0", "nan", "inf", "-0.5"], "5e-324"),
+    ("green-check", "--seed", ["-1"], "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, rejected, accepted",
+    SAMPLING_RULES,
+    ids=[f"{command}{flag}" for command, flag, _, _ in SAMPLING_RULES],
+)
+def test_sampling_flags_are_checked_before_any_work(
+    tmp_path, capsys, sampling_commands, command, flag, rejected, accepted
+):
+    out = tmp_path / "out"
+    for value in rejected:
+        assert cli.main([*sampling_commands[command], flag, value,
+                         "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {flag} must be "), err
+        assert not out.exists()
+    code = cli.main([*sampling_commands[command], flag, accepted, "--output", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert out.exists()
 
 
 def test_source_degree_cap_is_an_input_error(tmp_path):

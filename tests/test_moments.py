@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bubble_correction import quadrature
+from bubble_correction import moments, quadrature
 from bubble_correction.errors import DivergentMomentError
 from bubble_correction.moments import (
     b_constant,
@@ -23,6 +23,7 @@ from bubble_correction.moments import (
 from bubble_correction.polynomials import (
     Polynomial,
     compose_shift,
+    gradient,
     iterated_laplacian,
 )
 from bubble_correction.reduction import project_to_admissible
@@ -232,6 +233,57 @@ def test_gradient_moment_matches_finite_differences(rng):
         assert fd == pytest.approx(vec[i], abs=1e-5)
 
 
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """Every compose_shift call made from inside ``moments``."""
+    calls = []
+
+    def counting(poly, shift):
+        calls.append(poly)
+        return compose_shift(poly, shift)
+
+    monkeypatch.setattr(moments, "compose_shift", counting)
+    return calls
+
+
+def test_gradient_moment_is_the_per_component_route_bit_for_bit(rng, shift_calls):
+    # differentiation commutes with the shift, so one shift of P gives the
+    # same polynomials, and so the same floats, as one shift per partial
+    for _ in range(20):
+        n = rng.randint(3, 8)
+        ell = rng.randint(2, n - 1)
+        p = random_homogeneous(rng, n, ell) + random_homogeneous(rng, n, ell - 1)
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        reference = [
+            weighted_integral(compose_shift(dp, x))[1] for dp in gradient(p)
+        ]
+        shift_calls.clear()
+        vec = gradient_moment(p, x)
+        assert len(shift_calls) == 1
+        assert [float(v).hex() for v in vec] == [v.hex() for v in reference]
+
+
+def test_one_shift_per_moment_route(rng, shift_calls):
+    n, ell = 6, 4
+    q = random_homogeneous(rng, n, ell)
+    shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    expansion = shift_expansion(q)
+    routes = {
+        "reconstruct": (lambda: expansion.reconstruct(shift), 1),
+        "constant": (lambda: expansion.constant(shift), 1),
+        "gradient_moment": (lambda: gradient_moment(q, shift), 1),
+        # the split plus the quadrature cross-check's own shift
+        "change_of_center": (
+            lambda: change_of_center(q, [0.01] * n, lam=0.05, rho=1.0, nodes=32),
+            2,
+        ),
+    }
+    for name, (run, expected) in routes.items():
+        shift_calls.clear()
+        run()
+        assert len(shift_calls) == expected, name
+
+
 # --------------------------------------------------------- change of center
 
 
@@ -252,6 +304,12 @@ def test_change_of_center_odd_degree_main_group_vanishes(rng):
     q = random_homogeneous(rng, n, ell)
     breakdown = change_of_center(q, [0.0] * n, lam=0.05, rho=1.0)
     assert breakdown.main == 0.0
+
+
+def test_change_of_center_refuses_a_constant():
+    # for degree 0 the centered piece and the drift piece are the same one
+    with pytest.raises(ValueError, match="degree >= 1"):
+        change_of_center(Polynomial.constant(6, 1), [0.01] * 6, lam=0.05, rho=1.0)
 
 
 def test_change_of_center_slope(rng):
