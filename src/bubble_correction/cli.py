@@ -35,6 +35,17 @@ EXIT_OBSTRUCTION = 2
 # radius; 0.3 * sqrt(n) < 1 keeps it inside the ball, so n <= 11
 GREEN_MAX_N = 11
 
+# Work caps of the sampling commands, checked before any work.  ``profile``
+# writes one CSV row per sample.  ``kernels.eval_poly`` holds about
+# 2 * samples * terms * 8 bytes for a polynomial of ``terms`` terms, so
+# samples x terms (the solution's for ``residual-scan``, gamma's for
+# ``profile``) is capped too: 4e6 is about 64 MB per evaluation.
+MAX_SAMPLES = 100_000
+MAX_SAMPLE_TERMS = 4_000_000
+# ``profile`` samples xi + scale * N(0, I); 1e6 is far beyond the bubble and
+# its harmonic sources, and a huge scale overflows (1e308 gave inf rows)
+MAX_PROFILE_SCALE = 1e6
+
 
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -60,6 +71,22 @@ def _require(ok, flag, rule, value):
     """Refuse a flag value before any work, naming the flag."""
     if not ok:
         raise ValueError(f"--{flag} must be {rule}, got {value!r}")
+
+
+def _require_samples(samples):
+    _require(1 <= samples <= MAX_SAMPLES, "samples", f">= 1 and <= {MAX_SAMPLES}",
+             samples)
+
+
+def _require_work(samples, terms):
+    """Refuse --samples above MAX_SAMPLE_TERMS in product with the ``terms``
+    of the polynomial it samples."""
+    terms = max(terms, 1)
+    _require(
+        samples * terms <= MAX_SAMPLE_TERMS, "samples",
+        f"<= {MAX_SAMPLE_TERMS // terms} for {terms} terms (samples x terms <= "
+        f"{MAX_SAMPLE_TERMS})", samples,
+    )
 
 
 def _load_json(path):
@@ -144,12 +171,14 @@ def cmd_balance(args):
 
 
 def cmd_residual_scan(args):
-    _require(args.samples >= 1, "samples", ">= 1", args.samples)
+    _require_samples(args.samples)
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
     solution = reduction.CorrectionSolution.from_json(_load_json(args.input))
     source = _load_polynomial(args.source)
+    total = solution.total()
+    _require_work(args.samples, len(total.terms))
     report = profiles_mod.linearized_residual(
-        solution.total(), source, samples=args.samples, seed=args.seed
+        total, source, samples=args.samples, seed=args.seed
     )
     _dump_json(args.output, report.to_json())
     return EXIT_OK
@@ -186,10 +215,14 @@ def cmd_green_check(args):
 
 
 def cmd_profile(args):
-    _require(args.samples >= 1, "samples", ">= 1", args.samples)
+    _require_samples(args.samples)
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
-    _require(0 < args.scale < math.inf, "scale", "finite and > 0", args.scale)
+    _require(
+        0 < args.scale <= MAX_PROFILE_SCALE, "scale",
+        f"> 0 and <= {MAX_PROFILE_SCALE:g}", args.scale,
+    )
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
+    _require_work(args.samples, len(spec.gamma.terms))
     profile = profiles_mod.refined_profile(spec)
     rng = np.random.default_rng(args.seed)
     points = np.asarray(spec.xi, float)[None, :] + args.scale * rng.standard_normal(
@@ -203,6 +236,10 @@ def cmd_profile(args):
         "total",
     ]
     rows = np.column_stack([points, columns])
+    if not np.isfinite(rows).all():
+        raise ValueError(
+            f"profile values are not finite at --scale {args.scale!r} for this spec"
+        )
     text_rows = [",".join(header)]
     for row in rows:
         text_rows.append(",".join(repr(float(x)) for x in row))

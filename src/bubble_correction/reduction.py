@@ -22,18 +22,24 @@ degree-0 column of the same recurrence: L acts on (|y|^2)^k through
 
 Every |y|^2-graded sum here (the combination, grouped by row j; the residue;
 the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``, and
-every radial constant of L, the projection's included, is an ``a_multiplier``.
+every radial constant of the construction, the projection's included, is an
+``a_multiplier``.  ``apply_L`` and ``_radial_sum`` both run one pass over
+integer coefficients scaled by the lcm of the denominators.
 
-Everything here is exact: every solution passes one gate, L applied to it
-compared with P by ``==``, before it is returned.  Source degrees are capped
-at ``MAX_ELL`` so that no input asks for unbounded work.
+Everything here is exact: every solution passes one gate before it is
+returned, split by linearity.  L(gamma + F) == P holds exactly when
+L(gamma) == P + R and L(F) == -R, where R = top * sum_k a_k (|y|^2)^k is the
+residue the completion F absorbs.  The first is checked by ``apply_L`` on the
+expanded gamma, the second in the one variable s = |y|^2 on F's weights, by a
+formula taken from L's definition; without a completion R is absent.  Source
+degrees are capped at ``MAX_ELL`` so that no input asks for unbounded work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .errors import (
     CharacteristicGuardError,
@@ -43,7 +49,6 @@ from .errors import (
 from .polynomials import (
     Polynomial,
     as_coefficient,
-    euler_operator,
     iterated_laplacian,
     json_int,
     laplacian,
@@ -229,11 +234,41 @@ def coefficient_table(n, ell, columns=None):
 
 
 def apply_L(poly):
-    """(1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G, exactly."""
+    """(1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G, exactly, in one
+    integer pass.
+
+    G is scaled by D, the lcm of its denominators.  A term c y^alpha then
+    contributes a_i(a_i - 1)c at alpha - 2e_i (the Laplacian), the same at
+    alpha - 2e_i + 2e_j for every j (|y|^2 times it), and 2n(1 - |alpha|)c at
+    alpha (the Euler and identity parts, y . grad y^alpha = |alpha| y^alpha);
+    each nonzero sum is divided by D once at the end.
+
+    This is the one way L is applied: the solver's gate applies it to gamma
+    alone (the completion is checked in |y|^2, see ``_solve``), and
+    ``profiles.linearized_residual`` to a loaded solution.
+    """
     n = poly.dimension
-    lap = laplacian(poly)
-    weighted = lap + Polynomial.r_squared(n) * lap
-    return weighted - 2 * n * euler_operator(poly) + 2 * n * poly
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    sums = {}
+    get = sums.get
+    for alpha, c in poly.terms.items():
+        c = c.numerator * (scale // c.denominator)
+        sums[alpha] = get(alpha, 0) + 2 * n * (1 - sum(alpha)) * c
+        beta = list(alpha)
+        for i, a in enumerate(alpha):
+            if a < 2:
+                continue
+            w = a * (a - 1) * c
+            beta[i] = a - 2
+            low = tuple(beta)
+            sums[low] = get(low, 0) + w
+            for j in range(n):
+                beta[j] += 2
+                up = tuple(beta)
+                sums[up] = get(up, 0) + w
+                beta[j] -= 2
+            beta[i] = a
+    return _unscaled(n, sums, scale)
 
 
 @dataclass(frozen=True)
@@ -325,19 +360,41 @@ def _laplacian_chain(poly, h):
 def _radial_sum(n, blocks):
     """sum_j (|y|^2)^j Q_j for the blocks Q_0, Q_1, ..., by Horner in |y|^2.
 
-    A block is a polynomial or an exact weight (a constant polynomial)."""
-    r2 = Polynomial.r_squared(n)
-    out = Polynomial.zero(n)
+    A block is a polynomial or an exact weight (a constant polynomial).  The
+    loop runs on integers, every block scaled by D, the lcm of all their
+    denominators: multiplying by |y|^2 adds each sum at alpha + 2e_j for every
+    j.  Each nonzero sum is divided by D once at the end."""
+    blocks = [
+        q if isinstance(q, Polynomial) else Polynomial.constant(n, q) for q in blocks
+    ]
+    scale = lcm(*(c.denominator for q in blocks for c in q.terms.values()))
+    sums = {}
     for q in reversed(blocks):
-        if not isinstance(q, Polynomial):
-            q = Polynomial.constant(n, q)
-        out = out * r2 + q
-    return out
+        grown = {}
+        get = grown.get
+        for alpha, v in sums.items():
+            beta = list(alpha)
+            for j in range(n):
+                beta[j] += 2
+                up = tuple(beta)
+                grown[up] = get(up, 0) + v
+                beta[j] -= 2
+        for alpha, c in q.terms.items():
+            grown[alpha] = get(alpha, 0) + c.numerator * (scale // c.denominator)
+        sums = grown
+    return _unscaled(n, sums, scale)
+
+
+def _unscaled(n, sums, scale):
+    """The polynomial sum_alpha (sums[alpha] / scale) y^alpha."""
+    return Polynomial._of(
+        n, {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
+    )
 
 
 def _radial_residue(top, table):
     """top * sum_k a_k (|y|^2)^k over the full table's residue weights."""
-    return top * _radial_sum(top.dimension, table.residues)
+    return _radial_sum(top.dimension, [top * a for a in table.residues])
 
 
 def residue_terms(poly):
@@ -360,17 +417,10 @@ def _combination(poly, chain, table):
     return _radial_sum(poly.dimension, rows)
 
 
-def radial_completion(n, ell, residues):
-    """Even radial polynomial F = sum_{k=1}^{n/2} B_k (|y|^2)^k with
-    L(F) = -(a_0 + a_1 |y|^2 + ... + a_h (|y|^2)^h), built bottom-up.
-
-    L maps (|y|^2)^k to a_multiplier(n, 0, k, 0) (|y|^2)^(k-1) plus
-    characteristic_denominator(n, 0, k, 0) (|y|^2)^k, the degree-0 column of
-    the block recurrence, so B_0 = 0 and B_k = -(a_{k-1} +
-    characteristic_denominator(n, 0, k-1, 0) B_{k-1}) / a_multiplier(n, 0, k, 0).
-    The top power (|y|^2)^(n/2) does not regenerate itself, which is what
-    closes the construction.  Requires n >= 4 even and ell <= n - 2 even.
-    """
+def _completion_weights(n, ell, residues):
+    """[B_0, B_1, ..., B_{n/2}] with B_0 = 0: the weights of the radial
+    completion F = sum_k B_k (|y|^2)^k for the residue weights a_0..a_h (see
+    ``radial_completion``)."""
     if n < 4 or n % 2 or ell % 2 or ell > n - 2:
         raise UnsupportedCaseError(
             "outside the radial-completion hypotheses (need n >= 4 even and "
@@ -386,7 +436,40 @@ def radial_completion(n, ell, residues):
     for k in range(1, n // 2 + 1):
         climb = characteristic_denominator(n, 0, k - 1, 0) * B[k - 1]
         B.append(-(residues[k - 1] + climb) / a_multiplier(n, 0, k, 0))
-    return _radial_sum(n, B)
+    return B
+
+
+def radial_completion(n, ell, residues):
+    """Even radial polynomial F = sum_{k=1}^{n/2} B_k (|y|^2)^k with
+    L(F) = -(a_0 + a_1 |y|^2 + ... + a_h (|y|^2)^h), built bottom-up.
+
+    L maps (|y|^2)^k to a_multiplier(n, 0, k, 0) (|y|^2)^(k-1) plus
+    characteristic_denominator(n, 0, k, 0) (|y|^2)^k, the degree-0 column of
+    the block recurrence, so B_0 = 0 and B_k = -(a_{k-1} +
+    characteristic_denominator(n, 0, k-1, 0) B_{k-1}) / a_multiplier(n, 0, k, 0).
+    The top power (|y|^2)^(n/2) does not regenerate itself, which is what
+    closes the construction.  Requires n >= 4 even and ell <= n - 2 even.
+    """
+    return _radial_sum(n, _completion_weights(n, ell, residues))
+
+
+def _radial_L(n, f):
+    """L(F) for the radial F = sum_k f[k] s^k, s = |y|^2, as the coefficient
+    list of a polynomial in s (as long as f).
+
+    Straight from L's definition, not from ``a_multiplier``: with
+    lap F = 4s f'' + 2n f' and y . grad F = 2s f',
+    L(F) = (1 + s)(4s f'' + 2n f') - 4n s f' + 2n f.
+    """
+    m = len(f)
+    # 4s f'' + 2n f' at s^k, k = 0..m-2, and 0 at s^(m-1)
+    lap = [
+        4 * (k + 1) * k * f[k + 1] + 2 * n * (k + 1) * f[k + 1] for k in range(m - 1)
+    ] + [0]
+    return [
+        lap[k] + (lap[k - 1] if k else 0) - 4 * n * k * f[k] + 2 * n * f[k]
+        for k in range(m)
+    ]
 
 
 def _solve(poly, allow_radial):
@@ -396,8 +479,14 @@ def _solve(poly, allow_radial):
     order) when some lap^k P vanishes, full otherwise.  A nonvanishing top
     Laplacian is absorbed by the radial completion when ``allow_radial`` is
     set and its hypotheses hold, and raised as a ResidueObstructionError
-    carrying the residue otherwise.  Every result passes the exact gate
-    L(total) == P before it is returned.
+    carrying the residue otherwise.
+
+    Every result passes the exact gate L(gamma + F) == P before it is
+    returned, split by linearity so that the completion F is never expanded
+    to be checked: L(gamma) == P + R on the expanded gamma, with R the
+    residue top * sum_k a_k (|y|^2)^k, and L(F) == -R in the one variable
+    s = |y|^2 on F's weights (``_radial_L``).  Without a completion R is
+    absent and the gate is L(gamma) == P.
     """
     ell = _validated_source(poly)
     n = poly.dimension
@@ -407,37 +496,39 @@ def _solve(poly, allow_radial):
     table = coefficient_table(n, ell, columns=vanishing if vanishing <= h else None)
 
     completion = None
+    target = poly
     if vanishing > h:
         top = chain[h]
         message = (
             f"top iterated Laplacian (order {h}) does not vanish; "
             "no pure polynomial solution of this form exists"
         )
+        residue = _radial_residue(top, table)
         if allow_radial:
             weights = [top.constant_term() * a for a in table.residues]
             try:
-                completion = radial_completion(n, ell, weights)
+                B = _completion_weights(n, ell, weights)
             except UnsupportedCaseError as exc:
                 message = f"{message}; residue {exc}"
+            else:
+                negated = [-w for w in weights] + [0] * (len(B) - len(weights))
+                if _radial_L(n, B) != negated:
+                    raise AssertionError("radial completion failed exact verification")
+                completion = _radial_sum(n, B)
+                target = poly + residue
         if completion is None:
-            raise ResidueObstructionError(
-                message, residue=_radial_residue(top, table), top_laplacian=top
-            )
+            raise ResidueObstructionError(message, residue=residue, top_laplacian=top)
 
-    solution = CorrectionSolution(
-        _combination(poly, chain, table), completion, vanishing,
-        verified=True, n=n, ell=ell,
-    )
-    if apply_L(solution.total()) != poly:
+    gamma = _combination(poly, chain, table)
+    if apply_L(gamma) != target:
         raise AssertionError("construction failed exact verification")
-    gamma = solution.gamma
     if gamma.constant_term():
         raise AssertionError("solution unexpectedly contains a constant term")
     if any(sum(alpha) == 1 for alpha in gamma.terms):
         raise AssertionError("solution unexpectedly contains linear terms")
     if gamma.degree() is not None and gamma.degree() > ell:
         raise AssertionError("solution degree exceeds the source degree")
-    return solution
+    return CorrectionSolution(gamma, completion, vanishing, verified=True, n=n, ell=ell)
 
 
 def solve_gamma(poly):

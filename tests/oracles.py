@@ -1,7 +1,8 @@
 """Independent numeric oracles that only the test suite uses: finite
 differences, a perturbed bubble for negative controls, a Monte Carlo
 estimator for the quadrature oracle, a second form of the profile
-correction, the Euler operator by products, L built by sympy, the probe
+correction, the Euler operator by products, L built by sympy and L built
+operator by operator, |y|^2-graded sums by Polynomial products, the probe
 constant of the admissible projection, and the power-cube formula the
 polynomial kernel must match."""
 
@@ -14,7 +15,9 @@ import sympy
 from bubble_correction import kernels
 from bubble_correction.polynomials import (
     Polynomial,
+    euler_operator,
     iterated_laplacian,
+    laplacian,
     partial_derivative,
 )
 from bubble_correction.profiles import BubbleProfile
@@ -147,6 +150,27 @@ def sympy_apply_L(poly):
         {alpha: Fraction(int(c.p), int(c.q))
          for alpha, c in image.as_dict(native=False).items()},
     )
+
+
+def apply_L_by_operators(poly):
+    """L(G) = (1 + |y|^2) lap(G) - 2n (y . grad G) + 2n G assembled from the
+    package's Laplacian and Euler operator with Polynomial arithmetic: the
+    formula ``reduction.apply_L`` computed before its integer stencil."""
+    n = poly.dimension
+    lap = laplacian(poly)
+    weighted = lap + Polynomial.r_squared(n) * lap
+    return weighted - 2 * n * euler_operator(poly) + 2 * n * poly
+
+
+def radial_sum_by_products(n, blocks):
+    """sum_j (|y|^2)^j Q_j by Polynomial powers and products, block by block;
+    a block is a polynomial or an exact weight."""
+    out = Polynomial.zero(n)
+    for j, q in enumerate(blocks):
+        if not isinstance(q, Polynomial):
+            q = Polynomial.constant(n, q)
+        out = out + Polynomial.r_squared(n) ** j * q
+    return out
 
 
 def projection_reference(n, ell):

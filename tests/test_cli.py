@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 from fractions import Fraction
@@ -570,6 +571,137 @@ def test_sampling_flags_are_checked_before_any_work(
     code = cli.main([*sampling_commands[command], flag, accepted, "--output", str(out)])
     assert code == 0, capsys.readouterr().err
     assert out.exists()
+
+
+def refuse_work(monkeypatch):
+    """Make the sampling commands' first piece of work fail loudly, so that a
+    refusal is seen to come before it."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the caps were checked")
+
+    monkeypatch.setattr(cli.profiles_mod, "linearized_residual", work)
+    monkeypatch.setattr(cli.profiles_mod, "refined_profile", work)
+
+
+def run_sampling(capsys, argv, out):
+    code = cli.main([*argv, "--output", str(out)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["residual-scan", "profile"])
+def test_samples_cap_refuses_before_any_work(
+    tmp_path, capsys, monkeypatch, sampling_commands, command
+):
+    out = tmp_path / "out"
+    argv = sampling_commands[command]
+    with monkeypatch.context() as patch:
+        refuse_work(patch)
+        code, err = run_sampling(
+            capsys, [*argv, "--samples", str(cli.MAX_SAMPLES + 1)], out
+        )
+    assert code == 1
+    assert err.startswith(
+        f"input error: --samples must be >= 1 and <= {cli.MAX_SAMPLES}"
+    ), err
+    assert not out.exists()
+    # at the cap, with the cap lowered so the run stays small
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 7)
+    code, err = run_sampling(capsys, [*argv, "--samples", "8"], out)
+    assert code == 1 and "--samples must be >= 1 and <= 7" in err
+    assert not out.exists()
+    code, err = run_sampling(capsys, [*argv, "--samples", "7"], out)
+    assert code == 0, err
+    assert out.exists()
+
+
+def many_terms(n, count):
+    """A polynomial of ``count`` distinct monomials, for inputs refused
+    before anything checks what they solve."""
+    return Polynomial(n, {(k,) + (1,) * (n - 1): k + 1 for k in range(count)})
+
+
+@pytest.mark.parametrize("command", ["residual-scan", "profile"])
+def test_samples_times_terms_cap_refuses_before_any_work(
+    tmp_path, capsys, monkeypatch, sampling_commands, command
+):
+    # 100 terms make the product cap bind below MAX_SAMPLES
+    terms = 100
+    if command == "residual-scan":
+        solution = json.loads((tmp_path / "solution.json").read_text())
+        solution["gamma"] = many_terms(solution["n"], terms).to_json()
+        big = tmp_path / "big-solution.json"
+        argv = ["residual-scan", "--input", str(big), "--source",
+                sampling_commands[command][4]]
+    else:
+        solution = profile_spec_json()
+        solution["gamma"] = many_terms(solution["n"], terms).to_json()
+        big = tmp_path / "big-spec.json"
+        argv = ["profile", "--input", str(big)]
+    big.write_text(json.dumps(solution))
+    over = cli.MAX_SAMPLE_TERMS // terms + 1
+    assert over <= cli.MAX_SAMPLES
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        refuse_work(patch)
+        code, err = run_sampling(capsys, [*argv, "--samples", str(over)], out)
+    assert code == 1
+    assert err.startswith(
+        f"input error: --samples must be <= {over - 1} for {terms} terms"
+    ), err
+    assert not out.exists()
+    # at the cap, lowered so that the run on the real input stays small
+    argv = sampling_commands[command]
+    if command == "residual-scan":
+        real = json.loads((tmp_path / "solution.json").read_text())
+    else:
+        real = profile_spec_json()
+    terms = len(real["gamma"]["terms"])
+    monkeypatch.setattr(cli, "MAX_SAMPLE_TERMS", 5 * terms)
+    code, err = run_sampling(capsys, [*argv, "--samples", "6"], out)
+    assert code == 1 and f"--samples must be <= 5 for {terms} terms" in err
+    assert not out.exists()
+    code, err = run_sampling(capsys, [*argv, "--samples", "5"], out)
+    assert code == 0, err
+    assert out.exists()
+
+
+def test_profile_scale_cap_boundary(tmp_path, capsys, monkeypatch, sampling_commands):
+    out = tmp_path / "profile.csv"
+    argv = [*sampling_commands["profile"], "--samples", "20"]
+    above = math.nextafter(cli.MAX_PROFILE_SCALE, math.inf)
+    with monkeypatch.context() as patch:
+        refuse_work(patch)
+        for value in (repr(above), "1e308"):
+            code, err = run_sampling(capsys, [*argv, "--scale", value], out)
+            assert code == 1
+            assert err.startswith("input error: --scale must be > 0 and <= "), err
+            assert not out.exists()
+    code, err = run_sampling(
+        capsys, [*argv, "--scale", repr(cli.MAX_PROFILE_SCALE)], out
+    )
+    assert code == 0, err
+    assert err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 20
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
+def test_profile_refuses_non_finite_values(tmp_path, capsys):
+    # a tiny lam puts |Y| = |y - xi| / lam beyond float range even at the
+    # default scale: the rows would hold nan
+    spec = profile_spec_json()
+    spec["lam"] = 1e-200
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "profile.csv"
+    with pytest.warns(RuntimeWarning):
+        code, err = run_sampling(
+            capsys, ["profile", "--input", str(path), "--samples", "5"], out
+        )
+    assert code == 1
+    assert "input error: profile values are not finite at --scale 0.5" in err
+    assert not out.exists()
 
 
 def test_source_degree_cap_is_an_input_error(tmp_path):

@@ -1,9 +1,14 @@
+import dataclasses
+import importlib.util
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bubble_correction import reduction
 from bubble_correction.errors import (
     CharacteristicGuardError,
     ExactnessError,
@@ -441,7 +446,7 @@ def test_radial_completion_solves_arbitrary_weights(rng, n):
 
 @pytest.mark.slow
 def test_radial_completion_solves_arbitrary_weights_in_dimension_12(rng):
-    # one apply_L on an n = 12 completion (18,563 terms) takes about 2 s, so
+    # one apply_L on an n = 12 completion (18,563 terms) takes about 1 s, so
     # the five degrees share one: L is linear and each degree's weights are
     # drawn independently, so one wrong completion cannot cancel out
     n = 12
@@ -531,9 +536,9 @@ SYMPY_ORACLE = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def rational_polynomials(draw, max_n=5, max_degree=6):
-    """Up to six terms in n <= 5 variables of degree <= 6 with small rational
-    coefficients; not necessarily homogeneous."""
+def rational_polynomials(draw, max_n=12, max_degree=10):
+    """Up to six terms in n <= max_n variables of degree <= max_degree with
+    small rational coefficients; not necessarily homogeneous."""
     n = draw(st.integers(1, max_n))
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
@@ -557,18 +562,140 @@ def construction_sources(draw):
 
 @SYMPY_ORACLE
 @given(rational_polynomials())
+@example(Polynomial.zero(1))
+@example(Polynomial.zero(12))
+@example(Polynomial.constant(7, Fraction(-3, 5)))
+@example(Polynomial(4, {(0, 0, 0, 0): 2, (1, 0, 0, 0): Fraction(1, 3),
+                        (0, 0, 0, 1): -7}))
+@example(Polynomial(12, {(10,) + (0,) * 11: Fraction(5, 6),
+                         (2,) * 5 + (0,) * 7: Fraction(-1, 4),
+                         (1,) + (0,) * 11: 9}))
 def test_apply_L_matches_sympy(poly):
-    assert apply_L(poly) == oracles.sympy_apply_L(poly)
+    # the integer stencil against sympy and against the operator-by-operator
+    # formula, for n up to 12 and degree up to 10
+    image = apply_L(poly)
+    assert image == oracles.sympy_apply_L(poly)
+    assert image == oracles.apply_L_by_operators(poly)
 
 
 @SYMPY_ORACLE
 @given(construction_sources())
 def test_solutions_satisfy_L_built_by_sympy(source):
+    # every solution passed the split gate; the expanded gate and sympy agree
     admissible = project_to_admissible(source)
     if not admissible.is_zero:
-        assert oracles.sympy_apply_L(solve_gamma(admissible).total()) == admissible
+        total = solve_gamma(admissible).total()
+        assert apply_L(total) == admissible
+        assert oracles.sympy_apply_L(total) == admissible
     try:
         solution = solve_general(source)
     except ResidueObstructionError:
         return
+    assert apply_L(solution.total()) == source
     assert oracles.sympy_apply_L(solution.total()) == source
+
+
+# ------------------------------------------------------ radial L, split gate
+
+
+def random_weights(rng, count):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_radial_L_matches_sympy_and_the_stencil(n):
+    # F = f(|y|^2) of degree up to n; sympy expands the top degree for n <= 9
+    # and degree <= 6 above (at n = 12, degree 12 takes it 3 s), the stencil
+    # every degree up to n
+    rng = random.Random(n)
+    f = random_weights(rng, n // 2 + 1)
+    f[-1] = f[-1] or Fraction(1)
+    expanded = reduction._radial_sum(n, f)
+    assert reduction._radial_sum(n, reduction._radial_L(n, f)) == apply_L(expanded)
+    low = f if n <= 9 else f[:4]
+    assert reduction._radial_sum(n, reduction._radial_L(n, low)) == (
+        oracles.sympy_apply_L(reduction._radial_sum(n, low))
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_radial_sum_matches_products(n, rnd):
+    # Horner on scaled integers against powers of |y|^2 times each block
+    blocks = []
+    for _ in range(rnd.randint(0, 4)):
+        if rnd.random() < 0.5:
+            blocks.append(Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)))
+        else:
+            blocks.append(random_homogeneous(rnd, n, rnd.randint(1, 4)) * Fraction(
+                1, rnd.randint(1, 9)))
+    assert reduction._radial_sum(n, blocks) == oracles.radial_sum_by_products(n, blocks)
+
+
+def load_bench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_split_gate_agrees_with_the_expanded_gate_on_bench_requests(seed):
+    # a 30-second solve-exact run has three rounds; scan-float adds three
+    # set-up solves
+    inputs = load_bench_inputs()
+    rng = random.Random(seed)
+    requests = [r for i in range(3) for r in inputs.solve_round(rng, f"r{i}")]
+    requests += inputs.scan_setup(random.Random(seed))
+    for request in requests:
+        source = Polynomial.from_json(request["source"])
+        solve = solve_general if "--allow-radial" in request["argv"] else solve_gamma
+        if request["expect_exit"] == 2:
+            with pytest.raises(ResidueObstructionError):
+                solve(source)
+        else:
+            assert apply_L(solve(source).total()) == source
+
+
+def radial_source(rng):
+    # n = 8, ell = 6: both gate parts run, and the completion has four weights
+    p = random_homogeneous(rng, 8, 6) + Polynomial.r_squared(8) ** 3
+    assert not iterated_laplacian(p, 3).is_zero
+    return p
+
+
+@pytest.mark.parametrize("case", ["admissible", "radial"])
+def test_split_gate_refuses_a_perturbed_combination_coefficient(
+    rng, monkeypatch, case
+):
+    source = admissible_instance(rng, 8, 6) if case == "admissible" else (
+        radial_source(rng))
+    solve_general(source)
+    table = reduction.coefficient_table
+
+    def perturbed(*args, **kwargs):
+        built = table(*args, **kwargs)
+        C = dict(built.C)
+        C[(0, 1)] += Fraction(1, 7)
+        return dataclasses.replace(built, C=C)
+
+    monkeypatch.setattr(reduction, "coefficient_table", perturbed)
+    with pytest.raises(AssertionError, match="construction failed exact verification"):
+        solve_general(source)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_split_gate_refuses_a_perturbed_completion_weight(rng, monkeypatch, k):
+    source = radial_source(rng)
+    solve_general(source)
+    weights = reduction._completion_weights
+
+    def perturbed(*args):
+        B = weights(*args)
+        B[k] += Fraction(1, 11)
+        return B
+
+    monkeypatch.setattr(reduction, "_completion_weights", perturbed)
+    with pytest.raises(AssertionError, match="radial completion failed exact"):
+        solve_general(source)

@@ -26,7 +26,11 @@ def test_tracer_install_and_uninstall_resolve_every_target():
     try:
         assert reduction.apply_L is not apply_L
         assert reduction.r2_multiply is not r2_multiply
-        reduction.apply_L(Polynomial.variable(3, 0, 2))
+        # y1^2 - y2^2 is harmonic: its solve builds the chain through the
+        # ``laplacian`` that ``reduction`` imported, then gates by apply_L
+        reduction.solve_gamma(
+            Polynomial.variable(3, 0, 2) - Polynomial.variable(3, 1, 2)
+        )
     finally:
         tracer.uninstall()
     assert reduction.apply_L is apply_L
