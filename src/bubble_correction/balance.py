@@ -8,14 +8,16 @@ the exponent interference condition and the weighted balance sums over
 groups of equal drift exponents.
 
 Algebraic residuals (polynomial values, pairings, rational multiples of the
-normalizing integral) are computed exactly and must vanish exactly to pass;
-float tolerances apply only where genuine floats enter (fractional powers,
-quadrature).  Default tolerances: 1e-10 relative for mixed float sums and
-1e-4 for quadrature-backed identities.
+normalizing integral) are computed exactly and must vanish exactly to pass.
+The balance sums have fractional powers of rationals as weights; their
+verdict is exact too, by sorting the weights into classes with rational
+ratios (see ``multi_point_balance``).  A float tolerance applies only to the
+quadrature-backed balance law (default 1e-4 relative).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,6 +41,8 @@ from .polynomials import (
 )
 
 __all__ = [
+    "MAX_ROOT_DEGREE",
+    "MAX_RADICAND_BITS",
     "ViolationReport",
     "BlowupConfiguration",
     "gradient_lower_bound",
@@ -52,8 +56,15 @@ __all__ = [
     "pohozaev_volume_vs_surface",
 ]
 
-TOL_FLOAT = 1e-10
 TOL_QUAD = 1e-4
+
+# Caps on the exact balance verdict's work, checked before any power is built
+# or any root taken (see ``multi_point_balance``): the degree q of the roots a
+# group of drift exponent eta takes, q = lcm(den(n/2), den((n-3)(1+eta))), and
+# the bit length of the powers it builds.  A root of a 65,536-bit integer
+# takes under 10 ms.
+MAX_ROOT_DEGREE = 10_000
+MAX_RADICAND_BITS = 65_536
 
 
 @dataclass(frozen=True)
@@ -133,6 +144,8 @@ class BlowupConfiguration:
             raise ValueError("points must be pairwise distinct")
         if any(k <= 0 for k in self.k_values):
             raise ValueError("curvature scales must be positive")
+        if any(s <= 0 for s in self.scale_ratios):
+            raise ValueError("scale ratios must be positive")
         if self.scale_ratios[0] != 1:
             raise ValueError("the origin's scale ratio must be 1")
         for poly in self.taylor_polys:
@@ -444,16 +457,102 @@ def _pairing_at(config, m):
     return paired.evaluate(config.flex_vectors[m])
 
 
-def multi_point_balance(config, tol=TOL_FLOAT):
+def _root_degree(n, eta):
+    """q = lcm(den(n/2), den(e)), e = (n-3)(1+eta): every weight of the group
+    has a rational q-th power."""
+    q = math.lcm(Fraction(n, 2).denominator, ((n - 3) * (1 + eta)).denominator)
+    if q > MAX_ROOT_DEGREE:
+        raise ValueError(
+            f"drift exponent {eta} needs roots of degree {q} in dimension {n} "
+            f"(at most {MAX_ROOT_DEGREE})"
+        )
+    return q
+
+
+def _bits(x):
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _floor_root(x, k):
+    """floor(x^(1/k)) for integers x, k >= 1 by Newton's iteration, started
+    from a float estimate (``math.log2`` reads big integers) for roots of up
+    to 48 bits and from the root of x's top bits above.  One step from any
+    start lands at or above the root; the steps then descend to it."""
+    t = x.bit_length() // k
+    if t <= 48:
+        r = math.ceil(2.0 ** (math.log2(x) / k))
+    else:
+        r = _floor_root(x >> (k * (t // 2)), k) + 1 << t // 2
+
+    def step(r):
+        return ((k - 1) * r + x // r ** (k - 1)) // k
+
+    r = step(r)
+    while (y := step(r)) < r:
+        r = y
+    return r
+
+
+def _rational_power(B, S, n, e, q):
+    """B^(n/2) * S^e as a Fraction when it is rational, else None, for positive
+    Fractions B, S and the group's e and q: the q-th root of B^a S^c, a = qn/2,
+    c = qe.  The whole powers come out exactly, a unit base drops out, the
+    exponents left mod q and q are divided by their gcd k, and the rest is
+    rational when its numerator and denominator have integer k-th roots."""
+    a = q * n // 2 if B != 1 else 0
+    c = int(q * e) if S != 1 else 0
+    (a_whole, a), (c_whole, c) = divmod(a, q), divmod(c, q)
+    g = math.gcd(q, a, c)
+    k, a, c = q // g, a // g, c // g
+    bits = max(
+        a_whole * _bits(B) + abs(c_whole) * _bits(S), a * _bits(B) + c * _bits(S)
+    )
+    if bits > MAX_RADICAND_BITS:
+        raise ValueError(
+            f"a balance weight needs a power of {bits} bits "
+            f"(at most {MAX_RADICAND_BITS})"
+        )
+    radicand = B**a * S**c
+    root = []
+    for x in (radicand.numerator, radicand.denominator):
+        r = _floor_root(x, k)
+        if r**k != x:
+            return None
+        root.append(r)
+    return B**a_whole * S**c_whole * Fraction(*root)
+
+
+def _float_sum(n, e, classes):
+    """The rational class's exact sum plus, for every other class, its exact
+    sum times its representative's float weight."""
+    (_, _, rational), *others = classes
+    try:
+        total = float(rational) + sum(
+            float(x) * float(b) ** (n / 2) * float(s) ** float(e)
+            for b, s, x in others
+            if x
+        )
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("a balance group sum is beyond the float range")
+    return total
+
+
+def multi_point_balance(config):
     """Weighted balance sums over groups of equal drift exponents.
 
-    Each point contributes [n(n-2) / (c~ K)]^(n/2) * S^((n-3)(1+eta)) times
-    the exact pairing of its location with the gradient of its Taylor
-    polynomial at its drift vector; every group must sum to zero.  A term
-    stays an exact Fraction whenever its powers are exact (even n, unit scale
-    ratio) and is a float otherwise.  A group of exact terms passes only when
-    its sum == 0; any other group sum is a float compared at ``tol`` relative
-    to the largest term.
+    Each point contributes c_m * alpha_m: c_m is the exact pairing of its
+    location with the gradient of its Taylor polynomial at its drift vector,
+    and alpha_m = b_m^(n/2) * S_m^e with b_m = n(n-2) / (c~ K_m), S_m its
+    scale ratio and e = (n-3)(1+eta).  Every alpha has a rational q-th power,
+    and such positive reals are linearly independent over Q unless their
+    ratios are rational (Besicovitch 1940; Mordell 1953).  So the terms fall
+    into classes of rational ratio to a representative (the first, 1, holds
+    the rational alphas), each class sums c_m * alpha_m / alpha_rep exactly,
+    and a group passes when every class sum == 0; a passing group's float
+    ``sum`` reads 0.0.  Raises ValueError above ``MAX_ROOT_DEGREE`` or
+    ``MAX_RADICAND_BITS`` and for a sum beyond the float range.
     """
     n = config.n
     if n <= 6:
@@ -463,50 +562,47 @@ def multi_point_balance(config, tol=TOL_FLOAT):
     groups = {}
     for m, eta in enumerate(config.flex_exponents):
         groups.setdefault(eta, []).append(m)
+    # every group's root degree is capped before any pairing is computed
+    degrees = {eta: _root_degree(n, eta) for eta in groups}
 
     group_details = []
     worst = 0.0
-    all_pass = True
     for eta, members in sorted(groups.items()):
-        terms = []
+        e = (n - 3) * (1 + eta)
+        # [b, S, exact sum of c_m * alpha_m / alpha_rep] per class
+        classes = [[Fraction(1), Fraction(1), Fraction(0)]]
         for m in members:
             pairing = _pairing_at(config, m)
-            base = Fraction(n * (n - 2)) / (ctilde * config.k_values[m])
-            s_ratio = config.scale_ratios[m]
-            if n % 2 == 0 and s_ratio == 1:
-                terms.append(base ** (n // 2) * pairing)
+            if not pairing:
+                continue
+            b = Fraction(n * (n - 2)) / (ctilde * config.k_values[m])
+            s = config.scale_ratios[m]
+            for cls in classes:
+                ratio = _rational_power(b / cls[0], s / cls[1], n, e, degrees[eta])
+                if ratio is not None:
+                    cls[2] += pairing * ratio
+                    break
             else:
-                exponent = Fraction(n - 3) * (1 + eta)
-                weight = float(base) ** (n / 2.0) * float(s_ratio) ** float(exponent)
-                terms.append(weight * float(pairing))
-        if all(isinstance(t, Fraction) for t in terms):
-            exact_sum = sum(terms, Fraction(0))
-            total = float(exact_sum)
-            passed = exact = exact_sum == 0
-        else:
-            floats = [float(t) for t in terms]
-            total = sum(floats)
-            scale = max(abs(t) for t in floats)
-            passed = abs(total) <= tol * scale if scale else total == 0.0
-            exact = None
+                classes.append([b, s, pairing])
+        passed = all(cls[2] == 0 for cls in classes)
+        total = _float_sum(n, e, classes)
         worst = max(worst, abs(total))
-        all_pass = all_pass and passed
         group_details.append(
             {
                 "eta": rational_to_json(eta),
                 "members": members,
                 "sum": total,
-                "exact": exact,
+                "exact": passed,
                 "pass": passed,
             }
         )
 
-    # an exact zero overall only when every group is an exact zero
+    passed = all(g["pass"] for g in group_details)
     return ViolationReport(
         constraint="multi_point_balance",
         residual_float=worst,
-        residual_exact=Fraction(0) if all(g["exact"] for g in group_details) else None,
-        passed=all_pass,
+        residual_exact=Fraction(0) if passed else None,
+        passed=passed,
         details={"groups": group_details},
     )
 

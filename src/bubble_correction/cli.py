@@ -142,11 +142,8 @@ def cmd_integrate(args):
 
 
 def cmd_balance(args):
-    _require(
-        0 <= args.tol_float < math.inf, "tol-float", "finite and >= 0", args.tol_float
-    )
     config = balance_mod.BlowupConfiguration.from_json(_load_json(args.input))
-    report = balance_mod.multi_point_balance(config, tol=args.tol_float)
+    report = balance_mod.multi_point_balance(config)
     # equal exponents are handled by the grouped sums, so only interference
     # across distinct exponents counts against the verdict; the full
     # all-pairs report is still included for inspection
@@ -294,11 +291,6 @@ def build_parser():
     bal = sub.add_parser("balance", help="multi-point balance report")
     bal.add_argument("--input", required=True, help="configuration JSON")
     bal.add_argument("--output", required=True)
-    bal.add_argument(
-        "--tol-float", type=float, default=balance_mod.TOL_FLOAT,
-        help="relative tolerance for mixed float group sums (default 1e-10); "
-        "exact group sums must be == 0",
-    )
     bal.set_defaults(func=cmd_balance)
 
     scan = sub.add_parser(

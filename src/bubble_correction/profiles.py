@@ -333,7 +333,9 @@ def interpolation_R():
     def rtilde(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.linalg.norm(points, axis=1)
-        inner = a * r**3 + b * r**4 + c * r**5
+        # the quintic only inside the unit ball, so a far point cannot overflow
+        t = np.minimum(r, 1.0)
+        inner = a * t**3 + b * t**4 + c * t**5
         return np.where(r >= 1.0, r, inner)
 
     return rtilde

@@ -32,14 +32,15 @@ L(gamma) == P + R and L(F) == -R, where R = top * sum_k a_k (|y|^2)^k is the
 residue the completion F absorbs.  The first is checked by ``apply_L`` on the
 expanded gamma, the second in the one variable s = |y|^2 on F's weights, by a
 formula taken from L's definition; without a completion R is absent.  Source
-degrees are capped at ``MAX_ELL`` so that no input asks for unbounded work.
+degrees are capped at ``MAX_ELL``, and the monomials a solution can reach at
+``MAX_SOLUTION_TERMS``, so that no input asks for unbounded work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from .errors import (
     CharacteristicGuardError,
@@ -58,6 +59,7 @@ from .polynomials import (
 
 __all__ = [
     "MAX_ELL",
+    "MAX_SOLUTION_TERMS",
     "h_of",
     "a_multiplier",
     "characteristic_denominator",
@@ -80,10 +82,26 @@ __all__ = [
 # ell, so 100 bounds it at 1,275 cells (ell = 401 at n = 9 takes 1.2 s).
 MAX_ELL = 100
 
+# Largest number of monomials a solve may produce, counted from n and ell
+# before any work (``_solution_size``).  A dense source at n = 10, ell = 8
+# with a completion reaches 33,088 (its solve takes about 2 s); a source y_1^ell
+# at n = ell = 12 reaches 1.8 million (its obstruction report alone was 4.5 MB).
+MAX_SOLUTION_TERMS = 50_000
+
 
 def _check_degree(ell):
     if ell > MAX_ELL:
         raise ValueError(f"source degree must be <= {MAX_ELL} (got ell={ell})")
+
+
+def _solution_size(n, ell, allow_radial):
+    """The most monomials a solve of a degree-ell source in n variables can
+    produce: gamma and the residue have degree <= ell and ell's parity, and a
+    completion (even n) is a polynomial of degree <= n/2 in |y|^2."""
+    size = sum(comb(n - 1 + d, d) for d in range(ell % 2, ell + 1, 2))
+    if allow_radial and n % 2 == 0:
+        size += sum(comb(n - 1 + k, k) for k in range(1, n // 2 + 1))
+    return size
 
 
 def h_of(ell):
@@ -336,11 +354,17 @@ class CorrectionSolution:
         return cls(**fields)
 
 
-def _validated_source(poly):
+def _validated_source(poly, allow_radial=False):
     if poly.is_zero or not poly.is_homogeneous():
         raise UnsupportedCaseError("source must be a nonzero homogeneous polynomial")
     ell = poly.degree()
     _check_degree(ell)
+    size = _solution_size(poly.dimension, ell, allow_radial)
+    if size > MAX_SOLUTION_TERMS:
+        raise ValueError(
+            f"a solution in dimension {poly.dimension} of degree {ell} can reach "
+            f"{size} monomials (at most {MAX_SOLUTION_TERMS})"
+        )
     if ell < 2:
         raise UnsupportedCaseError(
             "degree-1 sources are outside the construction; see the kernel "
@@ -488,7 +512,7 @@ def _solve(poly, allow_radial):
     s = |y|^2 on F's weights (``_radial_L``).  Without a completion R is
     absent and the gate is L(gamma) == P.
     """
-    ell = _validated_source(poly)
+    ell = _validated_source(poly, allow_radial)
     n = poly.dimension
     chain = _laplacian_chain(poly, h_of(ell))
     h = len(chain) - 1

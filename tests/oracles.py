@@ -3,12 +3,14 @@ differences, a perturbed bubble for negative controls, a Monte Carlo
 estimator for the quadrature oracle, a second form of the profile
 correction, the Euler operator by products, L built by sympy and L built
 operator by operator, |y|^2-graded sums by Polynomial products, the probe
-constant of the admissible projection, and the power-cube formula the
-polynomial kernel must match."""
+constant of the admissible projection, the power-cube formula the
+polynomial kernel must match, and the multi-point balance sums at 300
+digits."""
 
 from fractions import Fraction
 from math import gamma, pi
 
+import mpmath
 import numpy as np
 import sympy
 
@@ -237,3 +239,39 @@ def monte_carlo_weighted_integral(poly, samples=10_000_000, seed=0, chunk=1_000_
     mean = total / drawn
     var = max(total_sq / drawn - mean * mean, 0.0)
     return mean, (var / drawn) ** 0.5
+
+
+# ------------------------------------------------------------ balance sums
+
+
+def balance_group_sum_mp(config, members, digits=300):
+    """sum_m c_m * b_m^(n/2) * S_m^e over ``members`` at ``digits`` digits,
+    with b_m = n(n-2) / (c~ K_m), e = (n-3)(1+eta) and c_m the pairing
+    <p_m, grad T_m>(v_m) taken monomial by monomial; returns the sum and the
+    largest |term|.  Shares no code with ``balance.multi_point_balance``."""
+    n = config.n
+    with mpmath.workdps(digits):
+
+        def mp(x):
+            x = Fraction(x)
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        eta = config.flex_exponents[members[0]]
+        e = mp((n - 3) * (1 + eta))
+        terms = []
+        for m in members:
+            point, v = config.points[m], config.flex_vectors[m]
+            pairing = Fraction(0)
+            for alpha, c in config.taylor_polys[m].terms.items():
+                for i, a in enumerate(alpha):
+                    if a and point[i]:
+                        term = c * a * point[i]
+                        for k, d in enumerate(alpha):
+                            term *= v[k] ** (d - (k == i))
+                        pairing += term
+            b = Fraction(4 * n * (n - 1)) / config.k_values[m]
+            terms.append(
+                mp(pairing) * mp(b) ** (mpmath.mpf(n) / 2)
+                * mp(config.scale_ratios[m]) ** e
+            )
+        return mpmath.fsum(terms), max((abs(t) for t in terms), default=0)

@@ -3,10 +3,16 @@ import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bubble_correction import balance as balance_module
 from bubble_correction.balance import (
+    MAX_RADICAND_BITS,
+    MAX_ROOT_DEGREE,
     BlowupConfiguration,
+    _floor_root,
     eta_admissible,
     flexibility_falsifier,
     gradient_lower_bound,
@@ -30,7 +36,7 @@ from bubble_correction.profiles import constant_curvature
 from bubble_correction.reduction import h_of, project_to_admissible
 
 from conftest import alternating_quartic, random_homogeneous
-from oracles import PerturbedProfile
+from oracles import PerturbedProfile, balance_group_sum_mp
 
 
 def var(n, i, p=1):
@@ -359,6 +365,228 @@ def test_configuration_stores_exact_fractions():
     values += sum(config.points + config.flex_vectors, ())
     assert all(type(x) is Fraction for x in values)
     assert multi_point_balance(config).passed
+
+
+# ------------------------------------------------------ exact balance verdict
+
+
+def line_config(n, eta, pairings, k_values, scale_ratios):
+    """The origin (zero Taylor polynomial) plus the points m * e_1 for
+    m = 1, 2, ..., each with drift e_1 and Taylor polynomial
+    c_m / (m (n - 2)) * y_1^(n-2), so that its pairing is exactly c_m."""
+    zero = (Fraction(0),) * n
+    e1 = (Fraction(1),) + zero[1:]
+    count = len(pairings)
+    return BlowupConfiguration(
+        n=n,
+        points=(zero,) + tuple((Fraction(m),) + zero[1:] for m in range(1, count + 1)),
+        k_values=(n * (n - 2), *k_values),
+        taylor_polys=(Polynomial.zero(n),) + tuple(
+            Fraction(c) / (m * (n - 2)) * var(n, 0, n - 2)
+            for m, c in enumerate(pairings, 1)
+        ),
+        flex_vectors=(zero,) + (e1,) * count,
+        flex_exponents=(eta,) * (count + 1),
+        scale_ratios=(1, *scale_ratios),
+    )
+
+
+def odd_mirror_config(n=7, scale=Fraction(1)):
+    """The origin plus a mirrored pair (p, -p) with one Taylor polynomial,
+    drift vector and curvature scale, as the balance bench builds them: the
+    pairings cancel, and for odd n every weight is a square root."""
+    p = (Fraction(3), Fraction(-1)) + (Fraction(0),) * (n - 2)
+    taylor = var(n, 0, n - 2) + Fraction(2, 3) * var(n, 0, n - 4) * var(n, 1, 2)
+    drift = (Fraction(1), Fraction(2)) + (Fraction(0),) * (n - 2)
+    return BlowupConfiguration(
+        n=n,
+        points=((Fraction(0),) * n, p, tuple(-x for x in p)),
+        k_values=(n * (n - 2), Fraction(5, 7), Fraction(5, 7) * scale),
+        taylor_polys=(Polynomial.zero(n), taylor, taylor),
+        flex_vectors=((Fraction(0),) * n, drift, drift),
+        flex_exponents=(Fraction(3, 7),) * 3,
+        scale_ratios=(1, 1, 1),
+    )
+
+
+def test_roadmap_perturbed_cases_fail():
+    # both passed the 1e-10 relative float check the exact verdict replaced
+    tiny = Fraction(1, 10**14)
+    assert multi_point_balance(odd_mirror_config()).passed
+    assert not multi_point_balance(odd_mirror_config(scale=1 + tiny)).passed
+    config = mirrored_pair_config()
+    even = dataclasses.replace(config, scale_ratios=(1, 2, 2))
+    assert multi_point_balance(even).passed
+    uneven = dataclasses.replace(config, scale_ratios=(1, 2, 2 + tiny))
+    report = multi_point_balance(uneven)
+    assert not report.passed
+    assert report.residual_exact is None
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_every_group_gets_an_exact_verdict(n):
+    for scale, passed in ((Fraction(1), True), (Fraction(2), False)):
+        report = multi_point_balance(odd_mirror_config(n, scale))
+        (group,) = report.details["groups"]
+        assert group["exact"] is group["pass"] is report.passed is passed
+        assert (report.residual_exact == 0) is passed
+        assert (group["sum"] == 0.0) is passed
+
+
+def test_classes_with_rational_ratios_cancel_separately():
+    # n = 7, unit scale ratios: alpha = b^(7/2), and b = 4n(n-1)/K = 168/K.
+    # K = 168 * {1, 4, 2, 8} puts the first two alphas in the rational class
+    # (1 and 1/128) and the last two in the class of 2^(-7/2) (ratio 1/128)
+    n = 7
+    k_values = [168, 168 * 4, 168 * 2, 168 * 8]
+    eta = Fraction(1, 3)
+    config = line_config(n, eta, [1, -128, 5, -640], k_values, [1] * 4)
+    report = multi_point_balance(config)
+    assert report.passed and report.residual_exact == 0
+    # moving weight between the two classes keeps the rational sum of all
+    # coefficients but breaks both class sums
+    config = line_config(n, eta, [2, -128, 4, -640], k_values, [1] * 4)
+    report = multi_point_balance(config)
+    assert not report.passed
+    total, _ = balance_group_sum_mp(config, list(range(5)))
+    assert report.residual_float == pytest.approx(abs(float(total)), rel=1e-12)
+
+
+# square-free curvature and scale seeds: terms of one seed have rational
+# weight ratios by construction, terms of different seeds mostly do not
+SEEDS = [(1, 1), (2, 1), (1, 3), (3, 2)]
+
+
+@st.composite
+def colliding_configs(draw):
+    n = draw(st.integers(7, 10))
+    eta = Fraction(draw(st.integers(-4, 12)), draw(st.integers(1, 7)))
+    e = (n - 3) * (1 + eta)
+    count = draw(st.integers(1, 6))
+    small = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+    seeds, k_values, ratios, weights, pairings = [], [], [], [], []
+    for _ in range(count):
+        seed = draw(st.integers(0, len(SEEDS) - 1))
+        t, w = draw(small), draw(small)
+        kappa, sigma = SEEDS[seed]
+        seeds.append(seed)
+        k_values.append(kappa * t**2)
+        ratios.append(sigma * w**e.denominator)
+        # alpha = A_seed * t^(-n) * w^(num e)
+        weights.append(t**-n * w**e.numerator)
+        pairings.append(Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))))
+    if draw(st.booleans()):
+        # the last term of each seed cancels the others of its seed
+        for seed in set(seeds):
+            members = [m for m in range(count) if seeds[m] == seed]
+            *rest, last = members
+            rest_sum = sum(pairings[m] * weights[m] for m in rest)
+            pairings[last] = -rest_sum / weights[last]
+        if draw(st.booleans()):
+            pairings[0] += Fraction(1, 10 ** draw(st.integers(1, 30)))
+    return line_config(n, eta, pairings, k_values, ratios)
+
+
+@given(colliding_configs())
+@settings(max_examples=80, deadline=None)
+def test_exact_verdict_matches_a_300_digit_sum(config):
+    report = multi_point_balance(config)
+    total, biggest = balance_group_sum_mp(config, list(range(len(config.points))))
+    assert report.passed == (abs(total) <= mpmath.mpf(10) ** -250 * biggest)
+
+
+def test_floor_root_on_powers_and_their_neighbours():
+    rng = random.Random(3)
+    for _ in range(400):
+        # roots of up to 48 bits start from a float, longer ones recurse
+        k = rng.choice([1, 2, 3, 7, 40, 997])
+        r = rng.getrandbits(rng.choice([1, 8, 48, 49, 20_000 // k])) or 1
+        for x in (r**k - 1, r**k, r**k + 1):
+            if x >= 1:
+                f = _floor_root(x, k)
+                assert f**k <= x < (f + 1) ** k
+
+
+def test_unit_ratios_need_only_square_roots(monkeypatch):
+    # odd n, unit scale ratios: whatever eta's denominator, the weights
+    # b^(n/2) reduce to square roots; eta = 1/4999 makes q = 9,998
+    degrees = []
+    real_root = balance_module._floor_root
+
+    def root(x, k):
+        degrees.append(k)
+        return real_root(x, k)
+
+    monkeypatch.setattr(balance_module, "_floor_root", root)
+    # b = 168 / K: the first two weights differ by (1/4)^(7/2) = 1/128
+    k = Fraction(2**31 - 1, 3)
+    k_values = [k, 4 * k, Fraction(5, 7), Fraction(5, 7)]
+    config = line_config(7, Fraction(1, 4999), [1, -128, 3, -3], k_values, [1] * 4)
+    assert multi_point_balance(config).passed
+    assert 2 in degrees and set(degrees) <= {1, 2}
+
+
+def refuse_roots(monkeypatch):
+    def root(x, k):
+        raise AssertionError("a root was taken before the caps were checked")
+
+    monkeypatch.setattr(balance_module, "_floor_root", root)
+
+
+def test_root_degree_cap_boundary(monkeypatch):
+    # n = 8: n/2 is whole and e = 5(1 + eta); eta = 1/50000 gives
+    # e = 50001/10000, eta = 1/10001 gives den(e) = 10001
+    n = 8
+    at_cap = line_config(n, Fraction(1, 50_000), [1, -1], [2, 2], [1, 1])
+    assert balance_module._root_degree(n, Fraction(1, 50_000)) == MAX_ROOT_DEGREE
+    assert multi_point_balance(at_cap).passed
+    above = line_config(n, Fraction(1, 10_001), [1, -1], [2, 2], [1, 1])
+    refuse_roots(monkeypatch)
+    message = r"degree 10001 in dimension 8 \(at most 10000\)"
+    with pytest.raises(ValueError, match=message):
+        multi_point_balance(above)
+
+
+def test_radicand_bits_cap_boundary(monkeypatch):
+    # n = 8, eta = -1/25: e = 24/5, q = 5, so S^e = S^4 * (S^4)^(1/5).  With
+    # K = 224 the curvature weight b is 1 and drops out, and S = 2^16383
+    # (16,384 bits) needs two powers of 4 * 16,384 = 65,536 bits
+    n = 8
+    eta = Fraction(-1, 25)
+    assert MAX_RADICAND_BITS == 4 * 16_384
+    at_cap = line_config(n, eta, [1, -1], [224, 224], [2**16383, 2**16383])
+    assert multi_point_balance(at_cap).passed
+    above = line_config(n, eta, [1, -1], [224, 224], [2**16384, 2**16384])
+    refuse_roots(monkeypatch)
+    with pytest.raises(ValueError, match=r"power of 65540 bits \(at most 65536\)"):
+        multi_point_balance(above)
+
+
+def test_non_positive_scale_ratios_are_refused():
+    for ratios in ((1, -2, -2), (1, 0, 0)):
+        with pytest.raises(ValueError, match="scale ratios must be positive"):
+            dataclasses.replace(mirrored_pair_config(), scale_ratios=ratios)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k_values", (48, Fraction(1, 10**400), Fraction(1, 10**400))),
+        ("scale_ratios", (1, 10**200, 10**200)),
+    ],
+    ids=["tiny-curvature-scales", "huge-scale-ratios"],
+)
+def test_group_sums_beyond_the_float_range(field, value):
+    # the verdict is exact either way; a zero sum reads 0.0, and a nonzero
+    # one that no float holds is refused
+    config = dataclasses.replace(mirrored_pair_config(), **{field: value})
+    report = multi_point_balance(config)
+    assert report.passed and report.residual_float == 0.0
+    bad = dataclasses.replace(
+        mirrored_pair_config(perturb=Fraction(1, 1000)), **{field: value}
+    )
+    with pytest.raises(ValueError, match="beyond the float range"):
+        multi_point_balance(bad)
 
 
 # -------------------------------------------------------------- balance law

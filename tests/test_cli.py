@@ -2,13 +2,14 @@ import json
 import math
 import os
 import stat
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from bubble_correction import cli
+from bubble_correction import cli, reduction
 from bubble_correction.polynomials import Polynomial
-from bubble_correction.reduction import MAX_ELL, solve_gamma
+from bubble_correction.reduction import MAX_ELL, MAX_SOLUTION_TERMS, solve_gamma
 
 from conftest import alternating_quartic, run_cli
 
@@ -238,10 +239,10 @@ def test_integrate_divergent_degree_exit_two(tmp_path):
     assert result.returncode == 2
 
 
-def balance_config_json():
+def balance_config_json(perturb=None):
     from test_balance import mirrored_pair_config
 
-    return mirrored_pair_config().to_json()
+    return mirrored_pair_config(perturb=perturb).to_json()
 
 
 def test_balance_mirrored_configuration_passes(tmp_path):
@@ -254,16 +255,52 @@ def test_balance_mirrored_configuration_passes(tmp_path):
     assert data["pass"] is True
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-def test_balance_rejects_out_of_range_tol_float(tmp_path, tol):
+TINY = {"num": "1", "den": "1" + "0" * 400}
+HUGE = {"num": "1" + "0" * 200, "den": "1"}
+# 13,953 bits: S^e at e = 5 + 5/13 needs powers of 5 * 13,953 bits
+VAST = {"num": "1" + "0" * 4200, "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "perturb, fields, message",
+    [
+        (None, {"scale_ratios": [1, -2, -2]}, "scale ratios must be positive"),
+        (
+            None,
+            {"scale_ratios": [1, 0, 0], "flex_exponents": [-2, -2, -2]},
+            "scale ratios must be positive",
+        ),
+        (Fraction(1, 1000), {"k_values": [48, TINY, TINY]}, "beyond the float range"),
+        (
+            Fraction(1, 1000),
+            {"scale_ratios": [1, HUGE, HUGE]},
+            "beyond the float range",
+        ),
+        (None, {"flex_exponents": [{"num": "1", "den": "10001"}] * 3}, "degree 10001"),
+        (
+            None,
+            {"scale_ratios": [1, VAST, VAST]},
+            "balance weight needs a power of",
+        ),
+    ],
+    ids=[
+        "negative-ratios", "zero-ratios-negative-eta", "tiny-curvature-scales",
+        "huge-scale-ratios", "root-degree-cap", "radicand-bits-cap",
+    ],
+)
+def test_balance_refuses_inputs_it_cannot_report(
+    tmp_path, capsys, perturb, fields, message
+):
+    # the first two crashed with a TypeError and a ZeroDivisionError, the
+    # next two with an OverflowError from the float sum
+    config = balance_config_json(perturb)
+    config.update(fields)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(balance_config_json()))
+    path.write_text(json.dumps(config))
     out = tmp_path / "report.json"
-    result = run_cli(
-        ["balance", "--input", str(path), "--output", str(out), "--tol-float", tol],
-        tmp_path,
-    )
-    assert_input_error(result)
+    assert cli.main(["balance", "--input", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err, err
     assert not out.exists()
 
 
@@ -458,8 +495,9 @@ def test_directory_paths_exit_one(tmp_path, args):
         ["table", "--n", "x", "--ell", "2", "--output", "t.json"],
         ["solve", "--output", "o.json"],
         ["balance", "--input", "c.json", "--output", "o.json", "--tol-exact", "0"],
+        ["balance", "--input", "c.json", "--output", "o.json", "--tol-float", "1e-10"],
     ],
-    ids=["non-integer-n", "missing-input", "removed-tol-exact"],
+    ids=["non-integer-n", "missing-input", "removed-tol-exact", "removed-tol-float"],
 )
 def test_usage_errors_exit_one(tmp_path, args):
     result = run_cli(args, tmp_path)
@@ -704,6 +742,26 @@ def test_profile_refuses_non_finite_values(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_profile_with_a_tiny_lam_runs_clean(tmp_path, capsys):
+    # the splice's quintic is evaluated only inside its radius: at lam =
+    # 1e-100 every |Y| is about 1e100, which overflowed r^5 in the quintic
+    # the splice then discarded
+    spec = profile_spec_json()
+    spec["lam"] = 1e-100
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "profile.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_sampling(
+            capsys, ["profile", "--input", str(path), "--samples", "5"], out
+        )
+    assert code == 0 and err == "", err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+
+
 def test_source_degree_cap_is_an_input_error(tmp_path):
     at_cap = run_cli(
         ["table", "--n", "9", "--ell", str(MAX_ELL), "--output", "t.json"], tmp_path
@@ -722,6 +780,43 @@ def test_source_degree_cap_is_an_input_error(tmp_path):
         assert_input_error(result)
         assert f"source degree must be <= {MAX_ELL}" in result.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
+def test_solution_size_cap_refuses_before_any_work(tmp_path, capsys, monkeypatch):
+    # n = 11, ell = 8 is the first (n, 8) above the cap: 52,834 monomials
+    path = tmp_path / "p.json"
+    write_poly(path, Polynomial.variable(11, 0, 8))
+    out = tmp_path / "s.json"
+    with monkeypatch.context() as patch:
+
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the cap was checked")
+
+        patch.setattr(reduction, "_laplacian_chain", work)
+        for flags in ([], ["--allow-radial"]):
+            argv = ["solve", *flags, "--input", str(path), "--output", str(out)]
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith(
+                "input error: a solution in dimension 11 of degree 8 can reach "
+                f"52834 monomials (at most {MAX_SOLUTION_TERMS})"
+            ), err
+            assert not out.exists()
+    # at the cap, lowered to the count of a small source: 1 + 36 + 330 = 367
+    # monomials of degree 0, 2 and 4 in 8 variables, plus 8 + 36 + 120 + 330
+    # for a completion of degree <= 4 in |y|^2
+    path = tmp_path / "q.json"
+    write_poly(path, Fraction(-1) * alternating_quartic(8))
+    for flags, size in (([], 367), (["--allow-radial"], 367 + 494)):
+        argv = ["solve", *flags, "--input", str(path), "--output", str(out)]
+        monkeypatch.setattr(reduction, "MAX_SOLUTION_TERMS", size - 1)
+        assert cli.main(argv) == 1
+        assert f"can reach {size} monomials" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(reduction, "MAX_SOLUTION_TERMS", size)
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        out.unlink()
 
 
 # A child that runs one command in-process, then fails unless numpy's core

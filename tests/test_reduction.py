@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -456,6 +457,23 @@ def test_radial_completion_solves_arbitrary_weights_in_dimension_12(rng):
         completions = completions + radial_completion(n, ell, weights)
         target = target + negated_radial(n, weights)
     assert apply_L(completions) == target
+
+
+def test_solution_size_is_reached_by_a_dense_source():
+    # every monomial of degree 4 in 6 variables: gamma fills degrees 2 and 4
+    # (21 + 126 of the 148 counted, the constant never occurs) and the
+    # completion every power of |y|^2 up to the third (6 + 21 + 56)
+    n, ell = 6, 4
+    rng = random.Random(4)
+    terms = {}
+    for alpha in itertools.product(range(ell + 1), repeat=n):
+        if sum(alpha) == ell:
+            num = rng.choice([-1, 1]) * rng.randint(1, 9)
+            terms[alpha] = Fraction(num, rng.randint(1, 9))
+    solution = solve_general(Polynomial(n, terms))
+    assert reduction._solution_size(n, ell, True) == 148 + 83
+    assert len(solution.gamma.terms) == 147
+    assert len(solution.radial_completion.terms) == 83
 
 
 # ----------------------------------------------------------------- projector
