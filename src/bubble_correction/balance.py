@@ -17,6 +17,7 @@ quadrature-backed balance law (default 1e-4 relative).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +44,7 @@ from .polynomials import (
 __all__ = [
     "MAX_ROOT_DEGREE",
     "MAX_RADICAND_BITS",
+    "MAX_GROUP_BITS",
     "ViolationReport",
     "BlowupConfiguration",
     "gradient_lower_bound",
@@ -65,6 +67,17 @@ TOL_QUAD = 1e-4
 # takes under 10 ms.
 MAX_ROOT_DEGREE = 10_000
 MAX_RADICAND_BITS = 65_536
+# Cap on the bits a group's terms carry, checked for every group before any
+# pairing or root.  A member counts the bit length of each value it brings
+# times the power its term raises it to: b to n/2, S to |e|, its largest
+# drift entry to n - 3, its location and Taylor coefficients to 1.  A class
+# sum adds Fractions whose denominators multiply, so its time grows with the
+# square of this count: at n = 8, 9 points of 14,000-bit curvature scales
+# (504,502 bits) take 0.4 s, 16 of them (896,000 bits) took 1.4 s and 64 of
+# them 24 s.
+MAX_GROUP_BITS = 524_288
+# How many primes p = 1 (mod k) the k-th power pre-test of a ratio tries
+_RESIDUE_PRIMES = 8
 
 
 @dataclass(frozen=True)
@@ -493,12 +506,32 @@ def _floor_root(x, k):
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def _residue_primes(k):
+    """The first ``_RESIDUE_PRIMES`` primes p = 1 (mod k), found by trial
+    division."""
+    primes = []
+    p = 1
+    while len(primes) < _RESIDUE_PRIMES:
+        p += k
+        if p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+    return tuple(primes)
+
+
+def _may_be_power(x, k):
+    """False when x is surely not a k-th power: for a prime p = 1 (mod k),
+    a k-th power's x^((p - 1)/k) mod p is 0 or 1.  True proves nothing."""
+    return all(pow(x % p, (p - 1) // k, p) <= 1 for p in _residue_primes(k))
+
+
 def _rational_power(B, S, n, e, q):
     """B^(n/2) * S^e as a Fraction when it is rational, else None, for positive
     Fractions B, S and the group's e and q: the q-th root of B^a S^c, a = qn/2,
     c = qe.  The whole powers come out exactly, a unit base drops out, the
     exponents left mod q and q are divided by their gcd k, and the rest is
-    rational when its numerator and denominator have integer k-th roots."""
+    rational when its numerator and denominator have integer k-th roots.  A
+    residue test mod a few primes rejects most radicands before any root."""
     a = q * n // 2 if B != 1 else 0
     c = int(q * e) if S != 1 else 0
     (a_whole, a), (c_whole, c) = divmod(a, q), divmod(c, q)
@@ -513,13 +546,29 @@ def _rational_power(B, S, n, e, q):
             f"(at most {MAX_RADICAND_BITS})"
         )
     radicand = B**a * S**c
+    parts = (radicand.numerator, radicand.denominator)
+    if k > 1 and not all(_may_be_power(x, k) for x in parts):
+        return None
     root = []
-    for x in (radicand.numerator, radicand.denominator):
+    for x in parts:
         r = _floor_root(x, k)
         if r**k != x:
             return None
         root.append(r)
     return B**a_whole * S**c_whole * Fraction(*root)
+
+
+def _group_bits(config, members, bases, e):
+    """The bits a group's terms carry, counted as ``MAX_GROUP_BITS`` says."""
+    n = config.n
+    total = 0
+    for m in members:
+        total += math.ceil(n / 2) * _bits(bases[m])
+        total += math.ceil(abs(e)) * _bits(config.scale_ratios[m])
+        total += (n - 3) * max(map(_bits, config.flex_vectors[m]))
+        total += sum(map(_bits, config.points[m]))
+        total += sum(map(_bits, config.taylor_polys[m].terms.values()))
+    return total
 
 
 def _float_sum(n, e, classes):
@@ -551,19 +600,29 @@ def multi_point_balance(config):
     into classes of rational ratio to a representative (the first, 1, holds
     the rational alphas), each class sums c_m * alpha_m / alpha_rep exactly,
     and a group passes when every class sum == 0; a passing group's float
-    ``sum`` reads 0.0.  Raises ValueError above ``MAX_ROOT_DEGREE`` or
-    ``MAX_RADICAND_BITS`` and for a sum beyond the float range.
+    ``sum`` reads 0.0.  Raises ValueError above ``MAX_ROOT_DEGREE``,
+    ``MAX_GROUP_BITS`` or ``MAX_RADICAND_BITS`` and for a sum beyond the
+    float range.
     """
     n = config.n
     if n <= 6:
         raise UnsupportedCaseError("balance sums need dimension > 6")
     ctilde = Fraction(n - 2, 4 * (n - 1))
+    bases = [Fraction(n * (n - 2)) / (ctilde * k) for k in config.k_values]
 
     groups = {}
     for m, eta in enumerate(config.flex_exponents):
         groups.setdefault(eta, []).append(m)
-    # every group's root degree is capped before any pairing is computed
+    # every group's root degree and bits are capped before any pairing is
+    # computed
     degrees = {eta: _root_degree(n, eta) for eta in groups}
+    for eta, members in sorted(groups.items()):
+        bits = _group_bits(config, members, bases, (n - 3) * (1 + eta))
+        if bits > MAX_GROUP_BITS:
+            raise ValueError(
+                f"the balance group of drift exponent {eta} carries {bits} "
+                f"bits (at most {MAX_GROUP_BITS})"
+            )
 
     group_details = []
     worst = 0.0
@@ -575,8 +634,7 @@ def multi_point_balance(config):
             pairing = _pairing_at(config, m)
             if not pairing:
                 continue
-            b = Fraction(n * (n - 2)) / (ctilde * config.k_values[m])
-            s = config.scale_ratios[m]
+            b, s = bases[m], config.scale_ratios[m]
             for cls in classes:
                 ratio = _rational_power(b / cls[0], s / cls[1], n, e, degrees[eta])
                 if ratio is not None:

@@ -37,22 +37,27 @@ GREEN_MAX_N = 11
 
 # Work caps of the sampling commands, checked before any work.  ``profile``
 # writes one CSV row per sample.  ``kernels.eval_poly`` holds about
-# 2 * samples * terms * 8 bytes for a polynomial of ``terms`` terms, so
-# samples x terms (the solution's for ``residual-scan``, gamma's for
-# ``profile``) is capped too: 4e6 is about 64 MB per evaluation.
+# samples * terms * 8 bytes plus a 1 MiB scratch for a polynomial of ``terms``
+# terms, so samples x terms (the solution's for ``residual-scan``, gamma's for
+# ``profile``) is capped too: 4e6 is near 32 MB per evaluation.
 MAX_SAMPLES = 100_000
 MAX_SAMPLE_TERMS = 4_000_000
 # ``profile`` samples xi + scale * N(0, I); 1e6 is far beyond the bubble and
 # its harmonic sources, and a huge scale overflows (1e308 gave inf rows)
 MAX_PROFILE_SCALE = 1e6
+# ``profile`` formats and writes its CSV this many rows at a time
+_CSV_BLOCK_ROWS = 1_000
 
 
-def _write_atomic(path, text):
+def _write_atomic(path, chunks):
+    """Write the text chunks to a temporary file beside ``path`` and move it
+    into place; on any failure, one raised while the chunks are produced
+    included, neither file is left."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         # mkstemp creates 0600; give the artifact the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -64,7 +69,16 @@ def _write_atomic(path, text):
 
 
 def _dump_json(path, payload):
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+
+
+def _csv_chunks(header, rows):
+    """The header line, then the rows' lines a block at a time; each value is
+    the ``repr`` of its Python float."""
+    yield ",".join(header) + "\n"
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS].tolist()
+        yield "".join(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def _require(ok, flag, rule, value):
@@ -237,10 +251,7 @@ def cmd_profile(args):
         raise ValueError(
             f"profile values are not finite at --scale {args.scale!r} for this spec"
         )
-    text_rows = [",".join(header)]
-    for row in rows:
-        text_rows.append(",".join(repr(float(x)) for x in row))
-    _write_atomic(args.output, "\n".join(text_rows) + "\n")
+    _write_atomic(args.output, _csv_chunks(header, rows))
     return EXIT_OK
 
 

@@ -10,17 +10,21 @@ float sampling is vectorized.
 
 ``eval_poly`` on m points, t terms and n variables works from per-variable
 power tables: for each variable i it raises column i to the distinct
-exponents that occur in it (always including 0), once, and gathers the
-(m, t) factor matrix from that table.  The factors are multiplied into one
+exponents that occur in it (always including 0) and gathers the factors of
+every term from that table.  The factors are multiplied into one
 C-contiguous (m, t) monomial matrix in variable order 0..n-1, variables whose
 exponents are all 0 are skipped, and a single matvec over all m rows
-finishes.  Memory is about two (m, t) float64 matrices, 2 * m * t * 8 bytes,
-never an (m, t, n) cube.  The result is bit-identical to the cube formula
+finishes.  The matrix is filled in blocks of rows, so the factor scratch is
+(rows, t) with rows = max(1, 2**20 // (8 * t)), about 1 MiB, and stays in
+cache; each variable's exponent table and gather index are built once, for
+all blocks.  Memory is about m * t * 8 bytes plus that 1 MiB scratch, never
+an (m, t, n) cube.  The result is bit-identical to the cube formula
 ``(points[:, None, :] ** exps[None]).prod(axis=2) @ coeffs`` on C-contiguous
 points: every power is the same ``pow``, the product runs in the same order,
 and multiplying by 1.0 (the start value, and x**0) is exact.  Keep it so:
 numpy's one-entry ``x ** [2]`` fast path rounds differently from ``pow``,
-and a matvec split over row chunks changes the last bits.
+and a matvec split over row blocks changes the last bits, which is why the
+monomial matrix is whole when the matvec runs.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ __all__ = [
     "tail_values",
     "poly_arrays",
 ]
+
+# size of ``eval_poly``'s factor scratch: one block of rows of the monomial
+# matrix
+_SCRATCH_BYTES = 2**20
 
 
 def poly_arrays(poly):
@@ -51,15 +59,14 @@ def poly_arrays(poly):
 
 def eval_poly(points, exps, coeffs):
     """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i] from
-    per-variable power tables (layout and bit-identity rule: module
+    per-variable power tables (layout, memory and bit-identity rule: module
     docstring)."""
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
     t = coeffs.size
     if t == 0:
         return np.zeros(m)
-    mono = np.ones((m, t))
-    factor = np.empty((m, t))
+    tables = []
     for i in range(exps.shape[1]):
         column = exps[:, i]
         if not column.any():
@@ -67,10 +74,18 @@ def eval_poly(points, exps, coeffs):
         # 0 is always in the table: a one-entry exponent vector [2] would
         # take numpy's x*x fast path, which need not round like pow(x, 2)
         used = np.union1d(0, column)
-        table = points[:, i : i + 1] ** used
-        # mode="clip" skips the bounds buffer; every index is in range
-        np.take(table, np.searchsorted(used, column), axis=1, out=factor, mode="clip")
-        mono *= factor
+        tables.append((i, used, np.searchsorted(used, column)))
+    mono = np.ones((m, t))
+    rows = max(1, _SCRATCH_BYTES // (8 * t))
+    factor = np.empty((min(rows, m), t))
+    for start in range(0, m, rows):
+        block = mono[start : start + rows]
+        scratch = factor[: block.shape[0]]
+        for i, used, index in tables:
+            table = points[start : start + rows, i : i + 1] ** used
+            # mode="clip" skips the bounds buffer; every index is in range
+            np.take(table, index, axis=1, out=scratch, mode="clip")
+            block *= scratch
     return mono @ coeffs
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DimensionMismatchError, ExactnessError
 
@@ -323,15 +323,30 @@ def partial_derivative(poly, index):
     return Polynomial._of(poly.dimension, terms)
 
 
+def _unscaled(n, sums, scale):
+    """The polynomial sum_alpha (sums[alpha] / scale) y^alpha, for integer
+    ``sums`` of coefficients scaled by ``scale``."""
+    return Polynomial._of(
+        n, {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
+    )
+
+
 def laplacian(poly):
-    """Sum of second partials over all variables."""
-    terms = {}
-    for alpha, coeff in poly.terms.items():
+    """Sum of second partials over all variables, in one integer pass.
+
+    The coefficients are scaled by D, the lcm of their denominators; a term
+    c y^alpha adds a_i(a_i - 1)c at alpha - 2e_i, and each nonzero sum is
+    divided by D once at the end."""
+    scale = lcm(*(c.denominator for c in poly.terms.values()))
+    sums = {}
+    get = sums.get
+    for alpha, c in poly.terms.items():
+        c = c.numerator * (scale // c.denominator)
         for i, a in enumerate(alpha):
             if a >= 2:
                 key = alpha[:i] + (a - 2,) + alpha[i + 1 :]
-                _accumulate(terms, key, coeff * a * (a - 1))
-    return Polynomial._of(poly.dimension, terms)
+                sums[key] = get(key, 0) + a * (a - 1) * c
+    return _unscaled(poly.dimension, sums, scale)
 
 
 def iterated_laplacian(poly, count):

@@ -49,6 +49,7 @@ from .errors import (
 )
 from .polynomials import (
     Polynomial,
+    _unscaled,
     as_coefficient,
     iterated_laplacian,
     json_int,
@@ -407,13 +408,6 @@ def _radial_sum(n, blocks):
             grown[alpha] = get(alpha, 0) + c.numerator * (scale // c.denominator)
         sums = grown
     return _unscaled(n, sums, scale)
-
-
-def _unscaled(n, sums, scale):
-    """The polynomial sum_alpha (sums[alpha] / scale) y^alpha."""
-    return Polynomial._of(
-        n, {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
-    )
 
 
 def _radial_residue(top, table):

@@ -1,5 +1,6 @@
 """Shared generators and fixtures for the test suite."""
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -33,6 +34,15 @@ def run_cli(args, cwd, launcher=("-m", "bubble_correction.cli")):
         cwd=cwd,
         env=env,
     )
+
+
+def load_bench_inputs():
+    """The benchmark's request generator, ``perfbench/inputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_homogeneous(rng, n, ell, max_terms=4, coeff_bound=5):

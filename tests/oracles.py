@@ -154,6 +154,15 @@ def sympy_apply_L(poly):
     )
 
 
+def laplacian_by_partials(poly):
+    """sum_i d^2(poly)/d(y_i)^2 by Fraction arithmetic, one exact Polynomial
+    sum per variable: the Laplacian before its integer pass."""
+    out = Polynomial.zero(poly.dimension)
+    for i in range(poly.dimension):
+        out = out + partial_derivative(partial_derivative(poly, i), i)
+    return out
+
+
 def apply_L_by_operators(poly):
     """L(G) = (1 + |y|^2) lap(G) - 2n (y . grad G) + 2n G assembled from the
     package's Laplacian and Euler operator with Polynomial arithmetic: the

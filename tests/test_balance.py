@@ -1,14 +1,17 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from bubble_correction import balance as balance_module
 from bubble_correction.balance import (
+    MAX_GROUP_BITS,
     MAX_RADICAND_BITS,
     MAX_ROOT_DEGREE,
     BlowupConfiguration,
@@ -35,7 +38,7 @@ from bubble_correction.profiles import (
 from bubble_correction.profiles import constant_curvature
 from bubble_correction.reduction import h_of, project_to_admissible
 
-from conftest import alternating_quartic, random_homogeneous
+from conftest import alternating_quartic, load_bench_inputs, random_homogeneous
 from oracles import PerturbedProfile, balance_group_sum_mp
 
 
@@ -560,6 +563,111 @@ def test_radicand_bits_cap_boundary(monkeypatch):
     refuse_roots(monkeypatch)
     with pytest.raises(ValueError, match=r"power of 65540 bits \(at most 65536\)"):
         multi_point_balance(above)
+
+
+def refuse_pairings(monkeypatch):
+    def pairing(config, m):
+        raise AssertionError("a pairing was computed before the caps were checked")
+
+    monkeypatch.setattr(balance_module, "_pairing_at", pairing)
+
+
+def group_bits(config):
+    """The bits ``multi_point_balance`` counts for a one-group configuration,
+    read from its refusal under a zero cap."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(balance_module, "MAX_GROUP_BITS", 0)
+        with pytest.raises(ValueError, match="carries") as caught:
+            multi_point_balance(config)
+    return int(re.search(r"carries (\d+) bits", str(caught.value)).group(1))
+
+
+def test_group_bits_cap_boundary(monkeypatch):
+    config = line_config(8, Fraction(1, 3), [3, -3], [Fraction(7, 5)] * 2, [2, 2])
+    bits = group_bits(config)
+    monkeypatch.setattr(balance_module, "MAX_GROUP_BITS", bits)
+    assert multi_point_balance(config).passed
+    monkeypatch.setattr(balance_module, "MAX_GROUP_BITS", bits - 1)
+    refuse_roots(monkeypatch)
+    refuse_pairings(monkeypatch)
+    with pytest.raises(ValueError, match=rf"carries {bits} bits \(at most {bits - 1}\)"):
+        multi_point_balance(config)
+
+
+def test_group_bits_cap_refuses_a_large_group_before_any_work(monkeypatch):
+    # n = 8: each 14,000-bit curvature scale counts about 4 * 14,000 bits,
+    # and ten of them are over the cap (sixteen took 1.4 s, sixty-four 24 s)
+    rnd = random.Random(8)
+    k_values = [
+        Fraction(rnd.getrandbits(14_000) | 1, rnd.getrandbits(14_000) | 1)
+        for _ in range(10)
+    ]
+    config = line_config(8, Fraction(1, 3), [1] * 10, k_values, [1] * 10)
+    refuse_roots(monkeypatch)
+    refuse_pairings(monkeypatch)
+    with pytest.raises(ValueError, match=f"at most {MAX_GROUP_BITS}"):
+        multi_point_balance(config)
+
+
+def test_group_bits_of_bench_and_test_inputs_sit_far_below_the_cap(monkeypatch):
+    # the largest balance configuration of this suite, and every balance
+    # request of three light-cli rounds for seeds 1-3, run under a fraction
+    # of the cap
+    largest = line_config(
+        8, Fraction(-1, 25), [1, -1], [224, 224], [2**16383, 2**16383]
+    )
+    monkeypatch.setattr(balance_module, "MAX_GROUP_BITS", MAX_GROUP_BITS // 3)
+    assert multi_point_balance(largest).passed
+    monkeypatch.setattr(balance_module, "MAX_GROUP_BITS", MAX_GROUP_BITS // 500)
+    inputs = load_bench_inputs()
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for request in (r for i in range(3) for r in inputs.light_round(rng, f"r{i}")):
+            if request["kind"] == "balance":
+                (data,) = request["files"].values()
+                report = multi_point_balance(BlowupConfiguration.from_json(data))
+                assert report.passed == request["passes"]
+
+
+def test_residue_primes_are_one_mod_k():
+    for k in (2, 3, 7, 24, MAX_ROOT_DEGREE):
+        primes = balance_module._residue_primes(k)
+        assert len(primes) == balance_module._RESIDUE_PRIMES
+        for p in primes:
+            assert p % k == 1 and sympy.isprime(p)
+
+
+def test_residue_pretest_keeps_every_verdict(monkeypatch):
+    # the same ratios with the pre-test and with Newton's root alone: the
+    # pre-test may only reject, and here it spares most roots
+    rnd = random.Random(12)
+    cases = []
+    for _ in range(400):
+        n = rnd.randint(7, 12)
+        eta = Fraction(rnd.randint(-4, 30), rnd.randint(1, 12))
+        q = balance_module._root_degree(n, eta)
+
+        def base():
+            x = Fraction(rnd.randint(1, 10**6), rnd.randint(1, 10**6))
+            return x ** rnd.choice([1, 2, 3, q, 2 * q]) * rnd.choice([1, 1, 2, 3])
+
+        cases.append((base(), base(), n, (n - 3) * (1 + eta), q))
+    roots = []
+    real_root = balance_module._floor_root
+
+    def root(x, k):
+        roots.append(k)
+        return real_root(x, k)
+
+    monkeypatch.setattr(balance_module, "_floor_root", root)
+    tested = [balance_module._rational_power(*case) for case in cases]
+    pretested_roots = len(roots)
+    monkeypatch.setattr(balance_module, "_residue_primes", lambda k: ())
+    roots.clear()
+    assert [balance_module._rational_power(*case) for case in cases] == tested
+    assert pretested_roots < len(roots) / 2
+    rational = sum(ratio is not None for ratio in tested)
+    assert 0 < rational < len(cases)
 
 
 def test_non_positive_scale_ratios_are_refused():

@@ -5,6 +5,7 @@ import stat
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bubble_correction import cli, reduction
@@ -419,6 +420,52 @@ def test_profile_csv_schema(tmp_path):
     assert len(lines) == 21
     row = [float(x) for x in lines[1].split(",")]
     assert row[-1] == pytest.approx(sum(row[-4:-1]), rel=1e-12)
+
+
+def test_profile_csv_is_streamed_byte_for_byte(tmp_path, capsys):
+    # 2,345 rows: two whole blocks of rows and a partial one
+    from bubble_correction import profiles
+
+    data = profile_spec_json()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "profile.csv"
+    samples, seed, scale = 2_345, 7, 0.5
+    assert samples % cli._CSV_BLOCK_ROWS and samples > 2 * cli._CSV_BLOCK_ROWS
+    code = cli.main(["profile", "--input", str(path), "--samples", str(samples),
+                     "--seed", str(seed), "--output", str(out)])
+    assert code == 0, capsys.readouterr().err
+    spec = profiles.RefinedProfileSpec.from_json(data)
+    rng = np.random.default_rng(seed)
+    points = np.asarray(spec.xi, float)[None, :] + scale * rng.standard_normal(
+        (samples, spec.n))
+    columns = profiles.refined_profile(spec).components(points)
+    header = [f"y{i + 1}" for i in range(spec.n)] + [
+        "bubble", "correction", "harmonic_group", "total"]
+    lines = [",".join(header)] + [
+        ",".join(repr(float(x)) for x in row)
+        for row in np.column_stack([points, columns])
+    ]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_profile_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(profile_spec_json()))
+    chunks = cli._csv_chunks
+
+    def failing(header, rows):
+        for i, chunk in enumerate(chunks(header, rows)):
+            if i == 2:
+                raise RuntimeError("stream broken")
+            yield chunk
+
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 10)
+    monkeypatch.setattr(cli, "_csv_chunks", failing)
+    with pytest.raises(RuntimeError, match="stream broken"):
+        cli.main(["profile", "--input", str(path), "--samples", "50",
+                  "--output", str(tmp_path / "profile.csv")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 @pytest.mark.parametrize(

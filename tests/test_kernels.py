@@ -100,3 +100,48 @@ def test_eval_poly_matches_power_cube_on_many_rows():
     exps = rng.integers(0, 6, (40, 8))
     points = rng.standard_normal((25_000, 8))
     assert_matches_cube(points, exps, rng.standard_normal(40))
+
+
+def block_rows(t):
+    """Rows of the monomial matrix that ``eval_poly`` fills per block."""
+    return max(1, kernels._SCRATCH_BYTES // (8 * t))
+
+
+@pytest.mark.parametrize(
+    "t, m",
+    [
+        (40_000, 10),  # blocks of 3 rows, and a last block of 1
+        (40_000, 2),  # less than one block
+        (40_000, 1),
+        (300, 2 * block_rows(300) + 17),  # m not a multiple of the block
+        (300, block_rows(300)),  # exactly one block
+        (1, 5),
+    ],
+)
+def test_eval_poly_matches_power_cube_across_row_blocks(t, m):
+    rng = np.random.default_rng(24)
+    n = 4
+    exps = rng.integers(0, 7, (t, n))
+    points = 2.0 * rng.standard_normal((m, n))
+    assert_matches_cube(points, exps, rng.standard_normal(t))
+
+
+def test_eval_poly_peak_memory_is_one_monomial_matrix():
+    import tracemalloc
+
+    rng = np.random.default_rng(25)
+    m, t, n = 20_000, 200, 6
+    exps = rng.integers(0, 7, (t, n))
+    points = rng.standard_normal((m, n))
+    coeffs = rng.standard_normal(t)
+    tracemalloc.start()
+    try:
+        kernels.eval_poly(points, exps, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the slack covers the (m,) result, the per-variable gather indexes and
+    # exponent tables and numpy's bookkeeping; a second (m, t) matrix would
+    # add 32 MB
+    slack = 8 * m + 8 * t * n + 256 * 1024
+    assert peak <= m * t * 8 + kernels._SCRATCH_BYTES + slack

@@ -162,6 +162,22 @@ def test_laplacian_of_mixed_monomial_vanishes():
     assert laplacian(var(3, 0) * var(3, 1)).is_zero
 
 
+@given(polynomials(max_n=6, max_degree=8))
+@settings(max_examples=200, deadline=None)
+def test_laplacian_matches_second_partials(p):
+    assert laplacian(p) == oracles.laplacian_by_partials(p)
+
+
+def test_laplacian_matches_second_partials_on_mixed_denominators(rng):
+    # dense polynomials whose denominators share some factors and not others
+    for n in (3, 6, 10):
+        p = Polynomial.zero(n)
+        for _ in range(6):
+            q = random_homogeneous(rng, n, rng.randint(2, 8), max_terms=40)
+            p = p + q * Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 10**12))
+        assert laplacian(p) == oracles.laplacian_by_partials(p)
+
+
 def test_iterated_laplacian_examples():
     p = var(3, 0, 2) * var(3, 1, 2)
     assert iterated_laplacian(p, 2) == Polynomial.constant(3, 8)

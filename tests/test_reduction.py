@@ -1,9 +1,7 @@
 import dataclasses
-import importlib.util
 import itertools
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,7 +35,7 @@ from bubble_correction.reduction import (
 )
 
 import oracles
-from conftest import harmonic_homogeneous, random_homogeneous
+from conftest import harmonic_homogeneous, load_bench_inputs, random_homogeneous
 
 
 def var(n, i, p=1):
@@ -648,14 +646,6 @@ def test_radial_sum_matches_products(n, rnd):
             blocks.append(random_homogeneous(rnd, n, rnd.randint(1, 4)) * Fraction(
                 1, rnd.randint(1, 9)))
     assert reduction._radial_sum(n, blocks) == oracles.radial_sum_by_products(n, blocks)
-
-
-def load_bench_inputs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
