@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 TOL_QUAD = 1e-4
+# the balance law's flux side: latitude circles around an off-center
+# profile's axis, or else the ball's own 4,096 seed-0 sphere nodes
+BALANCE_ANGULAR_NODES = 512
 
 # Caps on the exact balance verdict's work, checked before any power is built
 # or any root taken (see ``multi_point_balance``): the degree q of the roots a
@@ -257,14 +260,10 @@ def parity_certificate(poly):
         if len(active) != 1 or alpha[active[0]] != ell:
             return False
         seen.add(active[0])
-    if seen != set(range(n)):
-        return False
-    # positivity of the even series: every coefficient is a binomial times a
-    # strictly positive even moment, checked exactly
-    for m in range(0, ell - 1, 2):
-        if j_multiple(Polynomial.variable(n, 0, m) if m else Polynomial.constant(n, 1)) <= 0:
-            return False
-    return True
+    # the even series is positive with no check: its coefficients are
+    # binomials times the even moments j_multiple(y_1^m), and for even m
+    # that is double_factorial_minus2(m) >= 1
+    return seen == set(range(n))
 
 
 @dataclass(frozen=True)
@@ -668,16 +667,7 @@ def multi_point_balance(config):
 # ----------------------------------------------------------------- balance law
 
 
-def pohozaev_volume_vs_surface(
-    profile,
-    curvature,
-    rho,
-    radial_nodes=128,
-    sphere_count=4096,
-    angular_nodes=512,
-    seed=0,
-    tol=TOL_QUAD,
-):
+def pohozaev_volume_vs_surface(profile, curvature, rho):
     """Compare the volume and flux sides of the balance law on the ball of
     radius rho.
 
@@ -686,7 +676,7 @@ def pohozaev_volume_vs_surface(
     integral of the normal component of the balance vector field built from
     the profile, its gradient, and the curvature.  For a profile that solves
     the equation exactly the two sides agree; the returned report carries
-    both values and the verdict at ``tol`` relative (floored at 1e-6
+    both values and the verdict at ``TOL_QUAD`` relative (floored at 1e-6
     absolute so that an exactly-zero identity cannot false-fail).
 
     ``profile`` must expose values(points), gradients(points) and the
@@ -701,20 +691,15 @@ def pohozaev_volume_vs_surface(
     def volume_integrand(points):
         return curvature.radial_pairing(points) * profile.values(points) ** p_crit
 
-    lhs = quadrature.ball_integral(
-        volume_integrand,
-        n,
-        rho,
-        radial_nodes=radial_nodes,
-        sphere_count=sphere_count,
-        seed=seed,
-    )
+    lhs = quadrature.ball_integral(volume_integrand, n, rho)
 
     axis = getattr(profile, "center", None)
     if axis is not None and np.linalg.norm(axis) > 0:
-        nodes, weights = _axial_sphere_nodes(n, np.asarray(axis, float), angular_nodes)
+        nodes, weights = _axial_sphere_nodes(
+            n, np.asarray(axis, float), BALANCE_ANGULAR_NODES
+        )
     else:
-        nodes = quadrature.sphere_nodes(n, sphere_count, seed)
+        nodes = quadrature.sphere_nodes(n, quadrature.BALL_SPHERE_COUNT)
         weights = np.full(len(nodes), quadrature.sphere_area(n) / len(nodes))
 
     pts = rho * nodes
@@ -736,7 +721,7 @@ def pohozaev_volume_vs_surface(
 
     residual = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
-    passed = residual <= max(tol * scale, 1e-6)
+    passed = residual <= max(TOL_QUAD * scale, 1e-6)
     return ViolationReport(
         constraint="balance_volume_vs_surface",
         residual_float=residual,

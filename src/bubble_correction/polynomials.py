@@ -9,6 +9,13 @@ constructors built on it.  Every operation on polynomials returns through the
 private normaliser ``Polynomial._of``, which trusts its already-validated
 terms and only drops zero coefficients.  Iteration and serialized output
 follow graded-lexicographic order so that artifacts are byte-reproducible.
+Evaluation is exact only: a point's coordinates are read like coefficients.
+
+The exact operators (``laplacian``, ``iterated_laplacian``, ``r2_multiply``,
+``_radial_sum`` and ``reduction.apply_L``) are built from two stencils on
+coefficients scaled to integers by the lcm of their denominators
+(``_scaled``, undone once by ``_unscaled``): the Laplacian moves
+a_i(a_i - 1)c to alpha - 2e_i, and |y|^2 copies c to every alpha + 2e_j.
 
 The zero polynomial is the empty term map (with an explicit dimension); its
 degree is reported as ``None`` rather than an arbitrary sentinel number.
@@ -261,18 +268,18 @@ class Polynomial:
     # ------------------------------------------------------------ evaluation
 
     def evaluate(self, point):
-        """Evaluate monomial by monomial (no Horner rewriting).  Exact
-        (Fraction) when every coordinate is exact; with float coordinates
-        each term rounds once per power and once per accumulation, in the
-        deterministic graded-lexicographic term order."""
+        """Exact value at a point of exact coordinates, monomial by monomial
+        (no Horner rewriting).  Every coordinate is read by ``as_coefficient``,
+        so float and boolean points are refused; float evaluation is
+        ``kernels.eval_polynomial``."""
         if len(point) != self.dimension:
             raise DimensionMismatchError(
                 f"point length {len(point)} != dimension {self.dimension}"
             )
-        exact = all(isinstance(x, (int, Fraction)) for x in point)
-        total = Fraction(0) if exact else 0.0
-        for alpha, coeff in self.sorted_terms():
-            term = coeff if exact else float(coeff)
+        point = [as_coefficient(x) for x in point]
+        total = Fraction(0)
+        for alpha, coeff in self.terms.items():
+            term = coeff
             for x, a in zip(point, alpha):
                 if a:
                     term *= x**a
@@ -323,6 +330,17 @@ def partial_derivative(poly, index):
     return Polynomial._of(poly.dimension, terms)
 
 
+def _scaled(*term_maps):
+    """D, the lcm of the denominators in ``term_maps``, and each map with its
+    coefficients times D, as ints: the integer form every exact operator
+    below works on."""
+    scale = lcm(*(c.denominator for terms in term_maps for c in terms.values()))
+    return scale, [
+        {a: c.numerator * (scale // c.denominator) for a, c in terms.items()}
+        for terms in term_maps
+    ]
+
+
 def _unscaled(n, sums, scale):
     """The polynomial sum_alpha (sums[alpha] / scale) y^alpha, for integer
     ``sums`` of coefficients scaled by ``scale``."""
@@ -331,34 +349,73 @@ def _unscaled(n, sums, scale):
     )
 
 
-def laplacian(poly):
-    """Sum of second partials over all variables, in one integer pass.
-
-    The coefficients are scaled by D, the lcm of their denominators; a term
-    c y^alpha adds a_i(a_i - 1)c at alpha - 2e_i, and each nonzero sum is
-    divided by D once at the end."""
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
-    sums = {}
-    get = sums.get
-    for alpha, c in poly.terms.items():
-        c = c.numerator * (scale // c.denominator)
+def _laplacian_stencil(sums):
+    """The Laplacian stencil: v at alpha adds a_i(a_i - 1)v at alpha - 2e_i."""
+    out = {}
+    get = out.get
+    for alpha, v in sums.items():
         for i, a in enumerate(alpha):
             if a >= 2:
                 key = alpha[:i] + (a - 2,) + alpha[i + 1 :]
-                sums[key] = get(key, 0) + a * (a - 1) * c
-    return _unscaled(poly.dimension, sums, scale)
+                out[key] = get(key, 0) + a * (a - 1) * v
+    return out
+
+
+def _r2_stencil(n, sums):
+    """The |y|^2 stencil: v at alpha is added at every alpha + 2e_j."""
+    out = {}
+    get = out.get
+    for alpha, v in sums.items():
+        beta = list(alpha)
+        for j in range(n):
+            beta[j] += 2
+            up = tuple(beta)
+            out[up] = get(up, 0) + v
+            beta[j] -= 2
+    return out
+
+
+def _horner(n, blocks):
+    """sum_j (|y|^2)^j blocks[j] over integer sums, by Horner in |y|^2."""
+    sums = {}
+    for q in reversed(blocks):
+        sums = _r2_stencil(n, sums)
+        get = sums.get
+        for alpha, v in q.items():
+            sums[alpha] = get(alpha, 0) + v
+    return sums
+
+
+def _radial_sum(n, blocks):
+    """sum_j (|y|^2)^j Q_j for the blocks Q_0, Q_1, ..., by Horner in |y|^2.
+
+    A block is a polynomial or an exact weight (a constant polynomial); all
+    blocks are scaled by one D and unscaled once at the end."""
+    blocks = [
+        q if isinstance(q, Polynomial) else Polynomial.constant(n, q) for q in blocks
+    ]
+    scale, sums = _scaled(*(q.terms for q in blocks))
+    return _unscaled(n, _horner(n, sums), scale)
+
+
+def laplacian(poly):
+    """Sum of second partials over all variables: one stencil pass on the
+    integer coefficients."""
+    scale, (sums,) = _scaled(poly.terms)
+    return _unscaled(poly.dimension, _laplacian_stencil(sums), scale)
 
 
 def iterated_laplacian(poly, count):
-    """count-fold composition of the Laplacian (count = 0 is the identity)."""
+    """count-fold composition of the Laplacian (count = 0 is the identity),
+    every pass on the same integer sums, unscaled once."""
     if count < 0:
         raise ValueError("iteration count must be non-negative")
-    out = poly
+    scale, (sums,) = _scaled(poly.terms)
     for _ in range(count):
-        if out.is_zero:
+        if not sums:
             break
-        out = laplacian(out)
-    return out
+        sums = _laplacian_stencil(sums)
+    return _unscaled(poly.dimension, sums, scale)
 
 
 def gradient(poly):
@@ -391,12 +448,11 @@ def directional_pairing(direction, poly):
 
 
 def r2_multiply(poly, power):
-    """(y_1^2 + ... + y_n^2)^power * poly."""
-    if power < 0:
-        raise ValueError("power must be non-negative")
-    if power == 0:
-        return poly
-    return Polynomial.r_squared(poly.dimension) ** power * poly
+    """(y_1^2 + ... + y_n^2)^power * poly: the radial sum with ``power`` zero
+    blocks in front of poly."""
+    if type(power) is not int or power < 0:
+        raise ValueError(f"power must be a non-negative int, got {power!r}")
+    return _radial_sum(poly.dimension, [0] * power + [poly])
 
 
 def compose_shift(poly, shift):

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 DEFAULT_RADIAL_NODES = 256
+# the node counts of ``ball_integral``: 128 shells, each averaged over 4,096
+# sphere nodes
+BALL_RADIAL_NODES = 128
+BALL_SPHERE_COUNT = 4096
 
 
 @lru_cache(maxsize=None)
@@ -124,13 +128,14 @@ def sphere_average(func, n, center, radius, count=2048, seed=0):
     return float(np.mean(func(pts)))
 
 
-def ball_integral(func, n, radius, radial_nodes=96, sphere_count=2048, seed=0):
-    """integral of func over the ball B_0(radius): Gauss-Legendre shells times
-    sphere averages."""
-    r, w = _mapped_nodes(0.0, radius, radial_nodes)
+def ball_integral(func, n, radius):
+    """integral of func over the ball B_0(radius): ``BALL_RADIAL_NODES``
+    Gauss-Legendre shells times averages over ``BALL_SPHERE_COUNT`` sphere
+    nodes of seed 0."""
+    r, w = _mapped_nodes(0.0, radius, BALL_RADIAL_NODES)
     area = sphere_area(n)
     total = 0.0
-    nodes = sphere_nodes(n, sphere_count, seed)
+    nodes = sphere_nodes(n, BALL_SPHERE_COUNT)
     for ri, wi in zip(r, w):
         vals = func(ri * nodes)
         total += wi * ri ** (n - 1) * area * float(np.mean(vals))

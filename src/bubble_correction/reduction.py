@@ -23,8 +23,10 @@ degree-0 column of the same recurrence: L acts on (|y|^2)^k through
 Every |y|^2-graded sum here (the combination, grouped by row j; the residue;
 the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``, and
 every radial constant of the construction, the projection's included, is an
-``a_multiplier``.  ``apply_L`` and ``_radial_sum`` both run one pass over
-integer coefficients scaled by the lcm of the denominators.
+``a_multiplier``.  ``apply_L`` and ``_radial_sum`` are built from the
+integer stencils of ``polynomials`` (the Laplacian and the |y|^2 product,
+on coefficients scaled by the lcm of their denominators): L is the
+Laplacian sums, |y|^2 times those sums and a diagonal term.
 
 Everything here is exact: every solution passes one gate before it is
 returned, split by linearity.  L(gamma + F) == P holds exactly when
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 
 from .errors import (
     CharacteristicGuardError,
@@ -49,6 +51,10 @@ from .errors import (
 )
 from .polynomials import (
     Polynomial,
+    _horner,
+    _laplacian_stencil,
+    _radial_sum,
+    _scaled,
     _unscaled,
     as_coefficient,
     iterated_laplacian,
@@ -253,40 +259,26 @@ def coefficient_table(n, ell, columns=None):
 
 
 def apply_L(poly):
-    """(1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G, exactly, in one
-    integer pass.
+    """(1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G, exactly, on the
+    integer coefficients of G scaled by D, the lcm of its denominators.
 
-    G is scaled by D, the lcm of its denominators.  A term c y^alpha then
-    contributes a_i(a_i - 1)c at alpha - 2e_i (the Laplacian), the same at
-    alpha - 2e_i + 2e_j for every j (|y|^2 times it), and 2n(1 - |alpha|)c at
-    alpha (the Euler and identity parts, y . grad y^alpha = |alpha| y^alpha);
-    each nonzero sum is divided by D once at the end.
+    L is (1 + |y|^2) after lap plus a diagonal part: the Laplacian stencil's
+    sums, plus the |y|^2 stencil on those sums, plus 2n(1 - |alpha|)c at
+    each alpha (the Euler and identity parts, y . grad y^alpha =
+    |alpha| y^alpha); each nonzero sum is divided by D once at the end.
 
     This is the one way L is applied: the solver's gate applies it to gamma
     alone (the completion is checked in |y|^2, see ``_solve``), and
     ``profiles.linearized_residual`` to a loaded solution.
     """
     n = poly.dimension
-    scale = lcm(*(c.denominator for c in poly.terms.values()))
-    sums = {}
+    scale, (coeffs,) = _scaled(poly.terms)
+    lap = _laplacian_stencil(coeffs)
+    # (1 + |y|^2) lap: the Horner sum of the blocks lap, lap
+    sums = _horner(n, [lap, lap])
     get = sums.get
-    for alpha, c in poly.terms.items():
-        c = c.numerator * (scale // c.denominator)
+    for alpha, c in coeffs.items():
         sums[alpha] = get(alpha, 0) + 2 * n * (1 - sum(alpha)) * c
-        beta = list(alpha)
-        for i, a in enumerate(alpha):
-            if a < 2:
-                continue
-            w = a * (a - 1) * c
-            beta[i] = a - 2
-            low = tuple(beta)
-            sums[low] = get(low, 0) + w
-            for j in range(n):
-                beta[j] += 2
-                up = tuple(beta)
-                sums[up] = get(up, 0) + w
-                beta[j] -= 2
-            beta[i] = a
     return _unscaled(n, sums, scale)
 
 
@@ -380,34 +372,6 @@ def _laplacian_chain(poly, h):
     for _ in range(h):
         chain.append(laplacian(chain[-1]))
     return chain
-
-
-def _radial_sum(n, blocks):
-    """sum_j (|y|^2)^j Q_j for the blocks Q_0, Q_1, ..., by Horner in |y|^2.
-
-    A block is a polynomial or an exact weight (a constant polynomial).  The
-    loop runs on integers, every block scaled by D, the lcm of all their
-    denominators: multiplying by |y|^2 adds each sum at alpha + 2e_j for every
-    j.  Each nonzero sum is divided by D once at the end."""
-    blocks = [
-        q if isinstance(q, Polynomial) else Polynomial.constant(n, q) for q in blocks
-    ]
-    scale = lcm(*(c.denominator for q in blocks for c in q.terms.values()))
-    sums = {}
-    for q in reversed(blocks):
-        grown = {}
-        get = grown.get
-        for alpha, v in sums.items():
-            beta = list(alpha)
-            for j in range(n):
-                beta[j] += 2
-                up = tuple(beta)
-                grown[up] = get(up, 0) + v
-                beta[j] -= 2
-        for alpha, c in q.terms.items():
-            grown[alpha] = get(alpha, 0) + c.numerator * (scale // c.denominator)
-        sums = grown
-    return _unscaled(n, sums, scale)
 
 
 def _radial_residue(top, table):

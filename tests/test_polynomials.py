@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bubble_correction import kernels
 from bubble_correction.errors import DimensionMismatchError, ExactnessError
 from bubble_correction.polynomials import (
     Polynomial,
@@ -185,6 +186,21 @@ def test_iterated_laplacian_examples():
     assert iterated_laplacian(p, 3).is_zero
 
 
+def test_iterated_laplacian_matches_repeated_second_partials(rng):
+    # every pass runs on the same integer sums, unscaled once; k runs past
+    # the degree, where the result is zero
+    for n in (2, 5, 9):
+        p = Polynomial.zero(n)
+        for _ in range(4):
+            q = random_homogeneous(rng, n, rng.randint(0, 7), max_terms=12)
+            p = p + q * Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 10**9))
+        expected = p
+        for k in range(p.degree() // 2 + 3):
+            assert iterated_laplacian(p, k) == expected
+            expected = oracles.laplacian_by_partials(expected)
+        assert iterated_laplacian(p, 10**9).is_zero
+
+
 def test_iterated_laplacian_kills_the_alternating_model():
     # even-degree model built from single-variable powers with cancelling
     # top Laplacians
@@ -258,10 +274,22 @@ def test_directional_pairing_drops_degree_by_one(rng):
     assert paired.is_zero or paired.degree() == n - 3
 
 
+@given(polynomials(max_n=5, max_degree=5), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_r2_multiply_matches_products(p, k):
+    n = p.dimension
+    product = r2_multiply(p, k)
+    assert product == oracles.radial_sum_by_products(n, [0] * k + [p])
+    assert product == Polynomial.r_squared(n) ** k * p
+
+
 def test_r2_multiply_degree_bookkeeping():
     n = 2
     assert r2_multiply(Polynomial.constant(n, 1), 1) == Polynomial.r_squared(n)
     assert r2_multiply(var(n, 0), 2).degree() == 5
+    for power in (-1, 1.5, True):
+        with pytest.raises(ValueError):
+            r2_multiply(var(n, 0), power)
 
 
 def test_evaluate_exact_and_float():
@@ -270,18 +298,15 @@ def test_evaluate_exact_and_float():
     assert p.evaluate([Fraction(1, 2), Fraction(1, 3)]) == Fraction(5, 36)
     r2 = Polynomial.r_squared(3)
     assert r2.evaluate([1, 2, 2]) == 9
-    assert isinstance(p.evaluate([0.5, 0.25]), float)
 
 
-def test_evaluate_dual_path_agreement():
-    rng = random.Random(3)
-    for _ in range(25):
-        n = rng.choice([2, 3])
-        p = random_homogeneous(rng, n, rng.choice([1, 2, 3, 4]))
-        pt = [Fraction(rng.randint(-8, 8), 16) for _ in range(n)]
-        exact = float(p.evaluate(pt))
-        approx = p.evaluate([float(x) for x in pt])
-        assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
+def test_evaluate_refuses_float_and_bool_points():
+    p = var(2, 0, 2) - var(2, 1, 2)
+    for point in ([0.5, 0.25], [Fraction(1, 2), 0.25], [True, 1], [1, False]):
+        with pytest.raises(ExactnessError):
+            p.evaluate(point)
+    with pytest.raises(ExactnessError):
+        Polynomial.zero(2).evaluate(np.array([0.5, 0.25]))
 
 
 # --------------------------------------------------------------- properties
@@ -354,9 +379,10 @@ def test_laplacian_against_finite_differences():
         for _ in range(25):
             y = np.array([rng.uniform(-0.8, 0.8) for _ in range(n)])
             approx = oracles.fd_laplacian(
-                lambda z: p.evaluate(list(z)), y, step=1e-4
+                lambda z: kernels.eval_polynomial(p, z[None, :])[0], y, step=1e-4
             )
-            assert abs(approx - float(lap.evaluate(list(y)))) <= 1e-6
+            exact = lap.evaluate([Fraction(x) for x in y])
+            assert abs(approx - float(exact)) <= 1e-6
 
 
 # ------------------------------------------------------------ serialization

@@ -153,7 +153,9 @@ def test_synth_curvature_radial_pairing_is_exact_euler_scaling():
     assert model.radial_pairing_scaled() == Fraction(-ell) * p
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, (20, n))
-    expect = -ell * np.array([float(p.evaluate(list(pt))) for pt in pts])
+    expect = -ell * np.array(
+        [float(p.evaluate([Fraction(x) for x in pt])) for pt in pts]
+    )
     assert np.allclose(model.radial_pairing(pts) * model.ctilde, expect)
 
 
@@ -165,7 +167,9 @@ def test_synth_curvature_reproduces_the_alternating_model():
     model = synth_K(Fraction(-1) * bracket)
     rng = np.random.default_rng(6)
     pts = rng.uniform(-0.5, 0.5, (10, n))
-    brackets = np.array([float(bracket.evaluate(list(p))) for p in pts])
+    brackets = np.array(
+        [float(bracket.evaluate([Fraction(x) for x in p])) for p in pts]
+    )
     assert np.allclose(
         model.ctilde_K(pts), n * (n - 2) + brackets, rtol=0, atol=1e-12
     )

@@ -206,6 +206,23 @@ def test_operator_scales_harmonic_inputs(rng):
         assert apply_L(p) == (-2 * n * (ell - 1)) * p
 
 
+def test_apply_L_on_zero_constant_and_cancelling_harmonic_input():
+    n = 5
+    assert apply_L(Polynomial.zero(n)).is_zero
+    c = Polynomial.constant(n, Fraction(-7, 9))
+    assert apply_L(c) == 2 * n * c
+    # Re (y_1 + i y_2)^4 / 3 + Im (y_3 + i y_4)^2 / 5 + (y_3^2 - y_5^2) / 7:
+    # the Laplacian stencil's sums at y_1^2, y_2^2 and 1 all cancel to zero
+    h = Polynomial(n, {
+        (4, 0, 0, 0, 0): Fraction(1, 3), (2, 2, 0, 0, 0): -2,
+        (0, 4, 0, 0, 0): Fraction(1, 3), (0, 0, 1, 1, 0): Fraction(2, 5),
+        (0, 0, 2, 0, 0): Fraction(1, 7), (0, 0, 0, 0, 2): Fraction(-1, 7),
+    })
+    assert apply_L(h) == oracles.apply_L_by_operators(h)
+    parts = h.homogeneous_parts()
+    assert apply_L(h) == -6 * n * parts[4] - 2 * n * parts[2]
+
+
 def test_degree_one_regression_fixture(degree_one_correction):
     n, gamma, source = degree_one_correction
     assert apply_L(gamma) == source
