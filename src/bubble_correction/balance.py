@@ -25,11 +25,7 @@ from fractions import Fraction
 from . import kernels, quadrature
 from ._numpy import np
 from .errors import ExactnessError, UnsupportedCaseError
-from .moments import (
-    ShiftExpansion,
-    gradient_moment,
-    j_multiple,
-)
+from .moments import gradient_moment, j_multiple, shift_expansion
 from .polynomials import (
     Polynomial,
     as_coefficient,
@@ -59,9 +55,6 @@ __all__ = [
 ]
 
 TOL_QUAD = 1e-4
-# the balance law's flux side: latitude circles around an off-center
-# profile's axis, or else the ball's own 4,096 seed-0 sphere nodes
-BALANCE_ANGULAR_NODES = 512
 
 # Caps on the exact balance verdict's work, checked before any power is built
 # or any root taken (see ``multi_point_balance``): the degree q of the roots a
@@ -417,7 +410,7 @@ def single_point_constraints(poly, point):
             passed=value == 0,
         )
     )
-    pieces = ShiftExpansion(poly).intermediate_terms(point)
+    pieces = shift_expansion(poly, point)[1:-1]
     for h, piece in enumerate(pieces, start=1):
         mult = j_multiple(piece)
         reports.append(
@@ -693,11 +686,11 @@ def pohozaev_volume_vs_surface(profile, curvature, rho):
 
     lhs = quadrature.ball_integral(volume_integrand, n, rho)
 
+    # the flux side: latitude circles around an off-center profile's axis,
+    # or else the ball's own seed-0 sphere nodes
     axis = getattr(profile, "center", None)
     if axis is not None and np.linalg.norm(axis) > 0:
-        nodes, weights = _axial_sphere_nodes(
-            n, np.asarray(axis, float), BALANCE_ANGULAR_NODES
-        )
+        nodes, weights = _axial_sphere_nodes(n, np.asarray(axis, float))
     else:
         nodes = quadrature.sphere_nodes(n, quadrature.BALL_SPHERE_COUNT)
         weights = np.full(len(nodes), quadrature.sphere_area(n) / len(nodes))
@@ -730,13 +723,13 @@ def pohozaev_volume_vs_surface(profile, curvature, rho):
     )
 
 
-def _axial_sphere_nodes(n, axis, count):
+def _axial_sphere_nodes(n, axis):
     """Sphere nodes exploiting rotational symmetry around ``axis``: latitude
     circles with Gauss-Legendre weights; returns unit nodes and weights
     summing to the sphere area.  Exact for integrands depending only on the
     polar angle; a good deterministic set otherwise."""
     axis = axis / np.linalg.norm(axis)
-    t, w, lat = quadrature.latitude_rule(n, count)  # t = cos(theta)
+    t, w, lat = quadrature.latitude_rule(n)  # t = cos(theta)
     # complete t to unit vectors in the plane spanned by axis and one
     # orthogonal direction
     ortho = np.zeros(n)

@@ -197,12 +197,16 @@ def cmd_residual_scan(args):
 
 def cmd_green_check(args):
     _require(args.n <= GREEN_MAX_N, "n", f"<= {GREEN_MAX_N}", args.n)
+    _require(0 < args.radius < math.inf, "radius", "finite and > 0", args.radius)
     deltas = [0.1, 0.3] if args.delta is None else args.delta
+    top = profiles_mod.GreensBall.MAX_DELTA
+    for delta in deltas:
+        _require(0 < delta <= top, "delta", f"in (0, {top}]", delta)
     _require(
         0 <= args.tol_quad < math.inf, "tol-quad", "finite and >= 0", args.tol_quad
     )
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
-    ball = profiles_mod.greens_ball(args.n, args.radius)
+    ball = profiles_mod.GreensBall(args.n, args.radius)
     rng = np.random.default_rng(args.seed)
     xi = rng.uniform(-0.3, 0.3, args.n) * args.radius
     boundary = []
@@ -234,7 +238,7 @@ def cmd_profile(args):
     )
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
     _require_work(args.samples, len(spec.gamma.terms))
-    profile = profiles_mod.refined_profile(spec)
+    profile = profiles_mod.RefinedProfile(spec)
     rng = np.random.default_rng(args.seed)
     points = np.asarray(spec.xi, float)[None, :] + args.scale * rng.standard_normal(
         (args.samples, spec.n)

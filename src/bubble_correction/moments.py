@@ -45,7 +45,6 @@ __all__ = [
     "j_multiple_via_laplacian",
     "moment_integral",
     "weighted_integral",
-    "ShiftExpansion",
     "shift_expansion",
     "gradient_moment",
     "CenterBreakdown",
@@ -177,63 +176,22 @@ def moment_integral(poly):
 # -------------------------------------------------------------------- shifts
 
 
-class ShiftExpansion:
-    """Decomposition of Q(shift + z) by homogeneity in the shift.
+def shift_expansion(poly, shift):
+    """Decomposition of Q(shift + z) by homogeneity in the shift, for a
+    nonzero homogeneous Q of degree ell and an exact shift vector.
 
-    For a homogeneous Q of degree ell the pieces are: the base Q(z) (shift
-    degree 0), the intermediate terms of shift degree h = 1 .. ell - 1, and
-    the constant Q(shift) (shift degree ell).  Every monomial of Q(shift + z)
-    has shift degree plus z-degree equal to ell, so the piece of shift degree
-    h is the degree-(ell - h) homogeneous part of ``compose_shift(Q, shift)``.
+    Returns the pieces of shift degree h = 0 .. ell as polynomials in z: the
+    base Q(z) (h = 0), the intermediate terms (h = 1 .. ell - 1) and the
+    constant Q(shift) (h = ell).  Every monomial of Q(shift + z) has shift
+    degree plus z-degree equal to ell, so the piece of shift degree h is the
+    degree-(ell - h) homogeneous part of ``compose_shift(Q, shift)``.
     """
-
-    def __init__(self, poly):
-        if not poly.is_homogeneous() or poly.is_zero:
-            raise ValueError("shift expansion expects a nonzero homogeneous input")
-        self.source = poly
-        self.degree = poly.degree()
-        self.dimension = poly.dimension
-
-    @property
-    def term_count(self):
-        """Number of intermediate terms (degree - 1)."""
-        return self.degree - 1
-
-    def _pieces(self, shift):
-        """The pieces of shift degree 0 .. ell, from one exact shift."""
-        parts = compose_shift(self.source, shift).homogeneous_parts()
-        zero = Polynomial.zero(self.dimension)
-        return [parts.get(self.degree - h, zero) for h in range(self.degree + 1)]
-
-    def base(self):
-        """The unshifted part, equal to the source polynomial."""
-        return self.source
-
-    def term(self, shift_degree, shift):
-        """The shift-degree-h piece as a polynomial in z, for a concrete
-        exact shift vector (zero outside 0 .. ell)."""
-        if not 0 <= shift_degree <= self.degree:
-            return Polynomial.zero(self.dimension)
-        return self._pieces(shift)[shift_degree]
-
-    def intermediate_terms(self, shift):
-        """All pieces of shift degree 1 .. degree - 1."""
-        return self._pieces(shift)[1:-1]
-
-    def constant(self, shift):
-        """Q(shift), the shift-degree-ell piece."""
-        return self._pieces(shift)[-1].constant_term()
-
-    def reconstruct(self, shift):
-        """base + intermediates + constant; equals Q(shift + z) exactly."""
-        out = self.base()
-        for piece in self._pieces(shift)[1:]:
-            out = out + piece
-        return out
-
-
-def shift_expansion(poly):
-    return ShiftExpansion(poly)
+    if not poly.is_homogeneous() or poly.is_zero:
+        raise ValueError("shift expansion expects a nonzero homogeneous input")
+    ell = poly.degree()
+    parts = compose_shift(poly, shift).homogeneous_parts()
+    zero = Polynomial.zero(poly.dimension)
+    return [parts.get(ell - h, zero) for h in range(ell + 1)]
 
 
 # ---------------------------------------------------------------- gradients
@@ -257,15 +215,14 @@ class CenterBreakdown:
 
     ``main`` is lam^ell times the centered moment of Q, ``intermediate`` the
     shift-degree pieces evaluated at xi / lam, ``drift`` the Q(xi / lam) mass
-    term; ``orders`` records each group's power of lam.  ``quadrature`` is an
-    independent fixed-node evaluation of the original ball integral for
-    cross-checking, and ``total`` the sum of the three groups.
+    term, each of order lam^ell.  ``quadrature`` is an independent fixed-node
+    evaluation of the original ball integral for cross-checking, and
+    ``total`` the sum of the three groups.
     """
 
     main: float
     intermediate: tuple
     drift: float
-    orders: dict
     quadrature: float
 
     @property
@@ -293,7 +250,7 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
 
     main, *intermediate, drift = [
         scale * weighted_integral(piece)[1]
-        for piece in ShiftExpansion(poly)._pieces(xi_over_lam)
+        for piece in shift_expansion(poly, xi_over_lam)
     ]
 
     # independent evaluation of the original integral over the shifted ball
@@ -305,12 +262,10 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     shifted = compose_shift(scaled, xi_over_lam)
     quad = quadrature.weighted_poly_integral(shifted, upper=rho / lam, nodes=nodes)
 
-    orders = {"main": ell, "intermediate": ell, "drift": ell}
     return CenterBreakdown(
         main=main,
         intermediate=tuple(intermediate),
         drift=drift,
-        orders=orders,
         quadrature=quad,
     )
 

@@ -142,6 +142,7 @@ class Polynomial:
     @classmethod
     def variable(cls, dimension, index, power=1, coeff=1):
         """The monomial coeff * y_index**power (index is 0-based)."""
+        _check_index(dimension, index)
         alpha = [0] * dimension
         alpha[index] = power
         return cls(dimension, {tuple(alpha): coeff})
@@ -240,8 +241,10 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative int")
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError(
+                f"exponent must be a non-negative int, got {exponent!r}"
+            )
         result = Polynomial.constant(self.dimension, 1)
         base = self
         e = exponent
@@ -319,8 +322,18 @@ class Polynomial:
 # ------------------------------------------------------------- differential
 
 
+def _check_index(n, index):
+    """Refuse a variable index that is not an int in 0 .. n - 1 (a bool or a
+    negative index would otherwise pick a variable silently)."""
+    if type(index) is not int or not 0 <= index < n:
+        raise ValueError(
+            f"variable index must be an int in 0 .. {n - 1}, got {index!r}"
+        )
+
+
 def partial_derivative(poly, index):
     """d(poly)/d(y_index), index 0-based."""
+    _check_index(poly.dimension, index)
     terms = {}
     for alpha, coeff in poly.terms.items():
         a = alpha[index]

@@ -20,27 +20,22 @@ from .polynomials import Polynomial, euler_operator, json_int, laplacian
 from .reduction import apply_L
 
 __all__ = [
-    "BubbleParams",
     "BubbleProfile",
-    "bubble",
     "stereographic_to_plane",
     "stereographic_from_plane",
     "flat_from_sphere_function",
     "sphere_from_flat_function",
     "SynthesizedCurvature",
-    "synth_K",
+    "constant_curvature",
     "pi_eval",
     "ResidualReport",
     "linearized_residual",
     "HarmonicTail",
-    "harmonic_tail",
     "interpolation_R",
     "RefinedProfileSpec",
     "RefinedProfile",
-    "refined_profile",
     "d_pi",
     "GreensBall",
-    "greens_ball",
     "rescaled_average",
     "linearization_bound_check",
 ]
@@ -49,36 +44,23 @@ __all__ = [
 # ------------------------------------------------------------------ bubbles
 
 
-@dataclass(frozen=True)
-class BubbleParams:
-    n: int
-    eps: float
-    center: tuple
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("bubble scale must be positive")
-        if len(self.center) != self.n:
-            raise ValueError("center length must equal the dimension")
-
-
 class BubbleProfile:
     """(eps / (eps^2 + |y - center|^2))^((n-2)/2) with closed-form gradient
     and Laplacian."""
 
-    def __init__(self, params):
-        self.params = params
-        self.dimension = params.n
-        self.center = np.asarray([float(c) for c in params.center])
-        self.eps = float(params.eps)
+    def __init__(self, n, eps, center):
+        if eps <= 0:
+            raise ValueError("bubble scale must be positive")
+        if len(center) != n:
+            raise ValueError("center length must equal the dimension")
+        self.dimension = n
+        self.center = np.asarray([float(c) for c in center])
+        self.eps = float(eps)
 
     def values(self, points):
         return kernels.bubble_values(
             np.atleast_2d(points), self.eps, self.center, (self.dimension - 2) / 2.0
         )
-
-    def __call__(self, points):
-        return self.values(points)
 
     def gradients(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -100,10 +82,6 @@ class BubbleProfile:
         # written exactly as the kernel computes it, so that evaluating at
         # the center reproduces the peak bit for bit
         return (self.eps / (self.eps * self.eps)) ** ((self.dimension - 2) / 2.0)
-
-
-def bubble(params):
-    return BubbleProfile(params)
 
 
 # ------------------------------------------------------- stereographic pair
@@ -160,6 +138,8 @@ class SynthesizedCurvature:
     identity on each polynomial part."""
 
     def __init__(self, poly, remainder=None):
+        if not poly.is_zero and (not poly.is_homogeneous() or poly.degree() < 2):
+            raise ValueError("curvature model expects homogeneous degree >= 2")
         self.poly = poly
         self.remainder = remainder
         self.dimension = poly.dimension
@@ -185,12 +165,6 @@ class SynthesizedCurvature:
         return self._scaled_terms
 
 
-def synth_K(poly, remainder=None):
-    if not poly.is_zero and (not poly.is_homogeneous() or poly.degree() < 2):
-        raise ValueError("curvature model expects homogeneous degree >= 2")
-    return SynthesizedCurvature(poly, remainder)
-
-
 def constant_curvature(n):
     """c~ K = n(n-2) everywhere; the model under which bubbles solve
     exactly."""
@@ -200,8 +174,9 @@ def constant_curvature(n):
 # --------------------------------------------------------------- correction
 
 
-def pi_eval(gamma, n):
+def pi_eval(gamma):
     """The damped correction Pi(Y) = Gamma(Y) / (1 + |Y|^2)^(n/2)."""
+    n = gamma.dimension
     exps, coeffs = kernels.poly_arrays(gamma)
 
     def pi(points):
@@ -228,7 +203,11 @@ class ResidualReport:
         }
 
 
-def linearized_residual(gamma, source, samples=1000, seed=0, scale=3.0):
+# ``linearized_residual`` samples RESIDUAL_SCALE * N(0, I)
+RESIDUAL_SCALE = 3.0
+
+
+def linearized_residual(gamma, source, samples=1000, seed=0):
     """Float residual of the damped correction in the linearized equation,
     sampled at seeded Gaussian points.
 
@@ -243,7 +222,7 @@ def linearized_residual(gamma, source, samples=1000, seed=0, scale=3.0):
             "for this source; refusing to sample"
         )
     rng = np.random.default_rng(seed)
-    pts = scale * rng.standard_normal((samples, n))
+    pts = RESIDUAL_SCALE * rng.standard_normal((samples, n))
     r2 = (pts * pts).sum(axis=1)
     one = 1.0 + r2
 
@@ -279,7 +258,7 @@ class HarmonicTail:
     power sum H(Y) = sum_j w_j |lam * Y - p_j|^(2-n), harmonic away from the
     sources, with its value at the origin cached as ``h_o``."""
 
-    def __init__(self, points, weights, lam, n):
+    def __init__(self, points, weights, lam):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[0] == 0:
             raise ValueError("harmonic tail needs at least one source")
@@ -291,10 +270,10 @@ class HarmonicTail:
         self.sources = points
         self.weights = weights
         self.lam = float(lam)
-        self.dimension = n
+        self.dimension = points.shape[1]
         # through the same evaluation path as values(), so that the value at
         # the origin cancels h_o bit for bit
-        self.h_o = float(self.values(np.zeros((1, n)))[0])
+        self.h_o = float(self.values(np.zeros((1, self.dimension)))[0])
 
     def values(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -308,37 +287,21 @@ class HarmonicTail:
             scaled, self.sources, self.weights, self.dimension - 2
         )
 
-    def __call__(self, points):
-        return self.values(points)
-
-
-def harmonic_tail(points, weights, lam, n):
-    return HarmonicTail(points, weights, lam, n)
-
 
 # ---------------------------------------------------------- interpolation R
 
 
-_QUINTIC = (6.0, -8.0, 3.0)  # 6 r^3 - 8 r^4 + 3 r^5 on [0, 1]
-
-
-def interpolation_R():
-    """C^2 radial interpolation: equal to |Y| outside the unit ball, zero
-    value/gradient at the origin, bounded Laplacian everywhere.  Realized as
-    the quintic 6r^3 - 8r^4 + 3r^5 on [0, 1], which matches value, first and
-    second derivative at r = 1."""
-
-    a, b, c = _QUINTIC
-
-    def rtilde(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(points, axis=1)
-        # the quintic only inside the unit ball, so a far point cannot overflow
-        t = np.minimum(r, 1.0)
-        inner = a * t**3 + b * t**4 + c * t**5
-        return np.where(r >= 1.0, r, inner)
-
-    return rtilde
+def interpolation_R(points):
+    """C^2 radial interpolation Rtilde(Y): equal to |Y| outside the unit
+    ball, zero value/gradient at the origin, bounded Laplacian everywhere.
+    Realized as the quintic 6r^3 - 8r^4 + 3r^5 on [0, 1], which matches
+    value, first and second derivative at r = 1."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.linalg.norm(points, axis=1)
+    # the quintic only inside the unit ball, so a far point cannot overflow
+    t = np.minimum(r, 1.0)
+    inner = 6.0 * t**3 - 8.0 * t**4 + 3.0 * t**5
+    return np.where(r >= 1.0, r, inner)
 
 
 # ------------------------------------------------------------ refined profile
@@ -379,23 +342,20 @@ class RefinedProfileSpec:
             raise ValueError("scale and joint radius must be positive")
         if len(self.xi) != self.n:
             raise ValueError("drift vector length must equal the dimension")
+        if self.gamma.dimension != self.n:
+            raise ValueError("gamma dimension must equal the dimension")
+        if len(self.harmonic_weights) != len(self.harmonic_points):
+            raise ValueError("need one harmonic weight per harmonic point")
         for p in self.harmonic_points:
+            if len(p) != self.n:
+                raise ValueError("harmonic point length must equal the dimension")
             if np.linalg.norm(np.asarray(p, float)) < 2.0 * self.joint_radius_c:
                 raise ValueError(
                     "harmonic sources must stay outside twice the joint region"
                 )
 
-    @property
-    def h_o(self):
-        return self.tail().h_o
-
     def tail(self):
-        return HarmonicTail(
-            np.asarray(self.harmonic_points, dtype=float),
-            np.asarray(self.harmonic_weights, dtype=float),
-            self.lam,
-            self.n,
-        )
+        return HarmonicTail(self.harmonic_points, self.harmonic_weights, self.lam)
 
     @classmethod
     def from_json(cls, data):
@@ -427,8 +387,9 @@ class RefinedProfile:
     In original coordinates y (with Y = (y - xi) / lam):
       bubble      (lam / (lam^2 + |y - xi|^2))^((n-2)/2)
       correction  lam^(ell+1) * Gamma(Y) * (lam / (lam^2 + |y - xi|^2))^(n/2)
-      tail_diff   lam^((n-2)/2) * sum_j w_j (|y - xi - p_j|^(2-n) - |p_j|^(2-n))
-      joint       lam^((n-2)/2) * lam * h_o * Rtilde(Y) / c
+      harmonic    the tail difference plus the joint term,
+        lam^((n-2)/2) * sum_j w_j (|y - xi - p_j|^(2-n) - |p_j|^(2-n))
+        + lam^((n-2)/2) * lam * h_o * Rtilde(Y) / c
     ``total`` is their sum.  The tail difference vanishes exactly at y = xi
     and the joint term vanishes at the origin and restores the plain tail on
     the splice sphere |Y| = c / lam.
@@ -436,17 +397,8 @@ class RefinedProfile:
 
     def __init__(self, spec):
         self.spec = spec
-        n = spec.n
-        self.bubble_profile = BubbleProfile(
-            BubbleParams(n=n, eps=spec.lam, center=tuple(spec.xi))
-        )
+        self.bubble_profile = BubbleProfile(spec.n, spec.lam, spec.xi)
         self._tail = spec.tail()
-        self._rtilde = interpolation_R()
-        self.h_o = self._tail.h_o
-
-    def _local(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return (points - np.asarray(self.spec.xi, float)[None, :]) / self.spec.lam
 
     def bubble(self, points):
         return self.bubble_profile.values(points)
@@ -464,29 +416,18 @@ class RefinedProfile:
             * (s.lam / d2) ** (s.n / 2.0)
         )
 
-    def tail_difference(self, points):
+    def harmonic_group(self, points):
+        """The tail difference plus the joint term."""
         s = self.spec
+        n = s.n
+        tail = self._tail
+        scale = s.lam ** ((n - 2) / 2.0)
         points = np.atleast_2d(np.asarray(points, dtype=float))
         shifted = points - np.asarray(s.xi, float)[None, :]
-        sources = self._tail.sources
-        weights = self._tail.weights
-        n = s.n
-        direct = kernels.tail_values(shifted, sources, weights, n - 2)
-        return s.lam ** ((n - 2) / 2.0) * (direct - self.h_o)
-
-    def joint_term(self, points):
-        s = self.spec
-        Y = self._local(points)
-        return (
-            s.lam ** ((s.n - 2) / 2.0)
-            * s.lam
-            * self.h_o
-            * self._rtilde(Y)
-            / s.joint_radius_c
-        )
-
-    def harmonic_group(self, points):
-        return self.tail_difference(points) + self.joint_term(points)
+        direct = kernels.tail_values(shifted, tail.sources, tail.weights, n - 2)
+        rtilde = interpolation_R(shifted / s.lam)
+        joint = scale * s.lam * tail.h_o * rtilde / s.joint_radius_c
+        return scale * (direct - tail.h_o) + joint
 
     def total(self, points):
         return (
@@ -501,10 +442,6 @@ class RefinedProfile:
         c = self.correction(points)
         h = self.harmonic_group(points)
         return np.column_stack([b, c, h, b + c + h])
-
-
-def refined_profile(spec):
-    return RefinedProfile(spec)
 
 
 def d_pi(profile_func, spec, points):
@@ -527,10 +464,10 @@ def d_pi(profile_func, spec, points):
     V = np.atleast_1d(profile_func(y)) / peak
     r2 = (points * points).sum(axis=1)
     A = (1.0 / (1.0 + r2)) ** ((n - 2) / 2.0)
-    pi_vals = pi_eval(s.gamma, n)(points)
+    pi_vals = pi_eval(s.gamma)(points)
     tail = s.tail()
     H = tail.values(points)
-    rtilde = interpolation_R()(points)
+    rtilde = interpolation_R(points)
     return (
         V
         - A
@@ -547,6 +484,10 @@ class GreensBall:
     """Dirichlet Green's function and Poisson kernel of the flat Laplacian
     on the ball of radius a, with the reflection point and measured bound
     constants exposed."""
+
+    # ``check_bounds`` draws source radii from uniform(0.05, 1 - delta), so
+    # delta <= 0.95
+    MAX_DELTA = 0.95
 
     def __init__(self, n, a):
         if not 0 < a < math.inf:
@@ -591,13 +532,13 @@ class GreensBall:
             / np.linalg.norm(y - xi) ** n
         )
 
-    def poisson_normalization(self, xi, nodes=512):
+    def poisson_normalization(self, xi):
         """Surface integral of the Poisson kernel, by the exact reduction to
         the polar angle around xi (Gauss-Legendre in cos(theta))."""
         xi = np.asarray(xi, dtype=float)
         n = self.n
         norm_xi = np.linalg.norm(xi)
-        t, w, lat = quadrature.latitude_rule(n, nodes)
+        t, w, lat = quadrature.latitude_rule(n)
         d2 = self.a**2 - 2.0 * self.a * norm_xi * t + norm_xi**2
         kernel = (self.a**2 - norm_xi**2) / (
             self.a * quadrature.sphere_area(n) * d2 ** (n / 2.0)
@@ -608,9 +549,10 @@ class GreensBall:
         """Measure the constants in the interior Green bound and the Poisson
         bound for sources with |xi| <= (1 - delta) a; returns the measured
         constants together with the reference envelopes."""
-        # source radii are drawn from uniform(0.05, 1 - delta)
-        if not 0 < delta <= 0.95:
-            raise ValueError(f"delta must lie in (0, 0.95], got {delta!r}")
+        if not 0 < delta <= self.MAX_DELTA:
+            raise ValueError(
+                f"delta must lie in (0, {self.MAX_DELTA}], got {delta!r}"
+            )
         rng = np.random.default_rng(seed)
         n = self.n
         green_const = 0.0
@@ -644,27 +586,27 @@ class GreensBall:
         }
 
 
-def greens_ball(n, a):
-    return GreensBall(n, a)
-
-
 # --------------------------------------------------------- rescaled average
 
 
-def rescaled_average(v, xi, radii, n=None, sphere_count=512, seed=0):
-    """The diagnostic r -> r^((n-2)/2) * (sphere average of v about xi).
+# ``rescaled_average`` averages over this many sphere nodes of seed 0
+AVERAGE_SPHERE_COUNT = 512
+
+
+def rescaled_average(v, xi, radii):
+    """The diagnostic r -> r^((n-2)/2) * (sphere average of v about xi), n
+    the length of xi.
 
     Returns the averages at the given radii, the log-radius reparametrized
     values (t = -log r), and the number of sign changes of the discrete
     derivative in t (= critical point count of the diagnostic).
     """
     xi = np.asarray(xi, dtype=float)
-    if n is None:
-        n = xi.size
+    n = xi.size
     radii = np.asarray(sorted(radii), dtype=float)
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
-    nodes = quadrature.sphere_nodes(n, sphere_count, seed)
+    nodes = quadrature.sphere_nodes(n, AVERAGE_SPHERE_COUNT)
     wbar = np.empty(radii.size)
     for i, r in enumerate(radii):
         pts = xi[None, :] + r * nodes

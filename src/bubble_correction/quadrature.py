@@ -31,6 +31,9 @@ DEFAULT_RADIAL_NODES = 256
 # sphere nodes
 BALL_RADIAL_NODES = 128
 BALL_SPHERE_COUNT = 4096
+# the node count of ``latitude_rule``, shared by the Poisson normalization and
+# the balance law's axial flux nodes
+LATITUDE_NODES = 512
 
 
 @lru_cache(maxsize=None)
@@ -51,12 +54,12 @@ def sphere_area(n):
     return 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
 
 
-def latitude_rule(n, count):
-    """Gauss-Legendre rule in t = cos(theta) for functions of the polar
-    angle on the unit sphere in R^n: nodes t, weights w and the latitude
-    measure |S^(n-2)| * (1 - t^2)^((n-3)/2), so that sum(f(t) * lat * w) is
-    the surface integral of f."""
-    t, w = gauss_legendre(count)
+def latitude_rule(n):
+    """``LATITUDE_NODES``-point Gauss-Legendre rule in t = cos(theta) for
+    functions of the polar angle on the unit sphere in R^n: nodes t, weights
+    w and the latitude measure |S^(n-2)| * (1 - t^2)^((n-3)/2), so that
+    sum(f(t) * lat * w) is the surface integral of f."""
+    t, w = gauss_legendre(LATITUDE_NODES)
     lat = sphere_area(n - 1) * np.maximum(1 - t * t, 0) ** ((n - 3) / 2.0)
     return t, w, lat
 

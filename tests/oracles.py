@@ -73,9 +73,9 @@ class PerturbedProfile:
     """Bubble plus a smooth positive ripple; used as a negative control for
     identities that hold only on exact solutions."""
 
-    def __init__(self, params, amplitude=0.3, width=1.0):
-        self.base = BubbleProfile(params)
-        self.dimension = params.n
+    def __init__(self, n, eps, center, amplitude=0.3, width=1.0):
+        self.base = BubbleProfile(n, eps, center)
+        self.dimension = n
         self.center = self.base.center
         self.amplitude = float(amplitude)
         self.width = float(width)
@@ -87,9 +87,6 @@ class PerturbedProfile:
             -(self.dimension - 2) / 2.0
         )
         return self.base.values(points) + bump
-
-    def __call__(self, points):
-        return self.values(points)
 
     def gradients(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -35,12 +35,12 @@ from bubble_correction.polynomials import (
     iterated_laplacian,
 )
 from bubble_correction.profiles import (
-    BubbleParams,
-    bubble,
+    BubbleProfile,
+    GreensBall,
+    RefinedProfile,
     constant_curvature,
     d_pi,
     linearized_residual,
-    refined_profile,
     rescaled_average,
 )
 from bubble_correction.reduction import (
@@ -262,7 +262,7 @@ def test_criterion_10_profile_self_consistency():
     magnitudes = []
     for lam in (0.1, 0.05, 0.025):
         spec = example_profile_spec(lam=lam)
-        profile = refined_profile(spec)
+        profile = RefinedProfile(spec)
 
         def manufactured(points):
             return profile.bubble(points) + profile.correction(points)
@@ -279,7 +279,7 @@ def test_criterion_10_profile_self_consistency():
         assert abs(slope - (n - 1)) < 0.2
 
     spec = example_profile_spec(lam=0.05)
-    profile = refined_profile(spec)
+    profile = RefinedProfile(spec)
     Y = np.zeros(n)
     Y[0] = spec.joint_radius_c / spec.lam
     y = np.asarray(spec.xi) + spec.lam * Y
@@ -297,7 +297,7 @@ def test_criterion_10_profile_self_consistency():
 
 def test_criterion_11_balance_law_on_exact_bubbles():
     for n in (3, 4, 5):
-        profile = bubble(BubbleParams(n=n, eps=0.5, center=(0.0,) * n))
+        profile = BubbleProfile(n, 0.5, (0.0,) * n)
         report = pohozaev_volume_vs_surface(
             profile, constant_curvature(n), rho=1.0
         )
@@ -308,9 +308,7 @@ def test_criterion_11_balance_law_on_exact_bubbles():
 
 
 def test_criterion_12_green_and_poisson():
-    from bubble_correction.profiles import greens_ball
-
-    ball = greens_ball(4, 1.0)
+    ball = GreensBall(4, 1.0)
     xi = np.array([0.25, -0.1, 0.05, 0.0])
     rng = np.random.default_rng(112)
     for _ in range(50):
@@ -328,11 +326,11 @@ def test_criterion_12_green_and_poisson():
 
 def test_criterion_13_rescaled_average_diagnostic():
     n, eps = 4, 0.01
-    profile = bubble(BubbleParams(n=n, eps=eps, center=(0.0,) * n))
+    profile = BubbleProfile(n, eps, (0.0,) * n)
     ts = np.linspace(-3, 3, 61)
     radii = np.exp(-(ts - np.log(eps)))
     _wbar, (t_sorted, w_sorted), critical = rescaled_average(
-        profile.values, np.zeros(n), radii, n=n
+        profile.values, np.zeros(n), radii
     )
     assert critical == 1
     for t, w in zip(t_sorted, w_sorted):

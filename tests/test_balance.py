@@ -31,11 +31,7 @@ from bubble_correction.polynomials import (
     apply_signed_permutation,
     iterated_laplacian,
 )
-from bubble_correction.profiles import (
-    BubbleParams,
-    bubble,
-)
-from bubble_correction.profiles import constant_curvature
+from bubble_correction.profiles import BubbleProfile, constant_curvature
 from bubble_correction.reduction import h_of, project_to_admissible
 
 from conftest import alternating_quartic, load_bench_inputs, random_homogeneous
@@ -702,7 +698,7 @@ def test_group_sums_beyond_the_float_range(field, value):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_balance_law_on_exact_bubble(n):
-    profile = bubble(BubbleParams(n=n, eps=0.5, center=(0.0,) * n))
+    profile = BubbleProfile(n, 0.5, (0.0,) * n)
     report = pohozaev_volume_vs_surface(profile, constant_curvature(n), rho=1.0)
     assert report.passed
     assert abs(report.details["volume_side"]) < 1e-6
@@ -711,15 +707,13 @@ def test_balance_law_on_exact_bubble(n):
 
 def test_balance_law_on_off_center_bubble():
     n = 4
-    profile = bubble(BubbleParams(n=n, eps=0.5, center=(0.2, 0.0, 0.0, 0.0)))
+    profile = BubbleProfile(n, 0.5, (0.2, 0.0, 0.0, 0.0))
     report = pohozaev_volume_vs_surface(profile, constant_curvature(n), rho=1.0)
     assert report.passed
 
 
 def test_balance_law_negative_control():
     n = 4
-    profile = PerturbedProfile(
-        BubbleParams(n=n, eps=0.5, center=(0.0,) * n), amplitude=0.4
-    )
+    profile = PerturbedProfile(n, 0.5, (0.0,) * n, amplitude=0.4)
     report = pohozaev_volume_vs_surface(profile, constant_curvature(n), rho=1.0)
     assert not report.passed

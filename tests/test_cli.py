@@ -373,11 +373,12 @@ def test_green_check_report(tmp_path):
     [
         ["--radius", "nan"], ["--radius", "inf"], ["--radius", "0"],
         ["--delta", "0"], ["--delta", "nan"], ["--delta", "1"],
+        ["--delta", "0.1", "--delta", "1"],
         ["--tol-quad", "nan"], ["--tol-quad", "-1"],
     ],
     ids=[
         "nan-radius", "infinite-radius", "zero-radius", "zero-delta",
-        "nan-delta", "unit-delta", "nan-tol", "negative-tol",
+        "nan-delta", "unit-delta", "second-delta", "nan-tol", "negative-tol",
     ],
 )
 def test_green_check_rejects_out_of_range_flags(tmp_path, flags):
@@ -386,6 +387,7 @@ def test_green_check_rejects_out_of_range_flags(tmp_path, flags):
         tmp_path,
     )
     assert_input_error(result)
+    assert result.stderr.startswith(f"input error: {flags[0]} must be "), result.stderr
 
 
 def profile_spec_json():
@@ -439,7 +441,7 @@ def test_profile_csv_is_streamed_byte_for_byte(tmp_path, capsys):
     rng = np.random.default_rng(seed)
     points = np.asarray(spec.xi, float)[None, :] + scale * rng.standard_normal(
         (samples, spec.n))
-    columns = profiles.refined_profile(spec).components(points)
+    columns = profiles.RefinedProfile(spec).components(points)
     header = [f"y{i + 1}" for i in range(spec.n)] + [
         "bubble", "correction", "harmonic_group", "total"]
     lines = [",".join(header)] + [
@@ -469,28 +471,34 @@ def test_profile_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "changes",
     [
-        ("ell", 4.9), ("n", 6.0), ("xi", None), ("lam", True),
-        ("lam", float("nan")), ("lam", float("inf")), ("lam", "inf"),
-        ("xi", [0.0] * 5 + [float("nan")]), ("joint_radius_c", 10**400),
+        {"ell": 4.9}, {"n": 6.0}, {"xi": None}, {"lam": True},
+        {"lam": float("nan")}, {"lam": float("inf")}, {"lam": "inf"},
+        {"xi": [0.0] * 5 + [float("nan")]}, {"joint_radius_c": 10**400},
+        {"harmonic_weights": [1.0]},
+        {"harmonic_points": [[3.0, 0, 0, 0, 0, 0]], "harmonic_weights": []},
+        {"harmonic_points": [[3.0, 0, 0, 0, 0, 0], [0, -4.0, 0, 0, 0]]},
+        {"gamma": Polynomial.variable(5, 0, 2).to_json()},
     ],
     ids=[
         "float-ell", "float-n", "null-xi", "bool-lam", "nan-lam", "infinite-lam",
-        "string-lam", "nan-in-xi", "huge-int-radius",
+        "string-lam", "nan-in-xi", "huge-int-radius", "two-points-one-weight",
+        "one-point-no-weight", "short-point", "gamma-dimension",
     ],
 )
-def test_profile_rejects_malformed_spec(tmp_path, field, value):
+def test_profile_rejects_malformed_spec(tmp_path, changes):
     spec = profile_spec_json()
-    spec[field] = value
+    spec.update(changes)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    out = tmp_path / "profile.csv"
     result = run_cli(
-        ["profile", "--input", str(path), "--samples", "5",
-         "--output", str(tmp_path / "profile.csv")],
+        ["profile", "--input", str(path), "--samples", "5", "--output", str(out)],
         tmp_path,
     )
     assert_input_error(result)
+    assert not out.exists()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, admissible_source):
@@ -587,6 +595,7 @@ def test_green_check_delta_band(tmp_path):
         tmp_path,
     )
     assert_input_error(beyond)
+    assert beyond.stderr.startswith("input error: --delta must be"), beyond.stderr
     assert "(0, 0.95]" in beyond.stderr
 
 
@@ -666,7 +675,7 @@ def refuse_work(monkeypatch):
         raise AssertionError("work started before the caps were checked")
 
     monkeypatch.setattr(cli.profiles_mod, "linearized_residual", work)
-    monkeypatch.setattr(cli.profiles_mod, "refined_profile", work)
+    monkeypatch.setattr(cli.profiles_mod, "RefinedProfile", work)
 
 
 def run_sampling(capsys, argv, out):

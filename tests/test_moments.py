@@ -166,14 +166,22 @@ def test_closed_form_matches_quadrature_for_random_inputs(rng):
 # ---------------------------------------------------------- shift expansion
 
 
+def reconstruct(pieces):
+    """The sum of the shift pieces, which is Q(shift + z)."""
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out = out + piece
+    return out
+
+
 def test_shift_expansion_binomial_example():
     q = var(1, 0, 2)
-    expansion = shift_expansion(q)
     s = [Fraction(5)]
-    assert expansion.base() == q
-    assert expansion.term(1, s) == 10 * var(1, 0)
-    assert expansion.constant(s) == 25
-    assert expansion.reconstruct(s) == compose_shift(q, s)
+    pieces = shift_expansion(q, s)
+    assert pieces[0] == q
+    assert pieces[1] == 10 * var(1, 0)
+    assert pieces[-1].constant_term() == 25
+    assert reconstruct(pieces) == compose_shift(q, s)
 
 
 def test_shift_expansion_reconstruction(rng):
@@ -182,19 +190,27 @@ def test_shift_expansion_reconstruction(rng):
         ell = rng.randint(2, 5)
         q = random_homogeneous(rng, n, ell)
         shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        expansion = shift_expansion(q)
-        assert expansion.term_count == ell - 1
-        assert expansion.reconstruct(shift) == compose_shift(q, shift)
+        pieces = shift_expansion(q, shift)
+        assert len(pieces[1:-1]) == ell - 1
+        assert reconstruct(pieces) == compose_shift(q, shift)
 
 
 def test_shift_expansion_term_degrees(rng):
     n, ell = 3, 4
     q = random_homogeneous(rng, n, ell)
-    expansion = shift_expansion(q)
     shift = [Fraction(1), Fraction(-2), Fraction(1, 2)]
+    pieces = shift_expansion(q, shift)
     for h in range(1, ell):
-        piece = expansion.term(h, shift)
+        piece = pieces[h]
         assert piece.is_zero or piece.degree() == ell - h
+
+
+@pytest.mark.parametrize(
+    "q", [Polynomial.zero(2), var(2, 0, 2) + var(2, 1)], ids=["zero", "mixed-degree"]
+)
+def test_shift_expansion_refuses_zero_and_non_homogeneous_input(q):
+    with pytest.raises(ValueError, match="nonzero homogeneous"):
+        shift_expansion(q, [Fraction(1), Fraction(2)])
 
 
 # --------------------------------------------------------- gradient moments
@@ -267,10 +283,8 @@ def test_one_shift_per_moment_route(rng, shift_calls):
     n, ell = 6, 4
     q = random_homogeneous(rng, n, ell)
     shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-    expansion = shift_expansion(q)
     routes = {
-        "reconstruct": (lambda: expansion.reconstruct(shift), 1),
-        "constant": (lambda: expansion.constant(shift), 1),
+        "shift_expansion": (lambda: shift_expansion(q, shift), 1),
         "gradient_moment": (lambda: gradient_moment(q, shift), 1),
         # the split plus the quadrature cross-check's own shift
         "change_of_center": (

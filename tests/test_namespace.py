@@ -6,24 +6,24 @@ from bubble_correction import balance, errors, moments, polynomials, profiles, r
 # every public name of ``bubble_correction`` before its ``__init__`` was
 # reduced to star imports of the modules
 EARLIER_NAMES = """
-BlowupConfiguration BubbleParams BubbleProfile CharacteristicGuardError
-CoefficientTable CorrectionSolution DimensionMismatchError DivergentMomentError
-ExactnessError FalsifierResult GreensBall HarmonicTail IntegralResult Polynomial
+BlowupConfiguration BubbleProfile CharacteristicGuardError CoefficientTable
+CorrectionSolution DimensionMismatchError DivergentMomentError ExactnessError
+FalsifierResult GreensBall HarmonicTail IntegralResult Polynomial
 RefinedProfile RefinedProfileSpec ResidualReport ResidueObstructionError
-ShiftExpansion UnsupportedCaseError ViolationReport a_multiplier apply_L
-apply_signed_permutation b_constant balance bubble change_of_center
+UnsupportedCaseError ViolationReport a_multiplier apply_L
+apply_signed_permutation b_constant balance change_of_center
 characteristic_guard coefficient_table compose_shift d_pi directional_pairing
 double_factorial_minus2 errors eta_admissible euler_operator
-flexibility_falsifier gradient gradient_lower_bound gradient_moment greens_ball
-h_of harmonic_tail interference_check interpolation_R iterated_laplacian
-j_multiple j_multiple_via_laplacian j_value kernel_basis kernels laplacian
+flexibility_falsifier gradient gradient_lower_bound gradient_moment h_of
+interference_check interpolation_R iterated_laplacian j_multiple
+j_multiple_via_laplacian j_value kernel_basis kernels laplacian
 laplacian_identity_check linearization_bound_check linearized_residual
 moment_integral moments multi_point_balance parity_certificate
 partial_derivative pi_eval pohozaev_volume_vs_surface polynomials profiles
 project_to_admissible quadrature r2_multiply radial_completion reduction
-reduction_identity_check refined_profile rescaled_average residue_terms
-shift_expansion single_point_constraints solve_gamma solve_general
-stereographic_from_plane stereographic_to_plane synth_K weighted_integral
+reduction_identity_check rescaled_average residue_terms shift_expansion
+single_point_constraints solve_gamma solve_general stereographic_from_plane
+stereographic_to_plane weighted_integral
 __version__
 """.split()
 

@@ -97,6 +97,25 @@ def test_exponents_must_be_ints(alpha):
         Polynomial(2, {alpha: 1})
 
 
+@pytest.mark.parametrize(
+    "index", [-1, 3, True, 1.0], ids=["negative", "past-the-end", "bool", "float"]
+)
+def test_variable_index_must_lie_in_range(index):
+    # y3^2 + y1 in n = 3: -1 once read as y3 and keyed a six-entry multi-index
+    p = var(3, 2, 2) + var(3, 0)
+    with pytest.raises(ValueError):
+        partial_derivative(p, index)
+    with pytest.raises(ValueError):
+        Polynomial.variable(3, index)
+
+
+def test_bool_exponents_are_refused():
+    with pytest.raises(ValueError):
+        var(3, 0) ** True
+    with pytest.raises(ValueError):
+        Polynomial.variable(3, 0, True)
+
+
 @pytest.mark.parametrize("dimension", [True, 2.0, 0], ids=["bool", "float", "zero"])
 def test_dimension_must_be_a_positive_int(dimension):
     with pytest.raises(ValueError):

@@ -6,23 +6,22 @@ import pytest
 
 from bubble_correction.polynomials import Polynomial, euler_operator
 from bubble_correction.profiles import (
-    BubbleParams,
+    BubbleProfile,
+    GreensBall,
+    HarmonicTail,
+    RefinedProfile,
     RefinedProfileSpec,
-    bubble,
+    SynthesizedCurvature,
     d_pi,
     flat_from_sphere_function,
-    greens_ball,
-    harmonic_tail,
     interpolation_R,
     linearization_bound_check,
     linearized_residual,
     pi_eval,
-    refined_profile,
     rescaled_average,
     sphere_from_flat_function,
     stereographic_from_plane,
     stereographic_to_plane,
-    synth_K,
 )
 from bubble_correction.reduction import kernel_basis, project_to_admissible, solve_gamma
 
@@ -56,14 +55,14 @@ def example_profile_spec(lam=0.05, n=6, ell=3):
 
 def test_bubble_peak_and_center_value():
     n = 5
-    profile = bubble(BubbleParams(n=n, eps=1.0, center=(0.0,) * n))
+    profile = BubbleProfile(n, 1.0, (0.0,) * n)
     assert profile.values(np.zeros((1, n)))[0] == 1.0
     assert profile.values(np.asarray([profile.center]))[0] == profile.peak
 
 
 def test_bubble_far_field_sandwich():
     n = 5
-    profile = bubble(BubbleParams(n=n, eps=1.0, center=(0.0,) * n))
+    profile = BubbleProfile(n, 1.0, (0.0,) * n)
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((200, n))
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) * rng.uniform(
@@ -78,7 +77,7 @@ def test_bubble_far_field_sandwich():
 
 def test_bubble_solves_critical_equation_by_fd():
     n = 5
-    profile = bubble(BubbleParams(n=n, eps=1.0, center=(0.1, 0.0, -0.2, 0.0, 0.3)))
+    profile = BubbleProfile(n, 1.0, (0.1, 0.0, -0.2, 0.0, 0.3))
     rng = np.random.default_rng(1)
     worst = worst_closed_form = 0.0
     for point in rng.uniform(-2, 2, (60, n)):
@@ -93,7 +92,7 @@ def test_bubble_solves_critical_equation_by_fd():
 
 def test_bubble_closed_form_gradient_matches_fd():
     n = 4
-    profile = bubble(BubbleParams(n=n, eps=0.7, center=(0.0,) * n))
+    profile = BubbleProfile(n, 0.7, (0.0,) * n)
     rng = np.random.default_rng(2)
     for point in rng.uniform(-1.5, 1.5, (20, n)):
         grad = profile.gradients(point[None, :])[0]
@@ -141,14 +140,14 @@ def test_pole_is_flagged():
 def test_synth_curvature_center_value():
     n = 6
     p = -1 * alternating_quartic(n)
-    model = synth_K(p)
+    model = SynthesizedCurvature(p)
     assert model.ctilde_K(np.zeros((1, n)))[0] == n * (n - 2)
 
 
 def test_synth_curvature_radial_pairing_is_exact_euler_scaling():
     n = 6
     p = -1 * alternating_quartic(n)
-    model = synth_K(p)
+    model = SynthesizedCurvature(p)
     ell = p.degree()
     assert model.radial_pairing_scaled() == Fraction(-ell) * p
     rng = np.random.default_rng(5)
@@ -164,7 +163,7 @@ def test_synth_curvature_reproduces_the_alternating_model():
     # matching source polynomial is its negative
     n = 8
     bracket = alternating_quartic(n)
-    model = synth_K(Fraction(-1) * bracket)
+    model = SynthesizedCurvature(Fraction(-1) * bracket)
     rng = np.random.default_rng(6)
     pts = rng.uniform(-0.5, 0.5, (10, n))
     brackets = np.array(
@@ -179,7 +178,7 @@ def test_synth_curvature_with_remainder():
     n = 6
     p = -1 * alternating_quartic(n)
     rem = Polynomial(n, {(5, 0, 0, 0, 0, 0): Fraction(1, 10)})
-    model = synth_K(p, remainder=rem)
+    model = SynthesizedCurvature(p, remainder=rem)
     assert model.radial_pairing_scaled() == Fraction(-4) * p + 5 * rem
     assert euler_operator(rem) == 5 * rem
 
@@ -190,7 +189,7 @@ def test_synth_curvature_with_remainder():
 def test_pi_vanishes_at_origin_without_constant_term():
     n = 6
     gamma = var(n, 0, 2) + var(n, 1) * var(n, 2)
-    pi = pi_eval(gamma, n)
+    pi = pi_eval(gamma)
     assert pi(np.zeros((1, n)))[0] == 0.0
 
 
@@ -201,7 +200,7 @@ def test_pi_decay_bound_for_low_degree():
     n = 6
     gamma = solve_gamma(project_to_admissible(alternating_quartic(n))).gamma
     assert gamma.degree() <= n - 2
-    pi = pi_eval(gamma, n)
+    pi = pi_eval(gamma)
     fit_rng = np.random.default_rng(7)
     fit_pts = fit_rng.standard_normal((2000, n)) * 5
     fit_r = np.linalg.norm(fit_pts, axis=1)
@@ -246,20 +245,17 @@ def test_linearized_residual_refuses_unverified_input():
 
 def test_harmonic_tail_values_and_h_o():
     n = 5
-    tail = harmonic_tail(
-        np.array([[1.0, 0, 0, 0, 0]]), np.array([1.0]), lam=0.1, n=n
-    )
+    tail = HarmonicTail(np.array([[1.0, 0, 0, 0, 0]]), np.array([1.0]), lam=0.1)
     assert tail.values(np.zeros((1, n)))[0] == 1.0
     assert tail.h_o == 1.0
 
 
 def test_harmonic_tail_is_harmonic_by_fd():
     n = 5
-    tail = harmonic_tail(
+    tail = HarmonicTail(
         np.array([[2.0, 0, 0, 0, 0], [0, -3.0, 0, 0, 0]]),
         np.array([1.0, 2.0]),
         lam=0.1,
-        n=n,
     )
     rng = np.random.default_rng(8)
     for point in rng.uniform(-2, 2, (20, n)):
@@ -269,7 +265,7 @@ def test_harmonic_tail_is_harmonic_by_fd():
 
 def test_harmonic_tail_pole_is_an_error():
     n = 4
-    tail = harmonic_tail(np.array([[1.0, 0, 0, 0]]), np.array([1.0]), lam=1.0, n=n)
+    tail = HarmonicTail(np.array([[1.0, 0, 0, 0]]), np.array([1.0]), lam=1.0)
     with pytest.raises(ValueError):
         tail.values(np.array([[1.0, 0, 0, 0]]))
 
@@ -278,28 +274,26 @@ def test_harmonic_tail_pole_is_an_error():
 
 
 def test_interpolation_matches_radius_outside_unit_ball():
-    rtilde = interpolation_R()
-    assert rtilde(np.array([[2.0, 0.0, 0.0]]))[0] == 2.0
+    assert interpolation_R(np.array([[2.0, 0.0, 0.0]]))[0] == 2.0
 
 
 def test_interpolation_flat_at_origin():
-    rtilde = interpolation_R()
-    grad = oracles.fd_gradient(lambda y: rtilde(y[None, :])[0], np.zeros(4), step=1e-6)
+    grad = oracles.fd_gradient(
+        lambda y: interpolation_R(y[None, :])[0], np.zeros(4), step=1e-6
+    )
     assert np.linalg.norm(grad) < 1e-6
-    assert rtilde(np.zeros((1, 4)))[0] == 0.0
+    assert interpolation_R(np.zeros((1, 4)))[0] == 0.0
 
 
 def test_interpolation_laplacian_is_bounded():
-    rtilde = interpolation_R()
     n = 4
     rng = np.random.default_rng(9)
     sup = 0.0
     for point in rng.uniform(-1.5, 1.5, (200, n)):
         if abs(np.linalg.norm(point) - 1.0) < 1e-2 or np.linalg.norm(point) < 1e-2:
             continue
-        sup = max(
-            sup, abs(oracles.fd_laplacian(lambda y: rtilde(y[None, :])[0], point))
-        )
+        lap = oracles.fd_laplacian(lambda y: interpolation_R(y[None, :])[0], point)
+        sup = max(sup, abs(lap))
     assert np.isfinite(sup)
     assert sup < 50.0
 
@@ -307,9 +301,27 @@ def test_interpolation_laplacian_is_bounded():
 # ----------------------------------------------------------- refined profile
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"harmonic_weights": (1.0,)},
+        {"harmonic_points": ((3.0, 0, 0, 0, 0, 0),), "harmonic_weights": ()},
+        {"harmonic_points": ((3.0, 0, 0, 0, 0, 0), (0, -4.0, 0, 0, 0))},
+        {"gamma": var(5, 0, 2)},
+    ],
+    ids=["two-points-one-weight", "one-point-no-weight", "short-point",
+         "gamma-dimension"],
+)
+def test_spec_refuses_mismatched_sources_and_gamma(changes):
+    spec = example_profile_spec()
+    fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
+    with pytest.raises(ValueError):
+        RefinedProfileSpec(**{**fields, **changes})
+
+
 def test_profile_peak_value_is_exact():
     spec = example_profile_spec()
-    profile = refined_profile(spec)
+    profile = RefinedProfile(spec)
     at_center = profile.total(np.asarray([spec.xi]))[0]
     assert at_center == profile.bubble_profile.peak
     assert profile.harmonic_group(np.asarray([spec.xi]))[0] == 0.0
@@ -317,7 +329,7 @@ def test_profile_peak_value_is_exact():
 
 def test_profile_joint_identity():
     spec = example_profile_spec()
-    profile = refined_profile(spec)
+    profile = RefinedProfile(spec)
     n = spec.n
     # at the splice sphere |Y| = c / lam the group restores the plain tail
     Y = np.zeros(n)
@@ -330,7 +342,7 @@ def test_profile_joint_identity():
 
 def test_profile_correction_forms_agree():
     spec = example_profile_spec()
-    profile = refined_profile(spec)
+    profile = RefinedProfile(spec)
     rng = np.random.default_rng(10)
     pts = rng.uniform(-1, 1, (100, spec.n))
     direct = profile.correction(pts)
@@ -340,10 +352,10 @@ def test_profile_correction_forms_agree():
 
 def test_profile_peak_scales_with_lam():
     n = 6
-    a = refined_profile(example_profile_spec(lam=0.1)).total(
+    a = RefinedProfile(example_profile_spec(lam=0.1)).total(
         np.zeros((1, n))
     )[0]
-    b = refined_profile(example_profile_spec(lam=0.05)).total(
+    b = RefinedProfile(example_profile_spec(lam=0.05)).total(
         np.zeros((1, n))
     )[0]
     assert b / a == pytest.approx(2.0 ** ((n - 2) / 2.0), rel=1e-12)
@@ -351,7 +363,7 @@ def test_profile_peak_scales_with_lam():
 
 def test_estimator_vanishes_identically_on_the_assembled_profile():
     spec = example_profile_spec()
-    profile = refined_profile(spec)
+    profile = RefinedProfile(spec)
     rng = np.random.default_rng(11)
     Ys = rng.uniform(-3, 3, (100, spec.n))
     assert np.abs(d_pi(profile.total, spec, Ys)).max() < 1e-12
@@ -362,7 +374,7 @@ def test_estimator_zero_and_gradient_scaling_on_manufactured_solution():
     mags = []
     for lam in (0.1, 0.05, 0.025):
         spec = example_profile_spec(lam=lam)
-        profile = refined_profile(spec)
+        profile = RefinedProfile(spec)
 
         def manufactured(points):
             return profile.bubble(points) + profile.correction(points)
@@ -387,7 +399,7 @@ def test_mezzo_scale_deviation_is_stable():
     constants = []
     for lam in (0.1, 0.05, 0.025):
         spec = example_profile_spec(lam=lam)
-        profile = refined_profile(spec)
+        profile = RefinedProfile(spec)
         directions = rng.standard_normal((200, n))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         radii = rng.uniform(0.2 / lam, 0.5 / lam, 200)
@@ -403,7 +415,7 @@ def test_mezzo_scale_deviation_is_stable():
 
 def test_profile_components_sum_to_total():
     spec = example_profile_spec()
-    profile = refined_profile(spec)
+    profile = RefinedProfile(spec)
     rng = np.random.default_rng(13)
     pts = rng.uniform(-0.5, 0.5, (50, spec.n))
     table = profile.components(pts)
@@ -415,7 +427,7 @@ def test_profile_components_sum_to_total():
 
 
 def test_green_vanishes_on_the_boundary():
-    ball = greens_ball(4, 1.0)
+    ball = GreensBall(4, 1.0)
     xi = np.array([0.3, 0.1, -0.2, 0.0])
     rng = np.random.default_rng(14)
     for _ in range(40):
@@ -425,7 +437,7 @@ def test_green_vanishes_on_the_boundary():
 
 
 def test_reflection_radius_identity():
-    ball = greens_ball(5, 2.0)
+    ball = GreensBall(5, 2.0)
     xi = np.array([0.5, 0.0, 0.3, 0.0, -0.1])
     assert np.linalg.norm(ball.reflect(xi)) == pytest.approx(
         ball.a**2 / np.linalg.norm(xi), rel=1e-14
@@ -434,14 +446,14 @@ def test_reflection_radius_identity():
 
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_poisson_kernel_normalizes(n):
-    ball = greens_ball(n, 1.5)
+    ball = GreensBall(n, 1.5)
     xi = np.zeros(n)
     xi[0] = 0.4
     assert ball.poisson_normalization(xi) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_green_and_poisson_bound_constants():
-    ball = greens_ball(4, 1.0)
+    ball = GreensBall(4, 1.0)
     for delta in (0.1, 0.3):
         report = ball.check_bounds(delta, samples=300, seed=15)
         assert np.isfinite(report["green_measured"])
@@ -454,11 +466,11 @@ def test_green_and_poisson_bound_constants():
 
 def test_rescaled_average_of_pure_bubble_matches_sech_profile():
     n, eps = 4, 0.01
-    profile = bubble(BubbleParams(n=n, eps=eps, center=(0.0,) * n))
+    profile = BubbleProfile(n, eps, (0.0,) * n)
     ts = np.linspace(-3, 3, 61)
     radii = np.exp(-(ts - np.log(eps)))
     wbar, (t_sorted, w_sorted), critical = rescaled_average(
-        profile.values, np.zeros(n), radii, n=n
+        profile.values, np.zeros(n), radii
     )
     assert critical == 1
     for t, w in zip(t_sorted, w_sorted):
@@ -472,11 +484,11 @@ def test_rescaled_average_sees_two_bubbles():
     # the companion bubble is kept wide enough for the node set to resolve
     # its sphere average; the radii span both concentration scales
     n = 4
-    one = bubble(BubbleParams(n=n, eps=0.01, center=(0.0,) * n))
-    two = bubble(BubbleParams(n=n, eps=0.3, center=(1.0, 0.0, 0.0, 0.0)))
+    one = BubbleProfile(n, 0.01, (0.0,) * n)
+    two = BubbleProfile(n, 0.3, (1.0, 0.0, 0.0, 0.0))
     combined = lambda pts: one.values(pts) + two.values(pts)
     ts = np.linspace(-3, 6, 160)
-    _, _, critical = rescaled_average(combined, np.zeros(n), np.exp(-ts), n=n)
+    _, _, critical = rescaled_average(combined, np.zeros(n), np.exp(-ts))
     assert critical >= 2
 
 
