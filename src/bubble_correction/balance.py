@@ -54,8 +54,6 @@ __all__ = [
     "pohozaev_volume_vs_surface",
 ]
 
-TOL_QUAD = 1e-4
-
 # Caps on the exact balance verdict's work, checked before any power is built
 # or any root taken (see ``multi_point_balance``): the degree q of the roots a
 # group of drift exponent eta takes, q = lcm(den(n/2), den((n-3)(1+eta))), and
@@ -669,7 +667,7 @@ def pohozaev_volume_vs_surface(profile, curvature, rho):
     integral of the normal component of the balance vector field built from
     the profile, its gradient, and the curvature.  For a profile that solves
     the equation exactly the two sides agree; the returned report carries
-    both values and the verdict at ``TOL_QUAD`` relative (floored at 1e-6
+    both values and the verdict at ``quadrature.TOL_QUAD`` relative (floored at 1e-6
     absolute so that an exactly-zero identity cannot false-fail).
 
     ``profile`` must expose values(points), gradients(points) and the
@@ -714,7 +712,7 @@ def pohozaev_volume_vs_surface(profile, curvature, rho):
 
     residual = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
-    passed = residual <= max(TOL_QUAD * scale, 1e-6)
+    passed = residual <= max(quadrature.TOL_QUAD * scale, 1e-6)
     return ViolationReport(
         constraint="balance_volume_vs_surface",
         residual_float=residual,

@@ -22,7 +22,7 @@ import tempfile
 from . import balance as balance_mod
 from . import moments as moments_mod
 from . import profiles as profiles_mod
-from . import reduction
+from . import quadrature, reduction
 from ._numpy import np
 from .errors import ExactnessError, Obstruction, ResidueObstructionError
 from .polynomials import Polynomial
@@ -34,6 +34,10 @@ EXIT_OBSTRUCTION = 2
 # ``green-check`` draws its interior point from uniform(-0.3, 0.3)^n times the
 # radius; 0.3 * sqrt(n) < 1 keeps it inside the ball, so n <= 11
 GREEN_MAX_N = 11
+# the boundary gaps whose Green and Poisson bounds ``green-check`` measures
+GREEN_GAPS = (0.1, 0.3)
+# ``profile`` samples xi + PROFILE_SCALE * N(0, I)
+PROFILE_SCALE = 0.5
 
 # Work caps of the sampling commands, checked before any work.  ``profile``
 # writes one CSV row per sample.  ``kernels.eval_poly`` holds about
@@ -42,9 +46,6 @@ GREEN_MAX_N = 11
 # ``profile``) is capped too: 4e6 is near 32 MB per evaluation.
 MAX_SAMPLES = 100_000
 MAX_SAMPLE_TERMS = 4_000_000
-# ``profile`` samples xi + scale * N(0, I); 1e6 is far beyond the bubble and
-# its harmonic sources, and a huge scale overflows (1e308 gave inf rows)
-MAX_PROFILE_SCALE = 1e6
 # ``profile`` formats and writes its CSV this many rows at a time
 _CSV_BLOCK_ROWS = 1_000
 
@@ -69,7 +70,10 @@ def _write_atomic(path, chunks):
 
 
 def _dump_json(path, payload):
-    _write_atomic(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    """NaN and Infinity are not JSON: a payload holding one is refused with a
+    ValueError before anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(path, [text + "\n"])
 
 
 def _csv_chunks(header, rows):
@@ -198,13 +202,6 @@ def cmd_residual_scan(args):
 def cmd_green_check(args):
     _require(args.n <= GREEN_MAX_N, "n", f"<= {GREEN_MAX_N}", args.n)
     _require(0 < args.radius < math.inf, "radius", "finite and > 0", args.radius)
-    deltas = [0.1, 0.3] if args.delta is None else args.delta
-    top = profiles_mod.GreensBall.MAX_DELTA
-    for delta in deltas:
-        _require(0 < delta <= top, "delta", f"in (0, {top}]", delta)
-    _require(
-        0 <= args.tol_quad < math.inf, "tol-quad", "finite and >= 0", args.tol_quad
-    )
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
     ball = profiles_mod.GreensBall(args.n, args.radius)
     rng = np.random.default_rng(args.seed)
@@ -220,10 +217,10 @@ def cmd_green_check(args):
         "radius": args.radius,
         "boundary_max_abs": max(boundary),
         "poisson_normalization": normalization,
-        "poisson_normalization_ok": bool(abs(normalization - 1.0) <= args.tol_quad),
-        "bounds": [
-            ball.check_bounds(delta, seed=args.seed) for delta in deltas
-        ],
+        "poisson_normalization_ok": bool(
+            abs(normalization - 1.0) <= quadrature.TOL_QUAD
+        ),
+        "bounds": [ball.check_bounds(delta, seed=args.seed) for delta in GREEN_GAPS],
     }
     _dump_json(args.output, payload)
     return EXIT_OK
@@ -232,17 +229,12 @@ def cmd_green_check(args):
 def cmd_profile(args):
     _require_samples(args.samples)
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
-    _require(
-        0 < args.scale <= MAX_PROFILE_SCALE, "scale",
-        f"> 0 and <= {MAX_PROFILE_SCALE:g}", args.scale,
-    )
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
     _require_work(args.samples, len(spec.gamma.terms))
     profile = profiles_mod.RefinedProfile(spec)
     rng = np.random.default_rng(args.seed)
-    points = np.asarray(spec.xi, float)[None, :] + args.scale * rng.standard_normal(
-        (args.samples, spec.n)
-    )
+    noise = rng.standard_normal((args.samples, spec.n))
+    points = np.asarray(spec.xi, float)[None, :] + PROFILE_SCALE * noise
     columns = profile.components(points)
     header = [f"y{i + 1}" for i in range(spec.n)] + [
         "bubble",
@@ -252,9 +244,7 @@ def cmd_profile(args):
     ]
     rows = np.column_stack([points, columns])
     if not np.isfinite(rows).all():
-        raise ValueError(
-            f"profile values are not finite at --scale {args.scale!r} for this spec"
-        )
+        raise ValueError("profile values are not finite for this spec")
     _write_atomic(args.output, _csv_chunks(header, rows))
     return EXIT_OK
 
@@ -321,14 +311,6 @@ def build_parser():
     green = sub.add_parser("green-check", help="Green/Poisson bound report")
     green.add_argument("--n", type=int, required=True)
     green.add_argument("--radius", type=float, default=1.0)
-    green.add_argument(
-        "--delta", type=float, action="append", default=None,
-        help="boundary gaps to test (repeatable; default 0.1 and 0.3)",
-    )
-    green.add_argument(
-        "--tol-quad", type=float, default=1e-4,
-        help="tolerance for quadrature-backed identities",
-    )
     green.add_argument("--seed", type=int, default=0)
     green.add_argument("--output", required=True)
     green.set_defaults(func=cmd_green_check)
@@ -337,7 +319,6 @@ def build_parser():
     prof.add_argument("--input", required=True, help="profile spec JSON")
     prof.add_argument("--samples", type=int, default=200)
     prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument("--scale", type=float, default=0.5)
     prof.add_argument("--output", required=True)
     prof.set_defaults(func=cmd_profile)
 

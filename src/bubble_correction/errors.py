@@ -43,22 +43,20 @@ class ResidueObstructionError(Obstruction):
 
 
 class CharacteristicGuardError(Obstruction):
-    """A recurrence denominator vanished while building the coefficient table.
+    """A recurrence denominator vanishes inside the requested coefficient table.
 
-    ``root`` names which root of the characteristic equation fired:
-    ``"half-dimension"`` for 2j = n, ``"degree"`` for j = (ell - 1) - 2(k - j).
+    Inside a table only the half-dimension factor 2j - n of a denominator can
+    vanish, so the table is refused before any cell is built, naming the
+    first blocked cell in build order, (n/2, n/2).
     """
 
-    def __init__(self, n, ell, j, k, root):
+    def __init__(self, n, ell):
         super().__init__(
-            f"characteristic denominator vanished at cell (j={j}, k={k}) "
-            f"for n={n}, ell={ell} ({root} root)"
+            f"characteristic denominator vanishes at cell (j={n // 2}, "
+            f"k={n // 2}) for n={n}, ell={ell} (half-dimension root)"
         )
         self.n = n
         self.ell = ell
-        self.j = j
-        self.k = k
-        self.root = root
 
 
 class DivergentMomentError(Obstruction, ValueError):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gamma, pi
+from math import exp, factorial, gamma, lgamma, log, pi
 
 from . import quadrature
 from ._numpy import np
@@ -80,14 +80,25 @@ def b_constant(ell):
 @lru_cache(maxsize=None)
 def j_value(n, ell):
     """The normalizing integral J(n, ell) of y_1^2...y_{ell/2}^2 against
-    (1 + |y|^2)^(-n), by the Gamma closed form."""
+    (1 + |y|^2)^(-n), by the Gamma closed form.
+
+    Gamma(n) overflows from n = 172 on, while J stays a normal float well
+    beyond (about 1e-167 at n = 200); the same form is then summed in logs
+    through ``lgamma``, and a J below the float range comes out 0.0.
+    """
     if ell % 2:
         raise ValueError("J is defined for even degrees")
     if not 0 <= ell <= n - 1:
         raise DivergentMomentError(
             f"J(n={n}, ell={ell}) requires 0 <= ell <= n - 1"
         )
-    return pi ** (n / 2.0) * 0.5 ** (ell // 2) * gamma((n - ell) / 2.0) / gamma(n)
+    try:
+        return pi ** (n / 2.0) * 0.5 ** (ell // 2) * gamma((n - ell) / 2.0) / gamma(n)
+    except OverflowError:
+        return exp(
+            (n / 2.0) * log(pi) - (ell // 2) * log(2.0)
+            + lgamma((n - ell) / 2.0) - lgamma(n)
+        )
 
 
 def monomial_j_multiple(alpha):

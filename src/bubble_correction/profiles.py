@@ -259,9 +259,11 @@ class HarmonicTail:
     sources, with its value at the origin cached as ``h_o``."""
 
     def __init__(self, points, weights, lam):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[0] == 0:
+        points = np.asarray(points, dtype=float)
+        # counted before atleast_2d, which turns an empty list into one empty row
+        if points.ndim and points.shape[0] == 0:
             raise ValueError("harmonic tail needs at least one source")
+        points = np.atleast_2d(points)
         if np.any(np.linalg.norm(points, axis=1) == 0):
             raise ValueError("tail sources must be away from the origin")
         weights = np.asarray(weights, dtype=float)

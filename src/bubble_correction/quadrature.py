@@ -34,6 +34,10 @@ BALL_SPHERE_COUNT = 4096
 # the node count of ``latitude_rule``, shared by the Poisson normalization and
 # the balance law's axial flux nodes
 LATITUDE_NODES = 512
+# the one tolerance of quadrature-backed identities: ``green-check``'s Poisson
+# normalization (absolute) and the balance law's volume-vs-flux verdict
+# (relative)
+TOL_QUAD = 1e-4
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,12 @@ building blocks (|y|^2)^j * lap^(k)(P).  The combination's coefficients C^j_k
 satisfy a three-term recurrence whose cells are filled in an explicit
 dependency order (same-degree diagonal first, then column by column in the
 offset k - j, ascending j inside each column); each cell divides by a
-characteristic denominator that is checked before use.
+characteristic denominator.  By its factorisation
+-(2j - n)(2j - 2(ell - 1 - 2(k - j))) the denominator of a cell inside a
+table vanishes only at the half-dimension root 2j = n: the second factor
+needs 2k - j = ell - 1, while every cell has 2k - j <= 2k <= ell - 2.  So
+one rule, checked before any cell is built, decides every table: a table
+of ``columns`` columns is blocked exactly when n is even and n/2 < columns.
 
 When the top iterated Laplacian does not vanish, L(G) = P picks up a purely
 radial residue.  For even n and even ell <= n - 2 the residue can be absorbed
@@ -70,7 +75,6 @@ __all__ = [
     "h_of",
     "a_multiplier",
     "characteristic_denominator",
-    "characteristic_guard",
     "CoefficientTable",
     "coefficient_table",
     "apply_L",
@@ -134,13 +138,6 @@ def characteristic_denominator(n, ell, j, k):
     )
 
 
-def characteristic_guard(n, ell, j, k):
-    """True when the cell (j, k) has a nonzero characteristic denominator."""
-    if not (0 <= j <= k <= h_of(ell) - 1):
-        raise ValueError(f"cell (j={j}, k={k}) outside the table range")
-    return characteristic_denominator(n, ell, j, k) != 0
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Recurrence coefficients C^j_k for 0 <= j <= k <= columns - 1, the
@@ -193,22 +190,22 @@ def coefficient_table(n, ell, columns=None):
     (used when an early iterated Laplacian vanishes); the default is the full
     table with h columns, which also carries the residue weights.
 
-    Raises CharacteristicGuardError if any required denominator vanishes,
-    naming the blocked cell and which root of the characteristic equation
-    fired.
+    Raises CharacteristicGuardError, before any cell is built, when n is
+    even and n/2 < columns: only the cells of row j = n/2 have a vanishing
+    denominator (see the module docstring), and (n/2, n/2) is the first of
+    them in build order.  A full table, of h columns, is blocked exactly when
+    h > n/2.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1 (got n={n})")
     _check_degree(ell)
     if ell < 2:
         raise UnsupportedCaseError("source degree must be >= 2")
-    if n % 2 == 0 and ell >= n + 2:
-        raise UnsupportedCaseError(
-            f"even dimension requires ell < n + 2 (got n={n}, ell={ell})"
-        )
     h = h_of(ell)
     full = columns is None
     columns = h if full else min(columns, h)
+    if n % 2 == 0 and n // 2 < columns:
+        raise CharacteristicGuardError(n, ell)
 
     C = {}
     A = {}
@@ -220,11 +217,6 @@ def coefficient_table(n, ell, columns=None):
         for j in range(columns - u):
             k = j + u
             A[(j, k)] = a_multiplier(n, ell, j, k)
-            denom = characteristic_denominator(n, ell, j, k)
-            if denom == 0:
-                # by its factorisation, a zero off 2j = n is the degree root
-                root = "half-dimension" if 2 * j == n else "degree"
-                raise CharacteristicGuardError(n, ell, j, k, root)
             # the neighbours inside the table, all built by now
             deps = tuple(
                 cell for cell in ((j - 1, k - 1), (j, k - 1), (j + 1, k)) if cell in C
@@ -233,7 +225,7 @@ def coefficient_table(n, ell, columns=None):
             feed = sum(
                 C[cell] * A[cell] if cell == (j + 1, k) else C[cell] for cell in deps
             )
-            C[(j, k)] = (source - feed) / denom
+            C[(j, k)] = (source - feed) / characteristic_denominator(n, ell, j, k)
             build_order.append((j, k))
             dependencies[(j, k)] = deps
 

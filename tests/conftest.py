@@ -36,13 +36,18 @@ def run_cli(args, cwd, launcher=("-m", "bubble_correction.cli")):
     )
 
 
-def load_bench_inputs():
-    """The benchmark's request generator, ``perfbench/inputs.py``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+def load_bench_module(name):
+    """The benchmark's module ``perfbench/<name>.py``, read from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench_inputs():
+    """The benchmark's request generator, ``perfbench/inputs.py``."""
+    return load_bench_module("inputs")
 
 
 def random_homogeneous(rng, n, ell, max_terms=4, coeff_bound=5):

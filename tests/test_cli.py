@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import stat
 import warnings
 from fractions import Fraction
@@ -8,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bubble_correction import cli, reduction
+from bubble_correction import cli, profiles, reduction
 from bubble_correction.polynomials import Polynomial
 from bubble_correction.reduction import MAX_ELL, MAX_SOLUTION_TERMS, solve_gamma
 
-from conftest import alternating_quartic, run_cli
+from conftest import alternating_quartic, load_bench_module, run_cli
 
 
 def assert_input_error(result):
@@ -382,12 +383,23 @@ def test_green_check_report(tmp_path):
     ],
 )
 def test_green_check_rejects_out_of_range_flags(tmp_path, flags):
+    # --radius is range-checked before any work; --delta and --tol-quad are
+    # gone (the gaps are cli.GREEN_GAPS and the tolerance quadrature.TOL_QUAD),
+    # so any value of theirs is a usage error
     result = run_cli(
         ["green-check", "--n", "4", *flags, "--output", str(tmp_path / "g.json")],
         tmp_path,
     )
-    assert_input_error(result)
-    assert result.stderr.startswith(f"input error: {flags[0]} must be "), result.stderr
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert not list(tmp_path.iterdir())
+    if flags[0] == "--radius":
+        assert result.stderr.startswith("input error: --radius must be "), result.stderr
+    else:
+        assert result.stderr.startswith("usage:"), result.stderr
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("input error:"), result.stderr
+        assert f"unrecognized arguments: {flags[0]} " in last, result.stderr
 
 
 def profile_spec_json():
@@ -551,8 +563,12 @@ def test_directory_paths_exit_one(tmp_path, args):
         ["solve", "--output", "o.json"],
         ["balance", "--input", "c.json", "--output", "o.json", "--tol-exact", "0"],
         ["balance", "--input", "c.json", "--output", "o.json", "--tol-float", "1e-10"],
+        ["green-check", "--n", "4", "--output", "g.json", "--delta", "0.1"],
+        ["green-check", "--n", "4", "--output", "g.json", "--tol-quad", "1e-4"],
+        ["profile", "--input", "s.json", "--output", "p.csv", "--scale", "0.5"],
     ],
-    ids=["non-integer-n", "missing-input", "removed-tol-exact", "removed-tol-float"],
+    ids=["non-integer-n", "missing-input", "removed-tol-exact", "removed-tol-float",
+         "removed-delta", "removed-tol-quad", "removed-scale"],
 )
 def test_usage_errors_exit_one(tmp_path, args):
     result = run_cli(args, tmp_path)
@@ -583,20 +599,15 @@ def test_obstructions_share_one_prefix(tmp_path):
         assert result.stderr.startswith("obstruction:"), result.stderr
 
 
-def test_green_check_delta_band(tmp_path):
-    out = tmp_path / "g.json"
-    edge = run_cli(
-        ["green-check", "--n", "4", "--delta", "0.95", "--output", str(out)], tmp_path
-    )
-    assert edge.returncode == 0, edge.stderr
-    assert json.loads(out.read_text())["bounds"][0]["delta"] == 0.95
-    beyond = run_cli(
-        ["green-check", "--n", "4", "--delta", "0.96", "--output", str(tmp_path / "h.json")],
-        tmp_path,
-    )
-    assert_input_error(beyond)
-    assert beyond.stderr.startswith("input error: --delta must be"), beyond.stderr
-    assert "(0, 0.95]" in beyond.stderr
+def test_green_check_delta_band():
+    # green-check's fixed gaps lie in the band that GreensBall.check_bounds
+    # accepts, (0, 0.95]: it draws source radii from [0.05, 1 - delta]
+    top = profiles.GreensBall.MAX_DELTA
+    assert all(0 < delta <= top for delta in cli.GREEN_GAPS)
+    ball = profiles.GreensBall(4, 1.0)
+    assert ball.check_bounds(0.95)["delta"] == 0.95
+    with pytest.raises(ValueError, match=r"\(0, 0\.95\]"):
+        ball.check_bounds(0.96)
 
 
 def test_green_check_largest_dimension_passes(tmp_path):
@@ -642,7 +653,6 @@ SAMPLING_RULES = [
     ("residual-scan", "--seed", ["-1"], "0"),
     ("profile", "--samples", ["0", "-1"], "1"),
     ("profile", "--seed", ["-1"], "0"),
-    ("profile", "--scale", ["0", "nan", "inf", "-0.5"], "5e-324"),
     ("green-check", "--seed", ["-1"], "0"),
 ]
 
@@ -760,30 +770,9 @@ def test_samples_times_terms_cap_refuses_before_any_work(
     assert out.exists()
 
 
-def test_profile_scale_cap_boundary(tmp_path, capsys, monkeypatch, sampling_commands):
-    out = tmp_path / "profile.csv"
-    argv = [*sampling_commands["profile"], "--samples", "20"]
-    above = math.nextafter(cli.MAX_PROFILE_SCALE, math.inf)
-    with monkeypatch.context() as patch:
-        refuse_work(patch)
-        for value in (repr(above), "1e308"):
-            code, err = run_sampling(capsys, [*argv, "--scale", value], out)
-            assert code == 1
-            assert err.startswith("input error: --scale must be > 0 and <= "), err
-            assert not out.exists()
-    code, err = run_sampling(
-        capsys, [*argv, "--scale", repr(cli.MAX_PROFILE_SCALE)], out
-    )
-    assert code == 0, err
-    assert err == ""
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows) == 20
-    assert all(math.isfinite(float(x)) for row in rows for x in row)
-
-
 def test_profile_refuses_non_finite_values(tmp_path, capsys):
-    # a tiny lam puts |Y| = |y - xi| / lam beyond float range even at the
-    # default scale: the rows would hold nan
+    # a tiny lam puts |Y| = |y - xi| / lam beyond float range at the
+    # sampling scale cli.PROFILE_SCALE: the rows would hold nan
     spec = profile_spec_json()
     spec["lam"] = 1e-200
     path = tmp_path / "spec.json"
@@ -794,8 +783,87 @@ def test_profile_refuses_non_finite_values(tmp_path, capsys):
             capsys, ["profile", "--input", str(path), "--samples", "5"], out
         )
     assert code == 1
-    assert "input error: profile values are not finite at --scale 0.5" in err
+    assert "input error: profile values are not finite for this spec" in err
     assert not out.exists()
+
+
+def test_profile_refuses_an_empty_source_list(tmp_path, capsys):
+    spec = profile_spec_json()
+    spec["harmonic_points"] = []
+    spec["harmonic_weights"] = []
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "profile.csv"
+    code, err = run_sampling(
+        capsys, ["profile", "--input", str(path), "--samples", "5"], out
+    )
+    assert code == 1
+    assert err.startswith("input error: harmonic tail needs at least one source"), err
+    assert not out.exists()
+
+
+def test_residual_scan_refuses_a_non_finite_report(tmp_path, capsys, monkeypatch):
+    # an exact solution whose float evaluation overflows: y1^400 at the
+    # sampled points is beyond float range, and the residual comes out NaN,
+    # which JSON cannot carry
+    gamma = Polynomial.variable(2, 0, 400)
+    solution = reduction.CorrectionSolution(gamma, None, 201, True, 2, 400)
+    (tmp_path / "sol.json").write_text(json.dumps(solution.to_json()))
+    write_poly(tmp_path / "src.json", reduction.apply_L(gamma))
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["residual-scan", "--input", "sol.json", "--source", "src.json",
+                         "--samples", "10", "--output", "scan.json"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sol.json", "src.json"]
+
+
+def test_integrate_in_a_dimension_past_the_gamma_range(tmp_path, capsys, monkeypatch):
+    # Gamma(1000) overflows and J(1000, 2) underflows: J comes out 0.0
+    write_poly(tmp_path / "p.json", Polynomial.variable(1000, 3, 2))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["integrate", "--input", "p.json", "--output", "o.json"]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "o.json").read_text())
+    assert math.isfinite(data["J"]) and math.isfinite(data["numeric"])
+    assert data["j_multiple"] == {"num": "1", "den": "1"}
+
+
+def test_solve_harmonic_sextic_in_dimension_four(tmp_path):
+    # degree ell = 6 >= n + 2 in even n: the full table is blocked, but the
+    # source is harmonic, so only column 0 is built; L(P) = -2n(ell - 1) P,
+    # so gamma = -P/40
+    y1, y2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
+    source = y1**6 - 15 * y1**4 * y2**2 + 15 * y1**2 * y2**4 - y2**6
+    write_poly(tmp_path / "p.json", source)
+    out = tmp_path / "s.json"
+    result = run_cli(["solve", "--input", "p.json", "--output", str(out)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    solution = reduction.CorrectionSolution.from_json(json.loads(out.read_text()))
+    assert solution.gamma == source * Fraction(-1, 40)
+    assert solution.vanishing_order == 1
+
+
+def test_bench_requests_replay_in_process(tmp_path, capsys, monkeypatch):
+    # one solve-exact and one light-cli round of the benchmark at seed 1,
+    # each request's exit code and artifact judged by the benchmark's own
+    # checks, which share no computation with the package
+    inputs, checks = load_bench_module("inputs"), load_bench_module("checks")
+    requests = inputs.solve_round(random.Random(1), "r0")
+    requests += inputs.light_round(random.Random(1), "r0")
+    monkeypatch.chdir(tmp_path)
+    blocked = 0
+    for request in requests:
+        inputs.write_files(request, tmp_path)
+        code = cli.main(request["argv"])
+        err = capsys.readouterr().err
+        assert checks.check(request, code, request["output"]) is None, request["argv"]
+        if request["kind"] == "table" and code == 2:
+            n = request["n"]
+            assert f"cell (j={n // 2}, k={n // 2})" in err, err
+            blocked += 1
+    assert blocked == 3
 
 
 def test_profile_with_a_tiny_lam_runs_clean(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,6 +75,18 @@ def test_j_closed_form_matches_quadrature_oracle(n, ell):
     mono = Polynomial(n, {tuple(alpha): 1})
     oracle = quadrature.weighted_poly_integral(mono)
     assert j_value(n, ell) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [172, 200])
+@pytest.mark.parametrize("ell", [0, 2, 10, 100])
+def test_j_past_the_gamma_range_matches_mpmath(n, ell):
+    # Gamma(n) overflows from n = 172 on; J itself is a normal float there
+    with mpmath.workdps(40):
+        exact = (
+            mpmath.pi ** (mpmath.mpf(n) / 2) * mpmath.mpf(2) ** -(ell // 2)
+            * mpmath.gamma(mpmath.mpf(n - ell) / 2) / mpmath.gamma(n)
+        )
+    assert j_value(n, ell) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_j_is_positive_and_guarded():

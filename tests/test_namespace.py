@@ -12,7 +12,7 @@ FalsifierResult GreensBall HarmonicTail IntegralResult Polynomial
 RefinedProfile RefinedProfileSpec ResidualReport ResidueObstructionError
 UnsupportedCaseError ViolationReport a_multiplier apply_L
 apply_signed_permutation b_constant balance change_of_center
-characteristic_guard coefficient_table compose_shift d_pi directional_pairing
+coefficient_table compose_shift d_pi directional_pairing
 double_factorial_minus2 errors eta_admissible euler_operator
 flexibility_falsifier gradient gradient_lower_bound gradient_moment h_of
 interference_check interpolation_R iterated_laplacian j_multiple

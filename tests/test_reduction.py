@@ -20,10 +20,10 @@ from bubble_correction.polynomials import (
     r2_multiply,
 )
 from bubble_correction.reduction import (
+    MAX_ELL,
     a_multiplier,
     apply_L,
     characteristic_denominator,
-    characteristic_guard,
     coefficient_table,
     h_of,
     kernel_basis,
@@ -87,12 +87,31 @@ def test_a_multiplier_values():
 
 
 def test_characteristic_guard():
-    # top row is always safe when the degree parity rules out the unit gap
-    assert characteristic_guard(7, 4, 0, 1)
-    assert characteristic_guard(5, 4, 1, 1)
-    # the half-dimension root, exercised directly on the denominator
-    n, ell = 4, 6  # would need ell < n + 2; check the raw denominator instead
-    assert characteristic_denominator(n, ell, n // 2, n // 2) == 0
+    # the guard's one rule, brute-forced over every cell: a denominator
+    # vanishes in the first ``columns`` columns exactly when n is even and
+    # n/2 < columns, and coefficient_table refuses exactly those tables.  The
+    # denominator is written out from its definition A - 2n(ell + 2(j - k) - 1)
+    # in ints (the module's Fractions would take seconds here; the
+    # factorization test ties the two together)
+    for n in range(1, 41):
+        for ell in range(2, MAX_ELL + 1):
+            h = h_of(ell)
+            # the first column holding a zero denominator, h when none
+            first = min(
+                (k for k in range(h) for j in range(k + 1)
+                 if 2 * j * (2 * j + n - 2 + 2 * ell - 4 * k)
+                 == 2 * n * (ell + 2 * (j - k) - 1)),
+                default=h,
+            )
+            if first < h:
+                # the cell the guard names, by the module's own denominator
+                assert characteristic_denominator(n, ell, n // 2, n // 2) == 0
+            for columns in range(1, h + 1):
+                blocked = n % 2 == 0 and n // 2 < columns
+                assert (first < columns) == blocked, (n, ell, columns)
+                if blocked:
+                    with pytest.raises(CharacteristicGuardError):
+                        coefficient_table(n, ell, columns=columns)
 
 
 def test_characteristic_denominator_factorization(rng):
@@ -147,7 +166,7 @@ def test_table_cells_satisfy_the_three_term_recurrence():
         for ell in range(2, 11):
             try:
                 C = coefficient_table(n, ell).C
-            except (UnsupportedCaseError, CharacteristicGuardError):
+            except CharacteristicGuardError:
                 continue
             for (j, k), c in C.items():
                 a_next = 2 * (j + 1) * (2 * (j + 1) + n - 2 + 2 * ell - 4 * k)
@@ -176,15 +195,39 @@ def test_residue_weights_assemble_from_last_column():
 
 
 def test_even_dimension_degree_limit():
-    with pytest.raises(UnsupportedCaseError):
-        coefficient_table(6, 8)
+    # a full table needs column n/2 exactly when ell >= n + 2
+    for n in (2, 4, 6, 8):
+        coefficient_table(n, n + 1)
+        with pytest.raises(CharacteristicGuardError):
+            coefficient_table(n, n + 2)
 
 
-def test_guard_failure_names_the_cell():
-    # with the degree limit bypassed the half-dimension root fires; reach it
-    # through a dimension/degree pair that is legal but large
-    with pytest.raises((CharacteristicGuardError, UnsupportedCaseError)):
-        coefficient_table(4, 6)
+def test_guard_failure_names_the_cell(monkeypatch):
+    # refused before any cell is built: nothing may compute a cell's numbers
+    def built(*args):
+        raise AssertionError("a cell was built before the guard")
+
+    monkeypatch.setattr(reduction, "a_multiplier", built)
+    monkeypatch.setattr(reduction, "characteristic_denominator", built)
+    for n, ell, columns in [(4, 6, None), (6, 20, 4), (2, 100, 2)]:
+        with pytest.raises(CharacteristicGuardError) as info:
+            coefficient_table(n, ell, columns=columns)
+        assert (info.value.n, info.value.ell) == (n, ell)
+        assert f"cell (j={n // 2}, k={n // 2})" in str(info.value)
+        assert f"n={n}, ell={ell}" in str(info.value)
+
+
+@pytest.mark.parametrize("n, ell", [(4, 6), (4, 8), (4, 10), (6, 8), (6, 10), (6, 12)])
+def test_even_dimension_sources_past_the_full_table_solve(rng, n, ell):
+    # degree >= n + 2 in even n: the full table is blocked, but a source
+    # whose Laplacian chain vanishes by order n/2 needs no column past n/2 - 1
+    for k in range(n // 2):
+        source = harmonic_homogeneous(rng, n, ell - 2 * k) * Polynomial.r_squared(n) ** k
+        for solve in (solve_gamma, solve_general):
+            solution = solve(source)
+            assert solution.vanishing_order == k + 1
+            assert solution.radial_completion is None
+            assert apply_L(solution.gamma) == source
 
 
 # ------------------------------------------------------------- the operator
