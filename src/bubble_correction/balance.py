@@ -246,7 +246,7 @@ def parity_certificate(poly):
     if ell is None or ell % 2 or ell < 2:
         return False
     seen = set()
-    for alpha, _coeff in poly.terms.items():
+    for alpha in poly.nums:
         active = [i for i, a in enumerate(alpha) if a]
         if len(active) != 1 or alpha[active[0]] != ell:
             return False
@@ -640,7 +640,6 @@ def multi_point_balance(config):
                 "eta": rational_to_json(eta),
                 "members": members,
                 "sum": total,
-                "exact": passed,
                 "pass": passed,
             }
         )

@@ -191,7 +191,7 @@ def cmd_residual_scan(args):
     solution = reduction.CorrectionSolution.from_json(_load_json(args.input))
     source = _load_polynomial(args.source)
     total = solution.total()
-    _require_work(args.samples, len(total.terms))
+    _require_work(args.samples, len(total.nums))
     report = profiles_mod.linearized_residual(
         total, source, samples=args.samples, seed=args.seed
     )
@@ -230,7 +230,7 @@ def cmd_profile(args):
     _require_samples(args.samples)
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
-    _require_work(args.samples, len(spec.gamma.terms))
+    _require_work(args.samples, len(spec.gamma.nums))
     profile = profiles_mod.RefinedProfile(spec)
     rng = np.random.default_rng(args.seed)
     noise = rng.standard_normal((args.samples, spec.n))

@@ -5,7 +5,7 @@ grids) funnels through the three vectorized numpy kernels here; there is one
 implementation of each and nothing to configure.
 
 The exact-rational tier of the package never comes through here: the
-correctness-critical identities stay in ``Fraction`` arithmetic, and only
+correctness-critical identities stay in exact rational arithmetic, and only
 float sampling is vectorized.
 
 ``eval_poly`` on m points, t terms and n variables works from per-variable
@@ -46,14 +46,15 @@ _SCRATCH_BYTES = 2**20
 def poly_arrays(poly):
     """Exponent matrix (t, n) int64 and coefficient vector (t,) float64 for a
     Polynomial, in its deterministic term order."""
-    items = poly.sorted_terms()
-    if not items:
+    alphas = poly.monomials()
+    if not alphas:
         return (
             np.zeros((0, poly.dimension), dtype=np.int64),
             np.zeros(0, dtype=np.float64),
         )
-    exps = np.array([alpha for alpha, _ in items], dtype=np.int64)
-    coeffs = np.array([float(c) for _, c in items], dtype=np.float64)
+    exps = np.array(alphas, dtype=np.int64)
+    # int / int is correctly rounded, so v / den is float(Fraction(v, den))
+    coeffs = np.array([poly.nums[a] / poly.den for a in alphas], dtype=np.float64)
     return exps, coeffs
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, factorial, gamma, lgamma, log, pi
+from math import exp, factorial, gamma, inf, isfinite, lgamma, log, pi
 
 from . import quadrature
 from ._numpy import np
@@ -113,11 +113,12 @@ def monomial_j_multiple(alpha):
 
 def j_multiple(poly):
     """Exact rational multiple of J(n, deg) in the weighted integral of a
-    homogeneous polynomial, by monomial bookkeeping."""
-    total = Fraction(0)
-    for alpha, coeff in poly.terms.items():
-        total += coeff * monomial_j_multiple(alpha)
-    return total
+    homogeneous polynomial, by monomial bookkeeping: one integer sum over
+    the polynomial's denominator."""
+    return Fraction(
+        sum(v * monomial_j_multiple(alpha) for alpha, v in poly.nums.items()),
+        poly.den,
+    )
 
 
 def j_multiple_via_laplacian(poly):
@@ -154,7 +155,9 @@ class IntegralResult:
 def weighted_integral(poly):
     """Weighted integral of a general polynomial of degree <= n - 1: exact
     multiples of J per homogeneous degree, plus the float total.  Odd
-    degrees integrate to zero by symmetry."""
+    degrees integrate to zero by symmetry.  A total beyond the float range
+    (a multiple too large for a float, or an infinite sum) is refused with
+    a ValueError naming the degree."""
     n = poly.dimension
     multiples = {}
     total = 0.0
@@ -167,7 +170,15 @@ def weighted_integral(poly):
         mult = j_multiple(part)
         multiples[degree] = mult
         if degree % 2 == 0 and mult:
-            total += float(mult) * j_value(n, degree)
+            try:
+                total += float(mult) * j_value(n, degree)
+            except OverflowError:
+                total = inf
+            if not isfinite(total):
+                raise ValueError(
+                    f"the weighted integral at degree {degree} is beyond the "
+                    "float range"
+                )
     return multiples, total
 
 

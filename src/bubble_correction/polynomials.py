@@ -1,23 +1,34 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Coefficients are ``fractions.Fraction`` throughout, so algebraic identities
-can be asserted with ``==`` instead of tolerances.  A multi-index is a plain
-tuple of non-negative ints (never bools or anything truncated to an int)
-whose length equals the ambient dimension; stored terms never carry a zero
-coefficient.  Input is validated once, by ``Polynomial(...)`` and the named
-constructors built on it.  Every operation on polynomials returns through the
-private normaliser ``Polynomial._of``, which trusts its already-validated
-terms and only drops zero coefficients.  Iteration and serialized output
-follow graded-lexicographic order so that artifacts are byte-reproducible.
+A polynomial is stored in one integer form: a positive int denominator
+``den`` and a read-only map ``nums`` from multi-index to nonzero int
+numerator, the coefficient at alpha being nums[alpha] / den.  The form is
+kept in lowest terms (gcd(den, *nums) == 1, and den == 1 for the zero
+polynomial), so two polynomials are equal exactly when their dimensions,
+denominators and numerators are, and algebraic identities can be asserted
+with ``==`` instead of tolerances.  ``fractions.Fraction`` appears only at
+the boundary: the validation of input, ``terms`` (a fresh {alpha: Fraction}
+dict on each read), ``coefficient``, ``sorted_terms`` and ``evaluate``
+(``to_json`` reduces each coefficient by one integer gcd).
+
+A multi-index is a plain tuple of non-negative ints (never bools or anything
+truncated to an int) whose length equals the ambient dimension.  Input is
+validated once, by ``Polynomial(...)`` and the named constructors built on
+it, and then put over the lcm of its denominators.  Every operation on
+polynomials returns through the private ``Polynomial._of``, whose one
+normaliser trusts its already-valid numerators, drops the zero ones and
+divides out the gcd.  Iteration and serialized output follow
+graded-lexicographic order so that artifacts are byte-reproducible.
 Evaluation is exact only: a point's coordinates are read like coefficients.
 
-The exact operators (``laplacian``, ``iterated_laplacian``, ``r2_multiply``,
-``_radial_sum`` and ``reduction.apply_L``) are built from two stencils on
-coefficients scaled to integers by the lcm of their denominators
-(``_scaled``, undone once by ``_unscaled``): the Laplacian moves
-a_i(a_i - 1)c to alpha - 2e_i, and |y|^2 copies c to every alpha + 2e_j.
+The exact operators work on the numerators: a sum first puts its operands
+over one denominator (``_over_lcm``), a product multiplies the denominators,
+and ``laplacian``, ``iterated_laplacian``, ``r2_multiply``, ``_radial_sum``
+and ``reduction.apply_L`` are built from two integer stencils that keep the
+denominator: the Laplacian moves a_i(a_i - 1)v to alpha - 2e_i, and |y|^2
+copies v to every alpha + 2e_j.
 
-The zero polynomial is the empty term map (with an explicit dimension); its
+The zero polynomial has no numerators (with an explicit dimension); its
 degree is reported as ``None`` rather than an arbitrary sentinel number.
 """
 
@@ -25,7 +36,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
+from types import MappingProxyType
 
 from .errors import DimensionMismatchError, ExactnessError
 
@@ -84,22 +96,27 @@ def rational_to_json(value):
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _grlex_key(alpha):
-    return (sum(alpha), alpha)
-
-
 def _accumulate(terms, alpha, coeff):
     """Add ``coeff`` at ``alpha``; a zero sum stays until ``Polynomial._of``."""
     terms[alpha] = terms.get(alpha, 0) + coeff
 
 
-class Polynomial:
-    """Sparse polynomial in ``dimension`` variables with rational coefficients."""
+def _over_lcm(*polys):
+    """D, the lcm of the polynomials' denominators, and each one's numerators
+    over D, as fresh dicts: the one step that puts a sum on one denominator."""
+    den = lcm(*(p.den for p in polys))
+    return den, [{a: v * (den // p.den) for a, v in p.nums.items()} for p in polys]
 
-    __slots__ = ("dimension", "terms")
+
+class Polynomial:
+    """Sparse polynomial in ``dimension`` variables with rational
+    coefficients nums[alpha] / den, kept in lowest terms."""
+
+    __slots__ = ("dimension", "den", "nums")
 
     def __init__(self, dimension, terms=None):
-        """Validate outside input; operation results are built by ``_of``."""
+        """Validate outside input and put it over the lcm of its
+        denominators; operation results are built by ``_of``."""
         if type(dimension) is not int or dimension < 1:
             raise ValueError(f"dimension must be a positive int, got {dimension!r}")
         checked = {}
@@ -112,18 +129,26 @@ class Polynomial:
             if any(type(a) is not int or a < 0 for a in alpha):
                 raise ValueError(f"exponents must be non-negative ints: {alpha!r}")
             checked[alpha] = as_coefficient(coeff)
-        self._store(dimension, checked)
+        den = lcm(*(c.denominator for c in checked.values()))
+        nums = {a: c.numerator * (den // c.denominator) for a, c in checked.items()}
+        self._store(dimension, nums, den)
 
-    def _store(self, dimension, terms):
-        """The one normaliser: keep ``terms`` without its zero coefficients."""
+    def _store(self, dimension, nums, den):
+        """The one normaliser: ``nums`` over ``den`` without the zero
+        numerators, both divided by their gcd (so the zero polynomial has
+        den 1)."""
+        g = gcd(den, *nums.values())
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "terms", {a: c for a, c in terms.items() if c})
+        object.__setattr__(self, "den", den // g)
+        nums = MappingProxyType({a: v // g for a, v in nums.items() if v})
+        object.__setattr__(self, "nums", nums)
 
     @classmethod
-    def _of(cls, dimension, terms):
-        """Operation results: ``terms`` is already valid, so nothing is checked."""
+    def _of(cls, dimension, nums, den):
+        """Operation results: int ``nums`` over a positive int ``den``, already
+        valid, so nothing is checked."""
         poly = object.__new__(cls)
-        poly._store(dimension, terms)
+        poly._store(dimension, nums, den)
         return poly
 
     def __setattr__(self, name, value):
@@ -149,46 +174,52 @@ class Polynomial:
 
     @classmethod
     def r_squared(cls, dimension):
-        """|y|^2 = y_1^2 + ... + y_n^2."""
-        terms = {}
-        for i in range(dimension):
-            alpha = [0] * dimension
-            alpha[i] = 2
-            terms[tuple(alpha)] = Fraction(1)
-        return cls(dimension, terms)
+        """|y|^2 = y_1^2 + ... + y_n^2: the |y|^2 stencil on the constant 1."""
+        one = cls.constant(dimension, 1)
+        return cls._of(dimension, _r2_stencil(dimension, one.nums), one.den)
+
+    @property
+    def terms(self):
+        """A fresh {alpha: Fraction} dict; writing to it changes nothing."""
+        return {alpha: Fraction(v, self.den) for alpha, v in self.nums.items()}
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return None
-        return max(sum(alpha) for alpha in self.terms)
+        return max(sum(alpha) for alpha in self.nums)
 
     def is_homogeneous(self):
-        degrees = {sum(alpha) for alpha in self.terms}
+        degrees = {sum(alpha) for alpha in self.nums}
         return len(degrees) <= 1
 
     def coefficient(self, alpha):
-        return self.terms.get(tuple(alpha), Fraction(0))
+        return Fraction(self.nums.get(tuple(alpha), 0), self.den)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.dimension, Fraction(0))
+        return self.coefficient((0,) * self.dimension)
 
     def homogeneous_parts(self):
         """Map degree -> homogeneous component (zero polynomial excluded)."""
         parts = {}
-        for alpha, coeff in self.terms.items():
-            parts.setdefault(sum(alpha), {})[alpha] = coeff
+        for alpha, v in self.nums.items():
+            parts.setdefault(sum(alpha), {})[alpha] = v
         return {
-            d: Polynomial._of(self.dimension, t) for d, t in sorted(parts.items())
+            d: Polynomial._of(self.dimension, t, self.den)
+            for d, t in sorted(parts.items())
         }
 
+    def monomials(self):
+        """The multi-indices in graded-lexicographic order."""
+        return sorted(self.nums, key=lambda alpha: (sum(alpha), alpha))
+
     def sorted_terms(self):
-        """Terms in graded-lexicographic order."""
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+        """(alpha, Fraction) pairs in graded-lexicographic order."""
+        return [(a, Fraction(self.nums[a], self.den)) for a in self.monomials()]
 
     # ------------------------------------------------------------ arithmetic
 
@@ -199,25 +230,28 @@ class Polynomial:
             )
 
     def __eq__(self, other):
+        """Lowest terms make this the coefficient-by-coefficient equality."""
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dimension == other.dimension and self.terms == other.terms
+        return (self.dimension, self.den, self.nums) == (
+            other.dimension, other.den, other.nums
+        )
 
     def __hash__(self):
-        return hash((self.dimension, frozenset(self.terms.items())))
+        return hash((self.dimension, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
-        terms = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            _accumulate(terms, alpha, coeff)
-        return Polynomial._of(self.dimension, terms)
+        den, (nums, more) = _over_lcm(self, other)
+        for alpha, v in more.items():
+            _accumulate(nums, alpha, v)
+        return Polynomial._of(self.dimension, nums, den)
 
     def __neg__(self):
         return Polynomial._of(
-            self.dimension, {a: -c for a, c in self.terms.items()}
+            self.dimension, {a: -v for a, v in self.nums.items()}, self.den
         )
 
     def __sub__(self, other):
@@ -228,15 +262,14 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_dimension(other)
-            terms = {}
-            for a1, c1 in self.terms.items():
-                for a2, c2 in other.terms.items():
-                    _accumulate(terms, tuple(x + y for x, y in zip(a1, a2)), c1 * c2)
-            return Polynomial._of(self.dimension, terms)
+            nums = {}
+            for a1, v1 in self.nums.items():
+                for a2, v2 in other.nums.items():
+                    _accumulate(nums, tuple(x + y for x, y in zip(a1, a2)), v1 * v2)
+            return Polynomial._of(self.dimension, nums, self.den * other.den)
         coeff = as_coefficient(other)
-        return Polynomial._of(
-            self.dimension, {a: c * coeff for a, c in self.terms.items()}
-        )
+        nums = {a: v * coeff.numerator for a, v in self.nums.items()}
+        return Polynomial._of(self.dimension, nums, self.den * coeff.denominator)
 
     __rmul__ = __mul__
 
@@ -281,30 +314,28 @@ class Polynomial:
             )
         point = [as_coefficient(x) for x in point]
         total = Fraction(0)
-        for alpha, coeff in self.terms.items():
-            term = coeff
+        for alpha, v in self.nums.items():
+            term = v
             for x, a in zip(point, alpha):
                 if a:
                     term *= x**a
             total += term
-        return total
+        return total / self.den
 
     # ------------------------------------------------------------- serialize
 
     def to_json(self):
         """Schema: {"dimension": n, "terms": [{"alpha": [...], "num": str,
-        "den": str}, ...]} with integers as decimal strings."""
-        return {
-            "dimension": self.dimension,
-            "terms": [
-                {
-                    "alpha": list(alpha),
-                    "num": str(coeff.numerator),
-                    "den": str(coeff.denominator),
-                }
-                for alpha, coeff in self.sorted_terms()
-            ],
-        }
+        "den": str}, ...]} with integers as decimal strings: each term's
+        coefficient in lowest terms, reduced by one integer gcd."""
+        terms = []
+        for alpha in self.monomials():
+            v = self.nums[alpha]
+            g = gcd(v, self.den)
+            terms.append(
+                {"alpha": list(alpha), "num": str(v // g), "den": str(self.den // g)}
+            )
+        return {"dimension": self.dimension, "terms": terms}
 
     @classmethod
     def from_json(cls, data):
@@ -334,32 +365,13 @@ def _check_index(n, index):
 def partial_derivative(poly, index):
     """d(poly)/d(y_index), index 0-based."""
     _check_index(poly.dimension, index)
-    terms = {}
-    for alpha, coeff in poly.terms.items():
+    nums = {}
+    for alpha, v in poly.nums.items():
         a = alpha[index]
         if a:
             # lowering one exponent is one-to-one, so keys stay distinct
-            terms[alpha[:index] + (a - 1,) + alpha[index + 1 :]] = coeff * a
-    return Polynomial._of(poly.dimension, terms)
-
-
-def _scaled(*term_maps):
-    """D, the lcm of the denominators in ``term_maps``, and each map with its
-    coefficients times D, as ints: the integer form every exact operator
-    below works on."""
-    scale = lcm(*(c.denominator for terms in term_maps for c in terms.values()))
-    return scale, [
-        {a: c.numerator * (scale // c.denominator) for a, c in terms.items()}
-        for terms in term_maps
-    ]
-
-
-def _unscaled(n, sums, scale):
-    """The polynomial sum_alpha (sums[alpha] / scale) y^alpha, for integer
-    ``sums`` of coefficients scaled by ``scale``."""
-    return Polynomial._of(
-        n, {alpha: Fraction(v, scale) for alpha, v in sums.items() if v}
-    )
+            nums[alpha[:index] + (a - 1,) + alpha[index + 1 :]] = v * a
+    return Polynomial._of(poly.dimension, nums, poly.den)
 
 
 def _laplacian_stencil(sums):
@@ -403,32 +415,32 @@ def _radial_sum(n, blocks):
     """sum_j (|y|^2)^j Q_j for the blocks Q_0, Q_1, ..., by Horner in |y|^2.
 
     A block is a polynomial or an exact weight (a constant polynomial); all
-    blocks are scaled by one D and unscaled once at the end."""
+    blocks are put over one denominator first."""
     blocks = [
         q if isinstance(q, Polynomial) else Polynomial.constant(n, q) for q in blocks
     ]
-    scale, sums = _scaled(*(q.terms for q in blocks))
-    return _unscaled(n, _horner(n, sums), scale)
+    den, sums = _over_lcm(*blocks)
+    return Polynomial._of(n, _horner(n, sums), den)
 
 
 def laplacian(poly):
     """Sum of second partials over all variables: one stencil pass on the
-    integer coefficients."""
-    scale, (sums,) = _scaled(poly.terms)
-    return _unscaled(poly.dimension, _laplacian_stencil(sums), scale)
+    numerators."""
+    return Polynomial._of(poly.dimension, _laplacian_stencil(poly.nums), poly.den)
 
 
 def iterated_laplacian(poly, count):
     """count-fold composition of the Laplacian (count = 0 is the identity),
-    every pass on the same integer sums, unscaled once."""
+    every pass on the same numerators, normalised once; the loop stops at
+    the zero polynomial, so a huge count costs nothing."""
     if count < 0:
         raise ValueError("iteration count must be non-negative")
-    scale, (sums,) = _scaled(poly.terms)
+    nums = poly.nums
     for _ in range(count):
-        if not sums:
+        if not nums:
             break
-        sums = _laplacian_stencil(sums)
-    return _unscaled(poly.dimension, sums, scale)
+        nums = _laplacian_stencil(nums)
+    return Polynomial._of(poly.dimension, nums, poly.den)
 
 
 def gradient(poly):
@@ -440,10 +452,8 @@ def euler_operator(poly):
     """y . grad(poly); equals (degree * poly) on homogeneous input.
 
     Each monomial is an eigenvector: y . grad(y^alpha) = |alpha| y^alpha."""
-    return Polynomial._of(
-        poly.dimension,
-        {alpha: sum(alpha) * coeff for alpha, coeff in poly.terms.items()},
-    )
+    nums = {alpha: sum(alpha) * v for alpha, v in poly.nums.items()}
+    return Polynomial._of(poly.dimension, nums, poly.den)
 
 
 def directional_pairing(direction, poly):
@@ -469,7 +479,8 @@ def r2_multiply(poly, power):
 
 
 def compose_shift(poly, shift):
-    """poly(y + shift) expanded exactly, for an exact rational shift vector."""
+    """poly(y + shift) expanded exactly, for an exact rational shift vector;
+    the expansion runs on Fractions, since the shift arrives as Fractions."""
     n = poly.dimension
     if len(shift) != n:
         raise DimensionMismatchError(f"shift length {len(shift)} != dimension {n}")
@@ -492,7 +503,7 @@ def compose_shift(poly, shift):
             partial = expanded
         for beta, c in partial.items():
             _accumulate(out, beta, c)
-    return Polynomial._of(n, out)
+    return Polynomial(n, out)
 
 
 def apply_signed_permutation(poly, permutation, signs):
@@ -506,8 +517,8 @@ def apply_signed_permutation(poly, permutation, signs):
         raise ValueError("permutation must be a rearrangement of 0..n-1")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
-    terms = {}
-    for alpha, coeff in poly.terms.items():
+    nums = {}
+    for alpha, v in poly.nums.items():
         beta = [0] * n
         sign = 1
         for i in range(n):
@@ -516,5 +527,5 @@ def apply_signed_permutation(poly, permutation, signs):
             if a % 2 and signs[i] == -1:
                 sign = -sign
         # T permutes the multi-indices, so keys stay distinct
-        terms[tuple(beta)] = sign * coeff
-    return Polynomial._of(n, terms)
+        nums[tuple(beta)] = sign * v
+    return Polynomial._of(n, nums, poly.den)

@@ -29,9 +29,9 @@ Every |y|^2-graded sum here (the combination, grouped by row j; the residue;
 the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``, and
 every radial constant of the construction, the projection's included, is an
 ``a_multiplier``.  ``apply_L`` and ``_radial_sum`` are built from the
-integer stencils of ``polynomials`` (the Laplacian and the |y|^2 product,
-on coefficients scaled by the lcm of their denominators): L is the
-Laplacian sums, |y|^2 times those sums and a diagonal term.
+integer stencils of ``polynomials`` (the Laplacian and the |y|^2 product),
+which run on a polynomial's numerators and keep its one denominator: L is
+the Laplacian sums, |y|^2 times those sums and a diagonal term.
 
 Everything here is exact: every solution passes one gate before it is
 returned, split by linearity.  L(gamma + F) == P holds exactly when
@@ -59,8 +59,6 @@ from .polynomials import (
     _horner,
     _laplacian_stencil,
     _radial_sum,
-    _scaled,
-    _unscaled,
     as_coefficient,
     iterated_laplacian,
     json_int,
@@ -167,7 +165,6 @@ class CoefficientTable:
                     "k": k,
                     "C": rational_to_json(self.C[(j, k)]),
                     "A": rational_to_json(self.A[(j, k)]),
-                    "guard_ok": True,
                     "depends": [list(d) for d in self.dependencies[(j, k)]],
                 }
             )
@@ -252,26 +249,25 @@ def coefficient_table(n, ell, columns=None):
 
 def apply_L(poly):
     """(1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G, exactly, on the
-    integer coefficients of G scaled by D, the lcm of its denominators.
+    numerators of G over its one denominator, which L keeps.
 
     L is (1 + |y|^2) after lap plus a diagonal part: the Laplacian stencil's
-    sums, plus the |y|^2 stencil on those sums, plus 2n(1 - |alpha|)c at
+    sums, plus the |y|^2 stencil on those sums, plus 2n(1 - |alpha|)v at
     each alpha (the Euler and identity parts, y . grad y^alpha =
-    |alpha| y^alpha); each nonzero sum is divided by D once at the end.
+    |alpha| y^alpha).
 
     This is the one way L is applied: the solver's gate applies it to gamma
     alone (the completion is checked in |y|^2, see ``_solve``), and
     ``profiles.linearized_residual`` to a loaded solution.
     """
     n = poly.dimension
-    scale, (coeffs,) = _scaled(poly.terms)
-    lap = _laplacian_stencil(coeffs)
+    lap = _laplacian_stencil(poly.nums)
     # (1 + |y|^2) lap: the Horner sum of the blocks lap, lap
     sums = _horner(n, [lap, lap])
     get = sums.get
-    for alpha, c in coeffs.items():
-        sums[alpha] = get(alpha, 0) + 2 * n * (1 - sum(alpha)) * c
-    return _unscaled(n, sums, scale)
+    for alpha, v in poly.nums.items():
+        sums[alpha] = get(alpha, 0) + 2 * n * (1 - sum(alpha)) * v
+    return Polynomial._of(n, sums, poly.den)
 
 
 @dataclass(frozen=True)
@@ -498,7 +494,7 @@ def _solve(poly, allow_radial):
         raise AssertionError("construction failed exact verification")
     if gamma.constant_term():
         raise AssertionError("solution unexpectedly contains a constant term")
-    if any(sum(alpha) == 1 for alpha in gamma.terms):
+    if any(sum(alpha) == 1 for alpha in gamma.nums):
         raise AssertionError("solution unexpectedly contains linear terms")
     if gamma.degree() is not None and gamma.degree() > ell:
         raise AssertionError("solution degree exceeds the source degree")

@@ -3,9 +3,9 @@ differences, a perturbed bubble for negative controls, a Monte Carlo
 estimator for the quadrature oracle, a second form of the profile
 correction, the Euler operator by products, L built by sympy and L built
 operator by operator, |y|^2-graded sums by Polynomial products, the probe
-constant of the admissible projection, the power-cube formula the
-polynomial kernel must match, and the multi-point balance sums at 300
-digits."""
+constant of the admissible projection, the exact operators on plain
+{alpha: Fraction} dicts, the power-cube formula the polynomial kernel must
+match, and the multi-point balance sums at 300 digits."""
 
 from fractions import Fraction
 from math import gamma, pi
@@ -192,6 +192,71 @@ def projection_reference(n, ell):
         return iterated_laplacian(r2**h, h).constant_term()
     probe = iterated_laplacian(r2**h * Polynomial.variable(n, 0), h)
     return probe.coefficient((1,) + (0,) * (n - 1))
+
+
+# ------------------------------------------- exact operators on plain dicts
+# The reference for the integer form of ``Polynomial``: every operator
+# written on {alpha: Fraction} dicts with zero coefficients dropped, term by
+# term from its definition, sharing no code with ``polynomials``.
+
+
+def dict_add(p, q):
+    out = dict(p)
+    for alpha, c in q.items():
+        out[alpha] = out.get(alpha, 0) + c
+    return {alpha: c for alpha, c in out.items() if c}
+
+
+def dict_scale(p, c):
+    return {alpha: v * c for alpha, v in p.items() if v * c}
+
+
+def dict_mul(p, q):
+    out = {}
+    for a1, c1 in p.items():
+        for a2, c2 in q.items():
+            out = dict_add(out, {tuple(x + y for x, y in zip(a1, a2)): c1 * c2})
+    return out
+
+
+def dict_partial(p, i):
+    """d/dy_i, one monomial at a time."""
+    out = {}
+    for alpha, c in p.items():
+        if alpha[i]:
+            lowered = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+            out = dict_add(out, {lowered: c * alpha[i]})
+    return out
+
+
+def dict_laplacian(p, n):
+    out = {}
+    for i in range(n):
+        out = dict_add(out, dict_partial(dict_partial(p, i), i))
+    return out
+
+
+def dict_euler(p, n):
+    """y . grad p as sum_i y_i * d(p)/d(y_i)."""
+    out = {}
+    for i in range(n):
+        y_i = {tuple(int(k == i) for k in range(n)): Fraction(1)}
+        out = dict_add(out, dict_mul(y_i, dict_partial(p, i)))
+    return out
+
+
+def dict_r2(p, n):
+    """|y|^2 * p."""
+    r2 = {tuple(2 * (k == j) for k in range(n)): Fraction(1) for j in range(n)}
+    return dict_mul(r2, p)
+
+
+def dict_apply_L(p, n):
+    """(1 + |y|^2) lap(p) - 2n (y . grad p) + 2n p."""
+    lap = dict_laplacian(p, n)
+    weighted = dict_add(lap, dict_r2(lap, n))
+    return dict_add(weighted, dict_add(dict_scale(dict_euler(p, n), -2 * n),
+                                       dict_scale(p, 2 * n)))
 
 
 # ------------------------------------------------------------------ kernels

@@ -427,7 +427,9 @@ def test_every_group_gets_an_exact_verdict(n):
     for scale, passed in ((Fraction(1), True), (Fraction(2), False)):
         report = multi_point_balance(odd_mirror_config(n, scale))
         (group,) = report.details["groups"]
-        assert group["exact"] is group["pass"] is report.passed is passed
+        # the exact verdict is the group's one verdict, ``pass``
+        assert "exact" not in group
+        assert group["pass"] is report.passed is passed
         assert (report.residual_exact == 0) is passed
         assert (group["sum"] == 0.0) is passed
 

@@ -177,7 +177,9 @@ def test_table_dump_contains_reference_cell(tmp_path):
     data = json.loads(out.read_text())
     first = next(c for c in data["cells"] if c["j"] == 0 and c["k"] == 0)
     assert first["C"] == {"num": "-1", "den": "30"}
-    assert all(c["guard_ok"] for c in data["cells"])
+    # a blocked table is refused before any cell is built, so no cell
+    # carries a guard status
+    assert all(set(c) == {"j", "k", "C", "A", "depends"} for c in data["cells"])
     assert len(data["residues"]) == data["h"] + 1
 
 
@@ -830,6 +832,32 @@ def test_integrate_in_a_dimension_past_the_gamma_range(tmp_path, capsys, monkeyp
     assert data["j_multiple"] == {"num": "1", "den": "1"}
 
 
+@pytest.mark.parametrize("exponent", [400, 308])
+def test_integrate_refuses_a_moment_beyond_the_float_range(
+    tmp_path, capsys, monkeypatch, exponent
+):
+    # 10^400 y1^2 in n = 3: the multiple of J is too large for a float; at
+    # 10^308 it is a float, but times J (about 2.47) the total is inf
+    write_poly(tmp_path / "p.json", Polynomial.variable(3, 0, 2, 10**exponent))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["integrate", "--input", "p.json", "--output", "o.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "degree 2" in err, err
+    assert "beyond the float range" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
+def test_integrate_keeps_a_large_finite_moment(tmp_path, capsys, monkeypatch):
+    write_poly(tmp_path / "p.json", Polynomial.variable(3, 0, 2, 10**307))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["integrate", "--input", "p.json", "--output", "o.json"]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "o.json").read_text())
+    assert data["j_multiple"] == {"num": str(10**307), "den": "1"}
+    assert data["numeric"] == 10**307 * data["J"]
+    assert math.isfinite(data["numeric"])
+
+
 def test_solve_harmonic_sextic_in_dimension_four(tmp_path):
     # degree ell = 6 >= n + 2 in even n: the full table is blocked, but the
     # source is harmonic, so only column 0 is built; L(P) = -2n(ell - 1) P,
@@ -846,24 +874,42 @@ def test_solve_harmonic_sextic_in_dimension_four(tmp_path):
 
 
 def test_bench_requests_replay_in_process(tmp_path, capsys, monkeypatch):
-    # one solve-exact and one light-cli round of the benchmark at seed 1,
-    # each request's exit code and artifact judged by the benchmark's own
-    # checks, which share no computation with the package
+    # one round of each benchmark workload at seed 1, scan-float's after its
+    # three set-up solves (so residual-scan loads solutions through
+    # from_json, and profile reads their gamma), each request's exit code
+    # and artifact judged by the benchmark's own checks, which share no
+    # computation with the package
     inputs, checks = load_bench_module("inputs"), load_bench_module("checks")
-    requests = inputs.solve_round(random.Random(1), "r0")
-    requests += inputs.light_round(random.Random(1), "r0")
     monkeypatch.chdir(tmp_path)
-    blocked = 0
-    for request in requests:
+
+    def replay(request):
         inputs.write_files(request, tmp_path)
         code = cli.main(request["argv"])
         err = capsys.readouterr().err
         assert checks.check(request, code, request["output"]) is None, request["argv"]
+        return code, err
+
+    blocked = 0
+    requests = inputs.solve_round(random.Random(1), "r0")
+    requests += inputs.light_round(random.Random(1), "r0")
+    for request in requests:
+        code, err = replay(request)
         if request["kind"] == "table" and code == 2:
             n = request["n"]
             assert f"cell (j={n // 2}, k={n // 2})" in err, err
             blocked += 1
     assert blocked == 3
+
+    rng = random.Random(1)
+    solutions = {}
+    for request, (name, *_) in zip(inputs.scan_setup(rng), inputs.SCAN_SOLUTIONS):
+        replay(request)
+        solutions[name] = json.loads((tmp_path / request["output"]).read_text())
+    kinds = []
+    for request in inputs.scan_round(rng, "r0", solutions):
+        replay(request)
+        kinds.append(request["kind"])
+    assert sorted(set(kinds)) == ["green-check", "profile", "residual-scan"]
 
 
 def test_profile_with_a_tiny_lam_runs_clean(tmp_path, capsys):

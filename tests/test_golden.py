@@ -89,12 +89,12 @@ CASES = {
     ),
     "table": (
         ["table", "--n", "7", "--ell", "6"], None, 0,
-        "95f0e9ca5056e6c91f029a9da4de004ebac5a562fa89831fadc2215120ea28fd",
+        "6eaa696f5e16f6607c6cbdb3efab32cedd7996f0599f407841b212f65d9ab26d",
     ),
     "table-obstructed": (["table", "--n", "6", "--ell", "8"], None, 2, None),
     "balance-exact": (
         ["balance", "--input", "{in}"], BALANCE, 0,
-        "1d1c44b4ecdce637bd5f241f5815ca29ecb6aa00992da23d7136f5bd23baf9bd",
+        "28244485db4d20cfb4c45d01e8790a0f042df603f0b336b9d2d923746e91450f",
     ),
 }
 

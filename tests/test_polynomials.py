@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from bubble_correction.polynomials import (
     partial_derivative,
     r2_multiply,
 )
-from bubble_correction.reduction import a_multiplier, h_of
+from bubble_correction.reduction import a_multiplier, apply_L, h_of
 
 import oracles
 from conftest import harmonic_homogeneous, random_homogeneous
@@ -163,6 +164,96 @@ def test_every_operation_returns_normalised_terms(p, data):
     ]
     for r in results:
         assert_normalised(r, n)
+
+
+def assert_lowest_terms(q):
+    """The stored integer form: a positive int den, nonzero int numerators,
+    and no common factor of den and the numerators."""
+    assert type(q.den) is int and q.den >= 1
+    assert all(type(v) is int and v for v in q.nums.values())
+    assert gcd(q.den, *q.nums.values()) == 1
+
+
+def dict_iterate(op, p, k):
+    for _ in range(k):
+        p = op(p)
+    return p
+
+
+@given(polynomials(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_form_matches_the_fraction_dict_reference(p, data):
+    n = p.dimension
+    q = data.draw(polynomials(min_n=n, max_n=n))
+    c = data.draw(rationals)
+    k = data.draw(st.integers(0, 3))
+    P, Q = p.terms, q.terms
+    cases = [
+        (p + q, oracles.dict_add(P, Q)),
+        (p - q, oracles.dict_add(P, oracles.dict_scale(Q, -1))),
+        (p - p, {}),
+        (p * q, oracles.dict_mul(P, Q)),
+        (c * p, oracles.dict_scale(P, c)),
+        (p * c, oracles.dict_scale(P, c)),
+        *((partial_derivative(p, i), oracles.dict_partial(P, i)) for i in range(n)),
+        (laplacian(p), oracles.dict_laplacian(P, n)),
+        (
+            iterated_laplacian(p, k),
+            dict_iterate(lambda t: oracles.dict_laplacian(t, n), P, k),
+        ),
+        (euler_operator(p), oracles.dict_euler(P, n)),
+        (r2_multiply(p, k), dict_iterate(lambda t: oracles.dict_r2(t, n), P, k)),
+        (apply_L(p), oracles.dict_apply_L(P, n)),
+    ]
+    for result, expected in cases:
+        assert_lowest_terms(result)
+        assert result.dimension == n
+        assert result.terms == expected
+    assert (p - p).den == 1
+
+
+@given(polynomials(), rationals)
+@settings(max_examples=60, deadline=None)
+def test_equal_values_built_by_different_routes_compare_and_hash_equal(p, c):
+    n = p.dimension
+    routes = [
+        p * 2 * Fraction(1, 2),
+        p * c * (1 / c),
+        (p + p) - p,
+        -(-p),
+        Polynomial(n, p.terms),
+        Polynomial.from_json(p.to_json()),
+        sum((Polynomial(n, {a: v}) for a, v in p.terms.items()), Polynomial.zero(n)),
+    ]
+    for r in routes:
+        assert r == p and hash(r) == hash(p)
+        assert (r.den, r.nums) == (p.den, p.nums)
+    alpha = (1,) + (0,) * (n - 1)
+    half = Polynomial(n, {alpha: Fraction(1, 2)})
+    assert Polynomial(n, {alpha: Fraction(2, 4)}) == half
+    assert Polynomial(n, {alpha: "3/6"}) == half and hash(half) == hash(
+        Polynomial(n, {alpha: "3/6"})
+    )
+    assert (half * 4).den == 1 and (half * 4).nums == {alpha: 2}
+
+
+def test_terms_is_a_copy_and_nums_is_read_only():
+    # a float or a zero written to ``terms`` must not reach the exact tier
+    p = Polynomial(2, {(2, 0): 1})
+    p.terms[(2, 0)] = 0.5
+    p.terms[(0, 0)] = 0
+    assert p == Polynomial(2, {(2, 0): 1})
+    assert p.terms == {(2, 0): Fraction(1)}
+    assert p.evaluate([1, 1]) == 1 and type(p.evaluate([1, 1])) is Fraction
+    assert p.is_homogeneous()
+    assert laplacian(p) == Polynomial.constant(2, 2)
+    with pytest.raises(TypeError):
+        p.nums[(2, 0)] = 2
+    with pytest.raises(TypeError):
+        p.nums[(0, 0)] = 0
+    with pytest.raises(AttributeError):
+        p.den = 3
+    assert p.nums == {(2, 0): 1} and p.den == 1
 
 
 # ------------------------------------------------------------- derivatives
