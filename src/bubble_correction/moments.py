@@ -7,6 +7,13 @@ Two independent exact routes exist for the rational multiple of J, monomial
 bookkeeping and the iterated Laplacian divided by a fixed constant, and the
 agreement of the two is part of the test surface.
 
+Every shift point is expanded once, by the Taylor loop of ``polynomials``:
+for a homogeneous Q of degree ell the Taylor term (s . grad)^h Q / h! is
+exactly the piece of Q(s + z) of shift degree h, so ``shift_expansion``
+returns the terms themselves, and ``change_of_center`` integrates its pieces
+and builds its quadrature cross-check from their sum.  ``gradient_moment``
+shifts P once, through ``compose_shift``.
+
 J itself has the closed form
 
     J(n, ell) = pi^(n/2) * 2^(-ell/2) * Gamma((n - ell) / 2) / Gamma(n),
@@ -29,6 +36,7 @@ from ._numpy import np
 from .errors import DivergentMomentError
 from .polynomials import (
     Polynomial,
+    _taylor_terms,
     compose_shift,
     gradient,
     iterated_laplacian,
@@ -152,11 +160,24 @@ class IntegralResult:
         }
 
 
+def _float_moment(mult, j):
+    """mult * J as a float: float(mult) * J, or, when float(mult) overflows,
+    the exact product rounded once (a huge multiple times a tiny J can be a
+    normal float); inf when that product is beyond the float range too."""
+    try:
+        return float(mult) * j
+    except OverflowError:
+        try:
+            return float(mult * Fraction(j))
+        except OverflowError:
+            return inf
+
+
 def weighted_integral(poly):
     """Weighted integral of a general polynomial of degree <= n - 1: exact
     multiples of J per homogeneous degree, plus the float total.  Odd
     degrees integrate to zero by symmetry.  A total beyond the float range
-    (a multiple too large for a float, or an infinite sum) is refused with
+    (a moment too large for a float, or an infinite sum) is refused with
     a ValueError naming the degree."""
     n = poly.dimension
     multiples = {}
@@ -170,10 +191,7 @@ def weighted_integral(poly):
         mult = j_multiple(part)
         multiples[degree] = mult
         if degree % 2 == 0 and mult:
-            try:
-                total += float(mult) * j_value(n, degree)
-            except OverflowError:
-                total = inf
+            total += _float_moment(mult, j_value(n, degree))
             if not isfinite(total):
                 raise ValueError(
                     f"the weighted integral at degree {degree} is beyond the "
@@ -204,16 +222,12 @@ def shift_expansion(poly, shift):
 
     Returns the pieces of shift degree h = 0 .. ell as polynomials in z: the
     base Q(z) (h = 0), the intermediate terms (h = 1 .. ell - 1) and the
-    constant Q(shift) (h = ell).  Every monomial of Q(shift + z) has shift
-    degree plus z-degree equal to ell, so the piece of shift degree h is the
-    degree-(ell - h) homogeneous part of ``compose_shift(Q, shift)``.
+    constant Q(shift) (h = ell).  The piece of shift degree h is the Taylor
+    term (shift . grad)^h Q / h!, so the pieces are Q's Taylor terms.
     """
     if not poly.is_homogeneous() or poly.is_zero:
         raise ValueError("shift expansion expects a nonzero homogeneous input")
-    ell = poly.degree()
-    parts = compose_shift(poly, shift).homogeneous_parts()
-    zero = Polynomial.zero(poly.dimension)
-    return [parts.get(ell - h, zero) for h in range(ell + 1)]
+    return _taylor_terms(poly, shift)
 
 
 # ---------------------------------------------------------------- gradients
@@ -267,21 +281,18 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     if lam <= 0 or rho <= 0:
         raise ValueError("scale and radius must be positive")
     lam_f = Fraction(lam)
-    xi_over_lam = [Fraction(x) / lam_f for x in xi]
+    pieces = shift_expansion(poly, [Fraction(x) / lam_f for x in xi])
     scale = lam**ell
 
     main, *intermediate, drift = [
-        scale * weighted_integral(piece)[1]
-        for piece in shift_expansion(poly, xi_over_lam)
+        scale * weighted_integral(piece)[1] for piece in pieces
     ]
 
-    # independent evaluation of the original integral over the shifted ball
-    # (centering the ball on xi changes the value at a far smaller order
-    # than anything measured here)
-    scaled = Polynomial(
-        n, {a: c * lam_f ** sum(a) for a, c in poly.terms.items()}
-    )
-    shifted = compose_shift(scaled, xi_over_lam)
+    # independent evaluation of the original integral over the shifted ball,
+    # whose integrand is Q(lam z + xi) = lam^ell Q(z + xi / lam), the sum of
+    # the pieces times lam^ell (centering the ball on xi changes the value at
+    # a far smaller order than anything measured here)
+    shifted = sum(pieces[1:], pieces[0]) * lam_f**ell
     quad = quadrature.weighted_poly_integral(shifted, upper=rho / lam, nodes=nodes)
 
     return CenterBreakdown(

@@ -8,8 +8,9 @@ polynomial), so two polynomials are equal exactly when their dimensions,
 denominators and numerators are, and algebraic identities can be asserted
 with ``==`` instead of tolerances.  ``fractions.Fraction`` appears only at
 the boundary: the validation of input, ``terms`` (a fresh {alpha: Fraction}
-dict on each read), ``coefficient``, ``sorted_terms`` and ``evaluate``
-(``to_json`` reduces each coefficient by one integer gcd).
+dict on each read), ``coefficient``, ``sorted_terms`` and the one value
+``evaluate`` returns (``to_json`` reduces each coefficient by one integer
+gcd).  No function does Fraction arithmetic beyond coercing its inputs.
 
 A multi-index is a plain tuple of non-negative ints (never bools or anything
 truncated to an int) whose length equals the ambient dimension.  Input is
@@ -26,7 +27,12 @@ over one denominator (``_over_lcm``), a product multiplies the denominators,
 and ``laplacian``, ``iterated_laplacian``, ``r2_multiply``, ``_radial_sum``
 and ``reduction.apply_L`` are built from two integer stencils that keep the
 denominator: the Laplacian moves a_i(a_i - 1)v to alpha - 2e_i, and |y|^2
-copies v to every alpha + 2e_j.
+copies v to every alpha + 2e_j.  A third, with an exact vector x over the
+lcm q of its denominators (x_i = d_i / q), moves a_i d_i v to alpha - e_i:
+``directional_pairing`` is one pass of it, over den * q, and the shift is
+the one Taylor loop on it (``_taylor_terms``: T_0 = P and
+T_k = (s . grad) T_(k-1) / k), whose terms ``compose_shift`` sums and
+``moments.shift_expansion`` returns as the pieces of shift degree k.
 
 The zero polynomial has no numerators (with an explicit dimension); its
 degree is reported as ``None`` rather than an arbitrary sentinel number.
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import DimensionMismatchError, ExactnessError
@@ -106,6 +112,16 @@ def _over_lcm(*polys):
     over D, as fresh dicts: the one step that puts a sum on one denominator."""
     den = lcm(*(p.den for p in polys))
     return den, [{a: v * (den // p.den) for a, v in p.nums.items()} for p in polys]
+
+
+def _sum(n, polys):
+    """The sum of polynomials in n variables, over the lcm of their
+    denominators."""
+    den, (nums, *more) = _over_lcm(*polys)
+    for part in more:
+        for alpha, v in part.items():
+            _accumulate(nums, alpha, v)
+    return Polynomial._of(n, nums, den)
 
 
 class Polynomial:
@@ -244,10 +260,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dimension(other)
-        den, (nums, more) = _over_lcm(self, other)
-        for alpha, v in more.items():
-            _accumulate(nums, alpha, v)
-        return Polynomial._of(self.dimension, nums, den)
+        return _sum(self.dimension, [self, other])
 
     def __neg__(self):
         return Polynomial._of(
@@ -305,22 +318,21 @@ class Polynomial:
 
     def evaluate(self, point):
         """Exact value at a point of exact coordinates, monomial by monomial
-        (no Horner rewriting).  Every coordinate is read by ``as_coefficient``,
-        so float and boolean points are refused; float evaluation is
-        ``kernels.eval_polynomial``."""
-        if len(point) != self.dimension:
-            raise DimensionMismatchError(
-                f"point length {len(point)} != dimension {self.dimension}"
-            )
-        point = [as_coefficient(x) for x in point]
-        total = Fraction(0)
+        (no Horner rewriting), on integers: with the point d / q over the lcm
+        q of its denominators, the term at alpha is v * d^alpha *
+        q^(deg - |alpha|), and the sum is over den * q^deg.  Every coordinate
+        is read by ``as_coefficient``, so float and boolean points are
+        refused; float evaluation is ``kernels.eval_polynomial``."""
+        d, q = _integer_vector(point, self.dimension)
+        deg = self.degree() or 0
+        total = 0
         for alpha, v in self.nums.items():
-            term = v
-            for x, a in zip(point, alpha):
+            term = v * q ** (deg - sum(alpha))
+            for x, a in zip(d, alpha):
                 if a:
                     term *= x**a
             total += term
-        return total / self.den
+        return Fraction(total, self.den * q**deg)
 
     # ------------------------------------------------------------- serialize
 
@@ -341,10 +353,12 @@ class Polynomial:
     def from_json(cls, data):
         try:
             dimension = json_int(data["dimension"])
-            terms = {
-                tuple(json_int(a) for a in entry["alpha"]): rational_from_json(entry)
-                for entry in data["terms"]
-            }
+            terms = {}
+            for entry in data["terms"]:
+                alpha = tuple(json_int(a) for a in entry["alpha"])
+                if alpha in terms:
+                    raise ValueError(f"repeated multi-index {list(alpha)}")
+                terms[alpha] = rational_from_json(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
         return cls(dimension, terms)
@@ -456,18 +470,34 @@ def euler_operator(poly):
     return Polynomial._of(poly.dimension, nums, poly.den)
 
 
-def directional_pairing(direction, poly):
-    """<X, grad(poly)> for an exact rational vector X."""
-    if len(direction) != poly.dimension:
-        raise DimensionMismatchError(
-            f"direction length {len(direction)} != dimension {poly.dimension}"
-        )
-    out = Polynomial.zero(poly.dimension)
-    for i, x in enumerate(direction):
-        x = as_coefficient(x)
-        if x:
-            out = out + partial_derivative(poly, i) * x
+def _integer_vector(vector, n):
+    """An exact vector of length n as integers over the lcm q of its
+    denominators: (d, q) with vector[i] == d[i] / q.  Every entry is read by
+    ``as_coefficient``, so floats and booleans are refused."""
+    if len(vector) != n:
+        raise DimensionMismatchError(f"vector length {len(vector)} != dimension {n}")
+    xs = [as_coefficient(x) for x in vector]
+    q = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (q // x.denominator) for x in xs], q
+
+
+def _pairing_stencil(sums, d):
+    """The directional stencil: v at alpha adds a_i d_i v at alpha - e_i."""
+    out = {}
+    get = out.get
+    for alpha, v in sums.items():
+        for i, a in enumerate(alpha):
+            if a and d[i]:
+                key = alpha[:i] + (a - 1,) + alpha[i + 1 :]
+                out[key] = get(key, 0) + a * d[i] * v
     return out
+
+
+def directional_pairing(direction, poly):
+    """<X, grad(poly)> for an exact rational vector X: one stencil pass with
+    X over the lcm q of its denominators, the result over den * q."""
+    d, q = _integer_vector(direction, poly.dimension)
+    return Polynomial._of(poly.dimension, _pairing_stencil(poly.nums, d), poly.den * q)
 
 
 def r2_multiply(poly, power):
@@ -478,32 +508,25 @@ def r2_multiply(poly, power):
     return _radial_sum(poly.dimension, [0] * power + [poly])
 
 
-def compose_shift(poly, shift):
-    """poly(y + shift) expanded exactly, for an exact rational shift vector;
-    the expansion runs on Fractions, since the shift arrives as Fractions."""
+def _taylor_terms(poly, shift):
+    """The Taylor terms of poly at an exact shift s: T_0 = poly and
+    T_k = (s . grad) T_(k-1) / k for k = 1 .. deg(poly), so that
+    poly(y + s) = sum_k T_k(y).  On a homogeneous poly T_k is exactly the
+    piece of shift degree k.  The one shift expansion of the package."""
     n = poly.dimension
-    if len(shift) != n:
-        raise DimensionMismatchError(f"shift length {len(shift)} != dimension {n}")
-    shift = [as_coefficient(s) for s in shift]
-    out = {}
-    for alpha, coeff in poly.terms.items():
-        # expand prod_i (y_i + s_i)^{alpha_i} one variable at a time
-        partial = {(0,) * n: coeff}
-        for i, a in enumerate(alpha):
-            if a == 0:
-                continue
-            # every beta in partial has beta[i] == 0, so keys stay distinct
-            expanded = {}
-            powers = [shift[i] ** (a - j) for j in range(a + 1)]
-            for beta, c in partial.items():
-                for j in range(a + 1):
-                    c2 = c * comb(a, j) * powers[j]
-                    if c2:
-                        expanded[beta[:i] + (j,) + beta[i + 1 :]] = c2
-            partial = expanded
-        for beta, c in partial.items():
-            _accumulate(out, beta, c)
-    return Polynomial(n, out)
+    d, q = _integer_vector(shift, n)
+    terms = [poly]
+    for k in range(1, (poly.degree() or 0) + 1):
+        last = terms[-1]
+        nums = _pairing_stencil(last.nums, d)
+        terms.append(Polynomial._of(n, nums, last.den * q * k))
+    return terms
+
+
+def compose_shift(poly, shift):
+    """poly(y + shift) expanded exactly, for an exact rational shift vector:
+    the sum of its Taylor terms."""
+    return _sum(poly.dimension, _taylor_terms(poly, shift))
 
 
 def apply_signed_permutation(poly, permutation, signs):

@@ -38,8 +38,10 @@ returned, split by linearity.  L(gamma + F) == P holds exactly when
 L(gamma) == P + R and L(F) == -R, where R = top * sum_k a_k (|y|^2)^k is the
 residue the completion F absorbs.  The first is checked by ``apply_L`` on the
 expanded gamma, the second in the one variable s = |y|^2 on F's weights, by a
-formula taken from L's definition; without a completion R is absent.  Source
-degrees are capped at ``MAX_ELL``, and the monomials a solution can reach at
+formula taken from L's definition, inside ``radial_completion`` itself, so no
+caller receives an unchecked completion; without a completion R is absent.
+Table dimensions are capped at ``_MAX_TABLE_N``, source degrees at
+``MAX_ELL``, and the monomials a solution can reach at
 ``MAX_SOLUTION_TERMS``, so that no input asks for unbounded work.
 """
 
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, prod
 
 from .errors import (
@@ -91,6 +94,12 @@ __all__ = [
 # ell, so 100 bounds it at 1,275 cells (ell = 401 at n = 9 takes 1.2 s).
 MAX_ELL = 100
 
+# Largest dimension that ``coefficient_table`` accepts.  The cells' numerators
+# grow with the digits of n: the full table at MAX_ELL writes 0.7 MB of JSON
+# in about 0.1 s at the cap, and 2.8 MB at n = 10^50 + 1.  A solve never
+# comes near it, since MAX_SOLUTION_TERMS already keeps n <= 315.
+_MAX_TABLE_N = 10_000
+
 # Largest number of monomials a solve may produce, counted from n and ell
 # before any work (``_solution_size``).  A dense source at n = 10, ell = 8
 # with a completion reaches 33,088 (its solve takes about 2 s); a source y_1^ell
@@ -106,10 +115,17 @@ def _check_degree(ell):
 def _solution_size(n, ell, allow_radial):
     """The most monomials a solve of a degree-ell source in n variables can
     produce: gamma and the residue have degree <= ell and ell's parity, and a
-    completion (even n) is a polynomial of degree <= n/2 in |y|^2."""
-    size = sum(comb(n - 1 + d, d) for d in range(ell % 2, ell + 1, 2))
+    completion (even n) is a polynomial of degree <= n/2 in |y|^2.
+
+    The counts are added in increasing degree, and the sum stops at the
+    first partial sum above ``MAX_SOLUTION_TERMS``, which it returns: a
+    refused size costs a few binomials, not n/2 of them."""
+    degrees = list(range(ell % 2, ell + 1, 2))
     if allow_radial and n % 2 == 0:
-        size += sum(comb(n - 1 + k, k) for k in range(1, n // 2 + 1))
+        degrees += range(1, n // 2 + 1)
+    for size in accumulate(comb(n - 1 + d, d) for d in degrees):
+        if size > MAX_SOLUTION_TERMS:
+            break
     return size
 
 
@@ -193,8 +209,8 @@ def coefficient_table(n, ell, columns=None):
     them in build order.  A full table, of h columns, is blocked exactly when
     h > n/2.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1 (got n={n})")
+    if not 1 <= n <= _MAX_TABLE_N:
+        raise ValueError(f"dimension must be >= 1 and <= {_MAX_TABLE_N} (got n={n})")
     _check_degree(ell)
     if ell < 2:
         raise UnsupportedCaseError("source degree must be >= 2")
@@ -419,8 +435,16 @@ def radial_completion(n, ell, residues):
     characteristic_denominator(n, 0, k-1, 0) B_{k-1}) / a_multiplier(n, 0, k, 0).
     The top power (|y|^2)^(n/2) does not regenerate itself, which is what
     closes the construction.  Requires n >= 4 even and ell <= n - 2 even.
+
+    Every completion passes its gate before it is expanded: L(F) == -(a_0 +
+    ... + a_h s^h) in the one variable s = |y|^2 on F's weights
+    (``_radial_L``), or an AssertionError is raised.
     """
-    return _radial_sum(n, _completion_weights(n, ell, residues))
+    B = _completion_weights(n, ell, residues)
+    negated = [-as_coefficient(a) for a in residues]
+    if _radial_L(n, B) != negated + [0] * (len(B) - len(negated)):
+        raise AssertionError("radial completion failed exact verification")
+    return _radial_sum(n, B)
 
 
 def _radial_L(n, f):
@@ -454,9 +478,9 @@ def _solve(poly, allow_radial):
     Every result passes the exact gate L(gamma + F) == P before it is
     returned, split by linearity so that the completion F is never expanded
     to be checked: L(gamma) == P + R on the expanded gamma, with R the
-    residue top * sum_k a_k (|y|^2)^k, and L(F) == -R in the one variable
-    s = |y|^2 on F's weights (``_radial_L``).  Without a completion R is
-    absent and the gate is L(gamma) == P.
+    residue top * sum_k a_k (|y|^2)^k, and L(F) == -R, which
+    ``radial_completion`` checks in the one variable s = |y|^2 on F's
+    weights.  Without a completion R is absent and the gate is L(gamma) == P.
     """
     ell = _validated_source(poly, allow_radial)
     n = poly.dimension
@@ -477,14 +501,10 @@ def _solve(poly, allow_radial):
         if allow_radial:
             weights = [top.constant_term() * a for a in table.residues]
             try:
-                B = _completion_weights(n, ell, weights)
+                completion = radial_completion(n, ell, weights)
             except UnsupportedCaseError as exc:
                 message = f"{message}; residue {exc}"
             else:
-                negated = [-w for w in weights] + [0] * (len(B) - len(weights))
-                if _radial_L(n, B) != negated:
-                    raise AssertionError("radial completion failed exact verification")
-                completion = _radial_sum(n, B)
                 target = poly + residue
         if completion is None:
             raise ResidueObstructionError(message, residue=residue, top_laplacian=top)

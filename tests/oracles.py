@@ -3,12 +3,13 @@ differences, a perturbed bubble for negative controls, a Monte Carlo
 estimator for the quadrature oracle, a second form of the profile
 correction, the Euler operator by products, L built by sympy and L built
 operator by operator, |y|^2-graded sums by Polynomial products, the probe
-constant of the admissible projection, the exact operators on plain
+constant of the admissible projection, the shift by binomials and the
+directional pairing by partials, the exact operators on plain
 {alpha: Fraction} dicts, the power-cube formula the polynomial kernel must
 match, and the multi-point balance sums at 300 digits."""
 
 from fractions import Fraction
-from math import gamma, pi
+from math import comb, gamma, pi
 
 import mpmath
 import numpy as np
@@ -192,6 +193,37 @@ def projection_reference(n, ell):
         return iterated_laplacian(r2**h, h).constant_term()
     probe = iterated_laplacian(r2**h * Polynomial.variable(n, 0), h)
     return probe.coefficient((1,) + (0,) * (n - 1))
+
+
+def compose_shift_by_binomials(poly, shift):
+    """poly(y + shift) expanded on Fractions monomial by monomial, each
+    (y_i + s_i)^a_i by the binomial theorem: the shift before its Taylor
+    terms."""
+    n = poly.dimension
+    out = {}
+    for alpha, coeff in poly.terms.items():
+        partial = {(0,) * n: coeff}
+        for i, a in enumerate(alpha):
+            s = Fraction(shift[i])
+            expanded = {}
+            for beta, c in partial.items():
+                for j in range(a + 1):
+                    key = beta[:i] + (j,) + beta[i + 1 :]
+                    term = c * comb(a, j) * s ** (a - j)
+                    expanded[key] = expanded.get(key, 0) + term
+            partial = expanded
+        for beta, c in partial.items():
+            out[beta] = out.get(beta, 0) + c
+    return Polynomial(n, out)
+
+
+def directional_pairing_by_partials(direction, poly):
+    """<X, grad(poly)> as the sum of x_i * d(poly)/d(y_i), one exact
+    Polynomial sum per variable."""
+    out = Polynomial.zero(poly.dimension)
+    for i, x in enumerate(direction):
+        out = out + partial_derivative(poly, i) * Fraction(x)
+    return out
 
 
 # ------------------------------------------- exact operators on plain dicts

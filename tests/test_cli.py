@@ -199,6 +199,28 @@ def test_table_rejects_nonpositive_dimension(tmp_path):
     assert_input_error(result)
 
 
+def test_table_dimension_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # the full table at MAX_ELL is built at the cap; one above it exits 1
+    # before any cell is built
+    cap = reduction._MAX_TABLE_N
+    monkeypatch.chdir(tmp_path)
+    argv = ["--ell", str(MAX_ELL), "--output", "t.json"]
+    assert cli.main(["table", "--n", str(cap), *argv]) == 0
+    (tmp_path / "t.json").unlink()
+    capsys.readouterr()
+
+    def work(*args):
+        raise AssertionError("a cell was built before the cap was checked")
+
+    monkeypatch.setattr(reduction, "a_multiplier", work)
+    assert cli.main(["table", "--n", str(cap + 1), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"input error: dimension must be >= 1 and <= {cap} (got n={cap + 1})\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_artifacts_get_the_umask_mode(tmp_path):
     out = tmp_path / "table.json"
     old = os.umask(0o022)  # inherited by the child
@@ -847,6 +869,21 @@ def test_integrate_refuses_a_moment_beyond_the_float_range(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
+def test_integrate_keeps_a_normal_moment_of_a_huge_multiple(
+    tmp_path, capsys, monkeypatch
+):
+    # 10^400 y1^2 in n = 200: the multiple is beyond the float range, but J is
+    # about 6.2e-170, so the moment is a normal float, rounded once
+    write_poly(tmp_path / "p.json", Polynomial.variable(200, 0, 2, 10**400))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["integrate", "--input", "p.json", "--output", "o.json"]) == 0
+    assert capsys.readouterr().err == ""
+    data = json.loads((tmp_path / "o.json").read_text())
+    assert data["j_multiple"] == {"num": str(10**400), "den": "1"}
+    assert data["numeric"] == float(10**400 * Fraction(data["J"]))
+    assert data["numeric"] == pytest.approx(6.2010765058271445e230, rel=1e-12)
+
+
 def test_integrate_keeps_a_large_finite_moment(tmp_path, capsys, monkeypatch):
     write_poly(tmp_path / "p.json", Polynomial.variable(3, 0, 2, 10**307))
     monkeypatch.chdir(tmp_path)
@@ -987,6 +1024,60 @@ def test_solution_size_cap_refuses_before_any_work(tmp_path, capsys, monkeypatch
         monkeypatch.setattr(reduction, "MAX_SOLUTION_TERMS", size)
         assert cli.main(argv) == 0, capsys.readouterr().err
         out.unlink()
+
+
+def test_solution_size_cap_stops_at_the_first_sum_above_it(
+    tmp_path, capsys, monkeypatch
+):
+    # y1^2 in n = 20,000 with a completion: n/2 binomials of up to 4,000
+    # digits each took about 50 s to sum; the sum now stops at the term of
+    # degree 2, which alone crosses the cap
+    write_poly(tmp_path / "p.json", Polynomial.variable(20_000, 0, 2))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(reduction, "comb", counting)
+    argv = ["solve", "--allow-radial", "--input", "p.json", "--output", "s.json"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "input error: a solution in dimension 20000 of degree 2 can reach "
+        f"200010001 monomials (at most {MAX_SOLUTION_TERMS})\n"
+    )
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
+
+
+@pytest.mark.parametrize("command", ["solve", "integrate"])
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [([2, 0, 0], "1"), ([2, 0, 0], "3")],
+        [([2, 0, 0], "1"), (["2", 0, "0"], "-1")],
+    ],
+    ids=["same-list", "string-exponent"],
+)
+def test_a_repeated_multi_index_is_malformed_input(
+    tmp_path, capsys, monkeypatch, command, terms
+):
+    # a dict of the terms kept only the last one: integrate read the first
+    # file as 3 y1^2 and exited 0
+    data = {
+        "dimension": 3,
+        "terms": [{"alpha": a, "num": num, "den": "1"} for a, num in terms],
+    }
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--input", "p.json", "--output", "o.json"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "input error: malformed polynomial JSON: repeated multi-index [2, 0, 0]\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
 # A child that runs one command in-process, then fails unless numpy's core

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bubble_correction import moments, quadrature
+from bubble_correction import moments, polynomials, quadrature
 from bubble_correction.errors import DivergentMomentError
 from bubble_correction.moments import (
     b_constant,
@@ -264,14 +264,17 @@ def test_gradient_moment_matches_finite_differences(rng):
 
 @pytest.fixture
 def shift_calls(monkeypatch):
-    """Every compose_shift call made from inside ``moments``."""
+    """Every run of the one Taylor loop, ``polynomials._taylor_terms``,
+    whether reached through ``compose_shift`` or ``shift_expansion``."""
     calls = []
+    taylor = polynomials._taylor_terms
 
     def counting(poly, shift):
         calls.append(poly)
-        return compose_shift(poly, shift)
+        return taylor(poly, shift)
 
-    monkeypatch.setattr(moments, "compose_shift", counting)
+    monkeypatch.setattr(polynomials, "_taylor_terms", counting)
+    monkeypatch.setattr(moments, "_taylor_terms", counting)
     return calls
 
 
@@ -299,10 +302,10 @@ def test_one_shift_per_moment_route(rng, shift_calls):
     routes = {
         "shift_expansion": (lambda: shift_expansion(q, shift), 1),
         "gradient_moment": (lambda: gradient_moment(q, shift), 1),
-        # the split plus the quadrature cross-check's own shift
+        # the quadrature cross-check sums the same pieces
         "change_of_center": (
             lambda: change_of_center(q, [0.01] * n, lam=0.05, rho=1.0, nodes=32),
-            2,
+            1,
         ),
     }
     for name, (run, expected) in routes.items():

@@ -20,6 +20,7 @@ from bubble_correction.polynomials import (
     partial_derivative,
     r2_multiply,
 )
+from bubble_correction.moments import shift_expansion
 from bubble_correction.reduction import a_multiplier, apply_L, h_of
 
 import oracles
@@ -530,6 +531,51 @@ def test_signed_permutation_action():
     # y1 -> y2, y2 -> -y1, y3 -> -y3
     expect = var(3, 1, 2) * (Fraction(-1) * var(3, 0)) - var(3, 2, 3)
     assert q == expect
+
+
+@given(polynomials(min_n=1, max_n=4, max_degree=5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_taylor_terms_match_the_binomial_and_partial_references(p, data):
+    n = p.dimension
+    shift = data.draw(
+        st.one_of(
+            st.just([0] * n),
+            st.lists(
+                st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+    zero = Polynomial.zero(n)
+    cases = [p, zero, Polynomial.constant(n, data.draw(rationals))]
+    for q in cases + list(p.homogeneous_parts().values()):
+        shifted = compose_shift(q, shift)
+        assert shifted == oracles.compose_shift_by_binomials(q, shift)
+        paired = directional_pairing(shift, q)
+        assert paired == oracles.directional_pairing_by_partials(shift, q)
+        assert_lowest_terms(shifted)
+        assert_lowest_terms(paired)
+        if q.is_zero or not q.is_homogeneous():
+            continue
+        # the piece of shift degree h is the z-degree ell - h part of the shift
+        ell = q.degree()
+        parts = oracles.compose_shift_by_binomials(q, shift).homogeneous_parts()
+        pieces = shift_expansion(q, shift)
+        assert pieces == [parts.get(ell - h, zero) for h in range(ell + 1)]
+        for piece in pieces:
+            assert_lowest_terms(piece)
+
+
+@pytest.mark.parametrize("q", [Polynomial.zero(3), Polynomial.constant(3, 2)])
+def test_a_float_shift_is_refused_where_no_pairing_is_made(q):
+    for shift in ([0.5, 0, 0], [Fraction(1), True, 0]):
+        with pytest.raises(ExactnessError):
+            compose_shift(q, shift)
+        with pytest.raises(ExactnessError):
+            directional_pairing(shift, q)
+    with pytest.raises(DimensionMismatchError):
+        compose_shift(q, [0, 0])
 
 
 def test_compose_shift_reconstructs_binomial():

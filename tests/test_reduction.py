@@ -767,3 +767,36 @@ def test_split_gate_refuses_a_perturbed_completion_weight(rng, monkeypatch, k):
     monkeypatch.setattr(reduction, "_completion_weights", perturbed)
     with pytest.raises(AssertionError, match="radial completion failed exact"):
         solve_general(source)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_radial_completion_refuses_a_perturbed_weight_on_its_own(rng, monkeypatch, k):
+    # the gate sits in radial_completion itself, so a library caller cannot
+    # receive an unchecked completion either
+    n, ell = 8, 6
+    weights = random_radial_weights(rng, ell)
+    radial_completion(n, ell, weights)
+    built = reduction._completion_weights
+
+    def perturbed(*args):
+        B = built(*args)
+        B[k] += Fraction(1, 11)
+        return B
+
+    monkeypatch.setattr(reduction, "_completion_weights", perturbed)
+    with pytest.raises(AssertionError, match="radial completion failed exact"):
+        radial_completion(n, ell, weights)
+
+
+def test_solve_builds_its_completion_through_radial_completion(rng, monkeypatch):
+    calls = []
+    built = reduction.radial_completion
+
+    def counting(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(reduction, "radial_completion", counting)
+    solution = solve_general(radial_source(rng))
+    assert len(calls) == 1
+    assert solution.radial_completion == built(*calls[0])
