@@ -36,6 +36,7 @@ from ._numpy import np
 from .errors import DivergentMomentError
 from .polynomials import (
     Polynomial,
+    _sum,
     _taylor_terms,
     compose_shift,
     gradient,
@@ -292,7 +293,7 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     # whose integrand is Q(lam z + xi) = lam^ell Q(z + xi / lam), the sum of
     # the pieces times lam^ell (centering the ball on xi changes the value at
     # a far smaller order than anything measured here)
-    shifted = sum(pieces[1:], pieces[0]) * lam_f**ell
+    shifted = _sum(n, pieces) * lam_f**ell
     quad = quadrature.weighted_poly_integral(shifted, upper=rho / lam, nodes=nodes)
 
     return CenterBreakdown(

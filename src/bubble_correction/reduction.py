@@ -11,7 +11,9 @@ building blocks (|y|^2)^j * lap^(k)(P).  The combination's coefficients C^j_k
 satisfy a three-term recurrence whose cells are filled in an explicit
 dependency order (same-degree diagonal first, then column by column in the
 offset k - j, ascending j inside each column); each cell divides by a
-characteristic denominator.  By its factorisation
+characteristic denominator.  The table keeps only the C^j_k, in that order,
+and the residue weights: a cell's neighbours (``_neighbours``) and its
+multiplier follow from (n, ell, j, k).  By its factorisation
 -(2j - n)(2j - 2(ell - 1 - 2(k - j))) the denominator of a cell inside a
 table vanishes only at the half-dimension root 2j = n: the second factor
 needs 2k - j = ell - 1, while every cell has 2k - j <= 2k <= ell - 2.  So
@@ -26,12 +28,14 @@ degree-0 column of the same recurrence: L acts on (|y|^2)^k through
 ``a_multiplier(n, 0, k, 0)`` and ``characteristic_denominator(n, 0, k, 0)``.
 
 Every |y|^2-graded sum here (the combination, grouped by row j; the residue;
-the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``, and
-every radial constant of the construction, the projection's included, is an
-``a_multiplier``.  ``apply_L`` and ``_radial_sum`` are built from the
-integer stencils of ``polynomials`` (the Laplacian and the |y|^2 product),
-which run on a polynomial's numerators and keep its one denominator: L is
-the Laplacian sums, |y|^2 times those sums and a diagonal term.
+the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``;
+each row of the combination is summed over one lcm of its terms'
+denominators by ``polynomials._sum``; and every radial constant of the
+construction, the projection's included, is an ``a_multiplier``.
+``apply_L`` and ``_radial_sum`` are built from the integer stencils of
+``polynomials`` (the Laplacian and the |y|^2 product), which run on a
+polynomial's numerators and keep its one denominator: L is the Laplacian
+sums, |y|^2 times those sums and a diagonal term.
 
 Everything here is exact: every solution passes one gate before it is
 returned, split by linearity.  L(gamma + F) == P holds exactly when
@@ -62,6 +66,7 @@ from .polynomials import (
     _horner,
     _laplacian_stencil,
     _radial_sum,
+    _sum,
     as_coefficient,
     iterated_laplacian,
     json_int,
@@ -112,6 +117,14 @@ def _check_degree(ell):
         raise ValueError(f"source degree must be <= {MAX_ELL} (got ell={ell})")
 
 
+def _check_ints(n, ell):
+    """Refuse a float or bool n or ell, as ``Polynomial`` refuses a float
+    dimension: a cell built from a float n is binary-rounded, not exact."""
+    for name, value in (("n", n), ("ell", ell)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int (got {name}={value!r})")
+
+
 def _solution_size(n, ell, allow_radial):
     """The most monomials a solve of a degree-ell source in n variables can
     produce: gamma and the residue have degree <= ell and ell's parity, and a
@@ -152,38 +165,42 @@ def characteristic_denominator(n, ell, j, k):
     )
 
 
+def _neighbours(j, k):
+    """The cells that feed cell (j, k) in the three-term recurrence; the
+    last, (j + 1, k), enters times a_multiplier(n, ell, j + 1, k)."""
+    return (j - 1, k - 1), (j, k - 1), (j + 1, k)
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Recurrence coefficients C^j_k for 0 <= j <= k <= columns - 1, the
-    multipliers A_{ell,j,k} on the same range, the build order with each
-    cell's dependencies, and the residue weights a_0..a_h assembled from the
-    last column (present only for full tables)."""
+    """Recurrence coefficients C^j_k for 0 <= j <= k <= columns - 1, in build
+    order, and the residue weights a_0..a_h assembled from the last column
+    (present only for full tables).  The multipliers and each cell's
+    dependencies follow from (n, ell, j, k) and are written by ``to_json``."""
 
     n: int
     ell: int
     h: int
     columns: int
     C: dict
-    A: dict
-    build_order: tuple
-    dependencies: dict
     residues: tuple
 
     def cell(self, j, k):
         return self.C[(j, k)]
 
     def to_json(self):
-        cells = []
-        for j, k in self.build_order:
-            cells.append(
-                {
-                    "j": j,
-                    "k": k,
-                    "C": rational_to_json(self.C[(j, k)]),
-                    "A": rational_to_json(self.A[(j, k)]),
-                    "depends": [list(d) for d in self.dependencies[(j, k)]],
-                }
-            )
+        # every neighbour inside the table is built before the cell, so these
+        # are the cells it was built from
+        cells = [
+            {
+                "j": j,
+                "k": k,
+                "C": rational_to_json(c),
+                "A": rational_to_json(a_multiplier(self.n, self.ell, j, k)),
+                "depends": [list(d) for d in _neighbours(j, k) if d in self.C],
+            }
+            for (j, k), c in self.C.items()
+        ]
         data = {
             "n": self.n,
             "ell": self.ell,
@@ -209,6 +226,7 @@ def coefficient_table(n, ell, columns=None):
     them in build order.  A full table, of h columns, is blocked exactly when
     h > n/2.
     """
+    _check_ints(n, ell)
     if not 1 <= n <= _MAX_TABLE_N:
         raise ValueError(f"dimension must be >= 1 and <= {_MAX_TABLE_N} (got n={n})")
     _check_degree(ell)
@@ -221,26 +239,17 @@ def coefficient_table(n, ell, columns=None):
         raise CharacteristicGuardError(n, ell)
 
     C = {}
-    A = {}
-    build_order = []
-    dependencies = {}
     # Column-by-column in the offset u = k - j (the diagonal first), ascending
-    # j inside each column: every dependency of a cell then precedes it.
+    # j inside each column: every neighbour of a cell inside the table then
+    # precedes it, and one outside it counts 0.
     for u in range(columns):
         for j in range(columns - u):
             k = j + u
-            A[(j, k)] = a_multiplier(n, ell, j, k)
-            # the neighbours inside the table, all built by now
-            deps = tuple(
-                cell for cell in ((j - 1, k - 1), (j, k - 1), (j + 1, k)) if cell in C
-            )
-            source = Fraction(1 if (j, k) == (0, 0) else 0)
-            feed = sum(
-                C[cell] * A[cell] if cell == (j + 1, k) else C[cell] for cell in deps
-            )
+            below, left, right = _neighbours(j, k)
+            feed = C.get(below, 0) + C.get(left, 0)
+            feed += a_multiplier(n, ell, j + 1, k) * C.get(right, 0)
+            source = 1 if (j, k) == (0, 0) else 0
             C[(j, k)] = (source - feed) / characteristic_denominator(n, ell, j, k)
-            build_order.append((j, k))
-            dependencies[(j, k)] = deps
 
     residues = None
     if full:
@@ -256,9 +265,6 @@ def coefficient_table(n, ell, columns=None):
         h=h,
         columns=columns,
         C=C,
-        A=A,
-        build_order=tuple(build_order),
-        dependencies=dependencies,
         residues=residues,
     )
 
@@ -293,8 +299,6 @@ class CorrectionSolution:
     ``gamma`` alone solves when ``radial_completion`` is None; otherwise
     gamma + radial_completion solves.  ``vanishing_order`` is the smallest k
     with lap^(k)(P) identically zero (h + 1 when none at or below h).
-    ``unique_mod_kernel`` reflects that adding the radial completion forfeits
-    uniqueness modulo the kernel of L.
     """
 
     gamma: Polynomial
@@ -303,10 +307,6 @@ class CorrectionSolution:
     verified: bool
     n: int
     ell: int
-
-    @property
-    def unique_mod_kernel(self):
-        return self.radial_completion is None and self.ell < self.n
 
     def total(self):
         if self.radial_completion is None:
@@ -396,17 +396,20 @@ def residue_terms(poly):
 
 def _combination(poly, chain, table):
     """sum over the table's cells of C^j_k (|y|^2)^j lap^k(P), grouped by row:
-    sum_j (|y|^2)^j Q_j with Q_j = sum_k C^j_k lap^k(P)."""
-    rows = [Polynomial.zero(poly.dimension)] * table.columns
+    sum_j (|y|^2)^j Q_j with Q_j = sum_k C^j_k lap^k(P), each row summed over
+    one lcm of its terms' denominators (every row holds its diagonal cell)."""
+    n = poly.dimension
+    rows = [[] for _ in range(table.columns)]
     for (j, k), c in table.C.items():
-        rows[j] = rows[j] + c * chain[k]
-    return _radial_sum(poly.dimension, rows)
+        rows[j].append(c * chain[k])
+    return _radial_sum(n, [_sum(n, row) for row in rows])
 
 
 def _completion_weights(n, ell, residues):
     """[B_0, B_1, ..., B_{n/2}] with B_0 = 0: the weights of the radial
     completion F = sum_k B_k (|y|^2)^k for the residue weights a_0..a_h (see
     ``radial_completion``)."""
+    _check_ints(n, ell)
     if n < 4 or n % 2 or ell % 2 or ell > n - 2:
         raise UnsupportedCaseError(
             "outside the radial-completion hypotheses (need n >= 4 even and "

@@ -2,11 +2,12 @@
 differences, a perturbed bubble for negative controls, a Monte Carlo
 estimator for the quadrature oracle, a second form of the profile
 correction, the Euler operator by products, L built by sympy and L built
-operator by operator, |y|^2-graded sums by Polynomial products, the probe
-constant of the admissible projection, the shift by binomials and the
-directional pairing by partials, the exact operators on plain
-{alpha: Fraction} dicts, the power-cube formula the polynomial kernel must
-match, and the multi-point balance sums at 300 digits."""
+operator by operator, |y|^2-graded sums by Polynomial products, the block
+combination cell by cell, the probe constant of the admissible projection,
+the shift by binomials and the directional pairing by partials, the exact
+operators on plain {alpha: Fraction} dicts, the power-cube formula the
+polynomial kernel must match, and the multi-point balance sums at 300
+digits."""
 
 from fractions import Fraction
 from math import comb, gamma, pi
@@ -180,6 +181,16 @@ def radial_sum_by_products(n, blocks):
             q = Polynomial.constant(n, q)
         out = out + Polynomial.r_squared(n) ** j * q
     return out
+
+
+def combination_by_cells(n, chain, table):
+    """sum over the table's cells of C^j_k (|y|^2)^j chain[k], cell by cell:
+    each cell added to its row by one ``Polynomial.__add__``, the rows then
+    weighted by |y|^2 powers through ``radial_sum_by_products``."""
+    rows = [Polynomial.zero(n)] * table.columns
+    for (j, k), c in table.C.items():
+        rows[j] = rows[j] + c * chain[k]
+    return radial_sum_by_products(n, rows)
 
 
 def projection_reference(n, ell):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bubble_correction import reduction
+from bubble_correction import polynomials, reduction
 from bubble_correction.errors import (
     CharacteristicGuardError,
     ExactnessError,
@@ -148,13 +148,45 @@ def test_small_degrees_have_single_cell():
         assert set(table.C) == {(0, 0)}
 
 
-def test_table_build_order_satisfies_dependencies():
-    table = coefficient_table(9, 8)
-    seen = set()
-    for cell in table.build_order:
-        for dep in table.dependencies[cell]:
-            assert dep in seen
-        seen.add(cell)
+def test_table_json_cells_follow_their_dependencies():
+    # each written cell's "depends" is exactly its neighbours inside the table,
+    # all written before it, and "A" is the multiplier written out from its
+    # closed form 2j(2j + n - 2 + 2 ell - 4k); full and partial tables.  The
+    # table itself stores only the cells and the residue weights.
+    stored = [field.name for field in dataclasses.fields(reduction.CoefficientTable)]
+    assert stored == ["n", "ell", "h", "columns", "C", "residues"]
+    for n, ell, columns in ((9, 8, None), (7, 9, None), (8, 10, 4), (6, 8, 3)):
+        data = coefficient_table(n, ell, columns=columns).to_json()
+        cells = [(cell["j"], cell["k"]) for cell in data["cells"]]
+        size = data["columns"] * (data["columns"] + 1) // 2
+        assert len(set(cells)) == len(cells) == size
+        seen = set()
+        for cell in data["cells"]:
+            j, k = cell["j"], cell["k"]
+            inside = [d for d in ((j - 1, k - 1), (j, k - 1), (j + 1, k)) if d in cells]
+            depends = [tuple(d) for d in cell["depends"]]
+            assert depends == inside, (n, ell, j, k)
+            assert set(depends) <= seen, (n, ell, j, k)
+            a = 2 * j * (2 * j + n - 2 + 2 * ell - 4 * k)
+            assert cell["A"] == {"num": str(a), "den": "1"}, (n, ell, j, k)
+            seen.add((j, k))
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (coefficient_table, (9.1, 4)),
+        (coefficient_table, (True, 2)),
+        (coefficient_table, (5, 4.0)),
+        (radial_completion, (8.0, 4, [Fraction(1)] * 3)),
+        (radial_completion, (8, 4.0, [Fraction(1)] * 3)),
+        (radial_completion, (8, True, [Fraction(1)] * 2)),
+    ],
+)
+def test_table_and_completion_refuse_a_non_int_dimension_or_degree(build, args):
+    # a float n would give binary-rounded cells; a bool would pass as 0 or 1
+    with pytest.raises(ValueError, match="must be an int"):
+        build(*args)
 
 
 def test_table_cells_satisfy_the_three_term_recurrence():
@@ -410,6 +442,70 @@ def test_pure_radial_residue_is_a_low_degree_radial_polynomial():
     assert residue == apply_signed_permutation(residue, list(range(n)), [-1] * n)
 
 
+def _cancelling_chain(chain, table):
+    """``chain`` with its first entry replaced so that row 0 of the table's
+    combination sums to zero: chain[0] = -sum_{k>=1} C^0_k chain[k] / C^0_0."""
+    rest = Polynomial.zero(chain[0].dimension)
+    for k in range(1, table.columns):
+        rest = rest + table.cell(0, k) * chain[k]
+    return [(-1 / table.cell(0, 0)) * rest] + chain[1:]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_combination_matches_the_per_cell_sum(rng, n):
+    # every full and every partial table of n and ell 2-10 that is not
+    # blocked, on the source's Laplacian chain, on that chain with each entry
+    # over its own denominator, and on a chain whose row 0 cancels
+    checked = 0
+    for ell in range(2, 11):
+        h = h_of(ell)
+        p = random_homogeneous(rng, n, ell)
+        chain = reduction._laplacian_chain(p, h)
+        mixed = [q * Fraction(rng.randint(1, 9), rng.randint(2, 97)) for q in chain]
+        for columns in range(1, h + 1):
+            if n % 2 == 0 and n // 2 < columns:
+                break
+            table = coefficient_table(n, ell, columns=columns)
+            chains = [chain, mixed]
+            if columns > 1:
+                chains.append(_cancelling_chain(mixed, table))
+            for source in chains:
+                combination = reduction._combination(p, source, table)
+                assert combination == oracles.combination_by_cells(n, source, table)
+                checked += 1
+    assert checked >= 15
+
+
+def test_a_solve_sums_each_row_over_one_lcm(rng, monkeypatch):
+    # polynomials._over_lcm puts a sum on one denominator: the combination
+    # takes one per row of the table (polynomials._sum) and one for the
+    # Horner blocks (polynomials._radial_sum), not one per table cell
+    over_lcm = polynomials._over_lcm
+    calls = []
+
+    def counted(*polys):
+        calls.append(polys)
+        return over_lcm(*polys)
+
+    combination = reduction._combination
+    seen = []
+
+    def traced(poly, chain, table):
+        start = len(calls)
+        out = combination(poly, chain, table)
+        seen.append((len(calls) - start, table.columns, len(table.C)))
+        return out
+
+    monkeypatch.setattr(polynomials, "_over_lcm", counted)
+    monkeypatch.setattr(reduction, "_combination", traced)
+    solve_gamma(admissible_instance(rng, 9, 8))
+    solve_general(obstructed_instance(rng, 8, 6))
+    assert len(seen) == 2
+    for lcms, columns, cells in seen:
+        assert cells > columns >= 2
+        assert lcms == columns + 1
+
+
 # -------------------------------------------------------- radial completion
 
 
@@ -429,7 +525,6 @@ def test_radial_completion_absorbs_the_residue(rng):
                 assert solution.radial_completion is not None
                 assert apply_L(solution.total()) == p
                 assert solution.vanishing_order == h_of(ell) + 1
-                assert not solution.unique_mod_kernel
 
 
 def test_completion_solves_the_negated_residue(rng):
