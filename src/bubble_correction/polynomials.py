@@ -61,7 +61,6 @@ __all__ = [
     "directional_pairing",
     "r2_multiply",
     "compose_shift",
-    "apply_signed_permutation",
 ]
 
 
@@ -527,28 +526,3 @@ def compose_shift(poly, shift):
     """poly(y + shift) expanded exactly, for an exact rational shift vector:
     the sum of its Taylor terms."""
     return _sum(poly.dimension, _taylor_terms(poly, shift))
-
-
-def apply_signed_permutation(poly, permutation, signs):
-    """poly(T y) for the signed permutation T: (Ty)_i = signs[i] * y_{perm[i]}.
-
-    Used to check that verdicts of geometric tests are invariant under the
-    symmetries of the weight (1 + |y|^2)^(-n).
-    """
-    n = poly.dimension
-    if sorted(permutation) != list(range(n)):
-        raise ValueError("permutation must be a rearrangement of 0..n-1")
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be +1 or -1")
-    nums = {}
-    for alpha, v in poly.nums.items():
-        beta = [0] * n
-        sign = 1
-        for i in range(n):
-            a = alpha[i]
-            beta[permutation[i]] = a
-            if a % 2 and signs[i] == -1:
-                sign = -sign
-        # T permutes the multi-indices, so keys stay distinct
-        nums[tuple(beta)] = sign * v
-    return Polynomial._of(n, nums, poly.den)

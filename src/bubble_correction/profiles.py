@@ -21,12 +21,7 @@ from .reduction import apply_L
 
 __all__ = [
     "BubbleProfile",
-    "stereographic_to_plane",
-    "stereographic_from_plane",
-    "flat_from_sphere_function",
-    "sphere_from_flat_function",
     "SynthesizedCurvature",
-    "constant_curvature",
     "pi_eval",
     "ResidualReport",
     "linearized_residual",
@@ -37,7 +32,6 @@ __all__ = [
     "d_pi",
     "GreensBall",
     "rescaled_average",
-    "linearization_bound_check",
 ]
 
 
@@ -84,51 +78,6 @@ class BubbleProfile:
         return (self.eps / (self.eps * self.eps)) ** ((self.dimension - 2) / 2.0)
 
 
-# ------------------------------------------------------- stereographic pair
-
-
-def stereographic_to_plane(x):
-    """Project a unit vector in R^(n+1) (not the north pole) to R^n."""
-    x = np.asarray(x, dtype=float)
-    denom = 1.0 - x[-1]
-    if abs(denom) < 1e-14:
-        raise ValueError("projection is singular at the north pole")
-    return x[:-1] / denom
-
-
-def stereographic_from_plane(y):
-    """Inverse projection: R^n -> unit sphere in R^(n+1)."""
-    y = np.asarray(y, dtype=float)
-    r2 = float(y @ y)
-    return np.append(2.0 * y / (1.0 + r2), (r2 - 1.0) / (1.0 + r2))
-
-
-def flat_from_sphere_function(u_func, n):
-    """Conformal partner on R^n of a function on S^n:
-    v(y) = u(inverse-projection(y)) * (2 / (1 + |y|^2))^((n-2)/2)."""
-
-    def v(y):
-        y = np.asarray(y, dtype=float)
-        r2 = float(y @ y)
-        return u_func(stereographic_from_plane(y)) * (2.0 / (1.0 + r2)) ** (
-            (n - 2) / 2.0
-        )
-
-    return v
-
-
-def sphere_from_flat_function(v_func, n):
-    """Inverse conformal transport: u(x) = v(projection(x)) divided by the
-    same conformal factor."""
-
-    def u(x):
-        y = stereographic_to_plane(x)
-        r2 = float(y @ y)
-        return v_func(y) / (2.0 / (1.0 + r2)) ** ((n - 2) / 2.0)
-
-    return u
-
-
 # ------------------------------------------------------- synthetic curvature
 
 
@@ -163,12 +112,6 @@ class SynthesizedCurvature:
         """<y, grad(c~ K)> as an exact polynomial; equals -(deg) * P plus the
         remainder's scaled terms."""
         return self._scaled_terms
-
-
-def constant_curvature(n):
-    """c~ K = n(n-2) everywhere; the model under which bubbles solve
-    exactly."""
-    return SynthesizedCurvature(Polynomial.zero(n))
 
 
 # --------------------------------------------------------------- correction
@@ -624,80 +567,3 @@ def rescaled_average(v, xi, radii):
     signs = np.sign(slopes[np.abs(slopes) > 1e-12])
     critical = int(np.count_nonzero(np.diff(signs) != 0))
     return wbar, (t_sorted, w_sorted), critical
-
-
-# ------------------------------------------------ elementary inequality scan
-
-
-def linearization_bound_check(samples=10_000, seed=0, n=4):
-    """Property-scan of the elementary inequalities used by the linear
-    approximation step, reporting measured margins.
-
-    The printed power-difference inequality with the 1/p factor fails for
-    generic p > 1 (witness a=2, b=1, p=2: difference 3 vs bound 2); that
-    discrepancy is recorded and the standard mean-value form with factor p is
-    the one scanned.  The perturbation bound |(1+t)^beta - 1| <= eps +
-    C_beta/eps^beta |t|^beta is scanned with C_beta = (2^beta + 1)(beta +
-    1)^beta, and its three-term corollary with an extra factor 2^(beta-1).
-    """
-    rng = np.random.default_rng(seed)
-    beta = 2.0 * n / (n - 2.0)
-    c_beta = (2.0**beta + 1.0) * (beta + 1.0) ** beta
-    c_bar = 2.0 ** (beta - 1.0) * c_beta
-
-    # documented discrepancy of the printed 1/p form
-    a0, b0, p0 = 2.0, 1.0, 2.0
-    printed_lhs = a0**p0 - b0**p0
-    printed_rhs = (1.0 / p0) * (a0 - b0) * a0 ** (p0 - 1.0)
-    printed_form_fails = printed_lhs > printed_rhs
-
-    a = rng.uniform(0.5, 10.0, samples)
-    b = a * rng.uniform(0.0, 1.0, samples)
-    p = rng.uniform(1.0, 5.0, samples)
-    mean_value_ok = bool(
-        np.all(a**p - b**p <= p * (a - b) * a ** (p - 1.0) * (1 + 1e-12))
-    )
-
-    t = rng.uniform(-1.0, 10.0, samples)
-    perturbation_ok = True
-    worst_margin = np.inf
-    for eps in (0.1, 0.01):
-        lhs = np.abs((1.0 + t) ** beta - 1.0)
-        rhs = eps + (c_beta / eps**beta) * np.abs(t) ** beta
-        margin = float((rhs - lhs).min())
-        worst_margin = min(worst_margin, margin)
-        perturbation_ok = perturbation_ok and bool(np.all(lhs <= rhs))
-
-    A = rng.uniform(0.1, 5.0, samples)
-    B = rng.uniform(-2.0, 2.0, samples)
-    C = rng.uniform(-2.0, 2.0, samples)
-    keep = A + B + C > 0
-    A, B, C = A[keep], B[keep], C[keep]
-    three_term_ok = True
-    for eps in (0.1, 0.01):
-        lhs = np.abs((A + B + C) ** beta - A**beta)
-        rhs = eps * A**beta + (c_bar / eps**beta) * (
-            np.abs(B) ** beta + np.abs(C) ** beta
-        )
-        three_term_ok = three_term_ok and bool(np.all(lhs <= rhs))
-
-    # decomposition residual of the critical-power difference
-    p_crit = (n + 2.0) / (n - 2.0)
-    V = A * rng.uniform(0.2, 1.0, A.size)
-    direct = A**p_crit - V**p_crit
-    linear = p_crit * (A - V) * A ** (p_crit - 1.0)
-    residual = np.abs(direct - linear)
-    envelope = (A - V) ** 2 * A ** (p_crit - 2.0)
-    ratio = residual[envelope > 0] / envelope[envelope > 0]
-    decomposition_constant = float(ratio.max()) if ratio.size else 0.0
-
-    return {
-        "printed_power_difference_form_fails": printed_form_fails,
-        "printed_witness": {"a": a0, "b": b0, "p": p0, "lhs": printed_lhs, "rhs": printed_rhs},
-        "mean_value_form_ok": mean_value_ok,
-        "perturbation_bound_ok": perturbation_ok,
-        "perturbation_worst_margin": worst_margin,
-        "three_term_bound_ok": three_term_ok,
-        "decomposition_constant": decomposition_constant,
-        "samples": samples,
-    }

@@ -31,7 +31,7 @@ Every |y|^2-graded sum here (the combination, grouped by row j; the residue;
 the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``;
 each row of the combination is summed over one lcm of its terms'
 denominators by ``polynomials._sum``; and every radial constant of the
-construction, the projection's included, is an ``a_multiplier``.
+construction is an ``a_multiplier``.
 ``apply_L`` and ``_radial_sum`` are built from the integer stencils of
 ``polynomials`` (the Laplacian and the |y|^2 product), which run on a
 polynomial's numerators and keep its one denominator: L is the Laplacian
@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, prod
+from math import comb
 
 from .errors import (
     CharacteristicGuardError,
@@ -71,7 +71,6 @@ from .polynomials import (
     iterated_laplacian,
     json_int,
     laplacian,
-    r2_multiply,
     rational_to_json,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "residue_terms",
     "radial_completion",
     "solve_general",
-    "project_to_admissible",
     "kernel_basis",
 ]
 
@@ -117,10 +115,11 @@ def _check_degree(ell):
         raise ValueError(f"source degree must be <= {MAX_ELL} (got ell={ell})")
 
 
-def _check_ints(n, ell):
-    """Refuse a float or bool n or ell, as ``Polynomial`` refuses a float
-    dimension: a cell built from a float n is binary-rounded, not exact."""
-    for name, value in (("n", n), ("ell", ell)):
+def _check_ints(**values):
+    """Refuse a float or bool n, ell or index, as ``Polynomial`` refuses a
+    float dimension: a cell built from a float n is binary-rounded, not
+    exact."""
+    for name, value in values.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be an int (got {name}={value!r})")
 
@@ -151,7 +150,9 @@ def h_of(ell):
 
 def a_multiplier(n, ell, j, k):
     """The multiplier (2j)(2j + n - 2 + 2*ell - 4k) produced when the
-    weighted Laplacian acts on (|y|^2)^j * lap^(k)(P)."""
+    weighted Laplacian acts on (|y|^2)^j * lap^(k)(P).  Every argument is an
+    int (not a bool)."""
+    _check_ints(n=n, ell=ell, j=j, k=k)
     if j < 0 or k < 0:
         raise ValueError("indices must be non-negative")
     return Fraction(2 * j) * Fraction(2 * j + n - 2 + 2 * ell - 4 * k)
@@ -159,7 +160,8 @@ def a_multiplier(n, ell, j, k):
 
 def characteristic_denominator(n, ell, j, k):
     """A_{ell,j,k} - 2n * (ell + 2(j - k) - 1), the cell's own multiplier
-    under L.  Factors as -(2j - n)(2j - 2(ell - 1 - 2(k - j)))."""
+    under L.  Factors as -(2j - n)(2j - 2(ell - 1 - 2(k - j))).  Its
+    arguments are checked by ``a_multiplier``."""
     return a_multiplier(n, ell, j, k) - Fraction(2 * n) * Fraction(
         ell + 2 * (j - k) - 1
     )
@@ -217,8 +219,9 @@ def coefficient_table(n, ell, columns=None):
     """Build the coefficient table for dimension n and source degree ell.
 
     ``columns`` limits how many columns k = 0..columns-1 are materialized
-    (used when an early iterated Laplacian vanishes); the default is the full
-    table with h columns, which also carries the residue weights.
+    (used when an early iterated Laplacian vanishes): an int >= 1 (not a
+    bool), clamped to h, or ValueError.  The default is the full table with
+    h columns, which also carries the residue weights.
 
     Raises CharacteristicGuardError, before any cell is built, when n is
     even and n/2 < columns: only the cells of row j = n/2 have a vanishing
@@ -226,7 +229,7 @@ def coefficient_table(n, ell, columns=None):
     them in build order.  A full table, of h columns, is blocked exactly when
     h > n/2.
     """
-    _check_ints(n, ell)
+    _check_ints(n=n, ell=ell)
     if not 1 <= n <= _MAX_TABLE_N:
         raise ValueError(f"dimension must be >= 1 and <= {_MAX_TABLE_N} (got n={n})")
     _check_degree(ell)
@@ -234,6 +237,8 @@ def coefficient_table(n, ell, columns=None):
         raise UnsupportedCaseError("source degree must be >= 2")
     h = h_of(ell)
     full = columns is None
+    if not full and (type(columns) is not int or columns < 1):
+        raise ValueError(f"columns must be an int >= 1 (got columns={columns!r})")
     columns = h if full else min(columns, h)
     if n % 2 == 0 and n // 2 < columns:
         raise CharacteristicGuardError(n, ell)
@@ -409,7 +414,7 @@ def _completion_weights(n, ell, residues):
     """[B_0, B_1, ..., B_{n/2}] with B_0 = 0: the weights of the radial
     completion F = sum_k B_k (|y|^2)^k for the residue weights a_0..a_h (see
     ``radial_completion``)."""
-    _check_ints(n, ell)
+    _check_ints(n=n, ell=ell)
     if n < 4 or n % 2 or ell % 2 or ell > n - 2:
         raise UnsupportedCaseError(
             "outside the radial-completion hypotheses (need n >= 4 even and "
@@ -544,28 +549,6 @@ def solve_general(poly):
     failed hypotheses, when a residue is present outside them.
     """
     return _solve(poly, allow_radial=True)
-
-
-def project_to_admissible(poly):
-    """Subtract an exact radial (or radial-times-linear) multiple so that the
-    top iterated Laplacian of the result vanishes identically.
-
-    Used to manufacture admissible test inputs; already-admissible inputs are
-    returned unchanged.  The top Laplacian T = lap^h P is a constant or a
-    linear form, so it is harmonic and lap^h((|y|^2)^h T) = d T with
-    d = prod_{i=1..h} a_multiplier(n, ell - 2h, i, 0).
-    """
-    ell = _validated_source(poly)
-    n = poly.dimension
-    h = h_of(ell)
-    top = iterated_laplacian(poly, h)
-    if top.is_zero:
-        return poly
-    d = prod(a_multiplier(n, ell - 2 * h, i, 0) for i in range(1, h + 1))
-    adjusted = poly - r2_multiply(top, h) * (1 / d)
-    if not iterated_laplacian(adjusted, h).is_zero:
-        raise AssertionError("projection failed to clear the top Laplacian")
-    return adjusted
 
 
 def kernel_basis(n):

@@ -1,30 +1,38 @@
-"""Independent numeric oracles that only the test suite uses: finite
-differences, a perturbed bubble for negative controls, a Monte Carlo
+"""Independent oracles and input builders that only the test suite uses:
+finite differences, a perturbed bubble for negative controls, a Monte Carlo
 estimator for the quadrature oracle, a second form of the profile
-correction, the Euler operator by products, L built by sympy and L built
-operator by operator, |y|^2-graded sums by Polynomial products, the block
-combination cell by cell, the probe constant of the admissible projection,
-the shift by binomials and the directional pairing by partials, the exact
-operators on plain {alpha: Fraction} dicts, the power-cube formula the
-polynomial kernel must match, and the multi-point balance sums at 300
-digits."""
+correction, the stereographic pair and the conformal transport between S^n
+and R^n, the scan of the elementary inequalities of the linearization step,
+the Euler operator by products, L built by sympy and L built operator by
+operator, |y|^2-graded sums by Polynomial products, the block combination
+cell by cell, the probe constant of the admissible projection, the shift by
+binomials and the directional pairing by partials, the projection that
+manufactures admissible sources, the signed permutations of the weight's
+symmetry, the exact operators on plain {alpha: Fraction} dicts, the moment's
+second route (the top iterated Laplacian over ``b_constant``) and the exact
+checks of the exponent trade, the power-cube formula the polynomial kernel
+must match, and the multi-point balance sums at 300 digits."""
 
 from fractions import Fraction
-from math import comb, gamma, pi
+from math import comb, gamma, pi, prod
 
 import mpmath
 import numpy as np
 import sympy
 
 from bubble_correction import kernels
+from bubble_correction.errors import DivergentMomentError
+from bubble_correction.moments import j_multiple
 from bubble_correction.polynomials import (
     Polynomial,
     euler_operator,
     iterated_laplacian,
     laplacian,
     partial_derivative,
+    r2_multiply,
 )
 from bubble_correction.profiles import BubbleProfile
+from bubble_correction.reduction import _validated_source, a_multiplier, h_of
 
 
 # -------------------------------------------------------- finite differences
@@ -114,6 +122,128 @@ def correction_critical_power_form(profile, points):
         * kernels.eval_polynomial(s.gamma, Y)
         * profile.bubble(points) ** (s.n / (s.n - 2.0))
     )
+
+
+# ------------------------------------------------------- stereographic pair
+
+
+def stereographic_to_plane(x):
+    """Project a unit vector in R^(n+1) (not the north pole) to R^n."""
+    x = np.asarray(x, dtype=float)
+    denom = 1.0 - x[-1]
+    if abs(denom) < 1e-14:
+        raise ValueError("projection is singular at the north pole")
+    return x[:-1] / denom
+
+
+def stereographic_from_plane(y):
+    """Inverse projection: R^n -> unit sphere in R^(n+1)."""
+    y = np.asarray(y, dtype=float)
+    r2 = float(y @ y)
+    return np.append(2.0 * y / (1.0 + r2), (r2 - 1.0) / (1.0 + r2))
+
+
+def flat_from_sphere_function(u_func, n):
+    """Conformal partner on R^n of a function on S^n:
+    v(y) = u(inverse-projection(y)) * (2 / (1 + |y|^2))^((n-2)/2)."""
+
+    def v(y):
+        y = np.asarray(y, dtype=float)
+        r2 = float(y @ y)
+        return u_func(stereographic_from_plane(y)) * (2.0 / (1.0 + r2)) ** (
+            (n - 2) / 2.0
+        )
+
+    return v
+
+
+def sphere_from_flat_function(v_func, n):
+    """Inverse conformal transport: u(x) = v(projection(x)) divided by the
+    same conformal factor."""
+
+    def u(x):
+        y = stereographic_to_plane(x)
+        r2 = float(y @ y)
+        return v_func(y) / (2.0 / (1.0 + r2)) ** ((n - 2) / 2.0)
+
+    return u
+
+
+# ------------------------------------------------ elementary inequality scan
+
+
+def linearization_bound_check(samples=10_000, seed=0, n=4):
+    """Property-scan of the elementary inequalities used by the linear
+    approximation step, reporting measured margins.
+
+    The printed power-difference inequality with the 1/p factor fails for
+    generic p > 1 (witness a=2, b=1, p=2: difference 3 vs bound 2); that
+    discrepancy is recorded and the standard mean-value form with factor p is
+    the one scanned.  The perturbation bound |(1+t)^beta - 1| <= eps +
+    C_beta/eps^beta |t|^beta is scanned with C_beta = (2^beta + 1)(beta +
+    1)^beta, and its three-term corollary with an extra factor 2^(beta-1).
+    """
+    rng = np.random.default_rng(seed)
+    beta = 2.0 * n / (n - 2.0)
+    c_beta = (2.0**beta + 1.0) * (beta + 1.0) ** beta
+    c_bar = 2.0 ** (beta - 1.0) * c_beta
+
+    # documented discrepancy of the printed 1/p form
+    a0, b0, p0 = 2.0, 1.0, 2.0
+    printed_lhs = a0**p0 - b0**p0
+    printed_rhs = (1.0 / p0) * (a0 - b0) * a0 ** (p0 - 1.0)
+    printed_form_fails = printed_lhs > printed_rhs
+
+    a = rng.uniform(0.5, 10.0, samples)
+    b = a * rng.uniform(0.0, 1.0, samples)
+    p = rng.uniform(1.0, 5.0, samples)
+    mean_value_ok = bool(
+        np.all(a**p - b**p <= p * (a - b) * a ** (p - 1.0) * (1 + 1e-12))
+    )
+
+    t = rng.uniform(-1.0, 10.0, samples)
+    perturbation_ok = True
+    worst_margin = np.inf
+    for eps in (0.1, 0.01):
+        lhs = np.abs((1.0 + t) ** beta - 1.0)
+        rhs = eps + (c_beta / eps**beta) * np.abs(t) ** beta
+        margin = float((rhs - lhs).min())
+        worst_margin = min(worst_margin, margin)
+        perturbation_ok = perturbation_ok and bool(np.all(lhs <= rhs))
+
+    A = rng.uniform(0.1, 5.0, samples)
+    B = rng.uniform(-2.0, 2.0, samples)
+    C = rng.uniform(-2.0, 2.0, samples)
+    keep = A + B + C > 0
+    A, B, C = A[keep], B[keep], C[keep]
+    three_term_ok = True
+    for eps in (0.1, 0.01):
+        lhs = np.abs((A + B + C) ** beta - A**beta)
+        rhs = eps * A**beta + (c_bar / eps**beta) * (
+            np.abs(B) ** beta + np.abs(C) ** beta
+        )
+        three_term_ok = three_term_ok and bool(np.all(lhs <= rhs))
+
+    # decomposition residual of the critical-power difference
+    p_crit = (n + 2.0) / (n - 2.0)
+    V = A * rng.uniform(0.2, 1.0, A.size)
+    direct = A**p_crit - V**p_crit
+    linear = p_crit * (A - V) * A ** (p_crit - 1.0)
+    residual = np.abs(direct - linear)
+    envelope = (A - V) ** 2 * A ** (p_crit - 2.0)
+    ratio = residual[envelope > 0] / envelope[envelope > 0]
+    decomposition_constant = float(ratio.max()) if ratio.size else 0.0
+
+    return {
+        "printed_power_difference_form_fails": printed_form_fails,
+        "printed_witness": {"a": a0, "b": b0, "p": p0, "lhs": printed_lhs, "rhs": printed_rhs},
+        "mean_value_form_ok": mean_value_ok,
+        "perturbation_bound_ok": perturbation_ok,
+        "perturbation_worst_margin": worst_margin,
+        "three_term_bound_ok": three_term_ok,
+        "decomposition_constant": decomposition_constant,
+        "samples": samples,
+    }
 
 
 # --------------------------------------------------------------- exact tier
@@ -237,6 +367,53 @@ def directional_pairing_by_partials(direction, poly):
     return out
 
 
+def project_to_admissible(poly):
+    """Subtract an exact radial (or radial-times-linear) multiple so that the
+    top iterated Laplacian of the result vanishes identically.
+
+    Used to manufacture admissible test inputs; already-admissible inputs are
+    returned unchanged.  The top Laplacian T = lap^h P is a constant or a
+    linear form, so it is harmonic and lap^h((|y|^2)^h T) = d T with
+    d = prod_{i=1..h} a_multiplier(n, ell - 2h, i, 0).
+    """
+    ell = _validated_source(poly)
+    n = poly.dimension
+    h = h_of(ell)
+    top = iterated_laplacian(poly, h)
+    if top.is_zero:
+        return poly
+    d = prod(a_multiplier(n, ell - 2 * h, i, 0) for i in range(1, h + 1))
+    adjusted = poly - r2_multiply(top, h) * (1 / d)
+    if not iterated_laplacian(adjusted, h).is_zero:
+        raise AssertionError("projection failed to clear the top Laplacian")
+    return adjusted
+
+
+def apply_signed_permutation(poly, permutation, signs):
+    """poly(T y) for the signed permutation T: (Ty)_i = signs[i] * y_{perm[i]}.
+
+    Used to check that verdicts of geometric tests are invariant under the
+    symmetries of the weight (1 + |y|^2)^(-n).
+    """
+    n = poly.dimension
+    if sorted(permutation) != list(range(n)):
+        raise ValueError("permutation must be a rearrangement of 0..n-1")
+    if any(s not in (1, -1) for s in signs):
+        raise ValueError("signs must be +1 or -1")
+    nums = {}
+    for alpha, v in poly.nums.items():
+        beta = [0] * n
+        sign = 1
+        for i in range(n):
+            a = alpha[i]
+            beta[permutation[i]] = a
+            if a % 2 and signs[i] == -1:
+                sign = -sign
+        # T permutes the multi-indices, so keys stay distinct
+        nums[tuple(beta)] = sign * v
+    return Polynomial(n, {beta: Fraction(v, poly.den) for beta, v in nums.items()})
+
+
 # ------------------------------------------- exact operators on plain dicts
 # The reference for the integer form of ``Polynomial``: every operator
 # written on {alpha: Fraction} dicts with zero coefficients dropped, term by
@@ -300,6 +477,74 @@ def dict_apply_L(p, n):
     weighted = dict_add(lap, dict_r2(lap, n))
     return dict_add(weighted, dict_add(dict_scale(dict_euler(p, n), -2 * n),
                                        dict_scale(p, 2 * n)))
+
+
+# ------------------------------------------------------------------ moments
+
+
+def b_constant(ell):
+    """ell(ell-2)(ell-4)...2, the top iterated Laplacian of
+    y_1^2 ... y_{ell/2}^2."""
+    if ell < 2 or ell % 2:
+        raise ValueError("requires an even degree >= 2")
+    out = 1
+    for m in range(2, ell + 1, 2):
+        out *= m
+    return out
+
+
+def j_multiple_via_laplacian(poly):
+    """Same multiple through the independent route: the (constant) top
+    iterated Laplacian divided by the fixed degree constant."""
+    if poly.is_zero:
+        return Fraction(0)
+    ell = poly.degree()
+    if ell == 0:
+        return poly.constant_term()
+    if ell % 2:
+        return Fraction(0)
+    top = iterated_laplacian(poly, ell // 2)
+    return top.constant_term() / b_constant(ell)
+
+
+def _identity_inputs(n, k, alpha):
+    if k < 2 or k % 2:
+        raise ValueError("k must be an even integer >= 2")
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != n:
+        raise ValueError("alpha must have length n")
+    if alpha[0] or alpha[-1]:
+        raise ValueError("alpha must not use the first or last variable slot")
+    if any(a % 2 for a in alpha):
+        raise ValueError("alpha must be even in every slot")
+    mono = {tuple(alpha): Fraction(1)}
+    lhs = Polynomial(n, mono) * Polynomial.variable(n, 0, k + 2)
+    rhs = (
+        Polynomial(n, mono)
+        * Polynomial.variable(n, 0, k)
+        * Polynomial.variable(n, n - 1, 2)
+    )
+    return lhs, rhs
+
+
+def reduction_identity_check(n, k, alpha):
+    """Exactly verify that trading y_1^(k+2) for (k+1) * y_1^k y_n^2 leaves
+    the weighted moment unchanged: both sides as rational multiples of J."""
+    lhs, rhs = _identity_inputs(n, k, alpha)
+    if lhs.degree() > n - 1:
+        raise DivergentMomentError(
+            "identity check requires total degree <= n - 1"
+        )
+    return j_multiple(lhs) == (k + 1) * j_multiple(rhs)
+
+
+def laplacian_identity_check(n, k, alpha):
+    """Exactly verify the polynomial form of the same trade: the top iterated
+    Laplacians agree with the factor (k + 1)."""
+    lhs, rhs = _identity_inputs(n, k, alpha)
+    ell = lhs.degree()
+    h = ell // 2
+    return iterated_laplacian(lhs, h) == (k + 1) * iterated_laplacian(rhs, h)
 
 
 # ------------------------------------------------------------------ kernels

