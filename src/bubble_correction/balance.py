@@ -28,6 +28,7 @@ from .errors import ExactnessError, UnsupportedCaseError
 from .moments import gradient_moment, j_multiple, shift_expansion
 from .polynomials import (
     Polynomial,
+    _json_list,
     as_coefficient,
     directional_pairing,
     gradient,
@@ -171,21 +172,24 @@ class BlowupConfiguration:
             fields = dict(
                 n=json_int(data["n"]),
                 points=tuple(
-                    tuple(_parse_rational(x) for x in p) for p in data["points"]
+                    tuple(_parse_rational(x) for x in _json_list(p))
+                    for p in _json_list(data["points"])
                 ),
-                k_values=tuple(_parse_rational(k) for k in data["k_values"]),
+                k_values=tuple(
+                    _parse_rational(k) for k in _json_list(data["k_values"])
+                ),
                 taylor_polys=tuple(
-                    Polynomial.from_json(p) for p in data["taylor_polys"]
+                    Polynomial.from_json(p) for p in _json_list(data["taylor_polys"])
                 ),
                 flex_vectors=tuple(
-                    tuple(_parse_rational(x) for x in v)
-                    for v in data["flex_vectors"]
+                    tuple(_parse_rational(x) for x in _json_list(v))
+                    for v in _json_list(data["flex_vectors"])
                 ),
                 flex_exponents=tuple(
-                    _parse_rational(e) for e in data["flex_exponents"]
+                    _parse_rational(e) for e in _json_list(data["flex_exponents"])
                 ),
                 scale_ratios=tuple(
-                    _parse_rational(s) for s in data["scale_ratios"]
+                    _parse_rational(s) for s in _json_list(data["scale_ratios"])
                 ),
             )
         except ExactnessError:

@@ -87,6 +87,14 @@ def json_int(value):
     raise ValueError(f"not an integer or decimal string: {value!r}")
 
 
+def _json_list(value):
+    """A list read from JSON, refusing a string or an object, whose
+    characters or keys would otherwise be read as its entries."""
+    if not isinstance(value, list):
+        raise ValueError(f"not a JSON list: {value!r}")
+    return value
+
+
 def rational_from_json(data):
     """Fraction from {"num": ..., "den": ...}, both read by ``json_int``;
     a zero denominator is refused."""
@@ -353,8 +361,8 @@ class Polynomial:
         try:
             dimension = json_int(data["dimension"])
             terms = {}
-            for entry in data["terms"]:
-                alpha = tuple(json_int(a) for a in entry["alpha"])
+            for entry in _json_list(data["terms"]):
+                alpha = tuple(json_int(a) for a in _json_list(entry["alpha"]))
                 if alpha in terms:
                     raise ValueError(f"repeated multi-index {list(alpha)}")
                 terms[alpha] = rational_from_json(entry)

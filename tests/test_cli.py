@@ -1080,6 +1080,47 @@ def test_a_repeated_multi_index_is_malformed_input(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json"]
 
 
+def _with_term(**changes):
+    return {"dimension": 3, "terms": [{**CLEAN_TERM, **changes}]}
+
+
+def _with_entry(field, index, value):
+    config = balance_config_json()
+    config[field][index] = value
+    return config
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("integrate", lambda: _with_term(alpha="200")),
+        ("integrate", lambda: _with_term(alpha={"2": 0, "0": 0, "00": 0})),
+        ("solve", lambda: {"dimension": 3, "terms": ""}),
+        ("solve", lambda: {"dimension": 3, "terms": {}}),
+        ("balance", lambda: _with_entry("points", 1, "30000000")),
+        ("balance", lambda: _with_entry("flex_vectors", 0, "00000000")),
+        ("balance", lambda: {**balance_config_json(),
+                             "k_values": {"48": 0, "2": 0, "02": 0}}),
+        ("balance", lambda: {**balance_config_json(), "scale_ratios": "111"}),
+    ],
+    ids=["string-alpha", "object-alpha", "string-terms", "object-terms",
+         "string-point", "string-vector", "object-k-values", "string-ratios"],
+)
+def test_a_string_or_object_where_a_list_belongs_is_malformed_input(
+    tmp_path, capsys, monkeypatch, command, payload
+):
+    # each read its characters or keys as the list's entries: integrate took
+    # the first two as y1^2 and exited 0, solve took "" and {} as the zero
+    # polynomial and exited 2, and balance took each configuration for the
+    # mirrored pair it spells and exited 0
+    (tmp_path / "in.json").write_text(json.dumps(payload()))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--input", "in.json", "--output", "o.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: malformed ") and "not a JSON list" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
 # A child that runs one command in-process, then fails unless numpy's core
 # is still unloaded; it exits with the command's own code.
 EXACT_TIER_CHILD = """
@@ -1114,6 +1155,72 @@ def test_exact_tier_never_executes_numpy(tmp_path, command, source, expected):
                      launcher=("-c", EXACT_TIER_CHILD))
     assert result.returncode == expected, result.stderr
     assert "Traceback" not in result.stderr
+
+
+# Put on a child's path as ``sitecustomize``: at exit, the child prints the
+# package modules that have executed.  ``type`` reads no attribute, so it
+# executes nothing: a module not executed yet is still a lazy subclass.
+EXECUTED_MODULES_PROBE = """
+import atexit, sys, types
+
+@atexit.register
+def report():
+    print(" ".join(sorted(
+        name.rpartition(".")[2] for name, module in list(sys.modules.items())
+        if name.startswith("bubble_correction.") and type(module) is types.ModuleType
+    )))
+"""
+
+# executed by every launch: the numpy binding, and what ``cli`` imports from
+BASE_MODULES = ["_numpy", "errors", "polynomials"]
+
+
+def run_probed(args, tmp_path, monkeypatch, launcher=("-m", "bubble_correction.cli")):
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    (probe / "sitecustomize.py").write_text(EXECUTED_MODULES_PROBE)
+    monkeypatch.setenv("PYTHONPATH", str(probe))
+    return run_cli(args, tmp_path, launcher=launcher)
+
+
+@pytest.mark.parametrize(
+    "command, source, executed",
+    [
+        (["solve"], lambda: (-1 * alternating_quartic(8)).to_json(), ["reduction"]),
+        (["solve", "--allow-radial"], lambda: (Polynomial.r_squared(8) ** 2).to_json(),
+         ["reduction"]),
+        (["table", "--n", "5", "--ell", "4"], None, ["reduction"]),
+        (["integrate"], lambda: (-1 * alternating_quartic(8)).to_json(), ["moments"]),
+        (["balance"], balance_config_json, ["balance", "moments"]),
+    ],
+    ids=["solve", "allow-radial", "table", "integrate", "balance"],
+)
+def test_each_command_executes_only_the_modules_it_runs(
+    tmp_path, monkeypatch, command, source, executed
+):
+    args = list(command)
+    if source is not None:
+        (tmp_path / "in.json").write_text(json.dumps(source()))
+        args += ["--input", "in.json"]
+    result = run_probed(args + ["--output", "out.json"], tmp_path, monkeypatch)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == sorted(BASE_MODULES + executed)
+
+
+def test_importing_cli_executes_only_what_it_imports_from(tmp_path, monkeypatch):
+    result = run_probed([], tmp_path, monkeypatch,
+                        launcher=("-c", "from bubble_correction import cli"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == sorted(BASE_MODULES + ["cli"])
+
+
+def test_help_runs_clean_with_warnings_as_errors(tmp_path):
+    # ``python -m`` warns when its target is in sys.modules before it runs,
+    # so this fails if ``cli`` is ever bound as a lazy module
+    result = run_cli(["--help"], tmp_path,
+                     launcher=("-W", "error", "-m", "bubble_correction.cli"))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
 
 
 def test_numpy_binding_keeps_an_earlier_import_and_a_missing_numpy_fails(tmp_path):

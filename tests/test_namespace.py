@@ -62,6 +62,17 @@ def test_every_module_export_is_the_modules_own_object():
             assert getattr(bubble_correction, name) is getattr(module, name)
 
 
+def test_star_import_binds_the_submodules_and_every_export():
+    namespace = {}
+    exec("from bubble_correction import *", namespace)
+    del namespace["__builtins__"]
+    exports = {name for module in MODULES for name in module.__all__}
+    submodules = {module.__name__.rpartition(".")[2] for module in MODULES}
+    assert set(namespace) == exports | submodules | {"kernels", "quadrature"}
+    assert namespace["Polynomial"] is polynomials.Polynomial
+    assert set(dir(bubble_correction)) >= set(namespace) | {"__version__"}
+
+
 def test_obstructions_share_one_base():
     for cls in (
         errors.ResidueObstructionError,
