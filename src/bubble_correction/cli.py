@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 Subcommands wrap the library one to one and speak JSON/CSV on disk.  Exit
-codes form a contract: 0 on success, 1 on malformed input, usage errors or
-I/O problems, 2 on a mathematical obstruction (nonvanishing residue, blocked
-recurrence cell, divergent moment).  An obstruction is a result, not a
-crash, so ``solve`` still writes a machine-readable report before exiting.
+codes form a contract: 0 on success, 1 on malformed input (a value beyond
+the float range included), usage errors or I/O problems, 2 on a
+mathematical obstruction (nonvanishing residue, blocked recurrence cell,
+divergent moment).  An obstruction is a result, not a crash.  Only a
+residue obstruction writes a machine-readable report (``solve``, in place of
+the solution); the other obstructions of ``solve``, a blocked table
+(|y|^4 y1 y2 in n = 4) and a degree-1 source, exit 2 with none.
 
 Runs are deterministic: fixed ``--seed`` plus identical inputs give byte
 identical outputs; files are written atomically.
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -36,14 +38,20 @@ EXIT_OBSTRUCTION = 2
 GREEN_MAX_N = 11
 # the boundary gaps whose Green and Poisson bounds ``green-check`` measures
 GREEN_GAPS = (0.1, 0.3)
+# the radii ``green-check`` accepts, checked before any work: the kernels
+# raise the radius to powers that grow with n, which leave the float range
+# from about 1e26 and below about 1e-27 at n = GREEN_MAX_N; both ends keep a
+# wide margin inside that for every n
+GREEN_RADII = (1e-10, 1e10)
 # ``profile`` samples xi + PROFILE_SCALE * N(0, I)
 PROFILE_SCALE = 0.5
 
 # Work caps of the sampling commands, checked before any work.  ``profile``
 # writes one CSV row per sample.  ``kernels.eval_poly`` holds about
 # samples * terms * 8 bytes plus a 1 MiB scratch for a polynomial of ``terms``
-# terms, so samples x terms (the solution's for ``residual-scan``, gamma's for
-# ``profile``) is capped too: 4e6 is near 32 MB per evaluation.
+# terms, so samples x terms is capped too, for the largest polynomial a command
+# evaluates (``residual-scan``: the source and L's two parts of the solution;
+# ``profile``: gamma): 4e6 is near 32 MB per evaluation.
 MAX_SAMPLES = 100_000
 MAX_SAMPLE_TERMS = 4_000_000
 # ``profile`` formats and writes its CSV this many rows at a time
@@ -98,7 +106,7 @@ def _require_samples(samples):
 
 def _require_work(samples, terms):
     """Refuse --samples above MAX_SAMPLE_TERMS in product with the ``terms``
-    of the polynomial it samples."""
+    of the largest polynomial it samples."""
     terms = max(terms, 1)
     _require(
         samples * terms <= MAX_SAMPLE_TERMS, "samples",
@@ -191,7 +199,9 @@ def cmd_residual_scan(args):
     solution = reduction.CorrectionSolution.from_json(_load_json(args.input))
     source = _load_polynomial(args.source)
     total = solution.total()
-    _require_work(args.samples, len(total.nums))
+    # the scan evaluates the source and L's two parts of the solution
+    polys = profiles_mod._scan_polynomials(total, source)
+    _require_work(args.samples, max(len(p.nums) for p in polys))
     report = profiles_mod.linearized_residual(
         total, source, samples=args.samples, seed=args.seed
     )
@@ -201,7 +211,8 @@ def cmd_residual_scan(args):
 
 def cmd_green_check(args):
     _require(args.n <= GREEN_MAX_N, "n", f"<= {GREEN_MAX_N}", args.n)
-    _require(0 < args.radius < math.inf, "radius", "finite and > 0", args.radius)
+    lo, hi = GREEN_RADII
+    _require(lo <= args.radius <= hi, "radius", f"in [{lo:g}, {hi:g}]", args.radius)
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
     ball = profiles_mod.GreensBall(args.n, args.radius)
     rng = np.random.default_rng(args.seed)
@@ -329,13 +340,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     # two families: obstructions (first, since two of them are also
-    # ValueErrors), then malformed input or an unusable path
+    # ValueErrors), then malformed input (a value beyond the float range
+    # included) or an unusable path
     try:
         return args.func(args)
     except Obstruction as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
-    except (OSError, KeyError, ValueError, ExactnessError) as exc:
+    except (OSError, KeyError, ValueError, OverflowError, ExactnessError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

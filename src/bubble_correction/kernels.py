@@ -2,7 +2,9 @@
 
 Every sampling loop in the package (sphere scans, residual scans, quadrature
 grids) funnels through the three vectorized numpy kernels here; there is one
-implementation of each and nothing to configure.
+implementation of each and nothing to configure.  A Polynomial is evaluated
+through ``eval_polynomial``, the entry point the package's callers use: it
+builds the arrays with ``poly_arrays`` and runs ``eval_poly`` on them.
 
 The exact-rational tier of the package never comes through here: the
 correctness-critical identities stay in exact rational arithmetic, and only

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from . import kernels, quadrature
 from ._numpy import np
-from .polynomials import Polynomial, euler_operator, json_int, laplacian
-from .reduction import apply_L
+from .polynomials import Polynomial, euler_operator, json_int
+from .reduction import _L_parts, apply_L
 
 __all__ = [
     "BubbleProfile",
@@ -150,6 +150,29 @@ class ResidualReport:
 RESIDUAL_SCALE = 3.0
 
 
+def _scan_polynomials(gamma, source):
+    """The three polynomials the residual scan evaluates: L's Laplacian part
+    and diagonal part of gamma (``reduction._L_parts``), and the source."""
+    n, den = gamma.dimension, gamma.den
+    lap, diagonal = (Polynomial._of(n, part, den) for part in _L_parts(gamma))
+    return lap, diagonal, source
+
+
+def _residual(gamma, source, points):
+    """lap Pi + n(n+2)(1 + r^2)^(-2) Pi - P (1 + r^2)^(-(n+2)/2) at the
+    points, for Pi = gamma (1 + r^2)^(-n/2) and r = |y|.
+
+    By the product rule this is (L(gamma) - P)(1 + r^2)^(-(n+2)/2), so it is
+    evaluated from L's two parts and the source, with one damping power:
+    ((1 + r^2) lap + diagonal - P)(1 + r^2)^(-(n+2)/2).
+    """
+    one = 1.0 + (points * points).sum(axis=1)
+    lap, diagonal, src = (
+        kernels.eval_polynomial(p, points) for p in _scan_polynomials(gamma, source)
+    )
+    return (one * lap + diagonal - src) * one ** (-(gamma.dimension + 2) / 2.0)
+
+
 def linearized_residual(gamma, source, samples=1000, seed=0):
     """Float residual of the damped correction in the linearized equation,
     sampled at seeded Gaussian points.
@@ -158,34 +181,14 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
     identity exactly (checked here), so the sampled residual is purely the
     float shadow of an exact identity and must sit at rounding level.
     """
-    n = gamma.dimension
     if apply_L(gamma) != source:
         raise ValueError(
             "gamma does not exactly solve the weighted polynomial equation "
             "for this source; refusing to sample"
         )
     rng = np.random.default_rng(seed)
-    pts = RESIDUAL_SCALE * rng.standard_normal((samples, n))
-    r2 = (pts * pts).sum(axis=1)
-    one = 1.0 + r2
-
-    lap_g = kernels.eval_polynomial(laplacian(gamma), pts)
-    eul_g = kernels.eval_polynomial(euler_operator(gamma), pts)
-    gam = kernels.eval_polynomial(gamma, pts)
-    src = kernels.eval_polynomial(source, pts)
-
-    lap_pi = (
-        lap_g * one ** (-n / 2.0)
-        - 2.0 * n * eul_g * one ** (-n / 2.0 - 1.0)
-        + gam * (n * (n + 2) * r2 * one ** (-n / 2.0 - 2.0) - n * n * one ** (-n / 2.0 - 1.0))
-    )
-    pi_vals = gam * one ** (-n / 2.0)
-    residual = (
-        lap_pi
-        + n * (n + 2) * one**-2.0 * pi_vals
-        - src * one ** (-(n + 2) / 2.0)
-    )
-    abs_res = np.abs(residual)
+    pts = RESIDUAL_SCALE * rng.standard_normal((samples, gamma.dimension))
+    abs_res = np.abs(_residual(gamma, source, pts))
     return ResidualReport(
         count=samples,
         max_abs=float(abs_res.max()),

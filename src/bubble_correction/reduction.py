@@ -34,8 +34,10 @@ denominators by ``polynomials._sum``; and every radial constant of the
 construction is an ``a_multiplier``.
 ``apply_L`` and ``_radial_sum`` are built from the integer stencils of
 ``polynomials`` (the Laplacian and the |y|^2 product), which run on a
-polynomial's numerators and keep its one denominator: L is the Laplacian
-sums, |y|^2 times those sums and a diagonal term.
+polynomial's numerators and keep its one denominator.  L's split into its
+Laplacian part, which L multiplies by (1 + |y|^2), and its diagonal part is
+written once, in ``_L_parts``: ``apply_L`` adds the two, and
+``profiles.linearized_residual`` evaluates them apart.
 
 Everything here is exact: every solution passes one gate before it is
 returned, split by linearity.  L(gamma + F) == P holds exactly when
@@ -63,6 +65,7 @@ from .errors import (
 )
 from .polynomials import (
     Polynomial,
+    _accumulate,
     _horner,
     _laplacian_stencil,
     _radial_sum,
@@ -274,26 +277,34 @@ def coefficient_table(n, ell, columns=None):
     )
 
 
+def _L_parts(poly):
+    """L's two parts on the numerators of G, each over G's one denominator:
+    the Laplacian stencil's sums, which L multiplies by (1 + |y|^2), and the
+    diagonal part 2n(1 - |alpha|)v at each alpha (the Euler and identity
+    parts, y . grad y^alpha = |alpha| y^alpha)."""
+    n = poly.dimension
+    diagonal = {a: 2 * n * (1 - sum(a)) * v for a, v in poly.nums.items()}
+    return _laplacian_stencil(poly.nums), diagonal
+
+
 def apply_L(poly):
     """(1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G, exactly, on the
     numerators of G over its one denominator, which L keeps.
 
-    L is (1 + |y|^2) after lap plus a diagonal part: the Laplacian stencil's
-    sums, plus the |y|^2 stencil on those sums, plus 2n(1 - |alpha|)v at
-    each alpha (the Euler and identity parts, y . grad y^alpha =
-    |alpha| y^alpha).
+    L is (1 + |y|^2) times its Laplacian part, a Horner sum in |y|^2, plus
+    its diagonal part, both from ``_L_parts``, the one place L is split.
 
     This is the one way L is applied: the solver's gate applies it to gamma
     alone (the completion is checked in |y|^2, see ``_solve``), and
-    ``profiles.linearized_residual`` to a loaded solution.
+    ``profiles.linearized_residual`` to a loaded solution before it samples
+    the same two parts.
     """
     n = poly.dimension
-    lap = _laplacian_stencil(poly.nums)
+    lap, diagonal = _L_parts(poly)
     # (1 + |y|^2) lap: the Horner sum of the blocks lap, lap
     sums = _horner(n, [lap, lap])
-    get = sums.get
-    for alpha, v in poly.nums.items():
-        sums[alpha] = get(alpha, 0) + 2 * n * (1 - sum(alpha)) * v
+    for alpha, v in diagonal.items():
+        _accumulate(sums, alpha, v)
     return Polynomial._of(n, sums, poly.den)
 
 

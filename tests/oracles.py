@@ -11,7 +11,8 @@ manufactures admissible sources, the signed permutations of the weight's
 symmetry, the exact operators on plain {alpha: Fraction} dicts, the moment's
 second route (the top iterated Laplacian over ``b_constant``) and the exact
 checks of the exponent trade, the power-cube formula the polynomial kernel
-must match, and the multi-point balance sums at 300 digits."""
+must match, the multi-point balance sums at 300 digits, and the linearized
+residual with lap Pi expanded by the product rule."""
 
 from fractions import Fraction
 from math import comb, gamma, pi, prod
@@ -634,3 +635,54 @@ def balance_group_sum_mp(config, members, digits=300):
                 * mp(config.scale_ratios[m]) ** e
             )
         return mpmath.fsum(terms), max((abs(t) for t in terms), default=0)
+
+
+# --------------------------------------------- linearized residual, by parts
+
+
+def _abs_eval(poly, points):
+    """sum_alpha |c_alpha| |y^alpha| at each point: the scale of the rounding
+    error of evaluating ``poly`` there."""
+    exps, coeffs = kernels.poly_arrays(poly)
+    return kernels.eval_poly(np.abs(points), exps, np.abs(coeffs))
+
+
+def residual_by_product_rule(gamma, source, points):
+    """lap Pi + n(n+2)(1 + r^2)^(-2) Pi - P (1 + r^2)^(-(n+2)/2) at the points,
+    for Pi = gamma (1 + r^2)^(-n/2), with lap Pi expanded by the product rule
+    from lap(gamma), the Euler image y . grad gamma and gamma:
+
+        lap Pi = lap(gamma) w - 2n (y . grad gamma) w / (1 + r^2)
+                 + gamma (n(n+2) r^2 / (1 + r^2)^2 - n^2 / (1 + r^2)) w,
+
+    w = (1 + r^2)^(-n/2).  Returns the values and their absolute-value sum:
+    each polynomial's ``_abs_eval`` times the absolute value of its weight,
+    summed over the four polynomials."""
+    n = gamma.dimension
+    r2 = (points * points).sum(axis=1)
+    one = 1.0 + r2
+    polys = [laplacian(gamma), euler_operator(gamma), gamma, source]
+    lap_g, eul_g, gam, src = (kernels.eval_polynomial(p, points) for p in polys)
+    lap_pi = (
+        lap_g * one ** (-n / 2.0)
+        - 2.0 * n * eul_g * one ** (-n / 2.0 - 1.0)
+        + gam
+        * (
+            n * (n + 2) * r2 * one ** (-n / 2.0 - 2.0)
+            - n * n * one ** (-n / 2.0 - 1.0)
+        )
+    )
+    pi_vals = gam * one ** (-n / 2.0)
+    values = (
+        lap_pi + n * (n + 2) * one**-2.0 * pi_vals - src * one ** (-(n + 2) / 2.0)
+    )
+    weights = [
+        one ** (-n / 2.0),
+        2.0 * n * one ** (-n / 2.0 - 1.0),
+        n * (n + 2) * r2 * one ** (-n / 2.0 - 2.0)
+        + n * n * one ** (-n / 2.0 - 1.0)
+        + n * (n + 2) * one**-2.0 * one ** (-n / 2.0),
+        one ** (-(n + 2) / 2.0),
+    ]
+    scale = sum(w * _abs_eval(p, points) for w, p in zip(weights, polys))
+    return values, scale

@@ -426,6 +426,28 @@ def test_green_check_rejects_out_of_range_flags(tmp_path, flags):
         assert f"unrecognized arguments: {flags[0]} " in last, result.stderr
 
 
+@pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
+def test_green_check_radius_range_boundaries(tmp_path, capsys, monkeypatch, end):
+    # both ends of cli.GREEN_RADII run clean (an overflow warning would fail
+    # here) with every verdict true; one float step outside each is refused
+    # before any work
+    monkeypatch.chdir(tmp_path)
+    radius = cli.GREEN_RADII[end]
+    argv = ["green-check", "--n", "3", "--output", "g.json", "--radius"]
+    assert cli.main([*argv, repr(radius)]) == 0
+    data = json.loads((tmp_path / "g.json").read_text())
+    assert data["poisson_normalization_ok"]
+    assert all(b["green_ok"] and b["poisson_ok"] for b in data["bounds"])
+    (tmp_path / "g.json").unlink()
+    outside = math.nextafter(radius, math.inf if end else 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.profiles_mod, "GreensBall", None)
+        assert cli.main([*argv, repr(outside)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --radius must be in [1e-10, 1e+10]"), err
+    assert not list(tmp_path.iterdir())
+
+
 def profile_spec_json():
     from test_profiles import example_profile_spec
 
@@ -792,6 +814,87 @@ def test_samples_times_terms_cap_refuses_before_any_work(
     code, err = run_sampling(capsys, [*argv, "--samples", "5"], out)
     assert code == 0, err
     assert out.exists()
+
+
+def test_residual_scan_cap_counts_the_source_and_both_parts_of_L(
+    tmp_path, capsys, monkeypatch
+):
+    # the 1-term solution y1^2 ... y30^2 in n = 30 passes the exact gate with
+    # a 901-term source: the scan evaluates the source and L's two parts (30
+    # and 1 terms), so the cap counts 901 terms, not the solution's 1
+    n = 30
+    gamma = Polynomial(n, {(2,) * n: 1})
+    source = reduction.apply_L(gamma)
+    assert len(source.nums) == 901
+    solution = reduction.CorrectionSolution(gamma, None, n + 1, True, n, 2 * n)
+    (tmp_path / "sol.json").write_text(json.dumps(solution.to_json()))
+    write_poly(tmp_path / "src.json", source)
+    monkeypatch.chdir(tmp_path)
+    argv = ["residual-scan", "--input", "sol.json", "--source", "src.json"]
+    cap = cli.MAX_SAMPLE_TERMS // 901
+    out = tmp_path / "scan.json"
+    with monkeypatch.context() as patch:
+        refuse_work(patch)
+        code, err = run_sampling(capsys, [*argv, "--samples", str(cap + 1)], out)
+        assert code == 1
+        assert err.startswith(
+            f"input error: --samples must be <= {cap} for 901 terms"
+        ), err
+        assert not out.exists()
+        # at the cap the refusal passes and the scan would start
+        with pytest.raises(AssertionError, match="work started"):
+            run_sampling(capsys, [*argv, "--samples", str(cap)], out)
+    # and runs, with the cap lowered so that the run stays small
+    monkeypatch.setattr(cli, "MAX_SAMPLE_TERMS", 3 * 901)
+    code, err = run_sampling(capsys, [*argv, "--samples", "4"], out)
+    assert code == 1 and "--samples must be <= 3 for 901 terms" in err
+    assert not out.exists()
+    code, err = run_sampling(capsys, [*argv, "--samples", "3"], out)
+    assert code == 0, err
+    assert json.loads(out.read_text())["count"] == 3
+
+
+def test_residual_scan_and_profile_refuse_a_coefficient_beyond_the_float_range(
+    tmp_path, capsys, monkeypatch
+):
+    # 10^400 (y1^2 - y2^2) is harmonic, so L(c (y1^2 - y2^2)) = -2n c
+    # (y1^2 - y2^2) and gamma = -10^400 / 2n (y1^2 - y2^2) solves it exactly;
+    # no float holds those coefficients
+    monkeypatch.chdir(tmp_path)
+    n = 6
+    huge = 10**400 * (Polynomial.variable(n, 0, 2) - Polynomial.variable(n, 1, 2))
+    gamma = Fraction(-1, 2 * n) * huge
+    solution = reduction.CorrectionSolution(gamma, None, 1, True, n, 2)
+    (tmp_path / "sol.json").write_text(json.dumps(solution.to_json()))
+    write_poly(tmp_path / "src.json", huge)
+    spec = profile_spec_json()
+    spec["gamma"] = huge.to_json()
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    runs = [
+        ["residual-scan", "--input", "sol.json", "--source", "src.json",
+         "--samples", "5", "--output", "out"],
+        ["profile", "--input", "spec.json", "--samples", "5", "--output", "out"],
+    ]
+    for argv in runs:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "too large for a float" in err, err
+        assert not (tmp_path / "out").exists()
+
+
+def test_profile_refuses_a_scale_beyond_the_float_range(tmp_path):
+    # lam^2 overflows: lam = 1e200 is a finite float, its square is not
+    spec = profile_spec_json()
+    spec["lam"] = 1e200
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "profile.csv"
+    result = run_cli(
+        ["profile", "--input", str(path), "--samples", "5", "--output", str(out)],
+        tmp_path,
+    )
+    assert_input_error(result)
+    assert not out.exists()
 
 
 def test_profile_refuses_non_finite_values(tmp_path, capsys):
