@@ -54,6 +54,14 @@ PROFILE_SCALE = 0.5
 # ``profile``: gamma): 4e6 is near 32 MB per evaluation.
 MAX_SAMPLES = 100_000
 MAX_SAMPLE_TERMS = 4_000_000
+# ``residual-scan`` first checks the solution exactly, L(gamma) == source.
+# L(gamma) = (1 + |y|^2) lap + diagonal has at most lap * (n + 1) + diagonal
+# terms, lap and diagonal being the term counts of L's two parts, and each term
+# holds n exponents: the one-term solution y1^2 ... yn^2 reaches n^3 + n^2 + n.
+# The exponents are capped at 4e6, near 32 MB at about 8 bytes each; the
+# solution of a source with all 24,310 monomials of degree 8 in n = 10, with
+# its radial completion (32,083 terms), reaches 1.03e6.
+MAX_GATE_EXPONENTS = 4_000_000
 # ``profile`` formats and writes its CSV this many rows at a time
 _CSV_BLOCK_ROWS = 1_000
 
@@ -77,11 +85,33 @@ def _write_atomic(path, chunks):
         raise
 
 
+def _json_chunks(payload):
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True,
+    allow_nan=False)`` and a newline, for a nonempty JSON object, as chunks:
+    a Polynomial value is streamed by ``Polynomial.json_chunks`` in its
+    ``to_json`` layout, and any other value is dumped and indented one level
+    (a JSON string holds no raw newline, so only the layout's are indented)."""
+    sep = "{"
+    for key in sorted(payload):
+        value = payload[key]
+        yield f"{sep}\n  {json.dumps(key)}: "
+        if isinstance(value, Polynomial):
+            yield from value.json_chunks(1)
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+            yield text.replace("\n", "\n  ")
+        sep = ","
+    yield "\n}\n"
+
+
 def _dump_json(path, payload):
-    """NaN and Infinity are not JSON: a payload holding one is refused with a
-    ValueError before anything is written."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _write_atomic(path, [text + "\n"])
+    """Write a JSON object as ``json.dumps(payload, indent=2, sort_keys=True)``
+    and a newline, streamed by ``_json_chunks``.  ``solve``'s solution and
+    residue report hold Polynomial values, which are written from their
+    numerators with the bytes of their ``to_json`` form.  NaN and Infinity are
+    not JSON: a payload holding one is refused with a ValueError, and no file
+    is left."""
+    _write_atomic(path, _json_chunks(payload))
 
 
 def _csv_chunks(header, rows):
@@ -115,6 +145,17 @@ def _require_work(samples, terms):
     )
 
 
+def _require_gate(n, lap_terms, diagonal_terms):
+    """Refuse a solution whose exact gate could build more than
+    MAX_GATE_EXPONENTS exponents, counted from the terms of L's two parts."""
+    terms = lap_terms * (n + 1) + diagonal_terms
+    if terms * n > MAX_GATE_EXPONENTS:
+        raise ValueError(
+            f"the exact check L(gamma) == source can reach {terms} terms of {n} "
+            f"exponents each ({terms * n} exponents, at most {MAX_GATE_EXPONENTS})"
+        )
+
+
 def _load_json(path):
     with open(path) as handle:
         return json.load(handle)
@@ -139,13 +180,14 @@ def cmd_solve(args):
             {
                 "error": "residue_obstruction",
                 "message": str(exc),
-                "residue": exc.residue.to_json(),
-                "top_laplacian": exc.top_laplacian.to_json(),
+                "residue": exc.residue,
+                "top_laplacian": exc.top_laplacian,
             },
         )
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
-    _dump_json(args.output, solution.to_json())
+    # ``solution.to_json()`` with its polynomials unencoded
+    _dump_json(args.output, solution._asdict())
     return EXIT_OK
 
 
@@ -199,9 +241,11 @@ def cmd_residual_scan(args):
     solution = reduction.CorrectionSolution.from_json(_load_json(args.input))
     source = _load_polynomial(args.source)
     total = solution.total()
-    # the scan evaluates the source and L's two parts of the solution
-    polys = profiles_mod._scan_polynomials(total, source)
+    # the scan evaluates the source and L's two parts of the solution, and the
+    # exact gate adds the two parts
+    lap, diagonal, _ = polys = profiles_mod._scan_polynomials(total, source)
     _require_work(args.samples, max(len(p.nums) for p in polys))
+    _require_gate(total.dimension, len(lap.nums), len(diagonal.nums))
     report = profiles_mod.linearized_residual(
         total, source, samples=args.samples, seed=args.seed
     )

@@ -9,8 +9,9 @@ denominators and numerators are, and algebraic identities can be asserted
 with ``==`` instead of tolerances.  ``fractions.Fraction`` appears only at
 the boundary: the validation of input, ``terms`` (a fresh {alpha: Fraction}
 dict on each read), ``coefficient``, ``sorted_terms`` and the one value
-``evaluate`` returns (``to_json`` reduces each coefficient by one integer
-gcd).  No function does Fraction arithmetic beyond coercing its inputs.
+``evaluate`` returns (``to_json`` and the streaming writer ``json_chunks``
+reduce each coefficient by one integer gcd).  No function does Fraction
+arithmetic beyond coercing its inputs.
 
 A multi-index is a plain tuple of non-negative ints (never bools or anything
 truncated to an int) whose length equals the ambient dimension.  Input is
@@ -77,12 +78,15 @@ def as_coefficient(value):
     raise ExactnessError(f"not an exact rational coefficient: {value!r}")
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def json_int(value):
     """An integer read from JSON: an int (not a bool) or a decimal string.
     Anything else, floats included, is refused rather than truncated."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)
     raise ValueError(f"not an integer or decimal string: {value!r}")
 
@@ -356,13 +360,44 @@ class Polynomial:
             )
         return {"dimension": self.dimension, "terms": terms}
 
+    def json_chunks(self, level=0):
+        """The text of ``json.dumps(self.to_json(), indent=2, sort_keys=True)``
+        for the object nested ``level`` deep, as chunks of one term each:
+        written from ``monomials()``, ``nums`` and ``den``, each term reduced
+        by one gcd as in ``to_json``, with no per-term dict built."""
+        # a newline and the indent of each depth below the object
+        nl0, nl1, nl2, nl3, nl4 = ("\n" + "  " * (level + d) for d in range(5))
+        yield f'{{{nl1}"dimension": {self.dimension},{nl1}"terms": '
+        if not self.nums:
+            yield f"[]{nl0}}}"
+            return
+        # one term: its n exponents, then its den and num ("%d" is str(int))
+        exponents = ("," + nl4).join(["%d"] * self.dimension)
+        term = (f'{nl2}{{{nl3}"alpha": [{nl4}{exponents}{nl3}],'
+                f'{nl3}"den": "%d",{nl3}"num": "%d"{nl2}}}')
+        den, nums = self.den, self.nums
+        sep = "["
+        for alpha in self.monomials():
+            v = nums[alpha]
+            g = gcd(v, den)
+            yield sep + term % (*alpha, den // g, v // g)
+            sep = ","
+        yield f"{nl1}]{nl0}}}"
+
     @classmethod
     def from_json(cls, data):
+        """The ``to_json`` schema, every integer read by ``json_int`` and each
+        list by ``_json_list``; a repeated multi-index is refused, and the
+        constructor checks the rest.  Each ``alpha`` is read in one pass when
+        it holds only plain ints, as ``to_json`` writes it, and entry by
+        entry otherwise."""
         try:
             dimension = json_int(data["dimension"])
             terms = {}
             for entry in _json_list(data["terms"]):
-                alpha = tuple(json_int(a) for a in _json_list(entry["alpha"]))
+                alpha = tuple(_json_list(entry["alpha"]))
+                if not all(type(a) is int for a in alpha):
+                    alpha = tuple(map(json_int, alpha))
                 if alpha in terms:
                     raise ValueError(f"repeated multi-index {list(alpha)}")
                 terms[alpha] = rational_from_json(entry)

@@ -53,10 +53,10 @@ Table dimensions are capped at ``_MAX_TABLE_N``, source degrees at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     CharacteristicGuardError,
@@ -176,12 +176,13 @@ def _neighbours(j, k):
     return (j - 1, k - 1), (j, k - 1), (j + 1, k)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Recurrence coefficients C^j_k for 0 <= j <= k <= columns - 1, in build
     order, and the residue weights a_0..a_h assembled from the last column
     (present only for full tables).  The multipliers and each cell's
-    dependencies follow from (n, ell, j, k) and are written by ``to_json``."""
+    dependencies follow from (n, ell, j, k) and are written by ``to_json``.
+    A NamedTuple, like ``CorrectionSolution``: a ``solve`` or ``table`` run
+    then never imports ``dataclasses``."""
 
     n: int
     ell: int
@@ -308,13 +309,14 @@ def apply_L(poly):
     return Polynomial._of(n, sums, poly.den)
 
 
-@dataclass(frozen=True)
-class CorrectionSolution:
+class CorrectionSolution(NamedTuple):
     """A verified polynomial solution of L(G) = P.
 
     ``gamma`` alone solves when ``radial_completion`` is None; otherwise
     gamma + radial_completion solves.  ``vanishing_order`` is the smallest k
     with lap^(k)(P) identically zero (h + 1 when none at or below h).
+    ``to_json`` keys each field by its name, so ``_asdict()`` is the same
+    object with its polynomials unencoded.
     """
 
     gamma: Polynomial
@@ -331,16 +333,8 @@ class CorrectionSolution:
 
     def to_json(self):
         return {
-            "gamma": self.gamma.to_json(),
-            "radial_completion": (
-                None
-                if self.radial_completion is None
-                else self.radial_completion.to_json()
-            ),
-            "vanishing_order": self.vanishing_order,
-            "verified": self.verified,
-            "n": self.n,
-            "ell": self.ell,
+            key: value.to_json() if isinstance(value, Polynomial) else value
+            for key, value in self._asdict().items()
         }
 
     @classmethod

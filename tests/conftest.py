@@ -10,6 +10,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import bubble_correction
 from bubble_correction.polynomials import Polynomial, laplacian
@@ -153,3 +154,21 @@ def degree_one_correction():
     b = Fraction(2 * n - 4, 2 * n + 4) * Fraction(1, 4 * n + 16)
     gamma = a * (r2 * y1) + b * (r2**2 * y1)
     return n, gamma, y1
+
+
+# coefficients of the JSON wire format's tests: small, negative and 300-digit
+# numerators over small and 300-digit denominators
+WIRE_COEFFICIENTS = st.builds(
+    Fraction,
+    st.integers(-9, 9) | st.integers(-(10**300), 10**300),
+    st.integers(1, 9) | st.integers(1, 10**300),
+)
+
+
+@st.composite
+def wire_polynomials(draw, n=None):
+    """A polynomial of up to 6 terms in 1 to 4 variables (or ``n``), the zero
+    polynomial included."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    exponents = st.tuples(*[st.integers(0, 12)] * n)
+    return Polynomial(n, draw(st.dictionaries(exponents, WIRE_COEFFICIENTS, max_size=6)))

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubble_correction import cli, profiles, reduction
 from bubble_correction.polynomials import Polynomial
 from bubble_correction.reduction import MAX_ELL, MAX_SOLUTION_TERMS, solve_gamma
 
-from conftest import alternating_quartic, load_bench_module, run_cli
+from conftest import alternating_quartic, load_bench_module, run_cli, wire_polynomials
 
 
 def assert_input_error(result):
@@ -854,6 +855,103 @@ def test_residual_scan_cap_counts_the_source_and_both_parts_of_L(
     assert json.loads(out.read_text())["count"] == 3
 
 
+@st.composite
+def solutions(draw):
+    """A CorrectionSolution record of random polynomials in one dimension,
+    with or without a completion (nothing here checks what it solves)."""
+    n = draw(st.integers(1, 4))
+    completion = draw(st.none() | wire_polynomials(n))
+    return reduction.CorrectionSolution(
+        draw(wire_polynomials(n)), completion, draw(st.integers(1, 60)),
+        draw(st.booleans()), n, draw(st.integers(2, 100)),
+    )
+
+
+def test_a_payload_holding_nan_is_refused_and_leaves_no_file(tmp_path):
+    # the chunks are written as they come, so the refusal comes mid-stream
+    path = tmp_path / "out.json"
+    payload = {"gamma": Polynomial.r_squared(3), "max_abs": float("nan")}
+    with pytest.raises(ValueError, match="Out of range float values"):
+        cli._dump_json(str(path), payload)
+    assert list(tmp_path.iterdir()) == []
+
+
+@given(solutions())
+@settings(max_examples=100, deadline=None)
+def test_solve_streams_the_text_of_json_dumps_of_the_solution(solution):
+    # what ``solve`` streams from the record is json.dumps of ``to_json``
+    text = json.dumps(solution.to_json(), indent=2, sort_keys=True) + "\n"
+    assert "".join(cli._json_chunks(solution._asdict())) == text
+
+
+@given(wire_polynomials(), st.text(max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_solve_streams_the_text_of_json_dumps_of_the_residue_report(residue, message):
+    # the message keeps json.dumps's escaping (quotes, control and non-ASCII
+    # characters), and the two polynomials their ``to_json`` layout
+    top = Polynomial.constant(residue.dimension, -3)
+    report = {"error": "residue_obstruction", "message": message}
+    text = json.dumps(
+        {**report, "residue": residue.to_json(), "top_laplacian": top.to_json()},
+        indent=2, sort_keys=True,
+    )
+    streamed = cli._json_chunks({**report, "residue": residue, "top_laplacian": top})
+    assert "".join(streamed) == text + "\n"
+
+
+def write_squares_solution(path, n):
+    """The one-term solution y1^2 ... yn^2, whose L holds n^2 + 1 terms."""
+    gamma = Polynomial(n, {(2,) * n: 1})
+    solution = reduction.CorrectionSolution(gamma, None, n + 1, True, n, 2 * n)
+    path.write_text(json.dumps(solution.to_json()))
+    return gamma
+
+
+def test_residual_scan_caps_the_exact_gate_before_it_runs(
+    tmp_path, capsys, monkeypatch
+):
+    # L's parts of y1^2 ... yn^2 hold n terms and 1, so the gate's L(gamma) is
+    # counted as n(n + 1) + 1 terms of n exponents: n^3 + n^2 + n exponents,
+    # 3,969,434 at n = 158 and 4,045,119 at n = 159 against the 4e6 cap.
+    # Neither gate runs: the scan, gate included, fails as soon as it starts.
+    assert cli.MAX_GATE_EXPONENTS == 4_000_000
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "scan.json"
+    for n, refused in ((159, True), (158, False)):
+        write_squares_solution(tmp_path / "sol.json", n)
+        write_poly(tmp_path / "src.json", Polynomial.variable(n, 0, 2))
+        argv = ["residual-scan", "--input", "sol.json", "--source", "src.json",
+                "--samples", "10"]
+        with monkeypatch.context() as patch:
+            refuse_work(patch)
+            if refused:
+                code, err = run_sampling(capsys, argv, out)
+                assert code == 1
+                assert err == (
+                    "input error: the exact check L(gamma) == source can reach "
+                    f"25441 terms of 159 exponents each (4045119 exponents, at "
+                    f"most {cli.MAX_GATE_EXPONENTS})\n"
+                ), err
+                assert not out.exists()
+            else:
+                with pytest.raises(AssertionError, match="work started"):
+                    run_sampling(capsys, argv, out)
+    # and at a cap lowered to n = 30's count, 27,930, the gate and the scan run
+    n = 30
+    source = reduction.apply_L(write_squares_solution(tmp_path / "sol.json", n))
+    write_poly(tmp_path / "src.json", source)
+    argv = ["residual-scan", "--input", "sol.json", "--source", "src.json",
+            "--samples", "3"]
+    monkeypatch.setattr(cli, "MAX_GATE_EXPONENTS", 27_929)
+    code, err = run_sampling(capsys, argv, out)
+    assert code == 1 and "(27930 exponents, at most 27929)" in err, err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "MAX_GATE_EXPONENTS", 27_930)
+    code, err = run_sampling(capsys, argv, out)
+    assert code == 0, err
+    assert json.loads(out.read_text())["count"] == 3
+
+
 def test_residual_scan_and_profile_refuse_a_coefficient_beyond_the_float_range(
     tmp_path, capsys, monkeypatch
 ):
@@ -1308,6 +1406,44 @@ def test_each_command_executes_only_the_modules_it_runs(
     result = run_probed(args + ["--output", "out.json"], tmp_path, monkeypatch)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == sorted(BASE_MODULES + executed)
+
+
+# Put on a child's path as ``sitecustomize``: at exit, the child prints
+# whether ``dataclasses`` has been imported.
+DATACLASSES_PROBE = """
+import atexit, sys
+
+atexit.register(lambda: print("dataclasses" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, source, expected",
+    [
+        (["solve"], lambda: (-1 * alternating_quartic(8)).to_json(), 0),
+        (["solve", "--allow-radial"], lambda: (Polynomial.r_squared(8) ** 2).to_json(),
+         0),
+        (["solve"], lambda: (Polynomial.r_squared(7) ** 2).to_json(), 2),
+        (["table", "--n", "5", "--ell", "4"], None, 0),
+    ],
+    ids=["solve", "allow-radial", "residue-report", "table"],
+)
+def test_solve_and_table_never_import_dataclasses(
+    tmp_path, monkeypatch, command, source, expected
+):
+    # ``import dataclasses`` pulls in ``inspect``: about 15 ms of a child
+    args = list(command)
+    if source is not None:
+        (tmp_path / "in.json").write_text(json.dumps(source()))
+        args += ["--input", "in.json"]
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    (probe / "sitecustomize.py").write_text(DATACLASSES_PROBE)
+    monkeypatch.setenv("PYTHONPATH", str(probe))
+    result = run_cli(args + ["--output", "out.json"], tmp_path)
+    assert result.returncode == expected, result.stderr
+    assert (tmp_path / "out.json").exists()
+    assert result.stdout.split() == ["False"]
 
 
 def test_importing_cli_executes_only_what_it_imports_from(tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bubble_correction import kernels
 from bubble_correction.errors import DimensionMismatchError, ExactnessError
@@ -23,7 +24,7 @@ from bubble_correction.moments import shift_expansion
 from bubble_correction.reduction import a_multiplier, apply_L, h_of
 
 import oracles
-from conftest import harmonic_homogeneous, random_homogeneous
+from conftest import harmonic_homogeneous, random_homogeneous, wire_polynomials
 
 
 def var(n, i, p=1, c=1):
@@ -519,6 +520,63 @@ def test_json_terms_are_graded_lexicographic():
 def test_malformed_json_raises_value_error():
     with pytest.raises(ValueError):
         Polynomial.from_json({"dimension": 2, "terms": [{"alpha": [1]}]})
+
+
+@given(wire_polynomials(), st.integers(0, 3))
+@example(Polynomial.zero(1), 0)
+@example(Polynomial.zero(3), 2)
+@example(Polynomial.variable(1, 0, 7, Fraction(-(10**300) + 1, 10**299 + 3)), 1)
+@settings(max_examples=150, deadline=None)
+def test_json_chunks_are_the_text_of_json_dumps(p, level):
+    # the streamed text of an object nested ``level`` deep is json.dumps's,
+    # whose nested lines carry the indent of their depth
+    text = json.dumps(p.to_json(), indent=2, sort_keys=True)
+    assert "".join(p.json_chunks(level)) == text.replace("\n", "\n" + "  " * level)
+
+
+def test_from_json_reads_decimal_string_exponents():
+    data = {"dimension": 3, "terms": [
+        {"alpha": ["2", "+0", 0], "num": "-3", "den": "4"},
+        {"alpha": [0, 1, "-0"], "num": "1", "den": "-2"},
+    ]}
+    expected = Polynomial(3, {(2, 0, 0): Fraction(-3, 4), (0, 1, 0): Fraction(-1, 2)})
+    assert Polynomial.from_json(data) == expected
+
+
+@pytest.mark.parametrize(
+    "alpha, match",
+    [
+        ([2.0, 0, 0], "not an integer or decimal string: 2.0"),
+        ([True, 1, 0], "not an integer or decimal string: True"),
+        ([2, "0x1", 0], "not an integer or decimal string: '0x1'"),
+        ([2, " 1", 0], "not an integer or decimal string: ' 1'"),
+        ([2, "1_0", 0], "not an integer or decimal string: '1_0'"),
+        ([2, "\u0663", 0], "not an integer or decimal string"),
+        ([2, None, 0], "not an integer or decimal string: None"),
+        ([2, [0], 0], "not an integer or decimal string: \\[0\\]"),
+        ("200", "not a JSON list: '200'"),
+        ({"2": 0, "0": 0, "00": 0}, "not a JSON list"),
+        ([2, -1, 1], "exponents must be non-negative ints"),
+        ([2, "-1", 1], "exponents must be non-negative ints"),
+        ([2, 0], "has length 2, expected 3"),
+    ],
+    ids=["float", "bool", "hex-string", "spaced-string", "underscored-string",
+         "non-ascii-digit", "null", "nested-list", "string", "object",
+         "negative", "negative-string", "short"],
+)
+def test_from_json_refuses_every_malformed_exponent(alpha, match):
+    data = {"dimension": 3, "terms": [{"alpha": alpha, "num": "1", "den": "1"}]}
+    with pytest.raises(ValueError, match=match):
+        Polynomial.from_json(data)
+
+
+def test_from_json_refuses_a_multi_index_repeated_in_another_spelling():
+    data = {"dimension": 2, "terms": [
+        {"alpha": [2, 0], "num": "1", "den": "1"},
+        {"alpha": ["2", "0"], "num": "1", "den": "1"},
+    ]}
+    with pytest.raises(ValueError, match=r"repeated multi-index \[2, 0\]"):
+        Polynomial.from_json(data)
 
 
 # ------------------------------------------------------------- symmetry ops

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -152,7 +151,7 @@ def test_table_json_cells_follow_their_dependencies():
     # all written before it, and "A" is the multiplier written out from its
     # closed form 2j(2j + n - 2 + 2 ell - 4k); full and partial tables.  The
     # table itself stores only the cells and the residue weights.
-    stored = [field.name for field in dataclasses.fields(reduction.CoefficientTable)]
+    stored = list(reduction.CoefficientTable._fields)
     assert stored == ["n", "ell", "h", "columns", "C", "residues"]
     for n, ell, columns in ((9, 8, None), (7, 9, None), (8, 10, 4), (6, 8, 3)):
         data = coefficient_table(n, ell, columns=columns).to_json()
@@ -862,7 +861,7 @@ def test_split_gate_refuses_a_perturbed_combination_coefficient(
         built = table(*args, **kwargs)
         C = dict(built.C)
         C[(0, 1)] += Fraction(1, 7)
-        return dataclasses.replace(built, C=C)
+        return built._replace(C=C)
 
     monkeypatch.setattr(reduction, "coefficient_table", perturbed)
     with pytest.raises(AssertionError, match="construction failed exact verification"):
