@@ -46,22 +46,9 @@ GREEN_RADII = (1e-10, 1e10)
 # ``profile`` samples xi + PROFILE_SCALE * N(0, I)
 PROFILE_SCALE = 0.5
 
-# Work caps of the sampling commands, checked before any work.  ``profile``
-# writes one CSV row per sample.  ``kernels.eval_poly`` holds about
-# samples * terms * 8 bytes plus a 1 MiB scratch for a polynomial of ``terms``
-# terms, so samples x terms is capped too, for the largest polynomial a command
-# evaluates (``residual-scan``: the source and L's two parts of the solution;
-# ``profile``: gamma): 4e6 is near 32 MB per evaluation.
+# ``--samples`` of the sampling commands, checked before any work; their work
+# caps, MAX_SAMPLE_TERMS and MAX_GATE_EXPONENTS, live in ``profiles``
 MAX_SAMPLES = 100_000
-MAX_SAMPLE_TERMS = 4_000_000
-# ``residual-scan`` first checks the solution exactly, L(gamma) == source.
-# L(gamma) = (1 + |y|^2) lap + diagonal has at most lap * (n + 1) + diagonal
-# terms, lap and diagonal being the term counts of L's two parts, and each term
-# holds n exponents: the one-term solution y1^2 ... yn^2 reaches n^3 + n^2 + n.
-# The exponents are capped at 4e6, near 32 MB at about 8 bytes each; the
-# solution of a source with all 24,310 monomials of degree 8 in n = 10, with
-# its radial completion (32,083 terms), reaches 1.03e6.
-MAX_GATE_EXPONENTS = 4_000_000
 # ``profile`` formats and writes its CSV this many rows at a time
 _CSV_BLOCK_ROWS = 1_000
 
@@ -132,28 +119,6 @@ def _require(ok, flag, rule, value):
 def _require_samples(samples):
     _require(1 <= samples <= MAX_SAMPLES, "samples", f">= 1 and <= {MAX_SAMPLES}",
              samples)
-
-
-def _require_work(samples, terms):
-    """Refuse --samples above MAX_SAMPLE_TERMS in product with the ``terms``
-    of the largest polynomial it samples."""
-    terms = max(terms, 1)
-    _require(
-        samples * terms <= MAX_SAMPLE_TERMS, "samples",
-        f"<= {MAX_SAMPLE_TERMS // terms} for {terms} terms (samples x terms <= "
-        f"{MAX_SAMPLE_TERMS})", samples,
-    )
-
-
-def _require_gate(n, lap_terms, diagonal_terms):
-    """Refuse a solution whose exact gate could build more than
-    MAX_GATE_EXPONENTS exponents, counted from the terms of L's two parts."""
-    terms = lap_terms * (n + 1) + diagonal_terms
-    if terms * n > MAX_GATE_EXPONENTS:
-        raise ValueError(
-            f"the exact check L(gamma) == source can reach {terms} terms of {n} "
-            f"exponents each ({terms * n} exponents, at most {MAX_GATE_EXPONENTS})"
-        )
 
 
 def _load_json(path):
@@ -240,14 +205,8 @@ def cmd_residual_scan(args):
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
     solution = reduction.CorrectionSolution.from_json(_load_json(args.input))
     source = _load_polynomial(args.source)
-    total = solution.total()
-    # the scan evaluates the source and L's two parts of the solution, and the
-    # exact gate adds the two parts
-    lap, diagonal, _ = polys = profiles_mod._scan_polynomials(total, source)
-    _require_work(args.samples, max(len(p.nums) for p in polys))
-    _require_gate(total.dimension, len(lap.nums), len(diagonal.nums))
     report = profiles_mod.linearized_residual(
-        total, source, samples=args.samples, seed=args.seed
+        solution.total(), source, samples=args.samples, seed=args.seed
     )
     _dump_json(args.output, report.to_json())
     return EXIT_OK
@@ -285,7 +244,7 @@ def cmd_profile(args):
     _require_samples(args.samples)
     _require(args.seed >= 0, "seed", ">= 0", args.seed)
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
-    _require_work(args.samples, len(spec.gamma.nums))
+    profiles_mod.check_sample_work(args.samples, spec.n, len(spec.gamma.nums))
     profile = profiles_mod.RefinedProfile(spec)
     rng = np.random.default_rng(args.seed)
     noise = rng.standard_normal((args.samples, spec.n))

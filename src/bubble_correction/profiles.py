@@ -17,13 +17,16 @@ from dataclasses import dataclass
 from . import kernels, quadrature
 from ._numpy import np
 from .polynomials import Polynomial, euler_operator, json_int
-from .reduction import _L_parts, apply_L
+from .reduction import _L_parts, _L_sum
 
 __all__ = [
     "BubbleProfile",
     "SynthesizedCurvature",
     "pi_eval",
     "ResidualReport",
+    "MAX_SAMPLE_TERMS",
+    "MAX_GATE_EXPONENTS",
+    "check_sample_work",
     "linearized_residual",
     "HarmonicTail",
     "interpolation_R",
@@ -149,13 +152,55 @@ class ResidualReport:
 # ``linearized_residual`` samples RESIDUAL_SCALE * N(0, I)
 RESIDUAL_SCALE = 3.0
 
+# Work caps of the sampling, checked before any point is drawn.
+# ``kernels.eval_poly`` holds about samples * terms * 8 bytes plus a 1 MiB
+# scratch for a polynomial of ``terms`` terms, so samples x terms is capped for
+# the largest polynomial sampled (``linearized_residual``: the source and L's
+# two parts of gamma; the CLI's ``profile``: the spec's gamma): 4e6 is near
+# 32 MB per evaluation.  The points of m samples in n variables hold m * n * 8
+# bytes, so samples x n is capped by the same budget.
+MAX_SAMPLE_TERMS = 4_000_000
+# ``linearized_residual`` first checks gamma exactly, L(gamma) == source.
+# L(gamma) = (1 + |y|^2) lap + diagonal has at most lap * (n + 1) + diagonal
+# terms, lap and diagonal being the term counts of L's two parts, and each term
+# holds n exponents: the one-term solution y1^2 ... yn^2 reaches n^3 + n^2 + n.
+# The exponents are capped at 4e6, near 32 MB at about 8 bytes each; the
+# solution of a source with all 24,310 monomials of degree 8 in n = 10, with
+# its radial completion (32,083 terms), reaches 1.03e6.
+MAX_GATE_EXPONENTS = 4_000_000
+
+
+def check_sample_work(samples, n, terms):
+    """Refuse ``samples`` points in n variables when samples x n, the
+    points' array, or samples x ``terms``, the largest polynomial sampled, is
+    above MAX_SAMPLE_TERMS; each refusal names the CLI's --samples flag."""
+    terms = max(terms, 1)
+    for count, label, name in (
+        (terms, f"{terms} terms", "terms"), (n, f"dimension {n}", "dimension")
+    ):
+        if samples * count > MAX_SAMPLE_TERMS:
+            raise ValueError(
+                f"--samples must be <= {MAX_SAMPLE_TERMS // count} for {label} "
+                f"(samples x {name} <= {MAX_SAMPLE_TERMS}), got {samples!r}"
+            )
+
 
 def _scan_polynomials(gamma, source):
-    """The three polynomials the residual scan evaluates: L's Laplacian part
-    and diagonal part of gamma (``reduction._L_parts``), and the source."""
+    """L's two parts of gamma (``reduction._L_parts``), as the integer sums
+    over gamma's denominator that the exact gate adds, and the three
+    polynomials the scan evaluates: those parts in lowest terms, and the
+    source."""
     n, den = gamma.dimension, gamma.den
-    lap, diagonal = (Polynomial._of(n, part, den) for part in _L_parts(gamma))
-    return lap, diagonal, source
+    parts = _L_parts(gamma)
+    return parts, [*(Polynomial._of(n, part, den) for part in parts), source]
+
+
+def _damped(polys, points):
+    """((1 + r^2) lap + diagonal - P)(1 + r^2)^(-(n+2)/2) at the points, r =
+    |y|, for the three polynomials of ``_scan_polynomials``."""
+    one = 1.0 + (points * points).sum(axis=1)
+    lap, diagonal, src = (kernels.eval_polynomial(p, points) for p in polys)
+    return (one * lap + diagonal - src) * one ** (-(polys[0].dimension + 2) / 2.0)
 
 
 def _residual(gamma, source, points):
@@ -163,37 +208,42 @@ def _residual(gamma, source, points):
     points, for Pi = gamma (1 + r^2)^(-n/2) and r = |y|.
 
     By the product rule this is (L(gamma) - P)(1 + r^2)^(-(n+2)/2), so it is
-    evaluated from L's two parts and the source, with one damping power:
-    ((1 + r^2) lap + diagonal - P)(1 + r^2)^(-(n+2)/2).
+    evaluated from L's two parts and the source, with one damping power
+    (``_damped``).
     """
-    one = 1.0 + (points * points).sum(axis=1)
-    lap, diagonal, src = (
-        kernels.eval_polynomial(p, points) for p in _scan_polynomials(gamma, source)
-    )
-    return (one * lap + diagonal - src) * one ** (-(gamma.dimension + 2) / 2.0)
+    return _damped(_scan_polynomials(gamma, source)[1], points)
 
 
 def linearized_residual(gamma, source, samples=1000, seed=0):
     """Float residual of the damped correction in the linearized equation,
     sampled at seeded Gaussian points.
 
-    Refuses unverified input: gamma must satisfy the weighted polynomial
-    identity exactly (checked here), so the sampled residual is purely the
-    float shadow of an exact identity and must sit at rounding level.
+    L's two parts of gamma are built once: their term counts and the
+    source's bound the work by MAX_SAMPLE_TERMS and MAX_GATE_EXPONENTS,
+    ``reduction._L_sum`` of them is the exact gate, and the scan samples
+    them.  Each refusal comes before any point is drawn.  Unverified input
+    is refused: gamma must satisfy the weighted polynomial identity exactly
+    (checked here), so the sampled residual is purely the float shadow of an
+    exact identity and must sit at rounding level.
     """
-    if apply_L(gamma) != source:
+    n = gamma.dimension
+    parts, polys = _scan_polynomials(gamma, source)
+    lap, diagonal, src = (len(p.nums) for p in polys)
+    check_sample_work(samples, n, max(lap, diagonal, src))
+    terms = lap * (n + 1) + diagonal
+    if terms * n > MAX_GATE_EXPONENTS:
+        raise ValueError(
+            f"the exact check L(gamma) == source can reach {terms} terms of {n} "
+            f"exponents each ({terms * n} exponents, at most {MAX_GATE_EXPONENTS})"
+        )
+    if _L_sum(n, *parts, gamma.den) != source:
         raise ValueError(
             "gamma does not exactly solve the weighted polynomial equation "
             "for this source; refusing to sample"
         )
-    rng = np.random.default_rng(seed)
-    pts = RESIDUAL_SCALE * rng.standard_normal((samples, gamma.dimension))
-    abs_res = np.abs(_residual(gamma, source, pts))
-    return ResidualReport(
-        count=samples,
-        max_abs=float(abs_res.max()),
-        mean_abs=float(abs_res.mean()),
-    )
+    pts = RESIDUAL_SCALE * np.random.default_rng(seed).standard_normal((samples, n))
+    abs_res = np.abs(_damped(polys, pts))
+    return ResidualReport(samples, float(abs_res.max()), float(abs_res.mean()))
 
 
 # ------------------------------------------------------------ harmonic tail

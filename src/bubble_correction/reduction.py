@@ -36,8 +36,10 @@ construction is an ``a_multiplier``.
 ``polynomials`` (the Laplacian and the |y|^2 product), which run on a
 polynomial's numerators and keep its one denominator.  L's split into its
 Laplacian part, which L multiplies by (1 + |y|^2), and its diagonal part is
-written once, in ``_L_parts``: ``apply_L`` adds the two, and
-``profiles.linearized_residual`` evaluates them apart.
+written once, in ``_L_parts``, and their sum once, in ``_L_sum``:
+``apply_L`` is the two composed.  ``profiles.linearized_residual`` builds
+the parts of a loaded solution once and shares them: their term counts bound
+its work, ``_L_sum`` of them is its exact gate, and it samples them apart.
 
 Everything here is exact: every solution passes one gate before it is
 returned, split by linearity.  L(gamma + F) == P holds exactly when
@@ -288,25 +290,29 @@ def _L_parts(poly):
     return _laplacian_stencil(poly.nums), diagonal
 
 
+def _L_sum(n, lap, diagonal, den):
+    """L(G) from its two parts of ``_L_parts``, over G's denominator ``den``:
+    (1 + |y|^2) times the Laplacian part, a Horner sum in |y|^2, plus the
+    diagonal part."""
+    sums = _horner(n, [lap, lap])
+    for alpha, v in diagonal.items():
+        _accumulate(sums, alpha, v)
+    return Polynomial._of(n, sums, den)
+
+
 def apply_L(poly):
     """(1 + |y|^2) * lap(G) - 2n * (y . grad G) + 2n * G, exactly, on the
     numerators of G over its one denominator, which L keeps.
 
-    L is (1 + |y|^2) times its Laplacian part, a Horner sum in |y|^2, plus
-    its diagonal part, both from ``_L_parts``, the one place L is split.
-
-    This is the one way L is applied: the solver's gate applies it to gamma
-    alone (the completion is checked in |y|^2, see ``_solve``), and
-    ``profiles.linearized_residual`` to a loaded solution before it samples
-    the same two parts.
+    L is split once, by ``_L_parts``, and summed once, by ``_L_sum``; this is
+    their composition and nothing more.  The solver's gate applies it to
+    gamma alone (the completion is checked in |y|^2, see ``_solve``).
+    ``profiles.linearized_residual`` does not call it: it builds the two
+    parts of a loaded solution once, bounds its work by their term counts,
+    gates the solution with ``_L_sum`` of those parts and samples the same
+    parts.
     """
-    n = poly.dimension
-    lap, diagonal = _L_parts(poly)
-    # (1 + |y|^2) lap: the Horner sum of the blocks lap, lap
-    sums = _horner(n, [lap, lap])
-    for alpha, v in diagonal.items():
-        _accumulate(sums, alpha, v)
-    return Polynomial._of(n, sums, poly.den)
+    return _L_sum(poly.dimension, *_L_parts(poly), poly.den)
 
 
 class CorrectionSolution(NamedTuple):
@@ -340,9 +346,11 @@ class CorrectionSolution(NamedTuple):
     @classmethod
     def from_json(cls, data):
         """Integer fields are read by ``json_int``; ``verified`` must be a
-        JSON boolean."""
+        JSON boolean.  The record must agree with itself: gamma and the
+        completion of dimension n, ell >= 2, and the vanishing order in
+        1..ell // 2 + 1 (h + 1 when no lap^k P vanishes at or below h)."""
         try:
-            fields = dict(
+            solution = cls(
                 gamma=Polynomial.from_json(data["gamma"]),
                 radial_completion=(
                     None
@@ -354,11 +362,25 @@ class CorrectionSolution(NamedTuple):
                 n=json_int(data["n"]),
                 ell=json_int(data["ell"]),
             )
-            if not isinstance(fields["verified"], bool):
+            n, ell, order = solution.n, solution.ell, solution.vanishing_order
+            if not isinstance(solution.verified, bool):
                 raise ValueError(f"verified is not a boolean: {data['verified']!r}")
+            for name in ("gamma", "radial_completion"):
+                poly = getattr(solution, name)
+                if poly is not None and poly.dimension != n:
+                    raise ValueError(
+                        f"{name} has dimension {poly.dimension}, not n = {n}"
+                    )
+            if ell < 2:
+                raise ValueError(f"ell must be >= 2, got {ell}")
+            if not 1 <= order <= ell // 2 + 1:
+                raise ValueError(
+                    f"vanishing_order must lie in 1..{ell // 2 + 1} for ell = {ell}, "
+                    f"got {order}"
+                )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed solution JSON: {exc}") from exc
-        return cls(**fields)
+        return solution
 
 
 def _validated_source(poly, allow_radial=False):

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import stat
+import sys
 import warnings
 from fractions import Fraction
 
@@ -731,7 +732,8 @@ def refuse_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("work started before the caps were checked")
 
-    monkeypatch.setattr(cli.profiles_mod, "linearized_residual", work)
+    # the scan's first piece of work is its exact gate, the sum of L's parts
+    monkeypatch.setattr(profiles, "_L_sum", work)
     monkeypatch.setattr(cli.profiles_mod, "RefinedProfile", work)
 
 
@@ -790,7 +792,7 @@ def test_samples_times_terms_cap_refuses_before_any_work(
         big = tmp_path / "big-spec.json"
         argv = ["profile", "--input", str(big)]
     big.write_text(json.dumps(solution))
-    over = cli.MAX_SAMPLE_TERMS // terms + 1
+    over = profiles.MAX_SAMPLE_TERMS // terms + 1
     assert over <= cli.MAX_SAMPLES
     out = tmp_path / "out"
     with monkeypatch.context() as patch:
@@ -808,7 +810,7 @@ def test_samples_times_terms_cap_refuses_before_any_work(
     else:
         real = profile_spec_json()
     terms = len(real["gamma"]["terms"])
-    monkeypatch.setattr(cli, "MAX_SAMPLE_TERMS", 5 * terms)
+    monkeypatch.setattr(profiles, "MAX_SAMPLE_TERMS", 5 * terms)
     code, err = run_sampling(capsys, [*argv, "--samples", "6"], out)
     assert code == 1 and f"--samples must be <= 5 for {terms} terms" in err
     assert not out.exists()
@@ -832,7 +834,7 @@ def test_residual_scan_cap_counts_the_source_and_both_parts_of_L(
     write_poly(tmp_path / "src.json", source)
     monkeypatch.chdir(tmp_path)
     argv = ["residual-scan", "--input", "sol.json", "--source", "src.json"]
-    cap = cli.MAX_SAMPLE_TERMS // 901
+    cap = profiles.MAX_SAMPLE_TERMS // 901
     out = tmp_path / "scan.json"
     with monkeypatch.context() as patch:
         refuse_work(patch)
@@ -846,7 +848,7 @@ def test_residual_scan_cap_counts_the_source_and_both_parts_of_L(
         with pytest.raises(AssertionError, match="work started"):
             run_sampling(capsys, [*argv, "--samples", str(cap)], out)
     # and runs, with the cap lowered so that the run stays small
-    monkeypatch.setattr(cli, "MAX_SAMPLE_TERMS", 3 * 901)
+    monkeypatch.setattr(profiles, "MAX_SAMPLE_TERMS", 3 * 901)
     code, err = run_sampling(capsys, [*argv, "--samples", "4"], out)
     assert code == 1 and "--samples must be <= 3 for 901 terms" in err
     assert not out.exists()
@@ -914,7 +916,7 @@ def test_residual_scan_caps_the_exact_gate_before_it_runs(
     # counted as n(n + 1) + 1 terms of n exponents: n^3 + n^2 + n exponents,
     # 3,969,434 at n = 158 and 4,045,119 at n = 159 against the 4e6 cap.
     # Neither gate runs: the scan, gate included, fails as soon as it starts.
-    assert cli.MAX_GATE_EXPONENTS == 4_000_000
+    assert profiles.MAX_GATE_EXPONENTS == 4_000_000
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "scan.json"
     for n, refused in ((159, True), (158, False)):
@@ -930,7 +932,7 @@ def test_residual_scan_caps_the_exact_gate_before_it_runs(
                 assert err == (
                     "input error: the exact check L(gamma) == source can reach "
                     f"25441 terms of 159 exponents each (4045119 exponents, at "
-                    f"most {cli.MAX_GATE_EXPONENTS})\n"
+                    f"most {profiles.MAX_GATE_EXPONENTS})\n"
                 ), err
                 assert not out.exists()
             else:
@@ -942,14 +944,153 @@ def test_residual_scan_caps_the_exact_gate_before_it_runs(
     write_poly(tmp_path / "src.json", source)
     argv = ["residual-scan", "--input", "sol.json", "--source", "src.json",
             "--samples", "3"]
-    monkeypatch.setattr(cli, "MAX_GATE_EXPONENTS", 27_929)
+    monkeypatch.setattr(profiles, "MAX_GATE_EXPONENTS", 27_929)
     code, err = run_sampling(capsys, argv, out)
     assert code == 1 and "(27930 exponents, at most 27929)" in err, err
     assert not out.exists()
-    monkeypatch.setattr(cli, "MAX_GATE_EXPONENTS", 27_930)
+    monkeypatch.setattr(profiles, "MAX_GATE_EXPONENTS", 27_930)
     code, err = run_sampling(capsys, argv, out)
     assert code == 0, err
     assert json.loads(out.read_text())["count"] == 3
+
+
+def refuse_draw(*args, **kwargs):
+    raise AssertionError("a point was drawn before the caps were checked")
+
+
+@pytest.mark.parametrize("command", ["residual-scan", "profile"])
+def test_samples_times_dimension_cap_refuses_before_any_point_is_drawn(
+    tmp_path, capsys, monkeypatch, command
+):
+    # zero polynomials leave one term to count, so the dimension binds: the
+    # points of m samples in n variables hold m * n floats
+    monkeypatch.chdir(tmp_path)
+    if command == "residual-scan":
+        n = 12
+        zero = Polynomial.zero(n)
+        solution = reduction.CorrectionSolution(zero, None, 1, True, n, 2)
+        (tmp_path / "sol.json").write_text(json.dumps(solution.to_json()))
+        write_poly(tmp_path / "src.json", zero)
+        argv = ["residual-scan", "--input", "sol.json", "--source", "src.json"]
+    else:
+        spec = profile_spec_json()
+        n = spec["n"]
+        spec["gamma"] = Polynomial.zero(n).to_json()
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = ["profile", "--input", "spec.json"]
+    out = tmp_path / "out"
+    monkeypatch.setattr(profiles, "MAX_SAMPLE_TERMS", 5 * n)
+    with monkeypatch.context() as patch:
+        refuse_work(patch)
+        patch.setattr(np.random, "default_rng", refuse_draw)
+        code, err = run_sampling(capsys, [*argv, "--samples", "6"], out)
+    assert code == 1
+    assert err == (
+        f"input error: --samples must be <= 5 for dimension {n} (samples x "
+        f"dimension <= {5 * n}), got 6\n"
+    ), err
+    assert not out.exists()
+    code, err = run_sampling(capsys, [*argv, "--samples", "5"], out)
+    assert code == 0, err
+    assert out.exists()
+
+
+def test_residual_scan_refuses_a_wide_empty_solution_before_any_point_is_drawn(
+    tmp_path, capsys, monkeypatch
+):
+    # 133 bytes of solution in n = 40,000: 1,000 samples would draw 4e7
+    # floats; refused at the default cap, with the draw made to fail
+    n = 40_000
+    zero = Polynomial.zero(n)
+    solution = reduction.CorrectionSolution(zero, None, 1, True, n, 2)
+    (tmp_path / "sol.json").write_text(json.dumps(solution.to_json()))
+    write_poly(tmp_path / "src.json", zero)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np.random, "default_rng", refuse_draw)
+    argv = ["residual-scan", "--input", "sol.json", "--source", "src.json",
+            "--samples", "1000"]
+    code, err = run_sampling(capsys, argv, tmp_path / "out")
+    assert code == 1
+    assert err.startswith(
+        "input error: --samples must be <= 100 for dimension 40000 (samples x "
+        "dimension <= 4000000)"
+    ), err
+
+
+def spy_on_L_parts(monkeypatch):
+    """Count the calls of ``reduction._L_parts`` through every package name
+    bound to it; returns the list of the counted polynomials' sizes."""
+    calls = []
+    original = reduction._L_parts
+
+    def spy(poly):
+        calls.append(len(poly.nums))
+        return original(poly)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bubble_correction" or name.startswith("bubble_correction."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    return calls
+
+
+def test_residual_scan_builds_the_parts_of_L_once(
+    tmp_path, capsys, monkeypatch, sampling_commands
+):
+    # the caps, the exact gate and the sampling share one build of L's parts
+    calls = spy_on_L_parts(monkeypatch)
+    out = tmp_path / "out"
+    argv = [*sampling_commands["residual-scan"], "--samples", "10"]
+    code, err = run_sampling(capsys, argv, out)
+    assert code == 0, err
+    gamma = json.loads((tmp_path / "solution.json").read_text())["gamma"]
+    assert calls == [len(gamma["terms"])]
+
+
+EDITED_SOLUTIONS = [
+    ({"n": 3, "ell": 77, "vanishing_order": -5}, "gamma has dimension 8, not n = 3"),
+    ({"n": 9}, "gamma has dimension 8, not n = 9"),
+    ({"radial_completion": Polynomial.r_squared(3).to_json()},
+     "radial_completion has dimension 3, not n = 8"),
+    ({"ell": 1, "vanishing_order": 1}, "ell must be >= 2, got 1"),
+    ({"vanishing_order": 0}, "vanishing_order must lie in 1..3 for ell = 4, got 0"),
+    ({"vanishing_order": 4}, "vanishing_order must lie in 1..3 for ell = 4, got 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", EDITED_SOLUTIONS,
+    ids=["n-ell-order", "n", "completion", "ell", "order-0", "order-above"],
+)
+def test_residual_scan_refuses_a_solution_at_odds_with_itself(
+    tmp_path, capsys, sampling_commands, edit, message
+):
+    sol = tmp_path / "solution.json"
+    data = json.loads(sol.read_text())
+    sol.write_text(json.dumps({**data, **edit}))
+    out = tmp_path / "out"
+    code, err = run_sampling(capsys, sampling_commands["residual-scan"], out)
+    assert code == 1
+    assert err == f"input error: malformed solution JSON: {message}\n", err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit", [{"vanishing_order": 1}, {"vanishing_order": 3},
+             {"ell": 2, "vanishing_order": 2}],
+)
+def test_residual_scan_loads_a_solution_at_its_bounds(
+    tmp_path, capsys, sampling_commands, edit
+):
+    # the scan reads only the polynomials, so these records scan as before
+    sol = tmp_path / "solution.json"
+    sol.write_text(json.dumps({**json.loads(sol.read_text()), **edit}))
+    out = tmp_path / "out"
+    code, err = run_sampling(capsys, [*sampling_commands["residual-scan"],
+                                      "--samples", "5"], out)
+    assert code == 0, err
+    assert json.loads(out.read_text())["count"] == 5
 
 
 def test_residual_scan_and_profile_refuse_a_coefficient_beyond_the_float_range(

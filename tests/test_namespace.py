@@ -1,7 +1,12 @@
 """The package namespace is the union of the modules' ``__all__`` lists."""
 
+import ast
+from pathlib import Path
+
 import bubble_correction
-from bubble_correction import balance, errors, moments, polynomials, profiles, reduction
+from bubble_correction import (
+    balance, cli, errors, moments, polynomials, profiles, reduction,
+)
 
 import oracles
 
@@ -84,3 +89,27 @@ def test_obstructions_share_one_base():
     assert issubclass(errors.DivergentMomentError, ValueError)
     assert issubclass(errors.UnsupportedCaseError, ValueError)
     assert not issubclass(errors.ExactnessError, errors.Obstruction)
+
+
+def private_reads(path):
+    """The underscore names a module reads from the package modules it
+    imports: ``module.name`` on a module bound by ``from . import``, and
+    ``from .module import name``."""
+    tree = ast.parse(Path(path).read_text())
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                reads += [f"{node.module}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            reads.append(f"{node.value.id}.{node.attr}")
+    return reads
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    assert private_reads(cli.__file__) == []
