@@ -52,6 +52,7 @@ __all__ = [
     "single_point_constraints",
     "interference_check",
     "multi_point_balance",
+    "balance_report",
     "pohozaev_volume_vs_surface",
 ]
 
@@ -656,6 +657,25 @@ def multi_point_balance(config):
         passed=passed,
         details={"groups": group_details},
     )
+
+
+def balance_report(config):
+    """The ``balance`` report of a configuration: ``multi_point_balance``,
+    the interference check across distinct exponents, and the all-pairs
+    interference check, as their JSON in that order, with the verdict.
+
+    Equal exponents are handled by the grouped sums, so only interference
+    across distinct exponents counts against the verdict; the all-pairs
+    report is included for inspection.
+    """
+    report = multi_point_balance(config)
+    etas = config.flex_exponents
+    interference = interference_check(config.n, etas, distinct_only=True)
+    reports = [report, interference, interference_check(config.n, etas)]
+    return {
+        "reports": [r.to_json() for r in reports],
+        "pass": report.passed and interference.passed,
+    }
 
 
 # ----------------------------------------------------------------- balance law

@@ -1,13 +1,21 @@
 """Batch command-line front end.
 
-Subcommands wrap the library one to one and speak JSON/CSV on disk.  Exit
-codes form a contract: 0 on success, 1 on malformed input (a value beyond
-the float range included), usage errors or I/O problems, 2 on a
+Subcommands wrap the library one to one and speak JSON/CSV on disk.  The
+rule: parse the arguments, read the input files, make one library call,
+write what it returns, and map the outcome to an exit code.  Sampling, input
+rules (flag ranges and work caps, so a library caller gets the same
+refusals) and report assembly live in the module that does the work; only
+argument parsing, file reading, the atomic JSON and CSV writers and the exit
+map stay here.
+
+Exit codes form a contract: 0 on success, 1 on malformed input (a value
+beyond the float range included), usage errors or I/O problems, 2 on a
 mathematical obstruction (nonvanishing residue, blocked recurrence cell,
 divergent moment).  An obstruction is a result, not a crash.  Only a
 residue obstruction writes a machine-readable report (``solve``, in place of
-the solution); the other obstructions of ``solve``, a blocked table
-(|y|^4 y1 y2 in n = 4) and a degree-1 source, exit 2 with none.
+the solution, from the payload its error carries); the other obstructions of
+``solve``, a blocked table (|y|^4 y1 y2 in n = 4) and a degree-1 source,
+exit 2 with none.
 
 Runs are deterministic: fixed ``--seed`` plus identical inputs give byte
 identical outputs; files are written atomically.
@@ -24,8 +32,7 @@ import tempfile
 from . import balance as balance_mod
 from . import moments as moments_mod
 from . import profiles as profiles_mod
-from . import quadrature, reduction
-from ._numpy import np
+from . import reduction
 from .errors import ExactnessError, Obstruction, ResidueObstructionError
 from .polynomials import Polynomial
 
@@ -33,22 +40,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_OBSTRUCTION = 2
 
-# ``green-check`` draws its interior point from uniform(-0.3, 0.3)^n times the
-# radius; 0.3 * sqrt(n) < 1 keeps it inside the ball, so n <= 11
-GREEN_MAX_N = 11
-# the boundary gaps whose Green and Poisson bounds ``green-check`` measures
-GREEN_GAPS = (0.1, 0.3)
-# the radii ``green-check`` accepts, checked before any work: the kernels
-# raise the radius to powers that grow with n, which leave the float range
-# from about 1e26 and below about 1e-27 at n = GREEN_MAX_N; both ends keep a
-# wide margin inside that for every n
-GREEN_RADII = (1e-10, 1e10)
-# ``profile`` samples xi + PROFILE_SCALE * N(0, I)
-PROFILE_SCALE = 0.5
-
-# ``--samples`` of the sampling commands, checked before any work; their work
-# caps, MAX_SAMPLE_TERMS and MAX_GATE_EXPONENTS, live in ``profiles``
-MAX_SAMPLES = 100_000
 # ``profile`` formats and writes its CSV this many rows at a time
 _CSV_BLOCK_ROWS = 1_000
 
@@ -110,17 +101,6 @@ def _csv_chunks(header, rows):
         yield "".join(",".join(map(repr, row)) + "\n" for row in block)
 
 
-def _require(ok, flag, rule, value):
-    """Refuse a flag value before any work, naming the flag."""
-    if not ok:
-        raise ValueError(f"--{flag} must be {rule}, got {value!r}")
-
-
-def _require_samples(samples):
-    _require(1 <= samples <= MAX_SAMPLES, "samples", f">= 1 and <= {MAX_SAMPLES}",
-             samples)
-
-
 def _load_json(path):
     with open(path) as handle:
         return json.load(handle)
@@ -163,46 +143,18 @@ def cmd_table(args):
 
 
 def cmd_integrate(args):
-    poly = _load_polynomial(args.input)
-    result = moments_mod.moment_integral(poly)
-    payload = result.to_json()
-    degree = poly.degree() or 0
-    payload["J"] = (
-        moments_mod.j_value(poly.dimension, degree) if degree % 2 == 0 else 0.0
-    )
-    _dump_json(args.output, payload)
+    result = moments_mod.moment_integral(_load_polynomial(args.input))
+    _dump_json(args.output, result.to_json())
     return EXIT_OK
 
 
 def cmd_balance(args):
     config = balance_mod.BlowupConfiguration.from_json(_load_json(args.input))
-    report = balance_mod.multi_point_balance(config)
-    # equal exponents are handled by the grouped sums, so only interference
-    # across distinct exponents counts against the verdict; the full
-    # all-pairs report is still included for inspection
-    interference = balance_mod.interference_check(
-        config.n, config.flex_exponents, distinct_only=True
-    )
-    full_interference = balance_mod.interference_check(
-        config.n, config.flex_exponents
-    )
-    _dump_json(
-        args.output,
-        {
-            "reports": [
-                report.to_json(),
-                interference.to_json(),
-                full_interference.to_json(),
-            ],
-            "pass": report.passed and interference.passed,
-        },
-    )
+    _dump_json(args.output, balance_mod.balance_report(config))
     return EXIT_OK
 
 
 def cmd_residual_scan(args):
-    _require_samples(args.samples)
-    _require(args.seed >= 0, "seed", ">= 0", args.seed)
     solution = reduction.CorrectionSolution.from_json(_load_json(args.input))
     source = _load_polynomial(args.source)
     report = profiles_mod.linearized_residual(
@@ -213,52 +165,13 @@ def cmd_residual_scan(args):
 
 
 def cmd_green_check(args):
-    _require(args.n <= GREEN_MAX_N, "n", f"<= {GREEN_MAX_N}", args.n)
-    lo, hi = GREEN_RADII
-    _require(lo <= args.radius <= hi, "radius", f"in [{lo:g}, {hi:g}]", args.radius)
-    _require(args.seed >= 0, "seed", ">= 0", args.seed)
-    ball = profiles_mod.GreensBall(args.n, args.radius)
-    rng = np.random.default_rng(args.seed)
-    xi = rng.uniform(-0.3, 0.3, args.n) * args.radius
-    boundary = []
-    for _ in range(32):
-        direction = rng.standard_normal(args.n)
-        direction /= np.linalg.norm(direction)
-        boundary.append(abs(ball.green(args.radius * direction, xi)))
-    normalization = ball.poisson_normalization(xi)
-    payload = {
-        "n": args.n,
-        "radius": args.radius,
-        "boundary_max_abs": max(boundary),
-        "poisson_normalization": normalization,
-        "poisson_normalization_ok": bool(
-            abs(normalization - 1.0) <= quadrature.TOL_QUAD
-        ),
-        "bounds": [ball.check_bounds(delta, seed=args.seed) for delta in GREEN_GAPS],
-    }
-    _dump_json(args.output, payload)
+    _dump_json(args.output, profiles_mod.green_report(args.n, args.radius, args.seed))
     return EXIT_OK
 
 
 def cmd_profile(args):
-    _require_samples(args.samples)
-    _require(args.seed >= 0, "seed", ">= 0", args.seed)
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
-    profiles_mod.check_sample_work(args.samples, spec.n, len(spec.gamma.nums))
-    profile = profiles_mod.RefinedProfile(spec)
-    rng = np.random.default_rng(args.seed)
-    noise = rng.standard_normal((args.samples, spec.n))
-    points = np.asarray(spec.xi, float)[None, :] + PROFILE_SCALE * noise
-    columns = profile.components(points)
-    header = [f"y{i + 1}" for i in range(spec.n)] + [
-        "bubble",
-        "correction",
-        "harmonic_group",
-        "total",
-    ]
-    rows = np.column_stack([points, columns])
-    if not np.isfinite(rows).all():
-        raise ValueError("profile values are not finite for this spec")
+    header, rows = profiles_mod.profile_rows(spec, args.samples, args.seed)
     _write_atomic(args.output, _csv_chunks(header, rows))
     return EXIT_OK
 

@@ -115,16 +115,21 @@ def j_multiple(poly):
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Weighted integral of a homogeneous polynomial: the exact rational
-    multiple of J plus its float value."""
+    """Weighted integral of a homogeneous polynomial of degree ell: the exact
+    rational multiple of J plus its float value.  ``J`` is J(n, ell), the
+    normalizing integral the multiple scales (``j_value``), or 0.0 for odd
+    ell, where the integral vanishes by symmetry; ``to_json`` is the whole
+    ``integrate`` artifact."""
 
     j_multiple: Fraction
+    J: float
     numeric: float
     method: str
 
     def to_json(self):
         return {
             "j_multiple": rational_to_json(self.j_multiple),
+            "J": self.J,
             "numeric": self.numeric,
             "method": self.method,
         }
@@ -176,8 +181,10 @@ def moment_integral(poly):
     if not poly.is_homogeneous():
         raise ValueError("moment_integral expects a homogeneous polynomial")
     multiples, numeric = weighted_integral(poly)
+    degree = poly.degree() or 0
     return IntegralResult(
         j_multiple=sum(multiples.values(), Fraction(0)),
+        J=j_value(poly.dimension, degree) if degree % 2 == 0 else 0.0,
         numeric=numeric,
         method="closed_form",
     )

@@ -24,6 +24,7 @@ __all__ = [
     "SynthesizedCurvature",
     "pi_eval",
     "ResidualReport",
+    "MAX_SAMPLES",
     "MAX_SAMPLE_TERMS",
     "MAX_GATE_EXPONENTS",
     "check_sample_work",
@@ -32,10 +33,23 @@ __all__ = [
     "interpolation_R",
     "RefinedProfileSpec",
     "RefinedProfile",
+    "PROFILE_SCALE",
+    "profile_rows",
     "d_pi",
     "GreensBall",
+    "GREEN_MAX_N",
+    "GREEN_GAPS",
+    "GREEN_RADII",
+    "green_report",
     "rescaled_average",
 ]
+
+
+def _require(ok, flag, rule, value):
+    """Refuse an argument before any work, naming the CLI flag it comes
+    from, so that a library caller and the CLI get the same refusal."""
+    if not ok:
+        raise ValueError(f"--{flag} must be {rule}, got {value!r}")
 
 
 # ------------------------------------------------------------------ bubbles
@@ -152,11 +166,14 @@ class ResidualReport:
 # ``linearized_residual`` samples RESIDUAL_SCALE * N(0, I)
 RESIDUAL_SCALE = 3.0
 
+# ``--samples`` of the sampling commands, checked first by
+# ``check_sample_work``
+MAX_SAMPLES = 100_000
 # Work caps of the sampling, checked before any point is drawn.
 # ``kernels.eval_poly`` holds about samples * terms * 8 bytes plus a 1 MiB
 # scratch for a polynomial of ``terms`` terms, so samples x terms is capped for
 # the largest polynomial sampled (``linearized_residual``: the source and L's
-# two parts of gamma; the CLI's ``profile``: the spec's gamma): 4e6 is near
+# two parts of gamma; ``profile_rows``: the spec's gamma): 4e6 is near
 # 32 MB per evaluation.  The points of m samples in n variables hold m * n * 8
 # bytes, so samples x n is capped by the same budget.
 MAX_SAMPLE_TERMS = 4_000_000
@@ -171,9 +188,12 @@ MAX_GATE_EXPONENTS = 4_000_000
 
 
 def check_sample_work(samples, n, terms):
-    """Refuse ``samples`` points in n variables when samples x n, the
-    points' array, or samples x ``terms``, the largest polynomial sampled, is
-    above MAX_SAMPLE_TERMS; each refusal names the CLI's --samples flag."""
+    """Refuse ``samples`` points in n variables when ``samples`` is outside
+    1..MAX_SAMPLES, then when samples x n, the points' array, or samples x
+    ``terms``, the largest polynomial sampled, is above MAX_SAMPLE_TERMS;
+    each refusal names the CLI's --samples flag."""
+    _require(1 <= samples <= MAX_SAMPLES, "samples", f">= 1 and <= {MAX_SAMPLES}",
+             samples)
     terms = max(terms, 1)
     for count, label, name in (
         (terms, f"{terms} terms", "terms"), (n, f"dimension {n}", "dimension")
@@ -197,21 +217,15 @@ def _scan_polynomials(gamma, source):
 
 def _damped(polys, points):
     """((1 + r^2) lap + diagonal - P)(1 + r^2)^(-(n+2)/2) at the points, r =
-    |y|, for the three polynomials of ``_scan_polynomials``."""
+    |y|, for the three polynomials of ``_scan_polynomials``.
+
+    By the product rule this is lap Pi + n(n+2)(1 + r^2)^(-2) Pi -
+    P (1 + r^2)^(-(n+2)/2) for Pi = gamma (1 + r^2)^(-n/2), evaluated with
+    one damping power.
+    """
     one = 1.0 + (points * points).sum(axis=1)
     lap, diagonal, src = (kernels.eval_polynomial(p, points) for p in polys)
     return (one * lap + diagonal - src) * one ** (-(polys[0].dimension + 2) / 2.0)
-
-
-def _residual(gamma, source, points):
-    """lap Pi + n(n+2)(1 + r^2)^(-2) Pi - P (1 + r^2)^(-(n+2)/2) at the
-    points, for Pi = gamma (1 + r^2)^(-n/2) and r = |y|.
-
-    By the product rule this is (L(gamma) - P)(1 + r^2)^(-(n+2)/2), so it is
-    evaluated from L's two parts and the source, with one damping power
-    (``_damped``).
-    """
-    return _damped(_scan_polynomials(gamma, source)[1], points)
 
 
 def linearized_residual(gamma, source, samples=1000, seed=0):
@@ -221,7 +235,8 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
     L's two parts of gamma are built once: their term counts and the
     source's bound the work by MAX_SAMPLE_TERMS and MAX_GATE_EXPONENTS,
     ``reduction._L_sum`` of them is the exact gate, and the scan samples
-    them.  Each refusal comes before any point is drawn.  Unverified input
+    them.  ``samples`` and ``seed`` (>= 0) are refused as the CLI's flags,
+    and every refusal comes before any point is drawn.  Unverified input
     is refused: gamma must satisfy the weighted polynomial identity exactly
     (checked here), so the sampled residual is purely the float shadow of an
     exact identity and must sit at rounding level.
@@ -230,6 +245,7 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
     parts, polys = _scan_polynomials(gamma, source)
     lap, diagonal, src = (len(p.nums) for p in polys)
     check_sample_work(samples, n, max(lap, diagonal, src))
+    _require(seed >= 0, "seed", ">= 0", seed)
     terms = lap * (n + 1) + diagonal
     if terms * n > MAX_GATE_EXPONENTS:
         raise ValueError(
@@ -442,6 +458,30 @@ class RefinedProfile:
         return np.column_stack([b, c, h, b + c + h])
 
 
+# ``profile_rows`` samples xi + PROFILE_SCALE * N(0, I)
+PROFILE_SCALE = 0.5
+
+
+def profile_rows(spec, samples, seed):
+    """The ``profile`` table of a spec: its header and its rows, each a
+    point xi + PROFILE_SCALE * N(0, I) of seed ``seed`` followed by the
+    profile's components there.  ``samples`` and ``seed`` (>= 0) are refused
+    as the CLI's flags before any point is drawn; values beyond the float
+    range are refused too."""
+    check_sample_work(samples, spec.n, len(spec.gamma.nums))
+    _require(seed >= 0, "seed", ">= 0", seed)
+    profile = RefinedProfile(spec)
+    noise = np.random.default_rng(seed).standard_normal((samples, spec.n))
+    points = np.asarray(spec.xi, float)[None, :] + PROFILE_SCALE * noise
+    rows = np.column_stack([points, profile.components(points)])
+    if not np.isfinite(rows).all():
+        raise ValueError("profile values are not finite for this spec")
+    header = [f"y{i + 1}" for i in range(spec.n)] + [
+        "bubble", "correction", "harmonic_group", "total"
+    ]
+    return header, rows
+
+
 def d_pi(profile_func, spec, points):
     """The second-order deviation estimator in bubble coordinates Y:
 
@@ -551,6 +591,9 @@ class GreensBall:
             raise ValueError(
                 f"delta must lie in (0, {self.MAX_DELTA}], got {delta!r}"
             )
+        # no sample would leave both constants at 0 and both verdicts true
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples!r}")
         rng = np.random.default_rng(seed)
         n = self.n
         green_const = 0.0
@@ -582,6 +625,49 @@ class GreensBall:
             "green_ok": bool(green_const <= env_green * (1 + 1e-12)),
             "poisson_ok": bool(poisson_const <= env_poisson * (1 + 1e-12)),
         }
+
+
+# ``green_report`` draws its interior point from uniform(-0.3, 0.3)^n times
+# the radius; 0.3 * sqrt(n) < 1 keeps it inside the ball, so n <= 11
+GREEN_MAX_N = 11
+# the boundary gaps whose Green and Poisson bounds ``green_report`` measures
+GREEN_GAPS = (0.1, 0.3)
+# the radii ``green_report`` accepts, checked before any work: the kernels
+# raise the radius to powers that grow with n, which leave the float range
+# from about 1e26 and below about 1e-27 at n = GREEN_MAX_N; both ends keep a
+# wide margin inside that for every n <= GREEN_MAX_N.  The range stays here,
+# not in ``GreensBall``, which takes any positive radius: at n = 40 its
+# Poisson normalization overflows at radii inside it
+GREEN_RADII = (1e-10, 1e10)
+
+
+def green_report(n, radius, seed):
+    """The ``green-check`` report of the ball of this radius in dimension n:
+    the largest |G| at 32 boundary points of an interior source, the Poisson
+    normalization there with its verdict at ``quadrature.TOL_QUAD``, and the
+    bounds of ``GreensBall.check_bounds`` at each of GREEN_GAPS, all drawn
+    from ``seed``.  ``n`` (3..GREEN_MAX_N), ``radius`` (in GREEN_RADII) and
+    ``seed`` (>= 0) are refused as the CLI's flags before any work."""
+    _require(n >= 3, "n", ">= 3", n)
+    _require(n <= GREEN_MAX_N, "n", f"<= {GREEN_MAX_N}", n)
+    lo, hi = GREEN_RADII
+    _require(lo <= radius <= hi, "radius", f"in [{lo:g}, {hi:g}]", radius)
+    _require(seed >= 0, "seed", ">= 0", seed)
+    ball = GreensBall(n, radius)
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(-0.3, 0.3, n) * radius
+    boundary = []
+    for _ in range(32):
+        direction = rng.standard_normal(n)
+        direction /= np.linalg.norm(direction)
+        boundary.append(abs(ball.green(radius * direction, xi)))
+    normalization = ball.poisson_normalization(xi)
+    ok = abs(normalization - 1.0) <= quadrature.TOL_QUAD
+    return {
+        "n": n, "radius": radius, "boundary_max_abs": max(boundary),
+        "poisson_normalization": normalization, "poisson_normalization_ok": bool(ok),
+        "bounds": [ball.check_bounds(delta, seed=seed) for delta in GREEN_GAPS],
+    }
 
 
 # --------------------------------------------------------- rescaled average

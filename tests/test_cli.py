@@ -410,8 +410,8 @@ def test_green_check_report(tmp_path):
 )
 def test_green_check_rejects_out_of_range_flags(tmp_path, flags):
     # --radius is range-checked before any work; --delta and --tol-quad are
-    # gone (the gaps are cli.GREEN_GAPS and the tolerance quadrature.TOL_QUAD),
-    # so any value of theirs is a usage error
+    # gone (the gaps are profiles.GREEN_GAPS and the tolerance
+    # quadrature.TOL_QUAD), so any value of theirs is a usage error
     result = run_cli(
         ["green-check", "--n", "4", *flags, "--output", str(tmp_path / "g.json")],
         tmp_path,
@@ -430,11 +430,11 @@ def test_green_check_rejects_out_of_range_flags(tmp_path, flags):
 
 @pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
 def test_green_check_radius_range_boundaries(tmp_path, capsys, monkeypatch, end):
-    # both ends of cli.GREEN_RADII run clean (an overflow warning would fail
-    # here) with every verdict true; one float step outside each is refused
-    # before any work
+    # both ends of profiles.GREEN_RADII run clean (an overflow warning would
+    # fail here) with every verdict true; one float step outside each is
+    # refused before any work
     monkeypatch.chdir(tmp_path)
-    radius = cli.GREEN_RADII[end]
+    radius = profiles.GREEN_RADII[end]
     argv = ["green-check", "--n", "3", "--output", "g.json", "--radius"]
     assert cli.main([*argv, repr(radius)]) == 0
     data = json.loads((tmp_path / "g.json").read_text())
@@ -651,7 +651,7 @@ def test_green_check_delta_band():
     # green-check's fixed gaps lie in the band that GreensBall.check_bounds
     # accepts, (0, 0.95]: it draws source radii from [0.05, 1 - delta]
     top = profiles.GreensBall.MAX_DELTA
-    assert all(0 < delta <= top for delta in cli.GREEN_GAPS)
+    assert all(0 < delta <= top for delta in profiles.GREEN_GAPS)
     ball = profiles.GreensBall(4, 1.0)
     assert ball.check_bounds(0.95)["delta"] == 0.95
     with pytest.raises(ValueError, match=r"\(0, 0\.95\]"):
@@ -751,15 +751,15 @@ def test_samples_cap_refuses_before_any_work(
     with monkeypatch.context() as patch:
         refuse_work(patch)
         code, err = run_sampling(
-            capsys, [*argv, "--samples", str(cli.MAX_SAMPLES + 1)], out
+            capsys, [*argv, "--samples", str(profiles.MAX_SAMPLES + 1)], out
         )
     assert code == 1
     assert err.startswith(
-        f"input error: --samples must be >= 1 and <= {cli.MAX_SAMPLES}"
+        f"input error: --samples must be >= 1 and <= {profiles.MAX_SAMPLES}"
     ), err
     assert not out.exists()
     # at the cap, with the cap lowered so the run stays small
-    monkeypatch.setattr(cli, "MAX_SAMPLES", 7)
+    monkeypatch.setattr(profiles, "MAX_SAMPLES", 7)
     code, err = run_sampling(capsys, [*argv, "--samples", "8"], out)
     assert code == 1 and "--samples must be >= 1 and <= 7" in err
     assert not out.exists()
@@ -793,7 +793,7 @@ def test_samples_times_terms_cap_refuses_before_any_work(
         argv = ["profile", "--input", str(big)]
     big.write_text(json.dumps(solution))
     over = profiles.MAX_SAMPLE_TERMS // terms + 1
-    assert over <= cli.MAX_SAMPLES
+    assert over <= profiles.MAX_SAMPLES
     out = tmp_path / "out"
     with monkeypatch.context() as patch:
         refuse_work(patch)
@@ -1138,7 +1138,7 @@ def test_profile_refuses_a_scale_beyond_the_float_range(tmp_path):
 
 def test_profile_refuses_non_finite_values(tmp_path, capsys):
     # a tiny lam puts |Y| = |y - xi| / lam beyond float range at the
-    # sampling scale cli.PROFILE_SCALE: the rows would hold nan
+    # sampling scale profiles.PROFILE_SCALE: the rows would hold nan
     spec = profile_spec_json()
     spec["lam"] = 1e-200
     path = tmp_path / "spec.json"

@@ -113,3 +113,16 @@ def private_reads(path):
 
 def test_cli_reads_no_private_name_of_another_module():
     assert private_reads(cli.__file__) == []
+
+
+def test_cli_imports_neither_numpy_nor_quadrature():
+    # the float tier's sampling and verdicts live in the modules that do the
+    # work; cli only reads, calls and writes
+    imported = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"_numpy", "quadrature", "numpy"}, imported

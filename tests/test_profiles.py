@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -237,6 +238,68 @@ def test_linearized_residual_refuses_unverified_input():
         linearized_residual(var(n, 0, 2), var(n, 0, 2), samples=10)
 
 
+def _scan(samples=10, seed=0):
+    n = 6
+    source = var(n, 0, 2) - var(n, 1, 2)
+    gamma = Fraction(-1, 2 * n) * source
+    return linearized_residual(gamma, source, samples=samples, seed=seed)
+
+
+def _profile(samples=10, seed=0):
+    return profiles.profile_rows(example_profile_spec(), samples, seed)
+
+
+def _green(n=3, radius=1.0, seed=0):
+    return profiles.green_report(n, radius, seed)
+
+
+def _work(samples=10):
+    return profiles.check_sample_work(samples, 3, 1)
+
+
+_SAMPLES_RULE = f"--samples must be >= 1 and <= {profiles.MAX_SAMPLES}, got "
+_SAMPLES = [
+    ({"samples": value}, f"{_SAMPLES_RULE}{value}")
+    for value in (0, -3, profiles.MAX_SAMPLES + 1)
+]
+_SEED = ({"seed": -1}, "--seed must be >= 0, got -1")
+_RADIUS = "--radius must be in [1e-10, 1e+10], got "
+# (call, its refused argument, the refusal's text); each call runs with its
+# defaults
+LIBRARY_REFUSALS = (
+    [(_scan, *case) for case in [*_SAMPLES, _SEED]]
+    + [(_profile, *case) for case in [*_SAMPLES, _SEED]]
+    + [
+        (_green, {"n": 2}, "--n must be >= 3, got 2"),
+        (_green, {"n": 12}, "--n must be <= 11, got 12"),
+        (_green, {"radius": 1e11}, f"{_RADIUS}{1e11!r}"),
+        (_green, {"radius": 1e-11}, f"{_RADIUS}{1e-11!r}"),
+        (_green, *_SEED),
+    ]
+    + [(_work, *case) for case in _SAMPLES]
+)
+
+
+@pytest.mark.parametrize(
+    "call, kwargs, message",
+    LIBRARY_REFUSALS,
+    ids=[f"{call.__name__[1:]}-{key}={value}"
+         for call, kwargs, _ in LIBRARY_REFUSALS for key, value in kwargs.items()],
+)
+def test_library_calls_refuse_the_cli_flag_rules_before_any_draw(
+    monkeypatch, call, kwargs, message
+):
+    # the CLI's refusal, word for word, from the library call itself
+    call()
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a point was drawn before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(**kwargs)
+
+
 @st.composite
 def residual_inputs(draw, max_n=9, max_degree=8, max_terms=6):
     """A pair (gamma, P) in one dimension, unrelated: L(gamma) != P in general,
@@ -257,7 +320,7 @@ def residual_inputs(draw, max_n=9, max_degree=8, max_terms=6):
     return polynomial(), polynomial()
 
 
-# ``_residual`` and the product-rule oracle agree within this many units of
+# ``_damped`` and the product-rule oracle agree within this many units of
 # rounding, 2^-53 times the oracle's absolute-value sum (4.7 at most over
 # 3,000 random pairs of this shape)
 RESIDUAL_UNITS = 64
@@ -274,7 +337,7 @@ def test_residual_formula_matches_the_product_rule(inputs, seed):
     rng = np.random.default_rng(seed)
     points = profiles.RESIDUAL_SCALE * rng.standard_normal((20, n))
     expected, scale = oracles.residual_by_product_rule(gamma, source, points)
-    got = profiles._residual(gamma, source, points)
+    got = profiles._damped(profiles._scan_polynomials(gamma, source)[1], points)
     assert np.all(np.abs(got - expected) <= RESIDUAL_UNITS * 2.0**-53 * scale)
 
 
@@ -497,6 +560,16 @@ def test_green_and_poisson_bound_constants():
         assert np.isfinite(report["green_measured"])
         assert np.isfinite(report["poisson_measured"])
         assert report["green_ok"] and report["poisson_ok"]
+
+
+def test_check_bounds_refuses_to_measure_nothing():
+    ball = GreensBall(4, 1.0)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match=r"^samples must be >= 1, got "):
+            ball.check_bounds(0.1, samples=samples)
+    report = ball.check_bounds(0.1, samples=1)
+    assert report["green_measured"] > 0 and report["poisson_measured"] > 0
+    assert report["green_ok"] and report["poisson_ok"]
 
 
 # --------------------------------------------------------- rescaled average

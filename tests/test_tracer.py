@@ -5,7 +5,9 @@ them breaks ``Tracer.install``.  This test only reads that file."""
 import importlib.util
 from pathlib import Path
 
-import bubble_correction.cli  # noqa: F401  (loads every traced module)
+# puts cli in sys.modules; the package binds every other traced module there
+# lazily, which is where Tracer.install looks them up
+import bubble_correction.cli  # noqa: F401
 from bubble_correction import polynomials, reduction
 from bubble_correction.polynomials import Polynomial
 
