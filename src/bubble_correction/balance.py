@@ -100,10 +100,27 @@ class ViolationReport:
         return data
 
 
-def _parse_rational(value):
-    if isinstance(value, dict):
-        return rational_from_json(value)
-    return as_coefficient(value)
+def _rationals(value):
+    """A JSON list of {"num": ..., "den": ...} objects or exact values."""
+    return tuple(rational_from_json(x) if isinstance(x, dict) else as_coefficient(x)
+                 for x in _json_list(value))
+
+
+def _vectors(value):
+    """A JSON list of ``_rationals`` lists."""
+    return tuple(map(_rationals, _json_list(value)))
+
+
+def _polynomials(value):
+    """A JSON list of ``Polynomial.from_json`` objects."""
+    return tuple(map(Polynomial.from_json, _json_list(value)))
+
+
+# the fields of a configuration file and their readers, in the order they are
+# read, so that the first malformed field in this order is the one reported
+_FIELDS = (("n", json_int), ("points", _vectors), ("k_values", _rationals),
+           ("taylor_polys", _polynomials), ("flex_vectors", _vectors),
+           ("flex_exponents", _rationals), ("scale_ratios", _rationals))
 
 
 @dataclass(frozen=True)
@@ -170,29 +187,7 @@ class BlowupConfiguration:
     @classmethod
     def from_json(cls, data):
         try:
-            fields = dict(
-                n=json_int(data["n"]),
-                points=tuple(
-                    tuple(_parse_rational(x) for x in _json_list(p))
-                    for p in _json_list(data["points"])
-                ),
-                k_values=tuple(
-                    _parse_rational(k) for k in _json_list(data["k_values"])
-                ),
-                taylor_polys=tuple(
-                    Polynomial.from_json(p) for p in _json_list(data["taylor_polys"])
-                ),
-                flex_vectors=tuple(
-                    tuple(_parse_rational(x) for x in _json_list(v))
-                    for v in _json_list(data["flex_vectors"])
-                ),
-                flex_exponents=tuple(
-                    _parse_rational(e) for e in _json_list(data["flex_exponents"])
-                ),
-                scale_ratios=tuple(
-                    _parse_rational(s) for s in _json_list(data["scale_ratios"])
-                ),
-            )
+            fields = {name: read(data[name]) for name, read in _FIELDS}
         except ExactnessError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -223,6 +218,8 @@ def gradient_lower_bound(poly, rho=1.0, samples=10_000, seed=0):
     condition holds iff min > 0, which is reported, never assumed.  ``rho``
     only rescales the reported constants to the ball of that radius.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     n = poly.dimension
     ell = poly.degree()
     if ell is None or ell < 2:

@@ -1,10 +1,16 @@
 """Hot float kernels: batch evaluation of polynomials, bubbles and tails.
 
-Every sampling loop in the package (sphere scans, residual scans, quadrature
-grids) funnels through the three vectorized numpy kernels here; there is one
-implementation of each and nothing to configure.  A Polynomial is evaluated
-through ``eval_polynomial``, the entry point the package's callers use: it
-builds the arrays with ``poly_arrays`` and runs ``eval_poly`` on them.
+Every float evaluation of a Polynomial on a batch of points (sphere scans,
+residual scans, quadrature grids) runs ``eval_poly``, and ``BubbleProfile``
+and ``HarmonicTail`` evaluate through ``bubble_values`` and ``tail_values``;
+there is one implementation of each of the three and nothing to configure.
+The closed forms around them are plain numpy where they are used:
+``GreensBall``'s per-point ``green`` and ``poisson``, the Pohozaev flux
+field of the balance law, the damping powers in ``profiles._damped`` and
+``pi_eval``, and the refined profile's own bubble and damping factors.  A
+Polynomial is evaluated through ``eval_polynomial``, the entry point the
+package's callers use: it builds the arrays with ``poly_arrays`` and runs
+``eval_poly`` on them (``pi_eval`` builds them once and calls ``eval_poly``).
 
 The exact-rational tier of the package never comes through here: the
 correctness-critical identities stay in exact rational arithmetic, and only

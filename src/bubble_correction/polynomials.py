@@ -7,21 +7,27 @@ kept in lowest terms (gcd(den, *nums) == 1, and den == 1 for the zero
 polynomial), so two polynomials are equal exactly when their dimensions,
 denominators and numerators are, and algebraic identities can be asserted
 with ``==`` instead of tolerances.  ``fractions.Fraction`` appears only at
-the boundary: the validation of input, ``terms`` (a fresh {alpha: Fraction}
-dict on each read), ``coefficient``, ``sorted_terms`` and the one value
-``evaluate`` returns (``to_json`` and the streaming writer ``json_chunks``
-reduce each coefficient by one integer gcd).  No function does Fraction
-arithmetic beyond coercing its inputs.
+the boundary: the coefficients ``Polynomial(...)`` reads, ``terms`` (a fresh
+{alpha: Fraction} dict on each read), ``coefficient``, ``sorted_terms`` and
+the one value ``evaluate`` returns (``to_json`` and the streaming writer
+``json_chunks`` reduce each coefficient by one integer gcd).  No function
+does Fraction arithmetic beyond coercing its inputs.
 
 A multi-index is a plain tuple of non-negative ints (never bools or anything
 truncated to an int) whose length equals the ambient dimension.  Input is
-validated once, by ``Polynomial(...)`` and the named constructors built on
-it, and then put over the lcm of its denominators.  Every operation on
-polynomials returns through the private ``Polynomial._of``, whose one
-normaliser trusts its already-valid numerators, drops the zero ones and
-divides out the gcd.  Iteration and serialized output follow
-graded-lexicographic order so that artifacts are byte-reproducible.
-Evaluation is exact only: a point's coordinates are read like coefficients.
+validated once, by the one private validator ``Polynomial._validate`` that
+``Polynomial(...)`` (with the named constructors built on it) and
+``Polynomial.from_json`` share: it takes each term as a multi-index and an
+integer numerator and denominator, checks the dimension and each exponent
+once, and puts the numerators over the lcm of the denominators.
+``Polynomial(...)`` feeds it each coefficient's numerator and denominator;
+``from_json`` feeds it one ``json_int`` read of each exponent, numerator and
+denominator, and builds no Fraction.  Every operation on polynomials returns
+through the private ``Polynomial._of``, whose one normaliser trusts its
+already-valid numerators, drops the zero ones and divides out the gcd.
+Iteration and serialized output follow graded-lexicographic order so that
+artifacts are byte-reproducible.  Evaluation is exact only: a point's
+coordinates are read like coefficients.
 
 The exact operators work on the numerators: a sum first puts its operands
 over one denominator (``_over_lcm``), a product multiplies the denominators,
@@ -99,13 +105,18 @@ def _json_list(value):
     return value
 
 
-def rational_from_json(data):
-    """Fraction from {"num": ..., "den": ...}, both read by ``json_int``;
-    a zero denominator is refused."""
+def _json_ratio(data):
+    """(num, den) from {"num": ..., "den": ...}, the den read first, both by
+    ``json_int``; a zero denominator is refused."""
     den = json_int(data["den"])
     if den == 0:
         raise ValueError(f"zero denominator in {data!r}")
-    return Fraction(json_int(data["num"]), den)
+    return json_int(data["num"]), den
+
+
+def rational_from_json(data):
+    """Fraction from {"num": ..., "den": ...}, read by ``_json_ratio``."""
+    return Fraction(*_json_ratio(data))
 
 
 def rational_to_json(value):
@@ -142,12 +153,22 @@ class Polynomial:
     __slots__ = ("dimension", "den", "nums")
 
     def __init__(self, dimension, terms=None):
-        """Validate outside input and put it over the lcm of its
-        denominators; operation results are built by ``_of``."""
+        """Outside input: each coefficient, read by ``as_coefficient``, goes
+        to ``_validate`` as its numerator and denominator; operation results
+        are built by ``_of``."""
+        coeffs = ((alpha, as_coefficient(c)) for alpha, c in (terms or {}).items())
+        self._validate(dimension, ((a, c.as_integer_ratio()) for a, c in coeffs))
+
+    def _validate(self, dimension, terms):
+        """The one check of outside input, shared by ``Polynomial(...)`` and
+        ``from_json``: ``terms`` yields (alpha, (num, den)) with int num and
+        nonzero int den.  The dimension and each exponent are checked once,
+        and the numerators go to ``_store`` over the lcm of the
+        denominators; returns the polynomial."""
         if type(dimension) is not int or dimension < 1:
             raise ValueError(f"dimension must be a positive int, got {dimension!r}")
         checked = {}
-        for alpha, coeff in (terms or {}).items():
+        for alpha, ratio in terms:
             alpha = tuple(alpha)
             if len(alpha) != dimension:
                 raise DimensionMismatchError(
@@ -155,28 +176,27 @@ class Polynomial:
                 )
             if any(type(a) is not int or a < 0 for a in alpha):
                 raise ValueError(f"exponents must be non-negative ints: {alpha!r}")
-            checked[alpha] = as_coefficient(coeff)
-        den = lcm(*(c.denominator for c in checked.values()))
-        nums = {a: c.numerator * (den // c.denominator) for a, c in checked.items()}
-        self._store(dimension, nums, den)
+            checked[alpha] = ratio
+        common = lcm(*(den for _, den in checked.values()))
+        nums = {a: num * (common // den) for a, (num, den) in checked.items()}
+        return self._store(dimension, nums, common)
 
     def _store(self, dimension, nums, den):
         """The one normaliser: ``nums`` over ``den`` without the zero
         numerators, both divided by their gcd (so the zero polynomial has
-        den 1)."""
+        den 1); returns the polynomial."""
         g = gcd(den, *nums.values())
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "den", den // g)
         nums = MappingProxyType({a: v // g for a, v in nums.items() if v})
         object.__setattr__(self, "nums", nums)
+        return self
 
     @classmethod
     def _of(cls, dimension, nums, den):
         """Operation results: int ``nums`` over a positive int ``den``, already
         valid, so nothing is checked."""
-        poly = object.__new__(cls)
-        poly._store(dimension, nums, den)
-        return poly
+        return object.__new__(cls)._store(dimension, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -386,24 +406,21 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data):
-        """The ``to_json`` schema, every integer read by ``json_int`` and each
-        list by ``_json_list``; a repeated multi-index is refused, and the
-        constructor checks the rest.  Each ``alpha`` is read in one pass when
-        it holds only plain ints, as ``to_json`` writes it, and entry by
-        entry otherwise."""
+        """The ``to_json`` schema, every integer read once by ``json_int``
+        and each list by ``_json_list``, into the integer (num, den) pairs
+        that ``_validate`` checks; a repeated multi-index is refused.  No
+        ``Fraction`` is built."""
         try:
             dimension = json_int(data["dimension"])
             terms = {}
             for entry in _json_list(data["terms"]):
-                alpha = tuple(_json_list(entry["alpha"]))
-                if not all(type(a) is int for a in alpha):
-                    alpha = tuple(map(json_int, alpha))
+                alpha = tuple(map(json_int, _json_list(entry["alpha"])))
                 if alpha in terms:
                     raise ValueError(f"repeated multi-index {list(alpha)}")
-                terms[alpha] = rational_from_json(entry)
+                terms[alpha] = _json_ratio(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-        return cls(dimension, terms)
+        return object.__new__(cls)._validate(dimension, terms.items())
 
 
 # ------------------------------------------------------------- differential

@@ -60,8 +60,8 @@ class BubbleProfile:
     and Laplacian."""
 
     def __init__(self, n, eps, center):
-        if eps <= 0:
-            raise ValueError("bubble scale must be positive")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"bubble scale must be finite and positive, got {eps!r}")
         if len(center) != n:
             raise ValueError("center length must equal the dimension")
         self.dimension = n
@@ -271,6 +271,8 @@ class HarmonicTail:
     sources, with its value at the origin cached as ``h_o``."""
 
     def __init__(self, points, weights, lam):
+        if not 0 < lam < math.inf:
+            raise ValueError(f"tail scale must be finite and positive, got {lam!r}")
         points = np.asarray(points, dtype=float)
         # counted before atleast_2d, which turns an empty list into one empty row
         if points.ndim and points.shape[0] == 0:
@@ -279,6 +281,10 @@ class HarmonicTail:
         if np.any(np.linalg.norm(points, axis=1) == 0):
             raise ValueError("tail sources must be away from the origin")
         weights = np.asarray(weights, dtype=float)
+        # a weight list of another length would broadcast against the sources
+        if weights.shape != points.shape[:1]:
+            raise ValueError(f"need one tail weight per source, got {weights.size} "
+                             f"weights for {len(points)} sources")
         if np.any(weights <= 0):
             raise ValueError("tail weights must be positive")
         self.sources = points

@@ -77,6 +77,22 @@ def test_gradient_bound_scales_by_homogeneity():
     assert high2 == pytest.approx(2 * high1, rel=1e-12)
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_gradient_bound_refuses_to_sample_nothing(samples, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a node was drawn")
+
+    monkeypatch.setattr(balance_module.quadrature, "sphere_nodes", no_draw)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1, got "):
+        gradient_lower_bound(separable_even(4, 2), samples=samples)
+
+
+def test_gradient_bound_runs_on_one_sample():
+    # |grad(y1^2 - y2^2 + y3^2 - y4^2)| = 2 on the whole unit sphere
+    low, high = gradient_lower_bound(separable_even(4, 2), samples=1)
+    assert low == pytest.approx(2.0) and high == pytest.approx(2.0)
+
+
 def test_parity_certificate_classifies():
     assert parity_certificate(separable_even(4, 2))
     assert parity_certificate(separable_even(8, 4))
@@ -327,6 +343,20 @@ def test_configuration_json_round_trip():
     assert back.points == config.points
     assert back.taylor_polys == config.taylor_polys
     assert multi_point_balance(back).passed
+
+
+def test_configuration_reports_the_first_malformed_field_in_field_order():
+    # the documented order is the dataclass's: n, points, k_values, ...
+    order = [f.name for f in dataclasses.fields(BlowupConfiguration)]
+    data = mirrored_pair_config().to_json()
+    for i, first in enumerate(order):
+        for second in order[i + 1:]:
+            bad = {**data, first: f"bad-{first}", second: f"bad-{second}"}
+            with pytest.raises(ValueError) as info:
+                BlowupConfiguration.from_json(bad)
+            message = str(info.value)
+            assert message.startswith("malformed balance configuration: ")
+            assert f"'bad-{first}'" in message and "bad-" + second not in message
 
 
 def test_configuration_invariants_enforced():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bubble_correction import kernels
+from bubble_correction import polynomials as polynomials_module
 from bubble_correction.errors import DimensionMismatchError, ExactnessError
 from bubble_correction.polynomials import (
     Polynomial,
@@ -577,6 +578,68 @@ def test_from_json_refuses_a_multi_index_repeated_in_another_spelling():
     ]}
     with pytest.raises(ValueError, match=r"repeated multi-index \[2, 0\]"):
         Polynomial.from_json(data)
+
+
+def _spellings(value):
+    """A JSON integer as an int and as decimal strings, with a sign and
+    leading zeros."""
+    digits = str(abs(value))
+    return st.sampled_from(
+        [value, str(value), ("-" if value < 0 else "+") + "00" + digits]
+    )
+
+
+@st.composite
+def wire_terms(draw):
+    """(n, [(alpha, num, den)], data): a ``wire_polynomials`` polynomial's
+    terms with each num and den scaled by one nonzero factor (negative,
+    unreduced or 300 digits), zero numerators at fresh multi-indices, in any
+    order, every integer of ``data`` spelled by ``_spellings``."""
+    p = draw(wire_polynomials())
+    n = p.dimension
+    factors = (st.integers(-9, 9) | st.integers(-(10**300), 10**300)).filter(bool)
+    terms = []
+    for alpha, c in p.terms.items():
+        k = draw(factors)
+        terms.append((alpha, c.numerator * k, c.denominator * k))
+    zeros = draw(st.sets(st.tuples(*[st.integers(0, 12)] * n), max_size=2))
+    terms += [(alpha, 0, draw(factors)) for alpha in zeros - set(p.nums)]
+    terms = draw(st.permutations(terms))
+    entries = [
+        {"alpha": [draw(_spellings(a)) for a in alpha],
+         "num": draw(_spellings(num)), "den": draw(_spellings(den))}
+        for alpha, num, den in terms
+    ]
+    return n, terms, {"dimension": draw(_spellings(n)), "terms": entries}
+
+
+@given(wire_terms())
+@example((2, [((1, 0), 2 * 10**300, -4 * 10**300), ((0, 3), 0, -7)], {
+    "dimension": "02", "terms": [
+        {"alpha": ["+01", 0], "num": str(2 * 10**300), "den": str(-4 * 10**300)},
+        {"alpha": [0, "3"], "num": "-0", "den": -7},
+    ]}))
+@settings(max_examples=150, deadline=None)
+def test_from_json_equals_the_constructor_on_wire_data(case):
+    n, terms, data = case
+    expected = Polynomial(n, {alpha: Fraction(num, den) for alpha, num, den in terms})
+    assert Polynomial.from_json(data) == expected
+
+
+def test_from_json_builds_no_fraction(monkeypatch):
+    data = {"dimension": 3, "terms": [
+        {"alpha": [2, 0, 0], "num": "3", "den": "7"},
+        {"alpha": ["0", "+0", 1], "num": -6, "den": "-4"},
+    ]}
+    expected = Polynomial(3, {(2, 0, 0): Fraction(3, 7), (0, 0, 1): Fraction(3, 2)})
+
+    def no_fraction(*args):
+        raise AssertionError("from_json built a Fraction")
+
+    monkeypatch.setattr(polynomials_module, "Fraction", no_fraction)
+    got = Polynomial.from_json(data)
+    monkeypatch.undo()
+    assert got == expected
 
 
 # ------------------------------------------------------------- symmetry ops

@@ -364,6 +364,28 @@ def test_harmonic_tail_is_harmonic_by_fd():
         assert abs(lap) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "points, weights",
+    [([[3.0, 0, 0]], [1.0, 2.0]), ([[3.0, 0, 0], [0, 4.0, 0]], [1.0])],
+    ids=["one-source-two-weights", "two-sources-one-weight"],
+)
+def test_harmonic_tail_refuses_a_weight_count_unlike_its_source_count(points, weights):
+    # numpy would broadcast either list against the sources; one weight at
+    # distance 3 in n = 3 gives h_o = 1/3
+    with pytest.raises(ValueError, match=r"^need one tail weight per source, got "):
+        HarmonicTail(points, weights, lam=0.5)
+    assert HarmonicTail([[3.0, 0, 0]], [1.0], lam=0.5).h_o == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bubble_and_tail_refuse_a_scale_outside_zero_to_infinity(scale):
+    # NaN fails every comparison, so only "0 < scale < inf" refuses it
+    with pytest.raises(ValueError, match=r"^bubble scale must be finite and positive"):
+        BubbleProfile(3, scale, (0.0,) * 3)
+    with pytest.raises(ValueError, match=r"^tail scale must be finite and positive"):
+        HarmonicTail([[3.0, 0, 0]], [1.0], lam=scale)
+
+
 def test_harmonic_tail_pole_is_an_error():
     n = 4
     tail = HarmonicTail(np.array([[1.0, 0, 0, 0]]), np.array([1.0]), lam=1.0)
