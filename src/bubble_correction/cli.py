@@ -40,10 +40,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_OBSTRUCTION = 2
 
-# ``profile`` formats and writes its CSV this many rows at a time
-_CSV_BLOCK_ROWS = 1_000
-
-
 def _write_atomic(path, chunks):
     """Write the text chunks to a temporary file beside ``path`` and move it
     into place; on any failure, one raised while the chunks are produced
@@ -92,13 +88,12 @@ def _dump_json(path, payload):
     _write_atomic(path, _json_chunks(payload))
 
 
-def _csv_chunks(header, rows):
-    """The header line, then the rows' lines a block at a time; each value is
-    the ``repr`` of its Python float."""
+def _csv_chunks(header, blocks):
+    """The header line, then one chunk of lines per block of rows as the
+    blocks arrive; each value is the ``repr`` of its Python float."""
     yield ",".join(header) + "\n"
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        block = rows[start : start + _CSV_BLOCK_ROWS].tolist()
-        yield "".join(",".join(map(repr, row)) + "\n" for row in block)
+    for block in blocks:
+        yield "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def _load_json(path):
@@ -171,8 +166,8 @@ def cmd_green_check(args):
 
 def cmd_profile(args):
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
-    header, rows = profiles_mod.profile_rows(spec, args.samples, args.seed)
-    _write_atomic(args.output, _csv_chunks(header, rows))
+    header, blocks = profiles_mod.profile_rows(spec, args.samples, args.seed)
+    _write_atomic(args.output, _csv_chunks(header, blocks))
     return EXIT_OK
 
 

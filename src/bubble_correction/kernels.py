@@ -16,23 +16,25 @@ The exact-rational tier of the package never comes through here: the
 correctness-critical identities stay in exact rational arithmetic, and only
 float sampling is vectorized.
 
-``eval_poly`` on m points, t terms and n variables works from per-variable
-power tables: for each variable i it raises column i to the distinct
-exponents that occur in it (always including 0) and gathers the factors of
-every term from that table.  The factors are multiplied into one
-C-contiguous (m, t) monomial matrix in variable order 0..n-1, variables whose
-exponents are all 0 are skipped, and a single matvec over all m rows
-finishes.  The matrix is filled in blocks of rows, so the factor scratch is
-(rows, t) with rows = max(1, 2**20 // (8 * t)), about 1 MiB, and stays in
-cache; each variable's exponent table and gather index are built once, for
-all blocks.  Memory is about m * t * 8 bytes plus that 1 MiB scratch, never
-an (m, t, n) cube.  The result is bit-identical to the cube formula
-``(points[:, None, :] ** exps[None]).prod(axis=2) @ coeffs`` on C-contiguous
-points: every power is the same ``pow``, the product runs in the same order,
-and multiplying by 1.0 (the start value, and x**0) is exact.  Keep it so:
-numpy's one-entry ``x ** [2]`` fast path rounds differently from ``pow``,
-and a matvec split over row blocks changes the last bits, which is why the
-monomial matrix is whole when the matvec runs.
+``eval_poly`` on m points, t terms and n variables is row-local: each value
+is computed from its own point alone, so a caller may split its points
+anywhere without changing a bit.  The points are taken in blocks of rows =
+max(1, 2**20 // (8 * t)) rows, about 1 MiB of (rows, t) float64.  For each
+variable i whose exponents are not all 0, a block builds the power table of
+column i at the distinct exponents that occur in it (always including 0) by
+a running product, so x**a is the left-to-right product of a factors of x
+(x**0 is 1.0, x**1 is x, x**2 is x*x, x**3 is (x*x)*x); no ``pow`` is
+called.  The factors of every term are gathered from that table and
+multiplied into the block's monomials in variable order 0..n-1, starting
+from 1.0 (multiplying by 1.0 is exact).  Each row is then multiplied by the
+coefficients and summed on its own, ``(block * coeffs).sum(axis=1)``: numpy
+sums a C-contiguous row pairwise whatever the number of rows.  A BLAS matvec
+would not do, since its last bits depend on the batch a row is in.  Memory
+is two (rows, t) blocks, the monomials and the gathered factors, plus a
+(rows, k) power table (k distinct exponents) and the (m,) result: no (m, t)
+matrix and no (m, t, n) cube.  Work is m * t multiplies per variable for the
+product, plus the table walk: m * (top exponent) multiplies per variable,
+which ``profiles.check_sample_work`` bounds for the sampling commands.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ __all__ = [
     "poly_arrays",
 ]
 
-# size of ``eval_poly``'s factor scratch: one block of rows of the monomial
-# matrix
+# size of one of ``eval_poly``'s two blocks of rows: its monomials and their
+# gathered factors
 _SCRATCH_BYTES = 2**20
 
 
@@ -66,36 +68,54 @@ def poly_arrays(poly):
     return exps, coeffs
 
 
+def _powers(column, used):
+    """(len(column), len(used)) table of column ** used for sorted exponents
+    ``used`` starting at 0, by a running product: x**a is the left-to-right
+    product of a factors of x."""
+    table = np.empty((column.size, used.size))
+    table[:, 0] = 1.0
+    power = column.copy()
+    done = 1
+    for j, a in enumerate(used[1:].tolist(), 1):
+        for _ in range(done, a):
+            power *= column
+        done = a
+        table[:, j] = power
+    return table
+
+
 def eval_poly(points, exps, coeffs):
-    """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i] from
-    per-variable power tables (layout, memory and bit-identity rule: module
+    """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i], row by row
+    and in blocks of rows (powers, layout, memory and bit rule: module
     docstring)."""
     points = np.asarray(points, dtype=np.float64)
     m = points.shape[0]
     t = coeffs.size
+    out = np.zeros(m)
     if t == 0:
-        return np.zeros(m)
+        return out
     tables = []
     for i in range(exps.shape[1]):
         column = exps[:, i]
         if not column.any():
             continue
-        # 0 is always in the table: a one-entry exponent vector [2] would
-        # take numpy's x*x fast path, which need not round like pow(x, 2)
         used = np.union1d(0, column)
         tables.append((i, used, np.searchsorted(used, column)))
-    mono = np.ones((m, t))
     rows = max(1, _SCRATCH_BYTES // (8 * t))
-    factor = np.empty((min(rows, m), t))
+    mono = np.empty((min(rows, m), t))
+    factor = np.empty_like(mono)
     for start in range(0, m, rows):
-        block = mono[start : start + rows]
-        scratch = factor[: block.shape[0]]
+        stop = min(start + rows, m)
+        block, scratch = mono[: stop - start], factor[: stop - start]
+        block.fill(1.0)
         for i, used, index in tables:
-            table = points[start : start + rows, i : i + 1] ** used
+            table = _powers(points[start:stop, i], used)
             # mode="clip" skips the bounds buffer; every index is in range
             np.take(table, index, axis=1, out=scratch, mode="clip")
             block *= scratch
-    return mono @ coeffs
+        block *= coeffs
+        block.sum(axis=1, out=out[start:stop])
+    return out
 
 
 def bubble_values(points, eps, center, exponent):

@@ -90,7 +90,8 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 def json_int(value):
     """An integer read from JSON: an int (not a bool) or a decimal string.
     Anything else, floats included, is refused rather than truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    # the JSON case first: ``type`` is cheaper than two ``isinstance`` calls
+    if type(value) is int or isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _DECIMAL.fullmatch(value):
         return int(value)

@@ -26,6 +26,7 @@ __all__ = [
     "ResidualReport",
     "MAX_SAMPLES",
     "MAX_SAMPLE_TERMS",
+    "MAX_SAMPLE_WALK",
     "MAX_GATE_EXPONENTS",
     "check_sample_work",
     "linearized_residual",
@@ -166,17 +167,29 @@ class ResidualReport:
 # ``linearized_residual`` samples RESIDUAL_SCALE * N(0, I)
 RESIDUAL_SCALE = 3.0
 
+# ``linearized_residual`` and ``profile_rows`` draw and evaluate their points
+# this many at a time
+_BLOCK_ROWS = 1_000
+
 # ``--samples`` of the sampling commands, checked first by
 # ``check_sample_work``
 MAX_SAMPLES = 100_000
-# Work caps of the sampling, checked before any point is drawn.
-# ``kernels.eval_poly`` holds about samples * terms * 8 bytes plus a 1 MiB
-# scratch for a polynomial of ``terms`` terms, so samples x terms is capped for
-# the largest polynomial sampled (``linearized_residual``: the source and L's
-# two parts of gamma; ``profile_rows``: the spec's gamma): 4e6 is near
-# 32 MB per evaluation.  The points of m samples in n variables hold m * n * 8
-# bytes, so samples x n is capped by the same budget.
+# Work caps of the sampling, checked before any point is drawn.  The sampling
+# holds a fixed number of rows at a time (``_BLOCK_ROWS`` points, and
+# ``kernels.eval_poly``'s two blocks of about 1 MiB), so the caps bound work,
+# not memory.  ``kernels.eval_poly`` multiplies samples x terms factors per
+# variable for a polynomial of ``terms`` terms, so samples x terms is capped
+# for the largest polynomial sampled (``linearized_residual``: the source and
+# L's two parts of gamma; ``profile_rows``: the spec's gamma), about 4e6
+# multiplies per variable.  Drawing and reducing m points in n variables
+# touches m * n values, so samples x n is capped by the same budget.
 MAX_SAMPLE_TERMS = 4_000_000
+# ``kernels.eval_poly``'s power tables take samples x walk multiplies, one
+# numpy call per multiply and block, walk being the sum over the variables of
+# their top exponents (``_walk_length``, the largest over the polynomials
+# sampled).  A running product has no shortcut, so a one-term polynomial
+# y1^(10^9) would otherwise run for hours; samples x walk is capped at 4e6.
+MAX_SAMPLE_WALK = 4_000_000
 # ``linearized_residual`` first checks gamma exactly, L(gamma) == source.
 # L(gamma) = (1 + |y|^2) lap + diagonal has at most lap * (n + 1) + diagonal
 # terms, lap and diagonal being the term counts of L's two parts, and each term
@@ -187,22 +200,32 @@ MAX_SAMPLE_TERMS = 4_000_000
 MAX_GATE_EXPONENTS = 4_000_000
 
 
-def check_sample_work(samples, n, terms):
+def check_sample_work(samples, n, terms, walk=0):
     """Refuse ``samples`` points in n variables when ``samples`` is outside
-    1..MAX_SAMPLES, then when samples x n, the points' array, or samples x
-    ``terms``, the largest polynomial sampled, is above MAX_SAMPLE_TERMS;
-    each refusal names the CLI's --samples flag."""
+    1..MAX_SAMPLES, then when samples x ``terms``, the largest polynomial
+    sampled, or samples x n, the points, is above MAX_SAMPLE_TERMS, or when
+    samples x ``walk``, the power-table walk of ``_walk_length``, is above
+    MAX_SAMPLE_WALK; each refusal names the CLI's --samples flag."""
     _require(1 <= samples <= MAX_SAMPLES, "samples", f">= 1 and <= {MAX_SAMPLES}",
              samples)
     terms = max(terms, 1)
-    for count, label, name in (
-        (terms, f"{terms} terms", "terms"), (n, f"dimension {n}", "dimension")
+    for count, label, name, cap in (
+        (terms, f"{terms} terms", "terms", MAX_SAMPLE_TERMS),
+        (n, f"dimension {n}", "dimension", MAX_SAMPLE_TERMS),
+        (walk, f"top exponents summing to {walk}", "walk", MAX_SAMPLE_WALK),
     ):
-        if samples * count > MAX_SAMPLE_TERMS:
+        if samples * count > cap:
             raise ValueError(
-                f"--samples must be <= {MAX_SAMPLE_TERMS // count} for {label} "
-                f"(samples x {name} <= {MAX_SAMPLE_TERMS}), got {samples!r}"
+                f"--samples must be <= {cap // count} for {label} "
+                f"(samples x {name} <= {cap}), got {samples!r}"
             )
+
+
+def _walk_length(*polys):
+    """The largest, over the polynomials, of the sum over the variables of
+    their top exponent: the multiplies per point of ``kernels.eval_poly``'s
+    running-product power tables."""
+    return max((sum(map(max, zip(*p.nums))) for p in polys), default=0)
 
 
 def _scan_polynomials(gamma, source):
@@ -215,36 +238,39 @@ def _scan_polynomials(gamma, source):
     return parts, [*(Polynomial._of(n, part, den) for part in parts), source]
 
 
-def _damped(polys, points):
+def _damped(arrays, points):
     """((1 + r^2) lap + diagonal - P)(1 + r^2)^(-(n+2)/2) at the points, r =
-    |y|, for the three polynomials of ``_scan_polynomials``.
+    |y|, from the ``kernels.poly_arrays`` of the three polynomials of
+    ``_scan_polynomials``.  Row-local, as ``kernels.eval_poly`` is.
 
     By the product rule this is lap Pi + n(n+2)(1 + r^2)^(-2) Pi -
     P (1 + r^2)^(-(n+2)/2) for Pi = gamma (1 + r^2)^(-n/2), evaluated with
     one damping power.
     """
     one = 1.0 + (points * points).sum(axis=1)
-    lap, diagonal, src = (kernels.eval_polynomial(p, points) for p in polys)
-    return (one * lap + diagonal - src) * one ** (-(polys[0].dimension + 2) / 2.0)
+    lap, diagonal, src = (kernels.eval_poly(points, *a) for a in arrays)
+    return (one * lap + diagonal - src) * one ** (-(points.shape[1] + 2) / 2.0)
 
 
 def linearized_residual(gamma, source, samples=1000, seed=0):
     """Float residual of the damped correction in the linearized equation,
     sampled at seeded Gaussian points.
 
-    L's two parts of gamma are built once: their term counts and the
-    source's bound the work by MAX_SAMPLE_TERMS and MAX_GATE_EXPONENTS,
+    L's two parts of gamma are built once: their sizes and the source's
+    bound the work by MAX_SAMPLE_TERMS and MAX_GATE_EXPONENTS,
     ``reduction._L_sum`` of them is the exact gate, and the scan samples
     them.  ``samples`` and ``seed`` (>= 0) are refused as the CLI's flags,
     and every refusal comes before any point is drawn.  Unverified input
     is refused: gamma must satisfy the weighted polynomial identity exactly
     (checked here), so the sampled residual is purely the float shadow of an
-    exact identity and must sit at rounding level.
+    exact identity and must sit at rounding level.  The points are drawn and
+    evaluated ``_BLOCK_ROWS`` at a time, keeping a running max and sum, so
+    memory does not grow with ``samples``.
     """
     n = gamma.dimension
     parts, polys = _scan_polynomials(gamma, source)
     lap, diagonal, src = (len(p.nums) for p in polys)
-    check_sample_work(samples, n, max(lap, diagonal, src))
+    check_sample_work(samples, n, max(lap, diagonal, src), _walk_length(*polys))
     _require(seed >= 0, "seed", ">= 0", seed)
     terms = lap * (n + 1) + diagonal
     if terms * n > MAX_GATE_EXPONENTS:
@@ -257,9 +283,19 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
             "gamma does not exactly solve the weighted polynomial equation "
             "for this source; refusing to sample"
         )
-    pts = RESIDUAL_SCALE * np.random.default_rng(seed).standard_normal((samples, n))
-    abs_res = np.abs(_damped(polys, pts))
-    return ResidualReport(samples, float(abs_res.max()), float(abs_res.mean()))
+    arrays = [kernels.poly_arrays(p) for p in polys]
+    rng = np.random.default_rng(seed)
+    # consecutive draws of a Generator continue one stream: the blocks hold
+    # the rows of one (samples, n) draw
+    top, total = 0.0, 0.0
+    for start in range(0, samples, _BLOCK_ROWS):
+        pts = RESIDUAL_SCALE * rng.standard_normal(
+            (min(_BLOCK_ROWS, samples - start), n))
+        abs_res = np.abs(_damped(arrays, pts))
+        # np.maximum, unlike max(), keeps a NaN
+        top = np.maximum(top, abs_res.max())
+        total += abs_res.sum()
+    return ResidualReport(samples, float(top), float(total / samples))
 
 
 # ------------------------------------------------------------ harmonic tail
@@ -358,8 +394,13 @@ class RefinedProfileSpec:
     def __post_init__(self):
         if not 2 <= self.ell <= self.n - 2:
             raise ValueError("profile degree must satisfy 2 <= ell <= n - 2")
-        if self.lam <= 0 or self.joint_radius_c <= 0:
-            raise ValueError("scale and joint radius must be positive")
+        # a NaN passes ``<= 0``: refuse any value outside (0, inf) first
+        if not (0 < self.lam < math.inf and 0 < self.joint_radius_c < math.inf):
+            if self.lam <= 0 or self.joint_radius_c <= 0:
+                raise ValueError("scale and joint radius must be positive")
+            raise ValueError(
+                f"scale and joint radius must be finite, got {self.lam!r} and "
+                f"{self.joint_radius_c!r}")
         if len(self.xi) != self.n:
             raise ValueError("drift vector length must equal the dimension")
         if self.gamma.dimension != self.n:
@@ -419,6 +460,7 @@ class RefinedProfile:
         self.spec = spec
         self.bubble_profile = BubbleProfile(spec.n, spec.lam, spec.xi)
         self._tail = spec.tail()
+        self._gamma = kernels.poly_arrays(spec.gamma)
 
     def bubble(self, points):
         return self.bubble_profile.values(points)
@@ -432,7 +474,7 @@ class RefinedProfile:
         Y = diff / s.lam
         return (
             s.lam ** (s.ell + 1)
-            * kernels.eval_polynomial(s.gamma, Y)
+            * kernels.eval_poly(Y, *self._gamma)
             * (s.lam / d2) ** (s.n / 2.0)
         )
 
@@ -469,23 +511,34 @@ PROFILE_SCALE = 0.5
 
 
 def profile_rows(spec, samples, seed):
-    """The ``profile`` table of a spec: its header and its rows, each a
-    point xi + PROFILE_SCALE * N(0, I) of seed ``seed`` followed by the
-    profile's components there.  ``samples`` and ``seed`` (>= 0) are refused
-    as the CLI's flags before any point is drawn; values beyond the float
-    range are refused too."""
-    check_sample_work(samples, spec.n, len(spec.gamma.nums))
+    """The ``profile`` table of a spec: its header and an iterator of blocks
+    of rows, ``_BLOCK_ROWS`` rows a block and fewer in the last.  Each row
+    is a point xi + PROFILE_SCALE * N(0, I) of seed ``seed`` followed by the
+    profile's components there, and the blocks hold the rows of one
+    (samples, n) draw.  ``samples`` and ``seed`` (>= 0) are refused as the
+    CLI's flags before any point is drawn; a block holding a value beyond
+    the float range is refused as it is made."""
+    gamma = spec.gamma
+    check_sample_work(samples, spec.n, len(gamma.nums), _walk_length(gamma))
     _require(seed >= 0, "seed", ">= 0", seed)
-    profile = RefinedProfile(spec)
-    noise = np.random.default_rng(seed).standard_normal((samples, spec.n))
-    points = np.asarray(spec.xi, float)[None, :] + PROFILE_SCALE * noise
-    rows = np.column_stack([points, profile.components(points)])
-    if not np.isfinite(rows).all():
-        raise ValueError("profile values are not finite for this spec")
     header = [f"y{i + 1}" for i in range(spec.n)] + [
         "bubble", "correction", "harmonic_group", "total"
     ]
-    return header, rows
+    return header, _profile_blocks(RefinedProfile(spec), samples, seed)
+
+
+def _profile_blocks(profile, samples, seed):
+    """The rows of ``profile_rows``, ``_BLOCK_ROWS`` at a time."""
+    spec = profile.spec
+    xi = np.asarray(spec.xi, float)[None, :]
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _BLOCK_ROWS):
+        noise = rng.standard_normal((min(_BLOCK_ROWS, samples - start), spec.n))
+        points = xi + PROFILE_SCALE * noise
+        rows = np.column_stack([points, profile.components(points)])
+        if not np.isfinite(rows).all():
+            raise ValueError("profile values are not finite for this spec")
+        yield rows
 
 
 def d_pi(profile_func, spec, points):

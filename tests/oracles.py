@@ -553,12 +553,25 @@ def laplacian_identity_check(n, k, alpha):
 
 def eval_poly_cube(points, exps, coeffs):
     """sum_t coeffs[t] * prod_i points[:, i]**exps[t, i] through the full
-    (m, t, n) power cube: the formula ``kernels.eval_poly`` must reproduce
-    bit for bit on C-contiguous points."""
+    (m, t, n) power cube: the rule ``kernels.eval_poly`` must reproduce bit
+    for bit.  x**a is the left-to-right product of a factors of x (a running
+    product, no ``pow``), the factors of a term are multiplied in variable
+    order, and each row is multiplied by the coefficients and summed on its
+    own."""
     points = np.asarray(points, dtype=np.float64)
+    m, n = points.shape
     if coeffs.size == 0:
-        return np.zeros(points.shape[0])
-    return (points[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
+        return np.zeros(m)
+    cube = np.empty((m, coeffs.size, n))
+    for i in range(n):
+        powers = [np.ones(m)]
+        for _ in range(int(exps[:, i].max())):
+            powers.append(powers[-1] * points[:, i])
+        cube[:, :, i] = np.stack(powers, axis=1)[:, exps[:, i]]
+    mono = np.ones((m, coeffs.size))
+    for i in range(n):
+        mono = mono * cube[:, :, i]
+    return (mono * coeffs).sum(axis=1)
 
 
 # ---------------------------------------------------------------- Monte Carlo

@@ -485,15 +485,15 @@ def test_profile_csv_schema(tmp_path):
 
 
 def test_profile_csv_is_streamed_byte_for_byte(tmp_path, capsys):
-    # 2,345 rows: two whole blocks of rows and a partial one
+    # two whole blocks of rows and a partial one
     from bubble_correction import profiles
 
     data = profile_spec_json()
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "profile.csv"
-    samples, seed, scale = 2_345, 7, 0.5
-    assert samples % cli._CSV_BLOCK_ROWS and samples > 2 * cli._CSV_BLOCK_ROWS
+    samples, seed, scale = 2 * profiles._BLOCK_ROWS + 345, 7, 0.5
+    assert samples % profiles._BLOCK_ROWS and samples > 2 * profiles._BLOCK_ROWS
     code = cli.main(["profile", "--input", str(path), "--samples", str(samples),
                      "--seed", str(seed), "--output", str(out)])
     assert code == 0, capsys.readouterr().err
@@ -522,7 +522,7 @@ def test_profile_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
                 raise RuntimeError("stream broken")
             yield chunk
 
-    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 10)
+    monkeypatch.setattr(profiles, "_BLOCK_ROWS", 10)
     monkeypatch.setattr(cli, "_csv_chunks", failing)
     with pytest.raises(RuntimeError, match="stream broken"):
         cli.main(["profile", "--input", str(path), "--samples", "50",
@@ -766,6 +766,33 @@ def test_samples_cap_refuses_before_any_work(
     code, err = run_sampling(capsys, [*argv, "--samples", "7"], out)
     assert code == 0, err
     assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["residual-scan", "profile"])
+def test_samples_times_walk_cap_refuses_a_huge_exponent(
+    tmp_path, capsys, monkeypatch, sampling_commands, command
+):
+    # one term, but its power table walks 10^9 multiplies a point
+    if command == "residual-scan":
+        data = json.loads((tmp_path / "solution.json").read_text())
+        argv = ["residual-scan", "--input", str(tmp_path / "big-solution.json"),
+                "--source", sampling_commands[command][4]]
+    else:
+        data = profile_spec_json()
+        argv = ["profile", "--input", str(tmp_path / "big-spec.json")]
+    n = data["n"]
+    data["gamma"] = Polynomial(n, {(10**9,) + (0,) * (n - 1): 1}).to_json()
+    (tmp_path / argv[2]).write_text(json.dumps(data))
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        refuse_work(patch)
+        code, err = run_sampling(capsys, [*argv, "--samples", "1"], out)
+    assert code == 1
+    assert err == (
+        "input error: --samples must be <= 0 for top exponents summing to "
+        f"{10**9} (samples x walk <= {profiles.MAX_SAMPLE_WALK}), got 1\n"
+    )
+    assert not out.exists()
 
 
 def many_terms(n, count):

@@ -75,11 +75,15 @@ def test_eval_poly_matches_power_cube_bit_for_bit():
         assert_matches_cube(points, exps, coeffs)
 
 
-def test_eval_poly_lone_square_matches_pow():
-    # a variable whose only exponent is 2: pow(x, 2), not numpy's x*x path
+def test_eval_poly_lone_square_is_x_times_x():
+    # a variable whose only exponent is 2: its power table's running product
+    # gives x*x, then the coefficient multiplies it, on every row
     rng = np.random.default_rng(21)
     points = 3.0 * rng.standard_normal((20_000, 3))
-    assert_matches_cube(points, np.array([[0, 2, 0]]), np.array([1.3]))
+    exps, coeffs = np.array([[0, 2, 0]]), np.array([1.3])
+    x = points[:, 1]
+    assert np.array_equal(kernels.eval_poly(points, exps, coeffs), (x * x) * 1.3)
+    assert_matches_cube(points, exps, coeffs)
 
 
 def test_eval_poly_skips_all_zero_exponent_columns():
@@ -95,7 +99,7 @@ def test_eval_poly_skips_all_zero_exponent_columns():
 
 
 def test_eval_poly_matches_power_cube_on_many_rows():
-    # enough rows for the matvec to take the threaded BLAS path
+    # many blocks of rows, each summed row by row
     rng = np.random.default_rng(23)
     exps = rng.integers(0, 6, (40, 8))
     points = rng.standard_normal((25_000, 8))
@@ -126,22 +130,77 @@ def test_eval_poly_matches_power_cube_across_row_blocks(t, m):
     assert_matches_cube(points, exps, rng.standard_normal(t))
 
 
-def test_eval_poly_peak_memory_is_one_monomial_matrix():
+def traced_peak(call, *args):
+    """tracemalloc's peak, in bytes, over one call."""
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_eval_poly_peak_memory_is_two_blocks():
+    # one (m, t) monomial matrix would be 32 MB; eval holds two blocks of
+    # about 1 MiB, a power table of at most 8 columns and the (m,) result
     rng = np.random.default_rng(25)
     m, t, n = 20_000, 200, 6
     exps = rng.integers(0, 7, (t, n))
     points = rng.standard_normal((m, n))
-    coeffs = rng.standard_normal(t)
-    tracemalloc.start()
-    try:
-        kernels.eval_poly(points, exps, coeffs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the slack covers the (m,) result, the per-variable gather indexes and
-    # exponent tables and numpy's bookkeeping; a second (m, t) matrix would
-    # add 32 MB
-    slack = 8 * m + 8 * t * n + 256 * 1024
-    assert peak <= m * t * 8 + kernels._SCRATCH_BYTES + slack
+    assert traced_peak(kernels.eval_poly, points, exps, rng.standard_normal(t)) < (
+        4 * 2**20)
+
+
+def test_eval_poly_lone_high_power_builds_no_wide_table():
+    # y1**100 walks 99 multiplies but keeps only the exponents 0 and 100: an
+    # (m, 101) table would be 16 MB
+    m = 20_000
+    points = np.random.default_rng(28).uniform(-2.0, 2.0, (m, 1))
+    exps, coeffs = np.array([[100]]), np.array([0.5])
+    got = kernels.eval_poly(points, exps, coeffs)
+    assert np.array_equal(got, eval_poly_cube(points, exps, coeffs))
+    assert traced_peak(kernels.eval_poly, points, exps, coeffs) < 16 * 8 * m
+
+
+def test_eval_poly_is_row_local():
+    # any run of rows evaluates to the bits it has in the whole batch, the
+    # row blocks cutting it anywhere
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        t = int(rng.integers(1, 400))
+        m = int(rng.integers(1, 3000))
+        exps = rng.integers(0, 7, (t, n))
+        coeffs = rng.standard_normal(t)
+        points = 3.0 * rng.standard_normal((m, n))
+        whole = kernels.eval_poly(points, exps, coeffs)
+        k = int(rng.integers(0, m))
+        r = int(rng.integers(1, m - k + 1))
+        part = kernels.eval_poly(points[k : k + r], exps, coeffs)
+        assert np.array_equal(whole[k : k + r], part)
+
+
+def test_eval_poly_is_within_its_rounding_bound():
+    # |eval - exact| <= (d + t + 1) u sum_a |c_a| |y^a|, u = 2^-53 and d the
+    # degree: d - 1 multiplies make a monomial, one applies its coefficient
+    # and the row sum adds at most t - 1 roundings
+    rng = np.random.default_rng(27)
+    u = Fraction(1, 2**53)
+    for _ in range(12):
+        n = int(rng.integers(1, 5))
+        t = int(rng.integers(1, 25))
+        exps = rng.integers(0, 6, (t, n))
+        coeffs = rng.standard_normal(t) * 10.0 ** rng.integers(-2, 3, t)
+        points = 2.0 * rng.standard_normal((15, n))
+        d = int(exps.sum(axis=1).max())
+        got = kernels.eval_poly(points, exps, coeffs)
+        for row, value in zip(points.tolist(), got.tolist()):
+            terms = [
+                Fraction(c) * math.prod(Fraction(x) ** a for x, a in zip(row, alpha))
+                for c, alpha in zip(coeffs.tolist(), exps.tolist())
+            ]
+            scale = sum(abs(term) for term in terms)
+            assert abs(Fraction(value) - sum(terms)) <= (d + t + 1) * u * scale

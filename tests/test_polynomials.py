@@ -642,6 +642,26 @@ def test_from_json_builds_no_fraction(monkeypatch):
     assert got == expected
 
 
+JSON_INT_VERDICTS = [
+    (12, 12), (10**299, 10**299), (-5, -5), (True, None), (False, None),
+    ("12", 12), ("-3", -3), (" 1", None), ("1.0", None), (1.0, None),
+    (None, None),
+]
+
+
+@pytest.mark.parametrize("value, expected", JSON_INT_VERDICTS,
+                         ids=[repr(v)[:12] for v, _ in JSON_INT_VERDICTS])
+def test_json_int_verdicts(value, expected):
+    # an int (not a bool) or a decimal string is read; anything else, a float
+    # with an integral value included, is refused
+    if expected is None:
+        with pytest.raises(ValueError, match="^not an integer or decimal string: "):
+            polynomials_module.json_int(value)
+    else:
+        got = polynomials_module.json_int(value)
+        assert got == expected and type(got) is int
+
+
 # ------------------------------------------------------------- symmetry ops
 
 

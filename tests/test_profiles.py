@@ -1,12 +1,14 @@
 import math
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bubble_correction import profiles
+from bubble_correction import kernels, profiles
 from bubble_correction.polynomials import Polynomial, euler_operator
 from bubble_correction.profiles import (
     BubbleProfile,
@@ -21,10 +23,12 @@ from bubble_correction.profiles import (
     pi_eval,
     rescaled_average,
 )
-from bubble_correction.reduction import apply_L, kernel_basis, solve_gamma
+from bubble_correction.reduction import (
+    apply_L, kernel_basis, solve_gamma, solve_general,
+)
 
 import oracles
-from conftest import alternating_quartic
+from conftest import alternating_quartic, random_homogeneous
 
 
 def var(n, i, p=1):
@@ -337,8 +341,130 @@ def test_residual_formula_matches_the_product_rule(inputs, seed):
     rng = np.random.default_rng(seed)
     points = profiles.RESIDUAL_SCALE * rng.standard_normal((20, n))
     expected, scale = oracles.residual_by_product_rule(gamma, source, points)
-    got = profiles._damped(profiles._scan_polynomials(gamma, source)[1], points)
+    polys = profiles._scan_polynomials(gamma, source)[1]
+    got = profiles._damped([kernels.poly_arrays(p) for p in polys], points)
     assert np.all(np.abs(got - expected) <= RESIDUAL_UNITS * 2.0**-53 * scale)
+
+
+def scan_solution(case):
+    """(gamma, source): an n = 8, ell = 4 admissible solution, or an n = 10,
+    ell = 4 solution with a radial completion."""
+    rng = random.Random(31)
+    if case == "admissible8":
+        source = oracles.project_to_admissible(random_homogeneous(rng, 8, 4))
+        return solve_gamma(source).gamma, source
+    source = random_homogeneous(rng, 10, 4) + Polynomial.r_squared(10) ** 2
+    solution = solve_general(source)
+    assert solution.radial_completion is not None
+    return solution.total(), source
+
+
+@pytest.mark.parametrize("case", ["admissible8", "radial10"])
+def test_scan_residual_stays_within_rounding_units(case):
+    # gamma solves exactly, so the sampled residual is rounding alone: within
+    # RESIDUAL_UNITS units of 2^-53 times M, the absolute-value sums of L's
+    # two parts and the source, each weighted as ``_damped`` weights it
+    gamma, source = scan_solution(case)
+    n = gamma.dimension
+    polys = profiles._scan_polynomials(gamma, source)[1]
+    rng = np.random.default_rng(5)
+    points = profiles.RESIDUAL_SCALE * rng.standard_normal((2000, n))
+    got = profiles._damped([kernels.poly_arrays(p) for p in polys], points)
+    one = 1.0 + (points * points).sum(axis=1)
+    damping = one ** (-(n + 2) / 2.0)
+    weights = (one * damping, damping, damping)
+    scale = sum(w * oracles._abs_eval(p, points) for w, p in zip(weights, polys))
+    assert np.all(np.abs(got) <= RESIDUAL_UNITS * 2.0**-53 * scale)
+
+
+def test_scan_streams_one_draw_in_blocks(monkeypatch):
+    # blocks of 7 rows give the max of one whole draw, bit for bit, and its
+    # mean to rounding
+    n = 6
+    source = var(n, 0, 2) - var(n, 1, 2)
+    gamma = Fraction(-1, 2 * n) * source
+    polys = profiles._scan_polynomials(gamma, source)[1]
+    points = profiles.RESIDUAL_SCALE * np.random.default_rng(3).standard_normal(
+        (100, n))
+    whole = np.abs(profiles._damped([kernels.poly_arrays(p) for p in polys], points))
+    monkeypatch.setattr(profiles, "_BLOCK_ROWS", 7)
+    report = linearized_residual(gamma, source, samples=100, seed=3)
+    assert report.max_abs == whole.max()
+    assert report.mean_abs == pytest.approx(whole.mean(), rel=1e-14)
+
+
+def streamed_peak(call):
+    """tracemalloc's peak over a call and the walk of what it returns."""
+    tracemalloc.start()
+    try:
+        result = call()
+        if isinstance(result, tuple):
+            for _ in result[1]:
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("call", [_scan, _profile], ids=["residual", "profile"])
+def test_sampling_memory_does_not_grow_with_the_samples(call):
+    # 10x the samples, the same blocks: one (100000, n) array of points alone
+    # would add 4.8 MB
+    small = streamed_peak(lambda: call(samples=10_000))
+    large = streamed_peak(lambda: call(samples=100_000))
+    assert large <= 1.1 * small + 64 * 1024
+
+
+def test_profile_rows_yields_blocks_of_one_draw():
+    spec = example_profile_spec()
+    header, blocks = profiles.profile_rows(spec, 2 * profiles._BLOCK_ROWS + 5, 4)
+    sizes = []
+    rows = []
+    for block in blocks:
+        sizes.append(len(block))
+        rows.append(block)
+    assert sizes == [profiles._BLOCK_ROWS, profiles._BLOCK_ROWS, 5]
+    rows = np.concatenate(rows)
+    points = np.asarray(spec.xi)[None, :] + profiles.PROFILE_SCALE * (
+        np.random.default_rng(4).standard_normal((len(rows), spec.n)))
+    assert np.array_equal(rows[:, : spec.n], points)
+    expected = RefinedProfile(spec).components(points)
+    assert np.array_equal(rows[:, spec.n :], expected)
+    assert len(header) == spec.n + 4
+
+
+@pytest.mark.parametrize("call", [_scan, _profile], ids=["residual", "profile"])
+def test_power_table_walk_is_capped_before_any_draw(monkeypatch, call):
+    # the polynomials sampled walk to their top exponents one multiply at a
+    # time, so samples x walk is capped; here the cap is lowered to the
+    # walk of 10 samples
+    if call is _scan:
+        n = 6
+        source = var(n, 0, 2) - var(n, 1, 2)
+        walk = profiles._walk_length(
+            *profiles._scan_polynomials(Fraction(-1, 2 * n) * source, source)[1])
+    else:
+        walk = profiles._walk_length(example_profile_spec().gamma)
+    assert walk > 0
+    monkeypatch.setattr(profiles, "MAX_SAMPLE_WALK", 10 * walk)
+    call(samples=10)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a point was drawn before the refusal")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+    message = (f"--samples must be <= 10 for top exponents summing to {walk} "
+               f"(samples x walk <= {10 * walk}), got 11")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(samples=11)
+
+
+def test_walk_length_sums_the_top_exponent_of_each_variable():
+    p = Polynomial(3, {(4, 0, 1): 1, (1, 0, 2): 1})
+    assert profiles._walk_length(p) == 6
+    assert profiles._walk_length(p, var(3, 1, 9)) == 9
+    assert profiles._walk_length(Polynomial.zero(3)) == 0
 
 
 # ------------------------------------------------------------ harmonic tail
@@ -440,6 +566,27 @@ def test_spec_refuses_mismatched_sources_and_gamma(changes):
     fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
     with pytest.raises(ValueError):
         RefinedProfileSpec(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("field", ["lam", "joint_radius_c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_spec_refuses_a_scale_that_is_not_finite(field, value):
+    # a NaN passes ``<= 0`` and read NaN at every point; inf used to meet the
+    # unrelated harmonic-source check
+    spec = example_profile_spec()
+    fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
+    with pytest.raises(ValueError, match="^scale and joint radius must be finite"):
+        RefinedProfileSpec(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("field", ["lam", "joint_radius_c"])
+def test_spec_keeps_its_refusal_of_a_scale_at_or_below_zero(field):
+    spec = example_profile_spec()
+    fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
+    message = "^scale and joint radius must be positive$"
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match=message):
+            RefinedProfileSpec(**{**fields, field: value})
 
 
 def test_profile_peak_value_is_exact():
