@@ -25,14 +25,13 @@ from fractions import Fraction
 from . import kernels, quadrature
 from ._numpy import np
 from .errors import ExactnessError, UnsupportedCaseError
-from .moments import gradient_moment, j_multiple, shift_expansion
+from .moments import _gradient_moment_map, _pizzetti_levels
 from .polynomials import (
     Polynomial,
     _json_list,
     as_coefficient,
     directional_pairing,
     gradient,
-    iterated_laplacian,
     json_int,
     rational_from_json,
     rational_to_json,
@@ -277,47 +276,41 @@ def flexibility_falsifier(poly, budget=2000, seed=0, tol=1e-8):
     """Search for a nonzero drift X at which the moment map of grad(P)
     vanishes.
 
-    Grid seeding plus a deterministic shrinking pattern search.  Finding a
+    Grid seeding plus a deterministic shrinking pattern search, at most
+    ``budget`` (>= 1) exact evaluations of the moment map in all.  Finding a
     counterexample disproves the nonvanishing condition; not finding one is
     NOT a proof.  For the separable even-power class the parity certificate
     is run as well, and that one IS a proof.
     """
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"budget must be an int >= 1, got {budget!r}")
     n = poly.dimension
     certificate = parity_certificate(poly)
     if poly.is_zero:
-        x = np.zeros(n)
-        x[0] = 1.0
-        return FalsifierResult(
-            counterexample=x,
-            certificate_proven=False,
-            min_residual=0.0,
-            evaluations=1,
-        )
+        # every X is a zero: report e_1 after one evaluation
+        return FalsifierResult(counterexample=np.eye(n)[0], certificate_proven=False,
+                               min_residual=0.0, evaluations=1)
+
+    moment_map = _gradient_moment_map(poly)
 
     def residual(x):
-        vec = gradient_moment(poly, [Fraction(v) for v in x])
+        vec = moment_map([Fraction(v) for v in x])
         return float(np.linalg.norm(vec))
 
     rng = np.random.default_rng(seed)
-    evaluations = 0
-    candidates = []
-    for i in range(n):
-        for s in (1.0, -1.0):
-            x = np.zeros(n)
-            x[i] = s
-            candidates.append(x)
+    # the 2n axis probes +e_i, -e_i (0.0 - e keeps its zeros positive)
+    candidates = [x for e in np.eye(n) for x in (e, 0.0 - e)]
     grid_budget = max(budget // 4 - len(candidates), 0)
     if grid_budget:
         extra = rng.uniform(-2.0, 2.0, size=(grid_budget, n))
         keep = np.linalg.norm(extra, axis=1) > 0.1
         candidates.extend(extra[keep])
 
-    best_x, best_r = None, np.inf
-    for x in candidates:
-        r = residual(x)
-        evaluations += 1
-        if r < best_r:
-            best_x, best_r = np.array(x, dtype=float), r
+    # the first candidate of least residual, within the budget
+    candidates = candidates[:budget]
+    evaluations = len(candidates)
+    best_r, best = min((residual(x), i) for i, x in enumerate(candidates))
+    best_x = np.array(candidates[best], dtype=float)
 
     # shrinking coordinate pattern search around the best grid point
     step = 0.5
@@ -327,7 +320,7 @@ def flexibility_falsifier(poly, budget=2000, seed=0, tol=1e-8):
             for s in (step, -step):
                 trial = best_x.copy()
                 trial[i] += s
-                if np.linalg.norm(trial) < 0.05:
+                if np.linalg.norm(trial) < 0.05 or evaluations == budget:
                     continue
                 r = residual(trial)
                 evaluations += 1
@@ -377,6 +370,8 @@ def single_point_constraints(poly, point):
     Hypothesis violations (wrong degree, nonvanishing top Laplacian) are
     reported as extra entries but do not stop the checks.
     """
+    if poly.is_zero or not poly.is_homogeneous():
+        raise ValueError("single_point_constraints expects a nonzero homogeneous input")
     n = poly.dimension
     ell = poly.degree()
     point = [as_coefficient(x) for x in point]
@@ -391,8 +386,8 @@ def single_point_constraints(poly, point):
                 details={"degree": ell, "expected": [n - 2, n - 3]},
             )
         )
-    top = iterated_laplacian(poly, (ell or 0) // 2)
-    if not top.is_zero:
+    levels = _pizzetti_levels(poly)
+    if not levels[-1].is_zero:
         reports.append(
             ViolationReport(
                 constraint="hypothesis:top_laplacian_vanishes",
@@ -410,9 +405,11 @@ def single_point_constraints(poly, point):
             passed=value == 0,
         )
     )
-    pieces = shift_expansion(poly, point)[1:-1]
-    for h, piece in enumerate(pieces, start=1):
-        mult = j_multiple(piece)
+    # the order-h moment is that of the y-degree ell - h part of P(X + y):
+    # level (ell - h) / 2 at X, and zero for odd ell - h
+    for h in range(1, ell):
+        d = ell - h
+        mult = levels[d // 2].evaluate(point) if d % 2 == 0 else Fraction(0)
         reports.append(
             ViolationReport(
                 constraint=f"shift_moment_order_{h}",

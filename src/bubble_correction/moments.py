@@ -7,12 +7,16 @@ The rational multiple of J is found one way, by monomial bookkeeping
 (``j_multiple``); the test suite keeps the independent route, the iterated
 Laplacian divided by a fixed constant, as its oracle.
 
-Every shift point is expanded once, by the Taylor loop of ``polynomials``:
-for a homogeneous Q of degree ell the Taylor term (s . grad)^h Q / h! is
-exactly the piece of Q(s + z) of shift degree h, so ``shift_expansion``
-returns the terms themselves, and ``change_of_center`` integrates its pieces
-and builds its quadrature cross-check from their sum.  ``gradient_moment``
-shifts P once, through ``compose_shift``.
+Every shifted moment is read from P's Laplacian chain, never from an
+expanded shift.  The y-degree-2k part of P(X + y) integrates to
+lap^k P (X) / (2^k k!) times J(n, 2k) (the Pizzetti mean-value series), so
+``_pizzetti_levels`` builds the levels lap^k P / (2^k k!) once, one
+``laplacian`` pass each, and a shifted moment is a level's exact value at X:
+``gradient_moment`` evaluates the gradient of each level, and
+``change_of_center``'s groups are the levels at xi / lam.  One float rule,
+``_float_total``, turns the exact multiples of both routes into floats.
+``compose_shift`` (the Taylor loop) is left only to ``change_of_center``'s
+quadrature cross-check, which so stays independent of the groups.
 
 J itself has the closed form
 
@@ -30,17 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import exp, factorial, gamma, inf, isfinite, lgamma, log, pi
+from numbers import Rational
 
 from . import quadrature
 from ._numpy import np
 from .errors import DivergentMomentError
-from .polynomials import (
-    _sum,
-    _taylor_terms,
-    compose_shift,
-    gradient,
-    rational_to_json,
-)
+from .polynomials import compose_shift, gradient, laplacian, rational_to_json
 
 __all__ = [
     "double_factorial_minus2",
@@ -50,7 +49,6 @@ __all__ = [
     "j_multiple",
     "moment_integral",
     "weighted_integral",
-    "shift_expansion",
     "gradient_moment",
     "CenterBreakdown",
     "change_of_center",
@@ -148,23 +146,14 @@ def _float_moment(mult, j):
             return inf
 
 
-def weighted_integral(poly):
-    """Weighted integral of a general polynomial of degree <= n - 1: exact
-    multiples of J per homogeneous degree, plus the float total.  Odd
-    degrees integrate to zero by symmetry.  A total beyond the float range
-    (a moment too large for a float, or an infinite sum) is refused with
-    a ValueError naming the degree."""
-    n = poly.dimension
-    multiples = {}
+def _float_total(n, multiples):
+    """The float sum of mult * J(n, d) over a {d: mult} map in ascending
+    degree, odd degrees and zero multiples skipped: the one float rule of
+    every moment route.  A total beyond the float range (a moment too large
+    for a float, or an infinite sum) is refused with a ValueError naming the
+    degree."""
     total = 0.0
-    for degree, part in poly.homogeneous_parts().items():
-        if degree >= n:
-            raise DivergentMomentError(
-                f"degree {degree} moment diverges in dimension {n} "
-                "(needs degree <= n - 1)"
-            )
-        mult = j_multiple(part)
-        multiples[degree] = mult
+    for degree, mult in multiples.items():
         if degree % 2 == 0 and mult:
             total += _float_moment(mult, j_value(n, degree))
             if not isfinite(total):
@@ -172,7 +161,23 @@ def weighted_integral(poly):
                     f"the weighted integral at degree {degree} is beyond the "
                     "float range"
                 )
-    return multiples, total
+    return total
+
+
+def weighted_integral(poly):
+    """Weighted integral of a general polynomial of degree <= n - 1: exact
+    multiples of J per homogeneous degree, plus the float total by
+    ``_float_total``.  Odd degrees integrate to zero by symmetry."""
+    n = poly.dimension
+    multiples = {}
+    for degree, part in poly.homogeneous_parts().items():
+        if degree >= n:
+            raise DivergentMomentError(
+                f"degree {degree} moment diverges in dimension {n} "
+                "(needs degree <= n - 1)"
+            )
+        multiples[degree] = j_multiple(part)
+    return multiples, _float_total(n, multiples)
 
 
 def moment_integral(poly):
@@ -193,30 +198,35 @@ def moment_integral(poly):
 # -------------------------------------------------------------------- shifts
 
 
-def shift_expansion(poly, shift):
-    """Decomposition of Q(shift + z) by homogeneity in the shift, for a
-    nonzero homogeneous Q of degree ell and an exact shift vector.
-
-    Returns the pieces of shift degree h = 0 .. ell as polynomials in z: the
-    base Q(z) (h = 0), the intermediate terms (h = 1 .. ell - 1) and the
-    constant Q(shift) (h = ell).  The piece of shift degree h is the Taylor
-    term (shift . grad)^h Q / h!, so the pieces are Q's Taylor terms.
-    """
-    if not poly.is_homogeneous() or poly.is_zero:
-        raise ValueError("shift expansion expects a nonzero homogeneous input")
-    return _taylor_terms(poly, shift)
+def _pizzetti_levels(poly):
+    """The levels lap^k P / (2^k k!) for k = 0 .. deg(P) // 2, each one
+    ``laplacian`` pass on the last.  Level k at X is the exact multiple of
+    J(n, 2k) in the weighted integral of the y-degree-2k part of P(X + y);
+    odd y-degrees integrate to zero."""
+    levels = [poly]
+    for k in range(1, (poly.degree() or 0) // 2 + 1):
+        levels.append(laplacian(levels[-1]) * Fraction(1, 2 * k))
+    return levels
 
 
-# ---------------------------------------------------------------- gradients
+def _gradient_moment_map(poly):
+    """X -> the weighted moment vector of grad(P)(y + X) as floats, with the
+    gradients of P's levels built once: component i is ``_float_total`` of
+    d_i of each level at X, since differentiation commutes with the shift."""
+    n = poly.dimension
+    if poly.degree() is not None and poly.degree() > n - 1:
+        raise DivergentMomentError("gradient moment requires degree <= n - 1")
+    # partials[i][k] is d_i of level k
+    partials = list(zip(*map(gradient, _pizzetti_levels(poly))))
+    return lambda point: np.array([
+        _float_total(n, {2 * k: d.evaluate(point) for k, d in enumerate(ds)})
+        for ds in partials
+    ])
 
 
 def gradient_moment(poly, point):
-    """Weighted moment vector of grad(P)(y + X) as floats.  Differentiation
-    commutes with the shift, so P is shifted once and then differentiated."""
-    if poly.degree() is not None and poly.degree() > poly.dimension - 1:
-        raise DivergentMomentError("gradient moment requires degree <= n - 1")
-    shifted = compose_shift(poly, point)
-    return np.array([weighted_integral(dp)[1] for dp in gradient(shifted)])
+    """Weighted moment vector of grad(P)(y + X) as floats, for an exact X."""
+    return _gradient_moment_map(poly)(point)
 
 
 # ---------------------------------------------------------- change of center
@@ -227,10 +237,11 @@ class CenterBreakdown:
     """Leading groups of the off-center bubble moment at scale lam.
 
     ``main`` is lam^ell times the centered moment of Q, ``intermediate`` the
-    shift-degree pieces evaluated at xi / lam, ``drift`` the Q(xi / lam) mass
-    term, each of order lam^ell.  ``quadrature`` is an independent fixed-node
-    evaluation of the original ball integral for cross-checking, and
-    ``total`` the sum of the three groups.
+    moments of the pieces of shift degree 1 .. ell - 1 at xi / lam (read from
+    Q's levels), ``drift`` the Q(xi / lam) mass term, each of order lam^ell.
+    ``quadrature`` is an independent fixed-node evaluation of the original
+    ball integral for cross-checking, and ``total`` the sum of the three
+    groups.
     """
 
     main: float
@@ -246,7 +257,8 @@ class CenterBreakdown:
 def change_of_center(poly, xi, lam, rho, nodes=192):
     """Break the moment of Q against the off-center bubble mass into its
     centered, intermediate-shift and drift groups, and cross-check against a
-    deterministic quadrature of the original ball integral.
+    deterministic quadrature of the original ball integral.  A NaN or
+    infinite lam, rho or xi entry is refused before any work.
     """
     n = poly.dimension
     # degree 0 would make the centered and drift groups the same piece
@@ -257,19 +269,27 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
         raise DivergentMomentError("change of center requires degree <= n - 2")
     if lam <= 0 or rho <= 0:
         raise ValueError("scale and radius must be positive")
+    # an int or a Fraction is finite, and may be beyond isfinite's float range
+    if not all(isinstance(v, Rational) or isfinite(v) for v in (lam, rho, *xi)):
+        raise ValueError(
+            f"scale, radius and center must be finite, got {lam!r}, {rho!r}, {xi!r}"
+        )
     lam_f = Fraction(lam)
-    pieces = shift_expansion(poly, [Fraction(x) / lam_f for x in xi])
+    center = [Fraction(x) / lam_f for x in xi]
+    levels = _pizzetti_levels(poly)
     scale = lam**ell
 
+    # the group of shift degree h is the moment of the y-degree ell - h part
     main, *intermediate, drift = [
-        scale * weighted_integral(piece)[1] for piece in pieces
+        scale * _float_total(n, {d: levels[d // 2].evaluate(center)})
+        for d in range(ell, -1, -1)
     ]
 
     # independent evaluation of the original integral over the shifted ball,
-    # whose integrand is Q(lam z + xi) = lam^ell Q(z + xi / lam), the sum of
-    # the pieces times lam^ell (centering the ball on xi changes the value at
-    # a far smaller order than anything measured here)
-    shifted = _sum(n, pieces) * lam_f**ell
+    # whose integrand is Q(lam z + xi) = lam^ell Q(z + xi / lam), expanded by
+    # the Taylor loop rather than read from the levels (centering the ball on
+    # xi changes the value at a far smaller order than anything measured here)
+    shifted = compose_shift(poly, center) * lam_f**ell
     quad = quadrature.weighted_poly_integral(shifted, upper=rho / lam, nodes=nodes)
 
     return CenterBreakdown(

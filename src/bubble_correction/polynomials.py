@@ -36,10 +36,11 @@ and ``reduction.apply_L`` are built from two integer stencils that keep the
 denominator: the Laplacian moves a_i(a_i - 1)v to alpha - 2e_i, and |y|^2
 copies v to every alpha + 2e_j.  A third, with an exact vector x over the
 lcm q of its denominators (x_i = d_i / q), moves a_i d_i v to alpha - e_i:
-``directional_pairing`` is one pass of it, over den * q, and the shift is
-the one Taylor loop on it (``_taylor_terms``: T_0 = P and
-T_k = (s . grad) T_(k-1) / k), whose terms ``compose_shift`` sums and
-``moments.shift_expansion`` returns as the pieces of shift degree k.
+``directional_pairing`` is one pass of it, over den * q, and
+``compose_shift`` is the one Taylor loop on it (T_0 = P and
+T_k = (s . grad) T_(k-1) / k), summing the terms.  No shifted moment goes
+through the loop: ``moments`` reads those from P's Laplacian chain, and
+``compose_shift`` is left to a quadrature cross-check there.
 
 The zero polynomial has no numerators (with an explicit dimension); its
 degree is reported as ``None`` rather than an arbitrary sentinel number.
@@ -568,11 +569,11 @@ def r2_multiply(poly, power):
     return _radial_sum(poly.dimension, [0] * power + [poly])
 
 
-def _taylor_terms(poly, shift):
-    """The Taylor terms of poly at an exact shift s: T_0 = poly and
-    T_k = (s . grad) T_(k-1) / k for k = 1 .. deg(poly), so that
-    poly(y + s) = sum_k T_k(y).  On a homogeneous poly T_k is exactly the
-    piece of shift degree k.  The one shift expansion of the package."""
+def compose_shift(poly, shift):
+    """poly(y + shift) expanded exactly, for an exact rational shift vector s,
+    by the one Taylor loop of the package: T_0 = poly and
+    T_k = (s . grad) T_(k-1) / k for k = 1 .. deg(poly), each one pass of
+    the directional stencil, summed over one denominator."""
     n = poly.dimension
     d, q = _integer_vector(shift, n)
     terms = [poly]
@@ -580,10 +581,4 @@ def _taylor_terms(poly, shift):
         last = terms[-1]
         nums = _pairing_stencil(last.nums, d)
         terms.append(Polynomial._of(n, nums, last.den * q * k))
-    return terms
-
-
-def compose_shift(poly, shift):
-    """poly(y + shift) expanded exactly, for an exact rational shift vector:
-    the sum of its Taylor terms."""
-    return _sum(poly.dimension, _taylor_terms(poly, shift))
+    return _sum(n, terms)

@@ -6,7 +6,8 @@ and R^n, the scan of the elementary inequalities of the linearization step,
 the Euler operator by products, L built by sympy and L built operator by
 operator, |y|^2-graded sums by Polynomial products, the block combination
 cell by cell, the probe constant of the admissible projection, the shift by
-binomials and the directional pairing by partials, the projection that
+binomials, its pieces by shift degree (the Taylor route to the shifted
+moments) and the directional pairing by partials, the projection that
 manufactures admissible sources, the signed permutations of the weight's
 symmetry, the exact operators on plain {alpha: Fraction} dicts, the moment's
 second route (the top iterated Laplacian over ``b_constant``) and the exact
@@ -26,6 +27,7 @@ from bubble_correction.errors import DivergentMomentError
 from bubble_correction.moments import j_multiple
 from bubble_correction.polynomials import (
     Polynomial,
+    directional_pairing,
     euler_operator,
     iterated_laplacian,
     laplacian,
@@ -357,6 +359,22 @@ def compose_shift_by_binomials(poly, shift):
         for beta, c in partial.items():
             out[beta] = out.get(beta, 0) + c
     return Polynomial(n, out)
+
+
+def shift_expansion(poly, shift):
+    """Decomposition of Q(shift + z) by homogeneity in the shift, for a
+    nonzero homogeneous Q of degree ell and an exact shift vector: the
+    pieces of shift degree h = 0 .. ell as polynomials in z, the Taylor
+    terms (shift . grad)^h Q / h!, each one ``directional_pairing`` of the
+    last divided by h.  Piece h has z-degree ell - h, so its moment is the
+    Taylor route to the shifted moment that ``moments`` reads from Q's
+    Laplacian chain."""
+    if not poly.is_homogeneous() or poly.is_zero:
+        raise ValueError("shift expansion expects a nonzero homogeneous input")
+    pieces = [poly]
+    for h in range(1, poly.degree() + 1):
+        pieces.append(directional_pairing(shift, pieces[-1]) * Fraction(1, h))
+    return pieces
 
 
 def directional_pairing_by_partials(direction, poly):

@@ -26,6 +26,7 @@ from bubble_correction.balance import (
     single_point_constraints,
 )
 from bubble_correction.errors import ExactnessError, UnsupportedCaseError
+from bubble_correction.moments import j_multiple
 from bubble_correction.polynomials import (
     Polynomial,
     iterated_laplacian,
@@ -39,6 +40,7 @@ from oracles import (
     apply_signed_permutation,
     balance_group_sum_mp,
     project_to_admissible,
+    shift_expansion,
 )
 
 
@@ -126,6 +128,47 @@ def test_falsifier_respects_the_certificate_class():
     assert result.nonvanishing_proven
 
 
+# min_residual.hex(), evaluations and whether a counterexample was found, as
+# the Taylor-loop route gave them; every candidate is still evaluated
+# exactly, so the search path keeps its bits
+FALSIFIER_PINS = [
+    (Polynomial.zero(4), 10, 0, ("0x0.0p+0", 1, True)),
+    (var(4, 0, 2) - var(4, 1, 2), 800, 1, ("0x0.0p+0", 200, True)),
+    # the pattern search used to finish its last sweep past the budget, at 401
+    (separable_even(4, 2), 400, 2, ("0x1.50e1ece6c97c0p-3", 400, False)),
+    (
+        Polynomial(6, {
+            (3, 2, 0, 0, 0, 0): 1, (0, 0, 5, 0, 0, 0): -2,
+            (1, 1, 1, 1, 1, 0): 3, (0, 1, 0, 0, 2, 2): Fraction(1, 2),
+        }),
+        800, 0, ("0x1.4eda555cb4bd0p-2", 800, False),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "p, budget, seed, expected", FALSIFIER_PINS,
+    ids=["zero", "singular-quadratic", "separable-even", "n6-quintic"],
+)
+def test_falsifier_results_are_pinned(p, budget, seed, expected):
+    result = flexibility_falsifier(p, budget=budget, seed=seed)
+    found = result.counterexample is not None
+    assert (result.min_residual.hex(), result.evaluations, found) == expected
+
+
+@pytest.mark.parametrize("budget", [0, -5, 2.5, True])
+def test_falsifier_refuses_a_budget_below_one(budget):
+    with pytest.raises(ValueError, match="budget"):
+        flexibility_falsifier(var(4, 0, 2) - var(4, 1, 2), budget=budget)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 9, 57])
+def test_falsifier_never_exceeds_its_budget(budget):
+    # the 2n = 8 axis probes alone would overrun the smaller budgets
+    p = Polynomial(4, {(2, 1, 0, 0): 1, (0, 0, 3, 0): Fraction(-1, 3)})
+    assert flexibility_falsifier(p, budget=budget).evaluations == budget
+
+
 def test_eta_admissibility_reference_values():
     assert eta_admissible(8, 6, Fraction(1, 20))  # bound 1/11
     assert not eta_admissible(8, 6, Fraction(1, 11))  # strict
@@ -178,6 +221,32 @@ def test_single_point_constraints_on_symmetry_plane(rng):
     for r in reports:
         if r.constraint.startswith("shift_moment"):
             assert r.residual_exact is not None
+
+
+@pytest.mark.parametrize(
+    "p", [Polynomial.zero(6), var(6, 0, 4) + var(6, 1, 3)], ids=["zero", "mixed"]
+)
+def test_single_point_constraints_refuse_zero_and_non_homogeneous_input(p):
+    with pytest.raises(ValueError, match="nonzero homogeneous"):
+        single_point_constraints(p, (0,) * 6)
+
+
+def test_single_point_constraints_read_the_taylor_pieces_exactly(rng):
+    # each order-h moment is the j_multiple of the Taylor piece of shift
+    # degree h, as a Fraction, and the hypothesis flag is the top Laplacian
+    for _ in range(10):
+        n = rng.randint(4, 8)
+        p = random_homogeneous(rng, n, rng.choice([n - 2, n - 3]))
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        reports = {r.constraint: r for r in single_point_constraints(p, x)}
+        pieces = shift_expansion(p, x)
+        for h in range(1, p.degree()):
+            mult = reports[f"shift_moment_order_{h}"].residual_exact
+            assert type(mult) is Fraction
+            assert mult == j_multiple(pieces[h])
+        top = iterated_laplacian(p, p.degree() // 2)
+        flagged = "hypothesis:top_laplacian_vanishes" in reports
+        assert flagged == (not top.is_zero)
 
 
 def test_hypothesis_violations_are_flagged_but_checks_run():

@@ -1,12 +1,19 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bubble_correction import moments, polynomials, quadrature
-from bubble_correction.errors import DivergentMomentError
+from bubble_correction.balance import flexibility_falsifier, single_point_constraints
+from bubble_correction.errors import (
+    DimensionMismatchError,
+    DivergentMomentError,
+    ExactnessError,
+)
 from bubble_correction.moments import (
     change_of_center,
     double_factorial_minus2,
@@ -14,7 +21,6 @@ from bubble_correction.moments import (
     j_multiple,
     j_value,
     moment_integral,
-    shift_expansion,
     weighted_integral,
 )
 from bubble_correction.polynomials import (
@@ -22,9 +28,11 @@ from bubble_correction.polynomials import (
     compose_shift,
     gradient,
     iterated_laplacian,
+    laplacian,
 )
 
 import oracles
+from oracles import shift_expansion
 from conftest import alternating_quartic, random_even_homogeneous, random_homogeneous
 
 
@@ -259,23 +267,23 @@ def test_gradient_moment_matches_finite_differences(rng):
 
 @pytest.fixture
 def shift_calls(monkeypatch):
-    """Every run of the one Taylor loop, ``polynomials._taylor_terms``,
-    whether reached through ``compose_shift`` or ``shift_expansion``."""
+    """Every run of the one Taylor loop, ``polynomials.compose_shift``, under
+    either module's binding of it."""
     calls = []
-    taylor = polynomials._taylor_terms
+    shift = polynomials.compose_shift
 
-    def counting(poly, shift):
+    def counting(poly, vector):
         calls.append(poly)
-        return taylor(poly, shift)
+        return shift(poly, vector)
 
-    monkeypatch.setattr(polynomials, "_taylor_terms", counting)
-    monkeypatch.setattr(moments, "_taylor_terms", counting)
+    monkeypatch.setattr(polynomials, "compose_shift", counting)
+    monkeypatch.setattr(moments, "compose_shift", counting)
     return calls
 
 
 def test_gradient_moment_is_the_per_component_route_bit_for_bit(rng, shift_calls):
-    # differentiation commutes with the shift, so one shift of P gives the
-    # same polynomials, and so the same floats, as one shift per partial
+    # the partials of P's Laplacian chain at X give the same exact multiples,
+    # and so the same floats, as one Taylor shift per partial
     for _ in range(20):
         n = rng.randint(3, 8)
         ell = rng.randint(2, n - 1)
@@ -286,18 +294,20 @@ def test_gradient_moment_is_the_per_component_route_bit_for_bit(rng, shift_calls
         ]
         shift_calls.clear()
         vec = gradient_moment(p, x)
-        assert len(shift_calls) == 1
+        assert len(shift_calls) == 0
         assert [float(v).hex() for v in vec] == [v.hex() for v in reference]
 
 
 def test_one_shift_per_moment_route(rng, shift_calls):
+    # every shifted moment is read from the Laplacian chain; the Taylor loop
+    # runs once, for change_of_center's quadrature cross-check
     n, ell = 6, 4
     q = random_homogeneous(rng, n, ell)
     shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
     routes = {
-        "shift_expansion": (lambda: shift_expansion(q, shift), 1),
-        "gradient_moment": (lambda: gradient_moment(q, shift), 1),
-        # the quadrature cross-check sums the same pieces
+        "gradient_moment": (lambda: gradient_moment(q, shift), 0),
+        "single_point_constraints": (lambda: single_point_constraints(q, shift), 0),
+        "flexibility_falsifier": (lambda: flexibility_falsifier(q, budget=40), 0),
         "change_of_center": (
             lambda: change_of_center(q, [0.01] * n, lam=0.05, rho=1.0, nodes=32),
             1,
@@ -307,6 +317,79 @@ def test_one_shift_per_moment_route(rng, shift_calls):
         shift_calls.clear()
         run()
         assert len(shift_calls) == expected, name
+
+
+@pytest.mark.parametrize("p", [Polynomial.constant(3, 2), Polynomial.zero(3)])
+def test_gradient_moment_refuses_an_inexact_or_wrong_length_point(p):
+    # P's gradient is zero here, yet the point is still read exactly
+    with pytest.raises(ExactnessError):
+        gradient_moment(p, [0.5, 0, 0])
+    with pytest.raises(ExactnessError):
+        gradient_moment(p, [Fraction(1), True, 0])
+    with pytest.raises(DimensionMismatchError):
+        gradient_moment(p, [0, 0])
+
+
+def test_gradient_moment_refuses_a_divergent_degree():
+    p = Polynomial.variable(3, 0, 3)
+    with pytest.raises(DivergentMomentError):
+        gradient_moment(p, [0, 0, 0])
+    with pytest.raises(DivergentMomentError):
+        flexibility_falsifier(p, budget=10)
+
+
+def _pizzetti_factor(n, k):
+    """J(n, 2k) / J(n, 0) = 1 / prod_{i<k} (n - 2 - 2i), exactly."""
+    out = Fraction(1)
+    for i in range(k):
+        out /= n - 2 - 2 * i
+    return out
+
+
+@st.composite
+def moment_sources(draw):
+    """A mixed-degree P of degree <= n - 1 in n <= 8 variables and an exact
+    point X."""
+    n = draw(st.integers(1, 8))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        picks = draw(st.lists(st.integers(0, n - 1), max_size=n - 1))
+        alpha = tuple(picks.count(i) for i in range(n))
+        terms[alpha] = draw(
+            st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        )
+    point = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        min_size=n, max_size=n,
+    ))
+    return Polynomial(n, terms), point
+
+
+@given(moment_sources())
+@settings(max_examples=60, deadline=None)
+def test_chain_levels_are_the_taylor_routes_shifted_moments(source):
+    # level k at X is the j_multiple of the y-degree-2k part of P(X + y),
+    # expanded here by binomials; so the collapsed moment map M at X is the
+    # shifted moment over J(n, 0), exactly
+    p, x = source
+    n = p.dimension
+    levels = moments._pizzetti_levels(p)
+    parts = oracles.compose_shift_by_binomials(p, x).homogeneous_parts()
+    zero = Polynomial.zero(n)
+    for k, level in enumerate(levels):
+        assert level.evaluate(x) == j_multiple(parts.get(2 * k, zero))
+    # M = sum_k lap^k P / (2^k k! prod_{i<k} (n - 2 - 2i)), its own chain
+    m, term = zero, p
+    for k in range(len(levels)):
+        if k:
+            term = laplacian(term) * Fraction(1, 2 * k)
+        m = m + term * _pizzetti_factor(n, k)
+    shifted = sum(
+        (j_multiple(part) * _pizzetti_factor(n, d // 2)
+         for d, part in parts.items() if d % 2 == 0),
+        Fraction(0),
+    )
+    assert m.evaluate(x) == shifted
 
 
 # --------------------------------------------------------- change of center
@@ -335,6 +418,63 @@ def test_change_of_center_refuses_a_constant():
     # for degree 0 the centered piece and the drift piece are the same one
     with pytest.raises(ValueError, match="degree >= 1"):
         change_of_center(Polynomial.constant(6, 1), [0.01] * 6, lam=0.05, rho=1.0)
+
+
+@pytest.mark.parametrize(
+    "xi, lam, rho",
+    [
+        ([0.01] * 6, math.inf, 1.0),
+        ([0.01] * 6, math.nan, 1.0),
+        ([0.01] * 6, 0.05, math.inf),
+        ([0.01] * 6, 0.05, math.nan),
+        ([0.01] * 5 + [math.inf], 0.05, 1.0),
+        ([0.01] * 5 + [-math.inf], 0.05, 1.0),
+        ([math.nan] + [0.01] * 5, 0.05, 1.0),
+    ],
+    ids=["lam-inf", "lam-nan", "rho-inf", "rho-nan", "xi-inf", "xi-minus-inf",
+         "xi-nan"],
+)
+def test_change_of_center_refuses_non_finite_input_before_any_work(
+    monkeypatch, xi, lam, rho
+):
+    def no_work(poly):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(moments, "_pizzetti_levels", no_work)
+    q = Polynomial.variable(6, 0, 3)
+    with pytest.raises(ValueError, match="must be finite"):
+        change_of_center(q, xi, lam=lam, rho=rho, nodes=16)
+    # the largest finite float at the same place passes the check, and so
+    # reaches the chain
+    big = sys.float_info.max
+    finite = [v if math.isfinite(v) else big for v in (lam, rho, *xi)]
+    with pytest.raises(AssertionError, match="the chain was built"):
+        change_of_center(q, finite[2:], lam=finite[0], rho=finite[1], nodes=16)
+
+
+def test_change_of_center_takes_an_int_center_beyond_the_float_range():
+    # the finiteness check converts no int: the moment itself is refused
+    q = Polynomial.variable(6, 0, 3)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        change_of_center(q, [10**400] + [0] * 5, lam=0.05, rho=1.0, nodes=16)
+
+
+def test_change_of_center_groups_pin_the_taylor_pieces(rng):
+    # the groups read from the chain are the moments of the Taylor pieces,
+    # float for float; the quadrature cross-check is the shifted polynomial
+    for _ in range(10):
+        n = rng.randint(4, 8)
+        ell = rng.randint(1, n - 2)
+        q = random_homogeneous(rng, n, ell)
+        lam = rng.choice([0.05, 0.1, 0.5])
+        xi = [rng.uniform(-0.5, 0.5) * lam for _ in range(n)]
+        breakdown = change_of_center(q, xi, lam, rho=1.0, nodes=16)
+        pieces = shift_expansion(q, [Fraction(x) / Fraction(lam) for x in xi])
+        groups = [lam**ell * weighted_integral(piece)[1] for piece in pieces]
+        assert [g.hex() for g in groups] == [
+            g.hex()
+            for g in (breakdown.main, *breakdown.intermediate, breakdown.drift)
+        ]
 
 
 def test_change_of_center_slope(rng):

@@ -29,7 +29,7 @@ linearized_residual
 moment_integral moments multi_point_balance parity_certificate
 partial_derivative pi_eval pohozaev_volume_vs_surface polynomials profiles
 quadrature r2_multiply radial_completion reduction
-rescaled_average residue_terms shift_expansion
+rescaled_average residue_terms
 single_point_constraints solve_gamma solve_general
 weighted_integral
 __version__
@@ -39,8 +39,8 @@ __version__
 MOVED_TO_ORACLES = """
 apply_signed_permutation b_constant flat_from_sphere_function
 j_multiple_via_laplacian laplacian_identity_check linearization_bound_check
-project_to_admissible reduction_identity_check sphere_from_flat_function
-stereographic_from_plane stereographic_to_plane
+project_to_admissible reduction_identity_check shift_expansion
+sphere_from_flat_function stereographic_from_plane stereographic_to_plane
 """.split()
 
 MODULES = (errors, polynomials, reduction, moments, balance, profiles)

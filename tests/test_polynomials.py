@@ -21,7 +21,6 @@ from bubble_correction.polynomials import (
     partial_derivative,
     r2_multiply,
 )
-from bubble_correction.moments import shift_expansion
 from bubble_correction.reduction import a_multiplier, apply_L, h_of
 
 import oracles
@@ -701,7 +700,7 @@ def test_taylor_terms_match_the_binomial_and_partial_references(p, data):
         # the piece of shift degree h is the z-degree ell - h part of the shift
         ell = q.degree()
         parts = oracles.compose_shift_by_binomials(q, shift).homogeneous_parts()
-        pieces = shift_expansion(q, shift)
+        pieces = oracles.shift_expansion(q, shift)
         assert pieces == [parts.get(ell - h, zero) for h in range(ell + 1)]
         for piece in pieces:
             assert_lowest_terms(piece)
