@@ -10,8 +10,9 @@ Laplacian divided by a fixed constant, as its oracle.
 Every shifted moment is read from P's Laplacian chain, never from an
 expanded shift.  The y-degree-2k part of P(X + y) integrates to
 lap^k P (X) / (2^k k!) times J(n, 2k) (the Pizzetti mean-value series), so
-``_pizzetti_levels`` builds the levels lap^k P / (2^k k!) once, one
-``laplacian`` pass each, and a shifted moment is a level's exact value at X:
+``_pizzetti_levels`` scales P's Laplacian chain (``polynomials``' one chain
+builder, which ``reduction``'s solvers read too) into the levels
+lap^k P / (2^k k!), and a shifted moment is a level's exact value at X:
 ``gradient_moment`` evaluates the gradient of each level, and
 ``change_of_center``'s groups are the levels at xi / lam.  One float rule,
 ``_float_total``, turns the exact multiples of both routes into floats.
@@ -39,7 +40,7 @@ from numbers import Rational
 from . import quadrature
 from ._numpy import np
 from .errors import DivergentMomentError
-from .polynomials import compose_shift, gradient, laplacian, rational_to_json
+from .polynomials import _laplacian_chain, compose_shift, gradient, rational_to_json
 
 __all__ = [
     "double_factorial_minus2",
@@ -199,14 +200,12 @@ def moment_integral(poly):
 
 
 def _pizzetti_levels(poly):
-    """The levels lap^k P / (2^k k!) for k = 0 .. deg(P) // 2, each one
-    ``laplacian`` pass on the last.  Level k at X is the exact multiple of
-    J(n, 2k) in the weighted integral of the y-degree-2k part of P(X + y);
-    odd y-degrees integrate to zero."""
-    levels = [poly]
-    for k in range(1, (poly.degree() or 0) // 2 + 1):
-        levels.append(laplacian(levels[-1]) * Fraction(1, 2 * k))
-    return levels
+    """The levels lap^k P / (2^k k!) for k = 0 .. deg(P) // 2: P's Laplacian
+    chain, each entry scaled.  Level k at X is the exact multiple of J(n, 2k)
+    in the weighted integral of the y-degree-2k part of P(X + y); odd
+    y-degrees integrate to zero."""
+    chain = _laplacian_chain(poly, (poly.degree() or 0) // 2)
+    return [lap * Fraction(1, 2**k * factorial(k)) for k, lap in enumerate(chain)]
 
 
 def _gradient_moment_map(poly):
@@ -276,13 +275,14 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
         )
     lam_f = Fraction(lam)
     center = [Fraction(x) / lam_f for x in xi]
-    levels = _pizzetti_levels(poly)
+    # the value of each level at xi / lam, read once
+    values = [level.evaluate(center) for level in _pizzetti_levels(poly)]
     scale = lam**ell
 
     # the group of shift degree h is the moment of the y-degree ell - h part
+    # (``_float_total`` skips the odd degrees)
     main, *intermediate, drift = [
-        scale * _float_total(n, {d: levels[d // 2].evaluate(center)})
-        for d in range(ell, -1, -1)
+        scale * _float_total(n, {d: values[d // 2]}) for d in range(ell, -1, -1)
     ]
 
     # independent evaluation of the original integral over the shifted ball,

@@ -34,7 +34,9 @@ over one denominator (``_over_lcm``), a product multiplies the denominators,
 and ``laplacian``, ``iterated_laplacian``, ``r2_multiply``, ``_radial_sum``
 and ``reduction.apply_L`` are built from two integer stencils that keep the
 denominator: the Laplacian moves a_i(a_i - 1)v to alpha - 2e_i, and |y|^2
-copies v to every alpha + 2e_j.  A third, with an exact vector x over the
+copies v to every alpha + 2e_j.  The private ``_laplacian_chain`` (P, lap P,
+..., one ``laplacian`` pass each) is the one chain builder: ``reduction``'s
+solvers combine its entries and ``moments`` scales them into its levels.  A third, with an exact vector x over the
 lcm q of its denominators (x_i = d_i / q), moves a_i d_i v to alpha - e_i:
 ``directional_pairing`` is one pass of it, over den * q, and
 ``compose_shift`` is the one Taylor loop on it (T_0 = P and
@@ -516,6 +518,16 @@ def iterated_laplacian(poly, count):
             break
         nums = _laplacian_stencil(nums)
     return Polynomial._of(poly.dimension, nums, poly.den)
+
+
+def _laplacian_chain(poly, count):
+    """[P, lap P, ..., lap^count P], one ``laplacian`` pass on the last
+    entry each: the chain that ``reduction``'s solvers and ``moments``'
+    shifted moments read."""
+    chain = [poly]
+    for _ in range(count):
+        chain.append(laplacian(chain[-1]))
+    return chain
 
 
 def gradient(poly):

@@ -69,13 +69,13 @@ from .polynomials import (
     Polynomial,
     _accumulate,
     _horner,
+    _laplacian_chain,
     _laplacian_stencil,
     _radial_sum,
     _sum,
     as_coefficient,
     iterated_laplacian,
     json_int,
-    laplacian,
     rational_to_json,
 )
 
@@ -400,14 +400,6 @@ def _validated_source(poly, allow_radial=False):
             "basis for degree <= 1 behaviour"
         )
     return ell
-
-
-def _laplacian_chain(poly, h):
-    """[P, lap P, ..., lap^h P]."""
-    chain = [poly]
-    for _ in range(h):
-        chain.append(laplacian(chain[-1]))
-    return chain
 
 
 def _radial_residue(top, table):
