@@ -28,6 +28,8 @@ from .errors import ExactnessError, UnsupportedCaseError
 from .moments import _gradient_moment_map, _pizzetti_levels
 from .polynomials import (
     Polynomial,
+    _evaluate,
+    _integer_vector,
     _json_list,
     as_coefficient,
     directional_pairing,
@@ -254,7 +256,7 @@ def parity_certificate(poly):
         seen.add(active[0])
     # the even series is positive with no check: its coefficients are
     # binomials times the even moments j_multiple(y_1^m), and for even m
-    # that is double_factorial_minus2(m) >= 1
+    # that is m! / (2^(m/2) (m/2)!) = (m - 1)(m - 3)...1 >= 1
     return seen == set(range(n))
 
 
@@ -374,7 +376,7 @@ def single_point_constraints(poly, point):
         raise ValueError("single_point_constraints expects a nonzero homogeneous input")
     n = poly.dimension
     ell = poly.degree()
-    point = [as_coefficient(x) for x in point]
+    d, q = _integer_vector(point, n)
     reports = []
 
     if ell not in (n - 2, n - 3):
@@ -396,7 +398,9 @@ def single_point_constraints(poly, point):
             )
         )
 
-    value = poly.evaluate(point)
+    # every level at X from the one read of X; level 0 is P itself
+    values = [_evaluate(level, d, q) for level in levels]
+    value = values[0]
     reports.append(
         ViolationReport(
             constraint="taylor_value_at_drift",
@@ -408,8 +412,8 @@ def single_point_constraints(poly, point):
     # the order-h moment is that of the y-degree ell - h part of P(X + y):
     # level (ell - h) / 2 at X, and zero for odd ell - h
     for h in range(1, ell):
-        d = ell - h
-        mult = levels[d // 2].evaluate(point) if d % 2 == 0 else Fraction(0)
+        k, odd = divmod(ell - h, 2)
+        mult = Fraction(0) if odd else values[k]
         reports.append(
             ViolationReport(
                 constraint=f"shift_moment_order_{h}",

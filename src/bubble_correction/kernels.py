@@ -87,8 +87,13 @@ def _powers(column, used):
 def eval_poly(points, exps, coeffs):
     """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i], row by row
     and in blocks of rows (powers, layout, memory and bit rule: module
-    docstring)."""
+    docstring).  The points must have one column per column of ``exps``."""
     points = np.asarray(points, dtype=np.float64)
+    if points.shape[1:] != exps.shape[1:]:
+        raise ValueError(
+            f"points of shape {points.shape} do not have the polynomial's "
+            f"{exps.shape[1]} columns"
+        )
     m = points.shape[0]
     t = coeffs.size
     out = np.zeros(m)
@@ -138,10 +143,4 @@ def tail_values(points, sources, weights, power):
 def eval_polynomial(poly, points):
     """Convenience wrapper: float values of a Polynomial at an (m, n) array."""
     exps, coeffs = poly_arrays(poly)
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[1] != poly.dimension:
-        raise ValueError(
-            f"points have {points.shape[1]} columns, polynomial dimension is "
-            f"{poly.dimension}"
-        )
-    return eval_poly(points, exps, coeffs)
+    return eval_poly(np.atleast_2d(points), exps, coeffs)

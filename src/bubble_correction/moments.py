@@ -1,21 +1,21 @@
 """Closed-form calculus of bubble-weighted polynomial moments.
 
-All integrals here are against the weight (1 + |y|^2)^(-n) on R^n.  Each
-even monomial has an exact rational moment: a product of modified double
-factorials times one normalizing integral J that depends only on (n, degree).
-The rational multiple of J is found one way, by monomial bookkeeping
-(``j_multiple``); the test suite keeps the independent route, the iterated
-Laplacian divided by a fixed constant, as its oracle.
-
-Every shifted moment is read from P's Laplacian chain, never from an
-expanded shift.  The y-degree-2k part of P(X + y) integrates to
-lap^k P (X) / (2^k k!) times J(n, 2k) (the Pizzetti mean-value series), so
-``_pizzetti_levels`` scales P's Laplacian chain (``polynomials``' one chain
-builder, which ``reduction``'s solvers read too) into the levels
-lap^k P / (2^k k!), and a shifted moment is a level's exact value at X:
-``gradient_moment`` evaluates the gradient of each level, and
-``change_of_center``'s groups are the levels at xi / lam.  One float rule,
-``_float_total``, turns the exact multiples of both routes into floats.
+All integrals here are against the weight (1 + |y|^2)^(-n) on R^n.  The
+weighted integral of a homogeneous P of degree 2h is an exact rational
+multiple of one normalizing integral J(n, 2h), and every such multiple is
+read from P's Laplacian chain: the y-degree-2k part of P(X + y) integrates
+to lap^k P (X) / (2^k k!) times J(n, 2k) (the Pizzetti mean-value series).
+``j_multiple`` is the centred case, the constant lap^h P / (2^h h!), and
+runs its h passes on P's all-even-exponent part alone (the Laplacian keeps
+every exponent's parity, so no other monomial reaches the constant).  For
+the shifted moments ``_pizzetti_levels`` scales P's Laplacian chain
+(``polynomials``' one chain builder, which ``reduction``'s solvers read too)
+into the levels lap^k P / (2^k k!), and a shifted moment is a level's exact
+value at X, each point read once: ``gradient_moment`` evaluates the gradient
+of each level, and ``change_of_center``'s groups are the levels at xi / lam.
+One float rule, ``_float_total``, turns every exact multiple into a float.
+The test suite keeps the monomial bookkeeping (a product of modified double
+factorials per even monomial) as the independent oracle of the chain.
 ``compose_shift`` (the Taylor loop) is left only to ``change_of_center``'s
 quadrature cross-check, which so stays independent of the groups.
 
@@ -31,22 +31,29 @@ trusted in any test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import exp, factorial, gamma, inf, isfinite, lgamma, log, pi
 from numbers import Rational
+from typing import NamedTuple
 
 from . import quadrature
 from ._numpy import np
 from .errors import DivergentMomentError
-from .polynomials import _laplacian_chain, compose_shift, gradient, rational_to_json
+from .polynomials import (
+    Polynomial,
+    _evaluate,
+    _integer_vector,
+    _laplacian_chain,
+    compose_shift,
+    gradient,
+    iterated_laplacian,
+    rational_to_json,
+)
 
 __all__ = [
-    "double_factorial_minus2",
     "j_value",
     "IntegralResult",
-    "monomial_j_multiple",
     "j_multiple",
     "moment_integral",
     "weighted_integral",
@@ -54,18 +61,6 @@ __all__ = [
     "CenterBreakdown",
     "change_of_center",
 ]
-
-
-def double_factorial_minus2(m):
-    """Modified double factorial: 1 for m in {0, 2}, 0 for odd m, and
-    (m-1)(m-3)...3.1 for even m >= 4."""
-    if m < 0:
-        raise ValueError("argument must be non-negative")
-    if m % 2:
-        return 0
-    if m in (0, 2):
-        return 1
-    return factorial(m - 1) // (2 ** (m // 2 - 1) * factorial(m // 2 - 1))
 
 
 @lru_cache(maxsize=None)
@@ -92,33 +87,26 @@ def j_value(n, ell):
         )
 
 
-def monomial_j_multiple(alpha):
-    """Product of modified double factorials over the exponents."""
-    out = 1
-    for a in alpha:
-        out *= double_factorial_minus2(a)
-        if not out:
-            return 0
-    return out
-
-
 def j_multiple(poly):
     """Exact rational multiple of J(n, deg) in the weighted integral of a
-    homogeneous polynomial, by monomial bookkeeping: one integer sum over
-    the polynomial's denominator."""
-    return Fraction(
-        sum(v * monomial_j_multiple(alpha) for alpha, v in poly.nums.items()),
-        poly.den,
-    )
+    homogeneous polynomial: the constant lap^h P / (2^h h!), h = deg // 2,
+    with the h passes run on P's all-even-exponent part (empty in an odd
+    degree, whose moment is 0).  A non-homogeneous P is refused."""
+    if not poly.is_homogeneous():
+        raise ValueError("j_multiple expects a homogeneous polynomial")
+    h = (poly.degree() or 0) // 2
+    even = {a: v for a, v in poly.nums.items() if not any(x % 2 for x in a)}
+    top = iterated_laplacian(Polynomial._of(poly.dimension, even, poly.den), h)
+    return top.constant_term() / (2**h * factorial(h))
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     """Weighted integral of a homogeneous polynomial of degree ell: the exact
     rational multiple of J plus its float value.  ``J`` is J(n, ell), the
     normalizing integral the multiple scales (``j_value``), or 0.0 for odd
     ell, where the integral vanishes by symmetry; ``to_json`` is the whole
-    ``integrate`` artifact."""
+    ``integrate`` artifact.  A NamedTuple, so an ``integrate`` run never
+    imports ``dataclasses``."""
 
     j_multiple: Fraction
     J: float
@@ -217,10 +205,15 @@ def _gradient_moment_map(poly):
         raise DivergentMomentError("gradient moment requires degree <= n - 1")
     # partials[i][k] is d_i of level k
     partials = list(zip(*map(gradient, _pizzetti_levels(poly))))
-    return lambda point: np.array([
-        _float_total(n, {2 * k: d.evaluate(point) for k, d in enumerate(ds)})
-        for ds in partials
-    ])
+
+    def moment_map(point):
+        d, q = _integer_vector(point, n)
+        return np.array([
+            _float_total(n, {2 * k: _evaluate(p, d, q) for k, p in enumerate(ps)})
+            for ps in partials
+        ])
+
+    return moment_map
 
 
 def gradient_moment(poly, point):
@@ -231,8 +224,7 @@ def gradient_moment(poly, point):
 # ---------------------------------------------------------- change of center
 
 
-@dataclass(frozen=True)
-class CenterBreakdown:
+class CenterBreakdown(NamedTuple):
     """Leading groups of the off-center bubble moment at scale lam.
 
     ``main`` is lam^ell times the centered moment of Q, ``intermediate`` the
@@ -257,7 +249,8 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     """Break the moment of Q against the off-center bubble mass into its
     centered, intermediate-shift and drift groups, and cross-check against a
     deterministic quadrature of the original ball integral.  A NaN or
-    infinite lam, rho or xi entry is refused before any work.
+    infinite lam, rho or xi entry, and an int or Fraction lam or rho beyond
+    the float range, are refused before any work.
     """
     n = poly.dimension
     # degree 0 would make the centered and drift groups the same piece
@@ -273,10 +266,18 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
         raise ValueError(
             f"scale, radius and center must be finite, got {lam!r}, {rho!r}, {xi!r}"
         )
+    # lam and rho meet floats (rho / lam, lam**ell times a float), so an int
+    # or a Fraction must fit one
+    for name, value in (("lam", lam), ("rho", rho)):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is beyond the float range") from None
     lam_f = Fraction(lam)
     center = [Fraction(x) / lam_f for x in xi]
-    # the value of each level at xi / lam, read once
-    values = [level.evaluate(center) for level in _pizzetti_levels(poly)]
+    # the value of each level at xi / lam, the center read once
+    d, q = _integer_vector(center, n)
+    values = [_evaluate(level, d, q) for level in _pizzetti_levels(poly)]
     scale = lam**ell
 
     # the group of shift degree h is the moment of the y-degree ell - h part
@@ -292,9 +293,4 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     shifted = compose_shift(poly, center) * lam_f**ell
     quad = quadrature.weighted_poly_integral(shifted, upper=rho / lam, nodes=nodes)
 
-    return CenterBreakdown(
-        main=main,
-        intermediate=tuple(intermediate),
-        drift=drift,
-        quadrature=quad,
-    )
+    return CenterBreakdown(main, tuple(intermediate), drift, quad)

@@ -27,7 +27,10 @@ through the private ``Polynomial._of``, whose one normaliser trusts its
 already-valid numerators, drops the zero ones and divides out the gcd.
 Iteration and serialized output follow graded-lexicographic order so that
 artifacts are byte-reproducible.  Evaluation is exact only: a point's
-coordinates are read like coefficients.
+coordinates are read like coefficients, once, by ``_integer_vector`` into
+integers over one denominator, and the private ``_evaluate`` takes that
+read, so the level routes of ``moments`` and ``balance`` evaluate every
+level of a chain at a point from one read.
 
 The exact operators work on the numerators: a sum first puts its operands
 over one denominator (``_over_lcm``), a product multiplies the denominators,
@@ -352,22 +355,12 @@ class Polynomial:
     # ------------------------------------------------------------ evaluation
 
     def evaluate(self, point):
-        """Exact value at a point of exact coordinates, monomial by monomial
-        (no Horner rewriting), on integers: with the point d / q over the lcm
-        q of its denominators, the term at alpha is v * d^alpha *
-        q^(deg - |alpha|), and the sum is over den * q^deg.  Every coordinate
-        is read by ``as_coefficient``, so float and boolean points are
-        refused; float evaluation is ``kernels.eval_polynomial``."""
-        d, q = _integer_vector(point, self.dimension)
-        deg = self.degree() or 0
-        total = 0
-        for alpha, v in self.nums.items():
-            term = v * q ** (deg - sum(alpha))
-            for x, a in zip(d, alpha):
-                if a:
-                    term *= x**a
-            total += term
-        return Fraction(total, self.den * q**deg)
+        """Exact value at a point of exact coordinates: ``_integer_vector``
+        reads the point as d / q over the lcm q of its denominators, and
+        ``_evaluate`` sums the monomials (no Horner rewriting) on integers.
+        Every coordinate is read by ``as_coefficient``, so float and boolean
+        points are refused; float evaluation is ``kernels.eval_polynomial``."""
+        return _evaluate(self, *_integer_vector(point, self.dimension))
 
     # ------------------------------------------------------------- serialize
 
@@ -552,6 +545,21 @@ def _integer_vector(vector, n):
     xs = [as_coefficient(x) for x in vector]
     q = lcm(*(x.denominator for x in xs))
     return [x.numerator * (q // x.denominator) for x in xs], q
+
+
+def _evaluate(poly, d, q):
+    """poly's exact value at the point d / q of ``_integer_vector``: the sum
+    of v * d^alpha * q^(deg - |alpha|) over den * q^deg.  A caller that
+    evaluates several polynomials at one point reads the point once."""
+    deg = poly.degree() or 0
+    total = 0
+    for alpha, v in poly.nums.items():
+        term = v * q ** (deg - sum(alpha))
+        for x, a in zip(d, alpha):
+            if a:
+                term *= x**a
+        total += term
+    return Fraction(total, poly.den * q**deg)
 
 
 def _pairing_stencil(sums, d):

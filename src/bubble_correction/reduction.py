@@ -116,6 +116,10 @@ MAX_SOLUTION_TERMS = 50_000
 
 
 def _check_degree(ell):
+    """Refuse a negative degree (malformed, unlike the degree-below-2
+    obstruction) or one above ``MAX_ELL``."""
+    if ell < 0:
+        raise ValueError(f"source degree must be >= 0 (got ell={ell})")
     if ell > MAX_ELL:
         raise ValueError(f"source degree must be <= {MAX_ELL} (got ell={ell})")
 

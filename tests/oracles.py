@@ -10,13 +10,13 @@ binomials, its pieces by shift degree (the Taylor route to the shifted
 moments) and the directional pairing by partials, the projection that
 manufactures admissible sources, the signed permutations of the weight's
 symmetry, the exact operators on plain {alpha: Fraction} dicts, the moment's
-second route (the top iterated Laplacian over ``b_constant``) and the exact
-checks of the exponent trade, the power-cube formula the polynomial kernel
+second route (monomial bookkeeping by modified double factorials, beside
+``b_constant``) and the exact checks of the exponent trade, the power-cube formula the polynomial kernel
 must match, the multi-point balance sums at 300 digits, and the linearized
 residual with lap Pi expanded by the product rule."""
 
 from fractions import Fraction
-from math import comb, gamma, pi, prod
+from math import comb, factorial, gamma, pi, prod
 
 import mpmath
 import numpy as np
@@ -512,18 +512,38 @@ def b_constant(ell):
     return out
 
 
-def j_multiple_via_laplacian(poly):
-    """Same multiple through the independent route: the (constant) top
-    iterated Laplacian divided by the fixed degree constant."""
-    if poly.is_zero:
-        return Fraction(0)
-    ell = poly.degree()
-    if ell == 0:
-        return poly.constant_term()
-    if ell % 2:
-        return Fraction(0)
-    top = iterated_laplacian(poly, ell // 2)
-    return top.constant_term() / b_constant(ell)
+def double_factorial_minus2(m):
+    """Modified double factorial: 1 for m in {0, 2}, 0 for odd m, and
+    (m-1)(m-3)...3.1 for even m >= 4."""
+    if m < 0:
+        raise ValueError("argument must be non-negative")
+    if m % 2:
+        return 0
+    if m in (0, 2):
+        return 1
+    return factorial(m - 1) // (2 ** (m // 2 - 1) * factorial(m // 2 - 1))
+
+
+def monomial_j_multiple(alpha):
+    """Product of modified double factorials over the exponents: the
+    multiple of J in the weighted integral of y^alpha."""
+    out = 1
+    for a in alpha:
+        out *= double_factorial_minus2(a)
+        if not out:
+            return 0
+    return out
+
+
+def j_multiple_by_bookkeeping(poly):
+    """The multiple of J(n, deg) in the weighted integral of a homogeneous
+    polynomial by monomial bookkeeping, the independent route to
+    ``moments.j_multiple``'s top chain level: one integer sum over the
+    polynomial's denominator."""
+    return Fraction(
+        sum(v * monomial_j_multiple(alpha) for alpha, v in poly.nums.items()),
+        poly.den,
+    )
 
 
 def _identity_inputs(n, k, alpha):

@@ -201,6 +201,36 @@ def test_table_rejects_nonpositive_dimension(tmp_path):
     assert_input_error(result)
 
 
+def assert_refused(capsys, argv, out, code, message):
+    """``cli.main(argv)`` exits ``code`` with its family's prefix and
+    ``message`` on stderr, and writes no ``out``."""
+    assert cli.main(argv) == code
+    prefix = {1: "input error", 2: "obstruction"}[code]
+    assert capsys.readouterr().err == f"{prefix}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ell, code, message",
+    [
+        (-1, 1, "source degree must be >= 0 (got ell=-1)"),
+        (0, 2, "source degree must be >= 2"),
+        (1, 2, "source degree must be >= 2"),
+    ],
+)
+def test_table_degree_below_two(tmp_path, capsys, monkeypatch, ell, code, message):
+    # a negative degree is malformed, and 0 and 1 are the degree-below-2
+    # obstruction, each refused before any cell is built (degree 2 is
+    # ``test_table_single_cell_for_degree_two``)
+    def work(*args):
+        raise AssertionError("a cell was built before the degree was checked")
+
+    monkeypatch.setattr(reduction, "a_multiplier", work)
+    monkeypatch.chdir(tmp_path)
+    argv = ["table", "--n", "5", "--ell", str(ell), "--output", "t.json"]
+    assert_refused(capsys, argv, tmp_path / "t.json", code, message)
+
+
 def test_table_dimension_cap_is_an_input_error(tmp_path, capsys, monkeypatch):
     # the full table at MAX_ELL is built at the cap; one above it exits 1
     # before any cell is built
@@ -330,6 +360,52 @@ def test_balance_refuses_inputs_it_cannot_report(
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (lambda: {**balance_config_json(), "k_values": [48, 2]},
+         "all per-point lists must have equal length"),
+        (lambda: _with_entry("points", 2, balance_config_json()["points"][1]),
+         "points must be pairwise distinct"),
+        (lambda: _with_entry("k_values", 1, 0), "curvature scales must be positive"),
+        (lambda: _with_entry("scale_ratios", 0, 2), "the origin's scale ratio must be 1"),
+        (lambda: _with_entry("taylor_polys", 1, Polynomial.variable(7, 0, 5).to_json()),
+         "taylor polynomial dimension mismatch"),
+        (lambda: _with_entry("taylor_polys", 1, Polynomial.variable(8, 0, 5).to_json()),
+         "taylor polynomials must be homogeneous of degree n - 2"),
+        (lambda: _with_entry("taylor_polys", 1, (
+            Polynomial.variable(8, 0, 6) + Polynomial.variable(8, 1, 2)).to_json()),
+         "taylor polynomials must be homogeneous of degree n - 2"),
+    ],
+    ids=["unequal-lists", "repeated-point", "zero-curvature-scale",
+         "origin-scale-ratio", "taylor-dimension", "taylor-degree",
+         "taylor-not-homogeneous"],
+)
+def test_balance_refuses_an_inconsistent_configuration(
+    tmp_path, capsys, payload, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload()))
+    out = tmp_path / "report.json"
+    argv = ["balance", "--input", str(path), "--output", str(out)]
+    assert_refused(capsys, argv, out, 1, message)
+
+
+def test_balance_in_dimension_six_is_an_obstruction(tmp_path, capsys):
+    n = 6
+    origin = [0] * n
+    config = {
+        "n": n, "points": [origin], "k_values": [n * (n - 2)],
+        "taylor_polys": [Polynomial.zero(n).to_json()], "flex_vectors": [origin],
+        "flex_exponents": [{"num": "1", "den": "13"}], "scale_ratios": [1],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    argv = ["balance", "--input", str(path), "--output", str(out)]
+    assert_refused(capsys, argv, out, 2, "balance sums need dimension > 6")
 
 
 def test_residual_scan(tmp_path, admissible_source):
@@ -559,6 +635,51 @@ def test_profile_rejects_malformed_spec(tmp_path, changes):
     )
     assert_input_error(result)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"ell": 1}, "profile degree must satisfy 2 <= ell <= n - 2"),
+        ({"ell": 5}, "profile degree must satisfy 2 <= ell <= n - 2"),
+        ({"xi": [0.0] * 5}, "drift vector length must equal the dimension"),
+        ({"harmonic_points": [[1.5, 0, 0, 0, 0, 0], [0, -4.0, 0, 0, 0, 0]]},
+         "harmonic sources must stay outside twice the joint region"),
+    ],
+    ids=["ell-below-2", "ell-above-n-2", "short-xi", "source-inside-2c"],
+)
+def test_profile_refuses_a_spec_outside_its_hypotheses(
+    tmp_path, capsys, changes, message
+):
+    spec = profile_spec_json()
+    spec.update(changes)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "profile.csv"
+    argv = ["profile", "--input", str(path), "--samples", "5", "--output", str(out)]
+    assert_refused(capsys, argv, out, 1, message)
+
+
+@pytest.mark.parametrize(
+    "command, source, code, message",
+    [
+        ("solve", Polynomial.zero(8), 2,
+         "source must be a nonzero homogeneous polynomial"),
+        ("solve", Polynomial.variable(8, 0, 4) + Polynomial.variable(8, 1, 2), 2,
+         "source must be a nonzero homogeneous polynomial"),
+        ("integrate", Polynomial.variable(8, 0, 4) + Polynomial.variable(8, 1, 2), 1,
+         "moment_integral expects a homogeneous polynomial"),
+    ],
+    ids=["solve-zero", "solve-non-homogeneous", "integrate-non-homogeneous"],
+)
+def test_a_source_that_is_not_one_homogeneous_degree(
+    tmp_path, capsys, command, source, code, message
+):
+    path = tmp_path / "source.json"
+    write_poly(path, source)
+    out = tmp_path / "out.json"
+    argv = [command, "--input", str(path), "--output", str(out)]
+    assert_refused(capsys, argv, out, code, message)
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, admissible_source):
@@ -1593,8 +1714,9 @@ atexit.register(lambda: print("dataclasses" in sys.modules))
          0),
         (["solve"], lambda: (Polynomial.r_squared(7) ** 2).to_json(), 2),
         (["table", "--n", "5", "--ell", "4"], None, 0),
+        (["integrate"], lambda: (-1 * alternating_quartic(8)).to_json(), 0),
     ],
-    ids=["solve", "allow-radial", "residue-report", "table"],
+    ids=["solve", "allow-radial", "residue-report", "table", "integrate"],
 )
 def test_solve_and_table_never_import_dataclasses(
     tmp_path, monkeypatch, command, source, expected

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bubble_correction import moments, polynomials, quadrature
 from bubble_correction.balance import flexibility_falsifier, single_point_constraints
@@ -16,7 +16,6 @@ from bubble_correction.errors import (
 )
 from bubble_correction.moments import (
     change_of_center,
-    double_factorial_minus2,
     gradient_moment,
     j_multiple,
     j_value,
@@ -32,7 +31,7 @@ from bubble_correction.polynomials import (
 )
 
 import oracles
-from oracles import shift_expansion
+from oracles import double_factorial_minus2, j_multiple_by_bookkeeping, shift_expansion
 from conftest import alternating_quartic, random_even_homogeneous, random_homogeneous
 
 
@@ -134,7 +133,7 @@ def test_reference_even_monomial_is_exactly_j():
     result = moment_integral(p)
     assert result.j_multiple == 1
     assert result.numeric == pytest.approx(j_value(6, 4), rel=1e-15)
-    assert oracles.j_multiple_via_laplacian(p) == Fraction(8, 8)
+    assert j_multiple_by_bookkeeping(p) == 1
 
 
 def test_divergent_degrees_are_rejected():
@@ -147,7 +146,48 @@ def test_dual_route_agreement(rng):
         n = rng.randint(4, 9)
         ell = rng.choice([e for e in range(2, n) if e % 2 == 0])
         p = random_even_homogeneous(rng, n, ell)
-        assert j_multiple(p) == oracles.j_multiple_via_laplacian(p)
+        assert j_multiple(p) == j_multiple_by_bookkeeping(p)
+
+
+@st.composite
+def homogeneous_sources(draw):
+    """A homogeneous P of degree 0..12 in n <= 10 variables, zero included;
+    in even degrees some terms have every exponent even, so that P's moment
+    is often nonzero."""
+    n = draw(st.integers(1, 10))
+    d = draw(st.integers(0, 12))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        if d % 2 == 0 and draw(st.booleans()):
+            picks = 2 * draw(st.lists(st.integers(0, n - 1), min_size=d // 2,
+                                      max_size=d // 2))
+        else:
+            picks = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+        alpha = tuple(picks.count(i) for i in range(n))
+        terms[alpha] = draw(
+            st.fractions(min_value=-5, max_value=5, max_denominator=6)
+        )
+    return Polynomial(n, terms)
+
+
+@given(homogeneous_sources())
+@settings(max_examples=200, deadline=None)
+def test_j_multiple_is_the_bookkeeping_at_every_degree(p):
+    got = j_multiple(p)
+    assert type(got) is Fraction
+    assert got == j_multiple_by_bookkeeping(p)
+
+
+@given(homogeneous_sources(), st.integers(0, 12), st.data())
+@settings(max_examples=50, deadline=None)
+def test_j_multiple_refuses_a_non_homogeneous_polynomial(p, other, data):
+    # the bookkeeping would sum the moments of different degrees
+    assume(not p.is_zero and other != p.degree())
+    n = p.dimension
+    picks = data.draw(st.lists(st.integers(0, n - 1), min_size=other, max_size=other))
+    mixed = p + Polynomial(n, {tuple(picks.count(i) for i in range(n)): 1})
+    with pytest.raises(ValueError, match="homogeneous"):
+        j_multiple(mixed)
 
 
 def test_vanishing_equivalence_both_directions(rng):
@@ -368,16 +408,17 @@ def moment_sources(draw):
 @given(moment_sources())
 @settings(max_examples=60, deadline=None)
 def test_chain_levels_are_the_taylor_routes_shifted_moments(source):
-    # level k at X is the j_multiple of the y-degree-2k part of P(X + y),
-    # expanded here by binomials; so the collapsed moment map M at X is the
-    # shifted moment over J(n, 0), exactly
+    # level k at X is the multiple of J(n, 2k) of the y-degree-2k part of
+    # P(X + y), expanded here by binomials and integrated by bookkeeping; so
+    # the collapsed moment map M at X is the shifted moment over J(n, 0),
+    # exactly
     p, x = source
     n = p.dimension
     levels = moments._pizzetti_levels(p)
     parts = oracles.compose_shift_by_binomials(p, x).homogeneous_parts()
     zero = Polynomial.zero(n)
     for k, level in enumerate(levels):
-        assert level.evaluate(x) == j_multiple(parts.get(2 * k, zero))
+        assert level.evaluate(x) == j_multiple_by_bookkeeping(parts.get(2 * k, zero))
     # M = sum_k lap^k P / (2^k k! prod_{i<k} (n - 2 - 2i)), its own chain
     m, term = zero, p
     for k in range(len(levels)):
@@ -385,7 +426,7 @@ def test_chain_levels_are_the_taylor_routes_shifted_moments(source):
             term = laplacian(term) * Fraction(1, 2 * k)
         m = m + term * _pizzetti_factor(n, k)
     shifted = sum(
-        (j_multiple(part) * _pizzetti_factor(n, d // 2)
+        (j_multiple_by_bookkeeping(part) * _pizzetti_factor(n, d // 2)
          for d, part in parts.items() if d % 2 == 0),
         Fraction(0),
     )
@@ -457,6 +498,22 @@ def test_change_of_center_takes_an_int_center_beyond_the_float_range():
     q = Polynomial.variable(6, 0, 3)
     with pytest.raises(ValueError, match="beyond the float range"):
         change_of_center(q, [10**400] + [0] * 5, lam=0.05, rho=1.0, nodes=16)
+
+
+@pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+@pytest.mark.parametrize("name", ["lam", "rho"])
+def test_change_of_center_refuses_a_scale_beyond_the_float_range(
+    monkeypatch, name, value
+):
+    # both ended in an OverflowError, from rho / lam and from lam**ell times
+    # a float
+    def no_work(poly):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(moments, "_pizzetti_levels", no_work)
+    scales = {"lam": 0.05, "rho": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} is beyond the float range$"):
+        change_of_center(Polynomial.variable(6, 0, 3), [0] * 6, nodes=16, **scales)
 
 
 def test_change_of_center_groups_pin_the_taylor_pieces(rng):

@@ -195,6 +195,15 @@ def test_pi_vanishes_at_origin_without_constant_term():
     assert pi(np.zeros((1, n)))[0] == 0.0
 
 
+@pytest.mark.parametrize("columns", [5, 7, 0])
+def test_pi_refuses_points_of_another_dimension(columns):
+    # with 7 columns Gamma used to be read from the first 6 while the damping
+    # counted all 7; with 5 numpy raised a bare IndexError
+    pi = pi_eval(var(6, 0, 2) + var(6, 5))
+    with pytest.raises(ValueError, match="do not have the polynomial's 6 columns"):
+        pi(np.ones((3, columns)))
+
+
 def test_pi_decay_bound_for_low_degree():
     # deg(gamma) <= n - 2 gives |Pi(Y)| <= C (1 + |Y|)^(-2): fit C on one
     # sample, then verify the bound with that C on an independent sample
