@@ -60,31 +60,32 @@ def _write_atomic(path, chunks):
 
 
 def _json_chunks(payload):
-    """The text of ``json.dumps(payload, indent=2, sort_keys=True,
-    allow_nan=False)`` and a newline, for a nonempty JSON object, as chunks:
-    a Polynomial value is streamed by ``Polynomial.json_chunks`` in its
-    ``to_json`` layout, and any other value is dumped and indented one level
-    (a JSON string holds no raw newline, so only the layout's are indented)."""
+    """The text of ``json.dumps(payload, sort_keys=True, separators=(",",
+    ":"), allow_nan=False)`` and a newline, for a nonempty JSON object, as
+    chunks: a Polynomial value is streamed by ``Polynomial.json_chunks`` in
+    its ``to_json`` layout, and any other value is dumped whole."""
     sep = "{"
     for key in sorted(payload):
         value = payload[key]
-        yield f"{sep}\n  {json.dumps(key)}: "
+        yield f"{sep}{json.dumps(key)}:"
         if isinstance(value, Polynomial):
-            yield from value.json_chunks(1)
+            yield from value.json_chunks()
         else:
-            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
-            yield text.replace("\n", "\n  ")
+            yield json.dumps(value, sort_keys=True, separators=(",", ":"),
+                             allow_nan=False)
         sep = ","
-    yield "\n}\n"
+    yield "}\n"
 
 
 def _dump_json(path, payload):
-    """Write a JSON object as ``json.dumps(payload, indent=2, sort_keys=True)``
-    and a newline, streamed by ``_json_chunks``.  ``solve``'s solution and
-    residue report hold Polynomial values, which are written from their
-    numerators with the bytes of their ``to_json`` form.  NaN and Infinity are
-    not JSON: a payload holding one is refused with a ValueError, and no file
-    is left."""
+    """Write a JSON object as ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` and a newline, streamed by ``_json_chunks``:
+    one line, no whitespace between tokens (``python -m json.tool --indent 2
+    --sort-keys`` shows it indented).  ``solve``'s solution and residue
+    report hold Polynomial values, which are written from their numerators
+    with the bytes of their ``to_json`` form.  NaN and Infinity are not JSON:
+    a payload holding one is refused with a ValueError, and no file is
+    left."""
     _write_atomic(path, _json_chunks(payload))
 
 

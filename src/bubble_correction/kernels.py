@@ -10,7 +10,9 @@ field of the balance law, the damping powers in ``profiles._damped`` and
 ``pi_eval``, and the refined profile's own bubble and damping factors.  A
 Polynomial is evaluated through ``eval_polynomial``, the entry point the
 package's callers use: it builds the arrays with ``poly_arrays`` and runs
-``eval_poly`` on them (``pi_eval`` builds them once and calls ``eval_poly``).
+``eval_poly`` on them.  A caller that evaluates one polynomial batch after
+batch (``pi_eval``, the residual scan, the refined profile) builds its arrays
+and their ``power_tables`` once and calls ``eval_poly`` on each batch.
 
 The exact-rational tier of the package never comes through here: the
 correctness-critical identities stay in exact rational arithmetic, and only
@@ -46,6 +48,7 @@ __all__ = [
     "bubble_values",
     "tail_values",
     "poly_arrays",
+    "power_tables",
 ]
 
 # size of one of ``eval_poly``'s two blocks of rows: its monomials and their
@@ -84,28 +87,34 @@ def _powers(column, used):
     return table
 
 
+def power_tables(exps):
+    """What ``eval_poly`` reads a (t, n) exponent matrix through: n, and for
+    each variable i whose exponents are not all 0, i, the sorted distinct
+    exponents of column i with 0, and each term's place among them.  A
+    caller evaluating one polynomial on many batches of points builds this
+    once and passes it in place of the matrix."""
+    columns = [(i, column, np.union1d(0, column))
+               for i, column in enumerate(exps.T) if column.any()]
+    return exps.shape[1], [(i, u, np.searchsorted(u, c)) for i, c, u in columns]
+
+
 def eval_poly(points, exps, coeffs):
     """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i], row by row
     and in blocks of rows (powers, layout, memory and bit rule: module
-    docstring).  The points must have one column per column of ``exps``."""
+    docstring); ``exps`` is the exponent matrix or its ``power_tables``.
+    The points must have one column per column of ``exps``."""
     points = np.asarray(points, dtype=np.float64)
-    if points.shape[1:] != exps.shape[1:]:
+    n, tables = exps if isinstance(exps, tuple) else power_tables(exps)
+    if points.shape[1:] != (n,):
         raise ValueError(
             f"points of shape {points.shape} do not have the polynomial's "
-            f"{exps.shape[1]} columns"
+            f"{n} columns"
         )
     m = points.shape[0]
     t = coeffs.size
     out = np.zeros(m)
     if t == 0:
         return out
-    tables = []
-    for i in range(exps.shape[1]):
-        column = exps[:, i]
-        if not column.any():
-            continue
-        used = np.union1d(0, column)
-        tables.append((i, used, np.searchsorted(used, column)))
     rows = max(1, _SCRATCH_BYTES // (8 * t))
     mono = np.empty((min(rows, m), t))
     factor = np.empty_like(mono)

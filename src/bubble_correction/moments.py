@@ -249,8 +249,9 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     """Break the moment of Q against the off-center bubble mass into its
     centered, intermediate-shift and drift groups, and cross-check against a
     deterministic quadrature of the original ball integral.  A NaN or
-    infinite lam, rho or xi entry, and an int or Fraction lam or rho beyond
-    the float range, are refused before any work.
+    infinite lam, rho or xi entry, an int or Fraction lam or rho beyond the
+    float range, and a lam whose lam**ell is beyond it, are refused before
+    any work.
     """
     n = poly.dimension
     # degree 0 would make the centered and drift groups the same piece
@@ -267,18 +268,22 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
             f"scale, radius and center must be finite, got {lam!r}, {rho!r}, {xi!r}"
         )
     # lam and rho meet floats (rho / lam, lam**ell times a float), so an int
-    # or a Fraction must fit one
+    # or a Fraction must fit one, and so must lam**ell (float(lam**ell) has
+    # the bits that lam**ell has when a float multiplies it)
     for name, value in (("lam", lam), ("rho", rho)):
         try:
             float(value)
         except OverflowError:
             raise ValueError(f"{name} is beyond the float range") from None
+    try:
+        scale = float(lam**ell)
+    except OverflowError:
+        raise ValueError(f"lam**ell is beyond the float range (ell = {ell})") from None
     lam_f = Fraction(lam)
     center = [Fraction(x) / lam_f for x in xi]
     # the value of each level at xi / lam, the center read once
     d, q = _integer_vector(center, n)
     values = [_evaluate(level, d, q) for level in _pizzetti_levels(poly)]
-    scale = lam**ell
 
     # the group of shift degree h is the moment of the y-degree ell - h part
     # (``_float_total`` skips the odd degrees)

@@ -10,8 +10,9 @@ with ``==`` instead of tolerances.  ``fractions.Fraction`` appears only at
 the boundary: the coefficients ``Polynomial(...)`` reads, ``terms`` (a fresh
 {alpha: Fraction} dict on each read), ``coefficient``, ``sorted_terms`` and
 the one value ``evaluate`` returns (``to_json`` and the streaming writer
-``json_chunks`` reduce each coefficient by one integer gcd).  No function
-does Fraction arithmetic beyond coercing its inputs.
+``json_chunks``, which writes the compact text of ``json.dumps`` with
+``separators=(",", ":")``, reduce each coefficient by one integer gcd).  No
+function does Fraction arithmetic beyond coercing its inputs.
 
 A multi-index is a plain tuple of non-negative ints (never bools or anything
 truncated to an int) whose length equals the ambient dimension.  Input is
@@ -377,29 +378,23 @@ class Polynomial:
             )
         return {"dimension": self.dimension, "terms": terms}
 
-    def json_chunks(self, level=0):
-        """The text of ``json.dumps(self.to_json(), indent=2, sort_keys=True)``
-        for the object nested ``level`` deep, as chunks of one term each:
-        written from ``monomials()``, ``nums`` and ``den``, each term reduced
-        by one gcd as in ``to_json``, with no per-term dict built."""
-        # a newline and the indent of each depth below the object
-        nl0, nl1, nl2, nl3, nl4 = ("\n" + "  " * (level + d) for d in range(5))
-        yield f'{{{nl1}"dimension": {self.dimension},{nl1}"terms": '
-        if not self.nums:
-            yield f"[]{nl0}}}"
-            return
+    def json_chunks(self):
+        """The text of ``json.dumps(self.to_json(), sort_keys=True,
+        separators=(",", ":"))`` as chunks of one term each: written from
+        ``monomials()``, ``nums`` and ``den``, each term reduced by one gcd as
+        in ``to_json``, with no per-term dict built."""
+        yield f'{{"dimension":{self.dimension},"terms":['
         # one term: its n exponents, then its den and num ("%d" is str(int))
-        exponents = ("," + nl4).join(["%d"] * self.dimension)
-        term = (f'{nl2}{{{nl3}"alpha": [{nl4}{exponents}{nl3}],'
-                f'{nl3}"den": "%d",{nl3}"num": "%d"{nl2}}}')
+        term = '{"alpha":[%s],"den":"%%d","num":"%%d"}' % ",".join(
+            ["%d"] * self.dimension)
         den, nums = self.den, self.nums
-        sep = "["
+        sep = ""
         for alpha in self.monomials():
             v = nums[alpha]
             g = gcd(v, den)
             yield sep + term % (*alpha, den // g, v // g)
             sep = ","
-        yield f"{nl1}]{nl0}}}"
+        yield "]}"
 
     @classmethod
     def from_json(cls, data):

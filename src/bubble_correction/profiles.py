@@ -135,15 +135,23 @@ class SynthesizedCurvature:
 # --------------------------------------------------------------- correction
 
 
+def _eval_arrays(poly):
+    """The ``kernels.poly_arrays`` of a polynomial with the exponent matrix's
+    ``kernels.power_tables`` in its place: what ``kernels.eval_poly`` takes
+    for a polynomial evaluated block after block."""
+    exps, coeffs = kernels.poly_arrays(poly)
+    return kernels.power_tables(exps), coeffs
+
+
 def pi_eval(gamma):
     """The damped correction Pi(Y) = Gamma(Y) / (1 + |Y|^2)^(n/2)."""
     n = gamma.dimension
-    exps, coeffs = kernels.poly_arrays(gamma)
+    arrays = _eval_arrays(gamma)
 
     def pi(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         r2 = (points * points).sum(axis=1)
-        return kernels.eval_poly(points, exps, coeffs) / (1.0 + r2) ** (n / 2.0)
+        return kernels.eval_poly(points, *arrays) / (1.0 + r2) ** (n / 2.0)
 
     return pi
 
@@ -240,8 +248,9 @@ def _scan_polynomials(gamma, source):
 
 def _damped(arrays, points):
     """((1 + r^2) lap + diagonal - P)(1 + r^2)^(-(n+2)/2) at the points, r =
-    |y|, from the ``kernels.poly_arrays`` of the three polynomials of
-    ``_scan_polynomials``.  Row-local, as ``kernels.eval_poly`` is.
+    |y|, from the ``kernels.poly_arrays`` (or ``_eval_arrays``) of the three
+    polynomials of ``_scan_polynomials``.  Row-local, as ``kernels.eval_poly``
+    is.
 
     By the product rule this is lap Pi + n(n+2)(1 + r^2)^(-2) Pi -
     P (1 + r^2)^(-(n+2)/2) for Pi = gamma (1 + r^2)^(-n/2), evaluated with
@@ -283,7 +292,8 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
             "gamma does not exactly solve the weighted polynomial equation "
             "for this source; refusing to sample"
         )
-    arrays = [kernels.poly_arrays(p) for p in polys]
+    # each polynomial's arrays and power tables, built once for every block
+    arrays = [_eval_arrays(p) for p in polys]
     rng = np.random.default_rng(seed)
     # consecutive draws of a Generator continue one stream: the blocks hold
     # the rows of one (samples, n) draw
@@ -460,7 +470,7 @@ class RefinedProfile:
         self.spec = spec
         self.bubble_profile = BubbleProfile(spec.n, spec.lam, spec.xi)
         self._tail = spec.tail()
-        self._gamma = kernels.poly_arrays(spec.gamma)
+        self._gamma = _eval_arrays(spec.gamma)
 
     def bubble(self, points):
         return self.bubble_profile.values(points)

@@ -1030,7 +1030,7 @@ def test_a_payload_holding_nan_is_refused_and_leaves_no_file(tmp_path):
 @settings(max_examples=100, deadline=None)
 def test_solve_streams_the_text_of_json_dumps_of_the_solution(solution):
     # what ``solve`` streams from the record is json.dumps of ``to_json``
-    text = json.dumps(solution.to_json(), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(solution.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
     assert "".join(cli._json_chunks(solution._asdict())) == text
 
 
@@ -1043,7 +1043,7 @@ def test_solve_streams_the_text_of_json_dumps_of_the_residue_report(residue, mes
     report = {"error": "residue_obstruction", "message": message}
     text = json.dumps(
         {**report, "residue": residue.to_json(), "top_laplacian": top.to_json()},
-        indent=2, sort_keys=True,
+        sort_keys=True, separators=(",", ":"),
     )
     streamed = cli._json_chunks({**report, "residue": residue, "top_laplacian": top})
     assert "".join(streamed) == text + "\n"

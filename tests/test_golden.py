@@ -1,9 +1,13 @@
 """Golden digests of the exact-tier CLI artifacts.
 
 Each case runs ``cli.main`` in-process on a small fixed input, written out
-here as JSON so that no package code makes it, and compares the artifact's
-sha256 with a digest recorded at an earlier commit: refactors must keep
-these artifacts byte-identical.  Float-tier artifacts (``residual-scan``, ``green-check``,
+here as JSON so that no package code makes it, and compares two sha256
+digests with those recorded at earlier commits: the artifact's bytes, in the
+compact one-line layout, and the bytes of the artifact re-indented as
+``json.dumps(..., indent=2, sort_keys=True)`` and a newline, which is what
+``python -m json.tool --indent 2 --sort-keys`` prints and what the CLI wrote
+before the compact layout, so the values are pinned since then.  Refactors
+must keep these artifacts byte-identical.  Float-tier artifacts (``residual-scan``, ``green-check``,
 ``profile``, the floats of ``integrate``) are left out: their last bits
 depend on the platform's libm.  A change that alters one of these digests
 on purpose is a schema change and must say so.
@@ -72,35 +76,41 @@ BALANCE = {
     "scale_ratios": [rat(1)] * 3,
 }
 
-# name -> (argv before --output, input file contents, exit code, sha256 or
-# None when the command writes no artifact)
+# name -> (argv before --output, input file contents, exit code, sha256 of
+# the re-indented artifact and sha256 of its bytes, or None, None when the
+# command writes no artifact)
 CASES = {
     "solve-admissible": (
         ["solve", "--input", "{in}"], ALTERNATING, 0,
         "fa2bb339dbff09f0de16250eda751143534d4b3a4a702106f32521edbc6e5bed",
+        "bb9cee82b8a17fc96e801b923b9b62e3758219dc51a1c0ee18bd8c12ecdef757",
     ),
     "solve-radial": (
         ["solve", "--allow-radial", "--input", "{in}"], R4_8, 0,
         "abfe356deced89846573f75ac4093e460e2f7f855f176d8ca23a850ecea7a9f6",
+        "59102126ae0c725ca11cf6d66c732350888fabaa2dd458e2fe9ae2c3269ca5fb",
     ),
     "solve-obstructed": (
         ["solve", "--input", "{in}"], R4_7, 2,
         "dd0e58adad7a95b736855941300721b7f37de6e311b7bee2b25a02820415b4f7",
+        "31f3b59df20fa358fe84c697c91d4ad4188247ad780858e58f525a46643c248a",
     ),
     "table": (
         ["table", "--n", "7", "--ell", "6"], None, 0,
         "6eaa696f5e16f6607c6cbdb3efab32cedd7996f0599f407841b212f65d9ab26d",
+        "389cb9b7e03ea33375ff6645d9c0ac8228bb8afb8ee82c5ae8e5dd02ce26a6b5",
     ),
-    "table-obstructed": (["table", "--n", "6", "--ell", "8"], None, 2, None),
+    "table-obstructed": (["table", "--n", "6", "--ell", "8"], None, 2, None, None),
     "balance-exact": (
         ["balance", "--input", "{in}"], BALANCE, 0,
         "28244485db4d20cfb4c45d01e8790a0f042df603f0b336b9d2d923746e91450f",
+        "628ef036630636faa4e4db7a4976cb3a22457aaed86ee59c8c7bcb7cd8d3276e",
     ),
 }
 
 
 def run_case(tmp_path, name):
-    argv, contents, _, _ = CASES[name]
+    argv, contents, *_ = CASES[name]
     source = tmp_path / "input.json"
     if contents is not None:
         source.write_text(json.dumps(contents))
@@ -112,13 +122,16 @@ def run_case(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_exact_artifact_digest(tmp_path, name):
-    _, _, expected_code, expected_digest = CASES[name]
+    _, _, expected_code, indented_digest, compact_digest = CASES[name]
     code, out = run_case(tmp_path, name)
     assert code == expected_code
-    if expected_digest is None:
+    if compact_digest is None:
         assert not out.exists()
     else:
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected_digest
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == compact_digest
+        indented = json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(indented.encode()).hexdigest() == indented_digest
 
 
 def test_integrate_exact_multiple(tmp_path):

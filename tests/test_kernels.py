@@ -59,8 +59,10 @@ def test_empty_polynomial_evaluates_to_zero():
 
 
 def assert_matches_cube(points, exps, coeffs):
-    fast = kernels.eval_poly(points, exps, coeffs)
-    assert np.array_equal(fast, eval_poly_cube(points, exps, coeffs))
+    # from the exponent matrix and from its power tables, built once
+    cube = eval_poly_cube(points, exps, coeffs)
+    for form in (exps, kernels.power_tables(exps)):
+        assert np.array_equal(kernels.eval_poly(points, form, coeffs), cube)
 
 
 def test_eval_poly_matches_power_cube_bit_for_bit():

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -486,10 +487,13 @@ def test_change_of_center_refuses_non_finite_input_before_any_work(
     with pytest.raises(ValueError, match="must be finite"):
         change_of_center(q, xi, lam=lam, rho=rho, nodes=16)
     # the largest finite float at the same place passes the check, and so
-    # reaches the chain
+    # reaches the chain; as lam its cube is beyond the float range, which the
+    # next check refuses, still before the chain
     big = sys.float_info.max
     finite = [v if math.isfinite(v) else big for v in (lam, rho, *xi)]
-    with pytest.raises(AssertionError, match="the chain was built"):
+    error, match = (AssertionError, "the chain was built") if math.isfinite(lam) else (
+        ValueError, r"^lam\*\*ell is beyond the float range")
+    with pytest.raises(error, match=match):
         change_of_center(q, finite[2:], lam=finite[0], rho=finite[1], nodes=16)
 
 
@@ -514,6 +518,21 @@ def test_change_of_center_refuses_a_scale_beyond_the_float_range(
     scales = {"lam": 0.05, "rho": 1.0, name: value}
     with pytest.raises(ValueError, match=f"^{name} is beyond the float range$"):
         change_of_center(Polynomial.variable(6, 0, 3), [0] * 6, nodes=16, **scales)
+
+
+@pytest.mark.parametrize("lam", [1e300, 10**300], ids=["float", "int"])
+def test_change_of_center_refuses_a_scale_whose_power_leaves_the_float_range(
+    monkeypatch, lam
+):
+    # lam fits a float but lam**3 does not: the float power and the int
+    # product with a float both ended in an OverflowError
+    def no_work(poly):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(moments, "_pizzetti_levels", no_work)
+    message = "lam**ell is beyond the float range (ell = 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        change_of_center(Polynomial.variable(6, 0, 3), [0] * 6, lam, 1.0, nodes=16)
 
 
 def test_change_of_center_groups_pin_the_taylor_pieces(rng):

@@ -63,3 +63,35 @@ def test_a_request_on_one_side_only_is_reported(tmp_path, capsys):
     assert replay.main(["diff", *map(str, paths)]) == 1
     assert capsys.readouterr().out == "s: only in A\n1 of 2 requests differ\n"
     assert replay.main(["diff", str(paths[0]), str(paths[0])]) == 0
+
+
+def test_a_file_whose_value_digest_matches_is_layout_only(tmp_path, capsys):
+    value = {"b": [1, 2], "a": {"num": "1", "den": "3"}}
+    compact = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    indented = (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()
+    digest = replay._value_sha256(compact)
+    assert digest == replay._value_sha256(indented) is not None
+    assert replay._value_sha256(b'{"a": ') is None
+    a = manifest(record("r", values={"out.json": digest}))
+    b = manifest(record("r", files={"out.json": "bb"}, values={"out.json": digest}))
+    assert replay.differences(a, b) == [("r", ["file out.json (layout only)"])]
+    # a changed value, an unparsed file and a manifest without value digests
+    # are plain differences
+    for values in ({"out.json": "ff"}, {"out.json": None}, None):
+        changes = {"files": {"out.json": "bb"}}
+        if values is not None:
+            changes["values"] = values
+        c = manifest(record("r", **changes))
+        assert replay.differences(a, c) == [("r", ["file out.json"])]
+    # two files that do not parse have no value to compare
+    x, y = (manifest(record("r", files={"out.json": h}, values={"out.json": None}))
+            for h in ("aa", "bb"))
+    assert replay.differences(x, y) == [("r", ["file out.json"])]
+    # a layout-only difference is still a difference
+    paths = []
+    for name, data in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(data))
+    assert replay.main(["diff", *map(str, paths)]) == 1
+    assert capsys.readouterr().out == (
+        "r: file out.json (layout only)\n1 of 1 requests differ\n")

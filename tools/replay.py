@@ -10,7 +10,9 @@ light-cli: 54 requests a seed), and runs each as a fresh ``python -m
 bubble_correction.cli`` child with ``SRC`` on ``PYTHONPATH``.  The manifest
 records, per request: its argv, exit code, the sha256 of its stderr (with
 the work directory written as ``<work>``), the sha256 of every file it
-created or changed, and the verdict of ``perfbench/checks.py`` on its
+created or changed, the sha256 of the value of each such ``.json`` file
+that parses (of ``json.dumps(value, indent=2, sort_keys=True)``, which no
+change of layout alters), and the verdict of ``perfbench/checks.py`` on its
 artifact (null when the check passes).  ``perfbench/`` is read, never
 written: its modules are loaded from their files with no bytecode cache.
 
@@ -19,7 +21,9 @@ per seed and workload, so a differing file can be read.  ``run`` exits 1 if
 any artifact fails its check, once the manifest is written.
 
 ``diff`` prints each request whose record differs between two manifests,
-with the fields and files that differ, and exits 1 if any does, 0 if none.
+with the fields and files that differ, a file whose bytes differ but whose
+value digest is the same labelled ``(layout only)``, and exits 1 if any
+does, 0 if none.
 """
 
 from __future__ import annotations
@@ -58,6 +62,16 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _value_sha256(data):
+    """The sha256 of a JSON document's value, whatever its layout, or None
+    when it does not parse."""
+    try:
+        value = json.loads(data)
+    except ValueError:
+        return None
+    return _sha256(json.dumps(value, indent=2, sort_keys=True).encode())
+
+
 def _snapshot(work):
     return {entry.name: (entry.stat().st_size, entry.stat().st_mtime_ns)
             for entry in os.scandir(work) if entry.is_file()}
@@ -76,11 +90,14 @@ class Runner:
             [sys.executable, "-m", "bubble_correction.cli", *request["argv"]],
             cwd=directory, env=self.env, capture_output=True)
         after = _snapshot(directory)
-        files = {}
+        files, values = {}, {}
         for name in sorted(after):
             if before.get(name) != after[name]:
                 with open(os.path.join(directory, name), "rb") as handle:
-                    files[name] = _sha256(handle.read())
+                    data = handle.read()
+                files[name] = _sha256(data)
+                if name.endswith(".json"):
+                    values[name] = _value_sha256(data)
         stderr = proc.stderr.replace(directory.encode(), b"<work>")
         output = os.path.join(directory, request["output"])
         return {
@@ -89,6 +106,7 @@ class Runner:
             "exit": proc.returncode,
             "stderr_sha256": _sha256(stderr),
             "files": files,
+            "values": values,
             "check": self.checks.check(request, proc.returncode, output),
         }
 
@@ -157,8 +175,12 @@ def differences(a, b):
         what = [key for key in ("argv", "exit", "stderr_sha256", "check")
                 if x[key] != y[key]]
         names = sorted(x["files"].keys() | y["files"].keys())
-        what += [f"file {name}" for name in names
-                 if x["files"].get(name) != y["files"].get(name)]
+        for name in names:
+            if x["files"].get(name) != y["files"].get(name):
+                # a manifest written before value digests has none
+                value = x.get("values", {}).get(name)
+                same = value is not None and value == y.get("values", {}).get(name)
+                what.append(f"file {name}" + (" (layout only)" if same else ""))
         if what:
             found.append((ident, what))
     return found
