@@ -212,12 +212,15 @@ class BlowupConfiguration:
 
 
 def gradient_lower_bound(poly, rho=1.0, samples=10_000, seed=0):
-    """Sampled two-sided gradient bound constants on the unit sphere.
+    """Sampled two-sided gradient constants on the unit sphere.
 
     By homogeneity |grad P(y)| / |y|^(deg-1) equals |grad P| on the sphere,
-    so the returned (min, max) estimate the sharp constants; the lower bound
-    condition holds iff min > 0, which is reported, never assumed.  ``rho``
-    only rescales the reported constants to the ball of that radius.
+    so the returned (min, max) estimate the sharp constants from ``samples``
+    seeded sphere nodes.  The sampled min is no lower bound: a zero of
+    grad P between the nodes reads as a small positive min.  One such zero
+    is found exactly: when grad P == 0 at a coordinate point +-e_i, the min
+    is 0.0.  ``rho`` only rescales the reported constants to the ball of
+    that radius.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
@@ -225,14 +228,17 @@ def gradient_lower_bound(poly, rho=1.0, samples=10_000, seed=0):
     ell = poly.degree()
     if ell is None or ell < 2:
         raise ValueError("needs a polynomial of degree >= 2")
+    grad = gradient(poly)
+    axes = [[sign * (i == j) for j in range(n)] for i in range(n) for sign in (1, -1)]
+    vanishes = any(not any(_evaluate(g, e, 1) for g in grad) for e in axes)
     nodes = quadrature.sphere_nodes(n, samples, seed)
     norms_sq = np.zeros(len(nodes))
-    for g in gradient(poly):
-        vals = kernels.eval_polynomial(g, nodes)
+    for g in grad:
+        vals = kernels.eval_poly(nodes, *kernels.poly_arrays(g))
         norms_sq += vals * vals
     norms = np.sqrt(norms_sq)
     scale = float(rho) ** (ell - 1)
-    return float(norms.min()) * scale, float(norms.max()) * scale
+    return (0.0 if vanishes else float(norms.min()) * scale), float(norms.max()) * scale
 
 
 def parity_certificate(poly):

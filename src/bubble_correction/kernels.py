@@ -1,18 +1,26 @@
 """Hot float kernels: batch evaluation of polynomials, bubbles and tails.
 
-Every float evaluation of a Polynomial on a batch of points (sphere scans,
-residual scans, quadrature grids) runs ``eval_poly``, and ``BubbleProfile``
-and ``HarmonicTail`` evaluate through ``bubble_values`` and ``tail_values``;
-there is one implementation of each of the three and nothing to configure.
-The closed forms around them are plain numpy where they are used:
+There is one float-kernel path, with one preparation step and three
+kernels.  ``poly_arrays`` prepares a Polynomial once: it returns exactly
+what ``eval_poly`` reads, the ``power_tables`` of its exponent matrix and
+its float coefficients.  Every float evaluation of a Polynomial on a batch
+of points (sphere scans, residual scans, quadrature grids) runs
+``eval_poly`` on those arrays, and every bubble and harmonic tail runs
+``bubble_values`` and ``tail_values``; there is nothing to configure.  A
+caller that evaluates one polynomial batch after batch (``pi_eval``, the
+residual scan, the refined profile, ``SynthesizedCurvature``) prepares it
+once.
+
+The closed forms around the kernels are plain numpy where they are used:
 ``GreensBall``'s per-point ``green`` and ``poisson``, the Pohozaev flux
-field of the balance law, the damping powers in ``profiles._damped`` and
-``pi_eval``, and the refined profile's own bubble and damping factors.  A
-Polynomial is evaluated through ``eval_polynomial``, the entry point the
-package's callers use: it builds the arrays with ``poly_arrays`` and runs
-``eval_poly`` on them.  A caller that evaluates one polynomial batch after
-batch (``pi_eval``, the residual scan, the refined profile) builds its arrays
-and their ``power_tables`` once and calls ``eval_poly`` on each batch.
+field of the balance law, and the damping powers (1 + |Y|^2)^(-s) of
+``profiles._damped`` and ``pi_eval`` and lam^(ell+1) (lam / d2)^(n/2) of
+``RefinedProfile.correction``.  Those powers stay as they are written:
+routing them through ``bubble_values``, which divides before it takes the
+power and squares eps as eps * eps, would change the bytes that
+``residual-scan`` and ``profile`` write.  Dividing first changes the last
+bit of most damping factors, and a Python ``lam**2`` (a libm ``pow``)
+differs from ``lam * lam`` for about 1 float in 1,000.
 
 The exact-rational tier of the package never comes through here: the
 correctness-critical identities stay in exact rational arithmetic, and only
@@ -57,18 +65,14 @@ _SCRATCH_BYTES = 2**20
 
 
 def poly_arrays(poly):
-    """Exponent matrix (t, n) int64 and coefficient vector (t,) float64 for a
-    Polynomial, in its deterministic term order."""
+    """What ``eval_poly`` reads for a Polynomial, built once: the
+    ``power_tables`` of its (t, n) exponent matrix and its (t,) float64
+    coefficients, both in its deterministic term order."""
     alphas = poly.monomials()
-    if not alphas:
-        return (
-            np.zeros((0, poly.dimension), dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-        )
-    exps = np.array(alphas, dtype=np.int64)
+    exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), poly.dimension)
     # int / int is correctly rounded, so v / den is float(Fraction(v, den))
     coeffs = np.array([poly.nums[a] / poly.den for a in alphas], dtype=np.float64)
-    return exps, coeffs
+    return power_tables(exps), coeffs
 
 
 def _powers(column, used):
@@ -90,21 +94,19 @@ def _powers(column, used):
 def power_tables(exps):
     """What ``eval_poly`` reads a (t, n) exponent matrix through: n, and for
     each variable i whose exponents are not all 0, i, the sorted distinct
-    exponents of column i with 0, and each term's place among them.  A
-    caller evaluating one polynomial on many batches of points builds this
-    once and passes it in place of the matrix."""
+    exponents of column i with 0, and each term's place among them."""
     columns = [(i, column, np.union1d(0, column))
                for i, column in enumerate(exps.T) if column.any()]
     return exps.shape[1], [(i, u, np.searchsorted(u, c)) for i, c, u in columns]
 
 
-def eval_poly(points, exps, coeffs):
+def eval_poly(points, tables, coeffs):
     """Evaluate sum_t coeffs[t] * prod_i points[:, i]**exps[t, i], row by row
     and in blocks of rows (powers, layout, memory and bit rule: module
-    docstring); ``exps`` is the exponent matrix or its ``power_tables``.
-    The points must have one column per column of ``exps``."""
+    docstring), from ``tables``, the ``power_tables`` of the exponent matrix
+    exps.  The points must have one column per column of exps."""
     points = np.asarray(points, dtype=np.float64)
-    n, tables = exps if isinstance(exps, tuple) else power_tables(exps)
+    n, columns = tables
     if points.shape[1:] != (n,):
         raise ValueError(
             f"points of shape {points.shape} do not have the polynomial's "
@@ -122,7 +124,7 @@ def eval_poly(points, exps, coeffs):
         stop = min(start + rows, m)
         block, scratch = mono[: stop - start], factor[: stop - start]
         block.fill(1.0)
-        for i, used, index in tables:
+        for i, used, index in columns:
             table = _powers(points[start:stop, i], used)
             # mode="clip" skips the bounds buffer; every index is in range
             np.take(table, index, axis=1, out=scratch, mode="clip")
@@ -148,8 +150,3 @@ def tail_values(points, sources, weights, power):
         axis=1
     )
 
-
-def eval_polynomial(poly, points):
-    """Convenience wrapper: float values of a Polynomial at an (m, n) array."""
-    exps, coeffs = poly_arrays(poly)
-    return eval_poly(np.atleast_2d(points), exps, coeffs)

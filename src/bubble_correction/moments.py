@@ -250,8 +250,8 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     centered, intermediate-shift and drift groups, and cross-check against a
     deterministic quadrature of the original ball integral.  A NaN or
     infinite lam, rho or xi entry, an int or Fraction lam or rho beyond the
-    float range, and a lam whose lam**ell is beyond it, are refused before
-    any work.
+    float range, a lam whose lam**ell is beyond it, and an exact rho / lam
+    beyond it, are refused before any work.
     """
     n = poly.dimension
     # degree 0 would make the centered and drift groups the same piece
@@ -279,6 +279,11 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
         scale = float(lam**ell)
     except OverflowError:
         raise ValueError(f"lam**ell is beyond the float range (ell = {ell})") from None
+    # the quadrature's upper limit; a quotient of two floats rounds to inf
+    try:
+        upper = float(rho / lam)
+    except OverflowError:
+        raise ValueError("rho / lam is beyond the float range") from None
     lam_f = Fraction(lam)
     center = [Fraction(x) / lam_f for x in xi]
     # the value of each level at xi / lam, the center read once
@@ -296,6 +301,6 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     # the Taylor loop rather than read from the levels (centering the ball on
     # xi changes the value at a far smaller order than anything measured here)
     shifted = compose_shift(poly, center) * lam_f**ell
-    quad = quadrature.weighted_poly_integral(shifted, upper=rho / lam, nodes=nodes)
+    quad = quadrature.weighted_poly_integral(shifted, upper=upper, nodes=nodes)
 
     return CenterBreakdown(main, tuple(intermediate), drift, quad)

@@ -360,7 +360,8 @@ class Polynomial:
         reads the point as d / q over the lcm q of its denominators, and
         ``_evaluate`` sums the monomials (no Horner rewriting) on integers.
         Every coordinate is read by ``as_coefficient``, so float and boolean
-        points are refused; float evaluation is ``kernels.eval_polynomial``."""
+        points are refused; float evaluation is ``kernels.eval_poly`` on the
+        ``kernels.poly_arrays`` of the polynomial."""
         return _evaluate(self, *_integer_vector(point, self.dimension))
 
     # ------------------------------------------------------------- serialize

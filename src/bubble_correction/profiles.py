@@ -7,6 +7,15 @@ region through a C^2 radial interpolation.  Real concentrating sequences are
 out of reach at desk scale, so every sequence-level statement is restated on
 profiles manufactured here, where each addend is exact and exposed
 separately.
+
+Every float value comes through ``kernels``: a polynomial is prepared once
+by ``kernels.poly_arrays`` and evaluated by ``kernels.eval_poly``, and every
+bubble (``BubbleProfile``, its ``peak`` and the unit bubble of ``d_pi``) and
+tail is ``kernels.bubble_values`` and ``kernels.tail_values``.  The damping
+powers of ``pi_eval``, ``_damped`` and ``RefinedProfile.correction`` stay
+plain numpy as written, (1 + |Y|^2)^(-s) and lam**2: the kernel's form
+would move the last bit of the ``residual-scan`` and ``profile`` artifacts
+(``kernels`` says by how much).
 """
 
 from __future__ import annotations
@@ -91,9 +100,7 @@ class BubbleProfile:
 
     @property
     def peak(self):
-        # written exactly as the kernel computes it, so that evaluating at
-        # the center reproduces the peak bit for bit
-        return (self.eps / (self.eps * self.eps)) ** ((self.dimension - 2) / 2.0)
+        return float(self.values(self.center)[0])
 
 
 # ------------------------------------------------------- synthetic curvature
@@ -114,17 +121,21 @@ class SynthesizedCurvature:
         self.ctilde = (n - 2) / (4.0 * (n - 1))
         self._model = -1 * poly if remainder is None else (remainder - poly)
         self._scaled_terms = euler_operator(self._model)
+        self._model_arrays = kernels.poly_arrays(self._model)
+        self._scaled_arrays = kernels.poly_arrays(self._scaled_terms)
 
     def ctilde_K(self, points):
         n = self.dimension
-        return n * (n - 2) + kernels.eval_polynomial(self._model, points)
+        points = np.atleast_2d(points)
+        return n * (n - 2) + kernels.eval_poly(points, *self._model_arrays)
 
     def values(self, points):
         return self.ctilde_K(points) / self.ctilde
 
     def radial_pairing(self, points):
         """<y, grad K(y)> (note: K itself, not c~ K)."""
-        return kernels.eval_polynomial(self._scaled_terms, points) / self.ctilde
+        values = kernels.eval_poly(np.atleast_2d(points), *self._scaled_arrays)
+        return values / self.ctilde
 
     def radial_pairing_scaled(self):
         """<y, grad(c~ K)> as an exact polynomial; equals -(deg) * P plus the
@@ -135,18 +146,10 @@ class SynthesizedCurvature:
 # --------------------------------------------------------------- correction
 
 
-def _eval_arrays(poly):
-    """The ``kernels.poly_arrays`` of a polynomial with the exponent matrix's
-    ``kernels.power_tables`` in its place: what ``kernels.eval_poly`` takes
-    for a polynomial evaluated block after block."""
-    exps, coeffs = kernels.poly_arrays(poly)
-    return kernels.power_tables(exps), coeffs
-
-
 def pi_eval(gamma):
     """The damped correction Pi(Y) = Gamma(Y) / (1 + |Y|^2)^(n/2)."""
     n = gamma.dimension
-    arrays = _eval_arrays(gamma)
+    arrays = kernels.poly_arrays(gamma)
 
     def pi(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -248,9 +251,8 @@ def _scan_polynomials(gamma, source):
 
 def _damped(arrays, points):
     """((1 + r^2) lap + diagonal - P)(1 + r^2)^(-(n+2)/2) at the points, r =
-    |y|, from the ``kernels.poly_arrays`` (or ``_eval_arrays``) of the three
-    polynomials of ``_scan_polynomials``.  Row-local, as ``kernels.eval_poly``
-    is.
+    |y|, from the ``kernels.poly_arrays`` of the three polynomials of
+    ``_scan_polynomials``.  Row-local, as ``kernels.eval_poly`` is.
 
     By the product rule this is lap Pi + n(n+2)(1 + r^2)^(-2) Pi -
     P (1 + r^2)^(-(n+2)/2) for Pi = gamma (1 + r^2)^(-n/2), evaluated with
@@ -293,7 +295,7 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
             "for this source; refusing to sample"
         )
     # each polynomial's arrays and power tables, built once for every block
-    arrays = [_eval_arrays(p) for p in polys]
+    arrays = [kernels.poly_arrays(p) for p in polys]
     rng = np.random.default_rng(seed)
     # consecutive draws of a Generator continue one stream: the blocks hold
     # the rows of one (samples, n) draw
@@ -470,7 +472,7 @@ class RefinedProfile:
         self.spec = spec
         self.bubble_profile = BubbleProfile(spec.n, spec.lam, spec.xi)
         self._tail = spec.tail()
-        self._gamma = _eval_arrays(spec.gamma)
+        self._gamma = kernels.poly_arrays(spec.gamma)
 
     def bubble(self, points):
         return self.bubble_profile.values(points)
@@ -569,8 +571,7 @@ def d_pi(profile_func, spec, points):
     y = np.asarray(s.xi, float)[None, :] + s.lam * points
     peak = float(np.atleast_1d(profile_func(np.asarray(s.xi, float)[None, :]))[0])
     V = np.atleast_1d(profile_func(y)) / peak
-    r2 = (points * points).sum(axis=1)
-    A = (1.0 / (1.0 + r2)) ** ((n - 2) / 2.0)
+    A = kernels.bubble_values(points, 1.0, np.zeros(n), (n - 2) / 2.0)
     pi_vals = pi_eval(s.gamma)(points)
     tail = s.tail()
     H = tail.values(points)

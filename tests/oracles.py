@@ -122,7 +122,7 @@ def correction_critical_power_form(profile, points):
     Y = (points - np.asarray(s.xi, float)[None, :]) / s.lam
     return (
         s.lam ** (s.ell + 1)
-        * kernels.eval_polynomial(s.gamma, Y)
+        * eval_polynomial(s.gamma, Y)
         * profile.bubble(points) ** (s.n / (s.n - 2.0))
     )
 
@@ -589,6 +589,11 @@ def laplacian_identity_check(n, k, alpha):
 # ------------------------------------------------------------------ kernels
 
 
+def eval_polynomial(poly, points):
+    """Float values of a Polynomial at an (m, n) array, or at one point."""
+    return kernels.eval_poly(np.atleast_2d(points), *kernels.poly_arrays(poly))
+
+
 def eval_poly_cube(points, exps, coeffs):
     """sum_t coeffs[t] * prod_i points[:, i]**exps[t, i] through the full
     (m, t, n) power cube: the rule ``kernels.eval_poly`` must reproduce bit
@@ -625,7 +630,7 @@ def monte_carlo_weighted_integral(poly, samples=10_000_000, seed=0, chunk=1_000_
     """
     n = poly.dimension
     rng = np.random.default_rng(seed)
-    exps, coeffs = kernels.poly_arrays(poly)
+    tables, coeffs = kernels.poly_arrays(poly)
     nu = 1.0
     log_norm = (
         np.log(gamma((nu + n) / 2.0))
@@ -642,7 +647,7 @@ def monte_carlo_weighted_integral(poly, samples=10_000_000, seed=0, chunk=1_000_
         y = g * np.sqrt(nu / s)[:, None]
         r2 = (y * y).sum(axis=1)
         log_p = log_norm - 0.5 * (nu + n) * np.log1p(r2 / nu)
-        vals = kernels.eval_poly(y, exps, coeffs)
+        vals = kernels.eval_poly(y, tables, coeffs)
         w = vals * np.exp(-n * np.log1p(r2) - log_p)
         total += float(w.sum())
         total_sq += float((w * w).sum())
@@ -694,8 +699,8 @@ def balance_group_sum_mp(config, members, digits=300):
 def _abs_eval(poly, points):
     """sum_alpha |c_alpha| |y^alpha| at each point: the scale of the rounding
     error of evaluating ``poly`` there."""
-    exps, coeffs = kernels.poly_arrays(poly)
-    return kernels.eval_poly(np.abs(points), exps, np.abs(coeffs))
+    tables, coeffs = kernels.poly_arrays(poly)
+    return kernels.eval_poly(np.abs(points), tables, np.abs(coeffs))
 
 
 def residual_by_product_rule(gamma, source, points):
@@ -713,7 +718,7 @@ def residual_by_product_rule(gamma, source, points):
     r2 = (points * points).sum(axis=1)
     one = 1.0 + r2
     polys = [laplacian(gamma), euler_operator(gamma), gamma, source]
-    lap_g, eul_g, gam, src = (kernels.eval_polynomial(p, points) for p in polys)
+    lap_g, eul_g, gam, src = (eval_polynomial(p, points) for p in polys)
     lap_pi = (
         lap_g * one ** (-n / 2.0)
         - 2.0 * n * eul_g * one ** (-n / 2.0 - 1.0)

@@ -5,11 +5,12 @@ import re
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from bubble_correction import balance as balance_module
+from bubble_correction import balance as balance_module, quadrature
 from bubble_correction.balance import (
     MAX_GROUP_BITS,
     MAX_RADICAND_BITS,
@@ -29,6 +30,7 @@ from bubble_correction.errors import ExactnessError, UnsupportedCaseError
 from bubble_correction.moments import j_multiple
 from bubble_correction.polynomials import (
     Polynomial,
+    gradient,
     iterated_laplacian,
 )
 from bubble_correction.profiles import BubbleProfile, SynthesizedCurvature
@@ -39,6 +41,7 @@ from oracles import (
     PerturbedProfile,
     apply_signed_permutation,
     balance_group_sum_mp,
+    eval_polynomial,
     project_to_admissible,
     shift_expansion,
 )
@@ -93,6 +96,66 @@ def test_gradient_bound_runs_on_one_sample():
     # |grad(y1^2 - y2^2 + y3^2 - y4^2)| = 2 on the whole unit sphere
     low, high = gradient_lower_bound(separable_even(4, 2), samples=1)
     assert low == pytest.approx(2.0) and high == pytest.approx(2.0)
+
+
+def sampled_gradient_norms(poly, samples=10_000, seed=0):
+    """|grad P| at ``gradient_lower_bound``'s sphere nodes, by the oracle's
+    one-shot evaluation of each partial."""
+    nodes = quadrature.sphere_nodes(poly.dimension, samples, seed)
+    squares = sum(eval_polynomial(g, nodes) ** 2 for g in gradient(poly))
+    return np.sqrt(squares)
+
+
+def cubes_plus_triple(n, dropped=None):
+    """The sum of y_i^3 over i != dropped, plus y1 y2 y3: its gradient
+    vanishes at e_dropped when one is dropped."""
+    terms = {tuple(3 * (j == i) for j in range(n)): 1 for i in range(n) if i != dropped}
+    terms[tuple(int(j < 3) for j in range(n))] = 1
+    return Polynomial(n, terms)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_gradient_bound_is_zero_where_the_gradient_vanishes_at_a_coordinate_point(n):
+    # grad P(e3) == 0 exactly; the sampled minimum read 0.0126 (n = 3) and
+    # 0.0701 (n = 6) as if the gradient were bounded below
+    p = cubes_plus_triple(n, dropped=2)
+    assert sampled_gradient_norms(p).min() > 0.01
+    low, high = gradient_lower_bound(p)
+    assert low == 0.0
+    assert high == sampled_gradient_norms(p).max()
+
+
+def test_gradient_bound_is_zero_for_sparse_sources_with_a_coordinate_zero():
+    # seeded sparse cubics and quartics: grad P(+-e_i) == 0 exactly when no
+    # term is y_i^ell or y_i^(ell-1) y_j, which every source drawn here
+    # satisfies at some i; none is caught by the sampled minimum alone
+    rng = random.Random(14)
+    found = 0
+    while found < 8:
+        n, ell = rng.randint(3, 8), rng.choice([3, 4])
+        terms, count = {}, rng.randint(5, 10)
+        while len(terms) < count:
+            alpha = [0] * n
+            for _ in range(ell):
+                alpha[rng.randrange(n)] += 1
+            terms[tuple(alpha)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        p = Polynomial(n, terms)
+        if all(any(alpha[i] >= ell - 1 for alpha in p.terms) for i in range(n)):
+            continue
+        found += 1
+        assert sampled_gradient_norms(p, samples=2_000).min() > 0
+        low, high = gradient_lower_bound(p, samples=2_000)
+        assert low == 0.0 and high > 0
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.5])
+def test_gradient_bound_keeps_its_sampled_bits_without_a_coordinate_zero(rho):
+    # y1^3 + y2^3 + y3^3 + y1 y2 y3 has a nonzero gradient at every +-e_i
+    p = cubes_plus_triple(3)
+    norms = sampled_gradient_norms(p)
+    scale = rho**2
+    assert gradient_lower_bound(p, rho=rho) == (
+        float(norms.min()) * scale, float(norms.max()) * scale)
 
 
 def test_parity_certificate_classifies():

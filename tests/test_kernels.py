@@ -8,13 +8,17 @@ from bubble_correction import kernels
 from bubble_correction.polynomials import Polynomial
 
 from conftest import random_homogeneous
-from oracles import eval_poly_cube
+from oracles import eval_poly_cube, eval_polynomial
 
 
 def test_poly_arrays_follow_term_order():
+    # the terms y1 and y2^2, in that order: each variable's exponents with 0,
+    # and each term's place among them
     p = Polynomial(2, {(0, 2): Fraction(1, 2), (1, 0): 3})
-    exps, coeffs = kernels.poly_arrays(p)
-    assert exps.tolist() == [[1, 0], [0, 2]]
+    (n, columns), coeffs = kernels.poly_arrays(p)
+    assert n == 2
+    assert [(i, u.tolist(), index.tolist()) for i, u, index in columns] == [
+        (0, [0, 1], [1, 0]), (1, [0, 2], [0, 1])]
     assert coeffs.tolist() == [3.0, 0.5]
 
 
@@ -25,7 +29,7 @@ def test_eval_polynomial_matches_exact_evaluation(rng):
         pts = np.array(
             [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(20)]
         )
-        fast = kernels.eval_polynomial(p, pts)
+        fast = eval_polynomial(p, pts)
         slow = np.array([float(p.evaluate([Fraction(x) for x in pt])) for pt in pts])
         assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
@@ -53,16 +57,15 @@ def test_bubble_and_tail_match_scalar_closed_forms():
 
 
 def test_empty_polynomial_evaluates_to_zero():
-    exps, coeffs = kernels.poly_arrays(Polynomial.zero(3))
+    tables, coeffs = kernels.poly_arrays(Polynomial.zero(3))
     pts = np.ones((5, 3))
-    assert kernels.eval_poly(pts, exps, coeffs).tolist() == [0.0] * 5
+    assert kernels.eval_poly(pts, tables, coeffs).tolist() == [0.0] * 5
 
 
 def assert_matches_cube(points, exps, coeffs):
-    # from the exponent matrix and from its power tables, built once
     cube = eval_poly_cube(points, exps, coeffs)
-    for form in (exps, kernels.power_tables(exps)):
-        assert np.array_equal(kernels.eval_poly(points, form, coeffs), cube)
+    got = kernels.eval_poly(points, kernels.power_tables(exps), coeffs)
+    assert np.array_equal(got, cube)
 
 
 def test_eval_poly_matches_power_cube_bit_for_bit():
@@ -84,7 +87,8 @@ def test_eval_poly_lone_square_is_x_times_x():
     points = 3.0 * rng.standard_normal((20_000, 3))
     exps, coeffs = np.array([[0, 2, 0]]), np.array([1.3])
     x = points[:, 1]
-    assert np.array_equal(kernels.eval_poly(points, exps, coeffs), (x * x) * 1.3)
+    got = kernels.eval_poly(points, kernels.power_tables(exps), coeffs)
+    assert np.array_equal(got, (x * x) * 1.3)
     assert_matches_cube(points, exps, coeffs)
 
 
@@ -95,7 +99,8 @@ def test_eval_poly_skips_all_zero_exponent_columns():
     assert_matches_cube(points, exps, rng.standard_normal(3))
     constant = np.zeros((2, 4), dtype=np.int64)
     assert_matches_cube(points, constant, np.array([0.5, 0.25]))
-    assert kernels.eval_poly(points, constant, np.array([0.5, 0.25])).tolist() == (
+    tables = kernels.power_tables(constant)
+    assert kernels.eval_poly(points, tables, np.array([0.5, 0.25])).tolist() == (
         [0.75] * 500
     )
 
@@ -152,7 +157,8 @@ def test_eval_poly_peak_memory_is_two_blocks():
     m, t, n = 20_000, 200, 6
     exps = rng.integers(0, 7, (t, n))
     points = rng.standard_normal((m, n))
-    assert traced_peak(kernels.eval_poly, points, exps, rng.standard_normal(t)) < (
+    tables = kernels.power_tables(exps)
+    assert traced_peak(kernels.eval_poly, points, tables, rng.standard_normal(t)) < (
         4 * 2**20)
 
 
@@ -162,9 +168,10 @@ def test_eval_poly_lone_high_power_builds_no_wide_table():
     m = 20_000
     points = np.random.default_rng(28).uniform(-2.0, 2.0, (m, 1))
     exps, coeffs = np.array([[100]]), np.array([0.5])
-    got = kernels.eval_poly(points, exps, coeffs)
+    tables = kernels.power_tables(exps)
+    got = kernels.eval_poly(points, tables, coeffs)
     assert np.array_equal(got, eval_poly_cube(points, exps, coeffs))
-    assert traced_peak(kernels.eval_poly, points, exps, coeffs) < 16 * 8 * m
+    assert traced_peak(kernels.eval_poly, points, tables, coeffs) < 16 * 8 * m
 
 
 def test_eval_poly_is_row_local():
@@ -178,10 +185,11 @@ def test_eval_poly_is_row_local():
         exps = rng.integers(0, 7, (t, n))
         coeffs = rng.standard_normal(t)
         points = 3.0 * rng.standard_normal((m, n))
-        whole = kernels.eval_poly(points, exps, coeffs)
+        tables = kernels.power_tables(exps)
+        whole = kernels.eval_poly(points, tables, coeffs)
         k = int(rng.integers(0, m))
         r = int(rng.integers(1, m - k + 1))
-        part = kernels.eval_poly(points[k : k + r], exps, coeffs)
+        part = kernels.eval_poly(points[k : k + r], tables, coeffs)
         assert np.array_equal(whole[k : k + r], part)
 
 
@@ -198,7 +206,7 @@ def test_eval_poly_is_within_its_rounding_bound():
         coeffs = rng.standard_normal(t) * 10.0 ** rng.integers(-2, 3, t)
         points = 2.0 * rng.standard_normal((15, n))
         d = int(exps.sum(axis=1).max())
-        got = kernels.eval_poly(points, exps, coeffs)
+        got = kernels.eval_poly(points, kernels.power_tables(exps), coeffs)
         for row, value in zip(points.tolist(), got.tolist()):
             terms = [
                 Fraction(c) * math.prod(Fraction(x) ** a for x, a in zip(row, alpha))

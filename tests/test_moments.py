@@ -497,6 +497,18 @@ def test_change_of_center_refuses_non_finite_input_before_any_work(
         change_of_center(q, finite[2:], lam=finite[0], rho=finite[1], nodes=16)
 
 
+def test_change_of_center_refuses_a_quotient_beyond_the_float_range(monkeypatch):
+    # lam and rho each fit a float and lam**ell does too, but the exact
+    # rho / lam = 10^600 does not; it ended in a bare OverflowError
+    def no_work(poly):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(moments, "_pizzetti_levels", no_work)
+    q = Polynomial.variable(6, 0, 2)
+    with pytest.raises(ValueError, match=r"^rho / lam is beyond the float range$"):
+        change_of_center(q, [0] * 6, lam=Fraction(1, 10**300), rho=10**300, nodes=16)
+
+
 def test_change_of_center_takes_an_int_center_beyond_the_float_range():
     # the finiteness check converts no int: the moment itself is refused
     q = Polynomial.variable(6, 0, 3)

@@ -1,11 +1,15 @@
 """``tools/replay.py``'s manifest comparison (its ``run`` mode starts 54
-children a seed, too many for Tier-1; CI runs it)."""
+children a seed, too many for Tier-1; CI runs it), and the exact tier's
+artifacts against the manifest its ``pin`` mode writes."""
 
+import collections
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from bubble_correction import cli
 
 
 def load_replay():
@@ -95,3 +99,28 @@ def test_a_file_whose_value_digest_matches_is_layout_only(tmp_path, capsys):
     assert replay.main(["diff", *map(str, paths)]) == 1
     assert capsys.readouterr().out == (
         "r: file out.json (layout only)\n1 of 1 requests differ\n")
+
+
+def test_exact_artifacts_match_the_pinned_manifest(tmp_path):
+    # the exact tier's requests of seeds 1 to 3 (48 solve requests, scan-float's
+    # 9 set-up solves among them, 30 table and 18 balance requests), replayed
+    # in-process and compared field by field with tests/exact_manifest.json,
+    # which ``python3 tools/replay.py pin`` writes: exit code, stderr digest
+    # and artifact sha256, and the digest of the inputs, which perfbench's
+    # random.Random draws alike on Python 3.10 and 3.11.  A declared schema
+    # change re-pins it.  The failing n = 9 balance configuration of each
+    # seed sums its irrational classes through float powers of libm, so its
+    # artifact is pinned by its exit code and verdicts only
+    pinned = json.loads(Path(replay.PINNED).read_text())
+    records = replay.exact_records(cli.main, pinned["seeds"], tmp_path)
+    assert collections.Counter(r["argv"][0] for r in records) == {
+        "solve": 48, "table": 30, "balance": 18}
+    assert sum("verdicts" in r for r in records) == 3
+    expected = {r["id"]: r for r in pinned["requests"]}
+    assert [r["id"] for r in records] == list(expected)
+    differing = [
+        (r["id"], sorted(k for k in r.keys() | expected[r["id"]].keys()
+                         if r.get(k) != expected[r["id"]].get(k)))
+        for r in records if r != expected[r["id"]]
+    ]
+    assert differing == []

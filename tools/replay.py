@@ -2,6 +2,7 @@
 
     python3 tools/replay.py run --src SRC --seeds 1 2 3 --out MANIFEST [--work DIR]
     python3 tools/replay.py diff A B
+    python3 tools/replay.py pin [--src SRC] [--out PINNED]
 
 ``run`` makes the requests of one round of each benchmark workload for each
 seed, with ``perfbench/inputs.py`` as ``perfbench/run.py`` makes them
@@ -24,6 +25,22 @@ any artifact fails its check, once the manifest is written.
 with the fields and files that differ, a file whose bytes differ but whose
 value digest is the same labelled ``(layout only)``, and exits 1 if any
 does, 0 if none.
+
+``pin`` writes the exact tier's pinned results, by default to
+``tests/exact_manifest.json`` (PINNED), which
+``tests/test_replay.py::test_exact_artifacts_match_the_pinned_manifest``
+replays.  Its requests are those of seeds 1 to 3 whose artifacts are exact:
+each seed's solve-exact round, scan-float's three set-up solves, and the
+``table`` and ``balance`` requests of its light-cli round (32 a seed).  They
+run in-process, through ``cli.main`` of the package under ``SRC`` (by
+default this checkout's ``src``), each seed in a directory of its own.  A
+record holds the request's argv, the sha256 of its input files, its exit
+code, the sha256 of its stderr and the sha256 of its artifact (null when
+none was written).  The one artifact whose bytes depend on the platform's
+libm, a failing ``balance`` configuration in odd n, whose irrational
+classes are summed through float powers, has its verdicts (every "pass",
+in document order) in place of its sha256.  ``integrate`` (its ``J`` is a
+float) and the float tier stay with ``perfbench/checks.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
@@ -42,6 +60,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 WORKLOADS = ("solve-exact", "scan-float", "light-cli")
+PINNED = os.path.join(ROOT, "tests", "exact_manifest.json")
+PINNED_SEEDS = (1, 2, 3)
 
 
 def _load(name):
@@ -162,6 +182,94 @@ def run(src, seeds, out, work=None):
     return 1 if failed else 0
 
 
+def exact_requests(inputs, seed):
+    """[(request id, request)] of one seed's exact-tier requests, with the
+    ids ``run`` gives them."""
+    solve = inputs.solve_round(random.Random(seed), "r0")
+    setup = inputs.scan_setup(random.Random(seed))
+    light = inputs.light_round(random.Random(seed), "r0")
+    return (
+        [(f"seed{seed}/solve-exact/{i:02d}-{r['kind']}", r) for i, r in enumerate(solve)]
+        + [(f"seed{seed}/scan-float/setup{i}-{r['kind']}", r)
+           for i, r in enumerate(setup)]
+        + [(f"seed{seed}/light-cli/{i:02d}-{r['kind']}", r)
+           for i, r in enumerate(light) if r["kind"] in ("table", "balance")]
+    )
+
+
+def _libm_bound(request):
+    """True for a failing balance configuration in odd n: its irrational
+    classes are summed through float powers of libm (``balance._float_sum``)."""
+    if request["kind"] != "balance" or request["passes"]:
+        return False
+    (config,) = request["files"].values()
+    return config["n"] % 2 == 1
+
+
+def _verdicts(value):
+    """Every "pass" of a JSON value, in document order."""
+    if isinstance(value, dict):
+        return [v for key, x in value.items()
+                for v in ([x] if key == "pass" else _verdicts(x))]
+    if isinstance(value, list):
+        return [v for x in value for v in _verdicts(x)]
+    return []
+
+
+def exact_records(main, seeds, work):
+    """The pinned records of the seeds' exact-tier requests, each run
+    in-process by ``main`` (``cli.main``) in ``work``/seed<seed>."""
+    inputs = _load("inputs")
+    records = []
+    here = os.getcwd()
+    try:
+        for seed in seeds:
+            directory = os.path.join(os.path.abspath(work), f"seed{seed}")
+            os.makedirs(directory)
+            os.chdir(directory)
+            for ident, request in exact_requests(inputs, seed):
+                inputs.write_files(request, directory)
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(request["argv"])
+                record = {
+                    "id": ident,
+                    "argv": request["argv"],
+                    "input_sha256": _sha256(
+                        json.dumps(request["files"], sort_keys=True).encode()),
+                    "exit": code,
+                    "stderr_sha256": _sha256(
+                        err.getvalue().replace(directory, "<work>").encode()),
+                }
+                try:
+                    with open(request["output"], "rb") as handle:
+                        data = handle.read()
+                except FileNotFoundError:
+                    data = None
+                if data is not None and _libm_bound(request):
+                    record["verdicts"] = _verdicts(json.loads(data))
+                else:
+                    record["artifact_sha256"] = None if data is None else _sha256(data)
+                records.append(record)
+    finally:
+        os.chdir(here)
+    return records
+
+
+def pin(src, out):
+    sys.path.insert(0, os.path.abspath(src))
+    from bubble_correction import cli
+
+    with tempfile.TemporaryDirectory(prefix="pin-") as work:
+        records = exact_records(cli.main, PINNED_SEEDS, work)
+    with open(out, "w") as handle:
+        json.dump({"seeds": list(PINNED_SEEDS), "requests": records}, handle,
+                  indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"{len(records)} exact-tier requests pinned to {out}")
+    return 0
+
+
 def differences(a, b):
     """[(request id, [what differs])] between two manifests' records."""
     left = {r["id"]: r for r in a["requests"]}
@@ -212,9 +320,17 @@ def main(argv=None):
     diff_cmd = sub.add_parser("diff", help="compare two manifests")
     diff_cmd.add_argument("a")
     diff_cmd.add_argument("b")
+    pin_cmd = sub.add_parser(
+        "pin", help="write the exact tier's pinned results of seeds 1 to 3")
+    pin_cmd.add_argument("--src", default=os.path.join(ROOT, "src"),
+                         help="the src/ directory to run (default: this checkout's)")
+    pin_cmd.add_argument("--out", default=PINNED,
+                         help="manifest JSON to write (default: %(default)s)")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.src, args.seeds, args.out, args.work)
+    if args.command == "pin":
+        return pin(args.src, args.out)
     return diff(args.a, args.b)
 
 
