@@ -220,14 +220,16 @@ def gradient_lower_bound(poly, rho=1.0, samples=10_000, seed=0):
     grad P between the nodes reads as a small positive min.  One such zero
     is found exactly: when grad P == 0 at a coordinate point +-e_i, the min
     is 0.0.  ``rho`` only rescales the reported constants to the ball of
-    that radius.
+    that radius.  Both the sampling and the rescaling hold by homogeneity
+    alone, so a P that is not homogeneous of degree >= 2 is refused with a
+    ValueError before any node is drawn, as ``SynthesizedCurvature`` refuses
+    it.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
-    n = poly.dimension
-    ell = poly.degree()
-    if ell is None or ell < 2:
-        raise ValueError("needs a polynomial of degree >= 2")
+    if poly.is_zero or not poly.is_homogeneous() or poly.degree() < 2:
+        raise ValueError("needs a homogeneous polynomial of degree >= 2")
+    n, ell = poly.dimension, poly.degree()
     grad = gradient(poly)
     axes = [[sign * (i == j) for j in range(n)] for i in range(n) for sign in (1, -1)]
     vanishes = any(not any(_evaluate(g, e, 1) for g in grad) for e in axes)

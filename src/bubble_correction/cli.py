@@ -11,9 +11,12 @@ map stay here.
 Exit codes form a contract: 0 on success, 1 on malformed input (a value
 beyond the float range included), usage errors or I/O problems, 2 on a
 mathematical obstruction (nonvanishing residue, blocked recurrence cell,
-divergent moment).  An obstruction is a result, not a crash.  Only a
-residue obstruction writes a machine-readable report (``solve``, in place of
-the solution, from the payload its error carries); the other obstructions of
+divergent moment).  An obstruction is a result, not a crash.  ``main`` is
+the one exit map: a command returns 0 or raises, and ``main`` turns an
+``Obstruction`` into its stderr line and exit 2 and malformed input into its
+stderr line and exit 1.  Only a residue obstruction writes a
+machine-readable report (``solve``, in place of the solution, from the
+payload its error carries, before it re-raises); the other obstructions of
 ``solve``, a blocked table (|y|^4 y1 y2 in n = 4) and a degree-1 source,
 exit 2 with none.
 
@@ -125,8 +128,7 @@ def cmd_solve(args):
                 "top_laplacian": exc.top_laplacian,
             },
         )
-        print(f"obstruction: {exc}", file=sys.stderr)
-        return EXIT_OBSTRUCTION
+        raise
     # ``solution.to_json()`` with its polynomials unencoded
     _dump_json(args.output, solution._asdict())
     return EXIT_OK

@@ -16,6 +16,11 @@ powers of ``pi_eval``, ``_damped`` and ``RefinedProfile.correction`` stay
 plain numpy as written, (1 + |Y|^2)^(-s) and lam**2: the kernel's form
 would move the last bit of the ``residual-scan`` and ``profile`` artifacts
 (``kernels`` says by how much).
+
+Both scans, ``linearized_residual`` and ``profile_rows``, draw their points
+from one seeded stream, ``_normal_blocks``: the standard-normal rows of one
+(samples, n) draw of the seed, a block at a time, which each scan scales
+(and ``profile_rows`` shifts) to its own points.
 """
 
 from __future__ import annotations
@@ -179,7 +184,7 @@ class ResidualReport:
 RESIDUAL_SCALE = 3.0
 
 # ``linearized_residual`` and ``profile_rows`` draw and evaluate their points
-# this many at a time
+# this many at a time (``_normal_blocks``)
 _BLOCK_ROWS = 1_000
 
 # ``--samples`` of the sampling commands, checked first by
@@ -263,6 +268,17 @@ def _damped(arrays, points):
     return (one * lap + diagonal - src) * one ** (-(points.shape[1] + 2) / 2.0)
 
 
+def _normal_blocks(samples, n, seed):
+    """The one seeded stream of both scans: the standard-normal points of one
+    (samples, n) draw of ``np.random.default_rng(seed)``, yielded
+    ``_BLOCK_ROWS`` rows a block and fewer in the last.  Consecutive draws of
+    a Generator continue one stream, so the blocks hold the rows of the one
+    draw, and memory does not grow with ``samples``."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, _BLOCK_ROWS):
+        yield rng.standard_normal((min(_BLOCK_ROWS, samples - start), n))
+
+
 def linearized_residual(gamma, source, samples=1000, seed=0):
     """Float residual of the damped correction in the linearized equation,
     sampled at seeded Gaussian points.
@@ -274,9 +290,9 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
     and every refusal comes before any point is drawn.  Unverified input
     is refused: gamma must satisfy the weighted polynomial identity exactly
     (checked here), so the sampled residual is purely the float shadow of an
-    exact identity and must sit at rounding level.  The points are drawn and
-    evaluated ``_BLOCK_ROWS`` at a time, keeping a running max and sum, so
-    memory does not grow with ``samples``.
+    exact identity and must sit at rounding level.  The points come from
+    ``_normal_blocks`` and are evaluated a block at a time, keeping a running
+    max and sum.
     """
     n = gamma.dimension
     parts, polys = _scan_polynomials(gamma, source)
@@ -296,14 +312,9 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
         )
     # each polynomial's arrays and power tables, built once for every block
     arrays = [kernels.poly_arrays(p) for p in polys]
-    rng = np.random.default_rng(seed)
-    # consecutive draws of a Generator continue one stream: the blocks hold
-    # the rows of one (samples, n) draw
     top, total = 0.0, 0.0
-    for start in range(0, samples, _BLOCK_ROWS):
-        pts = RESIDUAL_SCALE * rng.standard_normal(
-            (min(_BLOCK_ROWS, samples - start), n))
-        abs_res = np.abs(_damped(arrays, pts))
+    for noise in _normal_blocks(samples, n, seed):
+        abs_res = np.abs(_damped(arrays, RESIDUAL_SCALE * noise))
         # np.maximum, unlike max(), keeps a NaN
         top = np.maximum(top, abs_res.max())
         total += abs_res.sum()
@@ -504,11 +515,7 @@ class RefinedProfile:
         return scale * (direct - tail.h_o) + joint
 
     def total(self, points):
-        return (
-            self.bubble(points)
-            + self.correction(points)
-            + self.harmonic_group(points)
-        )
+        return self.components(points)[:, 3]
 
     def components(self, points):
         """Columns: bubble, correction, harmonic_group, total."""
@@ -543,9 +550,7 @@ def _profile_blocks(profile, samples, seed):
     """The rows of ``profile_rows``, ``_BLOCK_ROWS`` at a time."""
     spec = profile.spec
     xi = np.asarray(spec.xi, float)[None, :]
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples, _BLOCK_ROWS):
-        noise = rng.standard_normal((min(_BLOCK_ROWS, samples - start), spec.n))
+    for noise in _normal_blocks(samples, spec.n, seed):
         points = xi + PROFILE_SCALE * noise
         rows = np.column_stack([points, profile.components(points)])
         if not np.isfinite(rows).all():

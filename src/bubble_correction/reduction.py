@@ -12,8 +12,9 @@ satisfy a three-term recurrence whose cells are filled in an explicit
 dependency order (same-degree diagonal first, then column by column in the
 offset k - j, ascending j inside each column); each cell divides by a
 characteristic denominator.  The table keeps only the C^j_k, in that order,
-and the residue weights: a cell's neighbours (``_neighbours``) and its
-multiplier follow from (n, ell, j, k).  By its factorisation
+and, when it holds all h = ell // 2 columns, however it was asked for, the
+residue weights: a cell's neighbours (``_neighbours``) and its multiplier
+follow from (n, ell, j, k).  By its factorisation
 -(2j - n)(2j - 2(ell - 1 - 2(k - j))) the denominator of a cell inside a
 table vanishes only at the half-dimension root 2j = n: the second factor
 needs 2k - j = ell - 1, while every cell has 2k - j <= 2k <= ell - 2.  So
@@ -185,7 +186,8 @@ def _neighbours(j, k):
 class CoefficientTable(NamedTuple):
     """Recurrence coefficients C^j_k for 0 <= j <= k <= columns - 1, in build
     order, and the residue weights a_0..a_h assembled from the last column
-    (present only for full tables).  The multipliers and each cell's
+    (present exactly when columns == h, whichever way the table was asked
+    for; None otherwise).  The multipliers and each cell's
     dependencies follow from (n, ell, j, k) and are written by ``to_json``.
     A NamedTuple, like ``CorrectionSolution``: a ``solve`` or ``table`` run
     then never imports ``dataclasses``."""
@@ -230,8 +232,9 @@ def coefficient_table(n, ell, columns=None):
 
     ``columns`` limits how many columns k = 0..columns-1 are materialized
     (used when an early iterated Laplacian vanishes): an int >= 1 (not a
-    bool), clamped to h, or ValueError.  The default is the full table with
-    h columns, which also carries the residue weights.
+    bool), clamped to h, or ValueError.  The default is all h columns.  A
+    table of all h columns, by default or by ``columns >= h``, carries the
+    residue weights; a narrower one carries None.
 
     Raises CharacteristicGuardError, before any cell is built, when n is
     even and n/2 < columns: only the cells of row j = n/2 have a vanishing
@@ -246,10 +249,9 @@ def coefficient_table(n, ell, columns=None):
     if ell < 2:
         raise UnsupportedCaseError("source degree must be >= 2")
     h = h_of(ell)
-    full = columns is None
-    if not full and (type(columns) is not int or columns < 1):
+    if columns is not None and (type(columns) is not int or columns < 1):
         raise ValueError(f"columns must be an int >= 1 (got columns={columns!r})")
-    columns = h if full else min(columns, h)
+    columns = h if columns is None else min(columns, h)
     if n % 2 == 0 and n // 2 < columns:
         raise CharacteristicGuardError(n, ell)
 
@@ -267,7 +269,7 @@ def coefficient_table(n, ell, columns=None):
             C[(j, k)] = (source - feed) / characteristic_denominator(n, ell, j, k)
 
     residues = None
-    if full:
+    if columns == h:
         # a_m = C^m_{h-1} + C^{m-1}_{h-1}, a cell outside the table counting 0
         last = h - 1
         residues = tuple(
@@ -500,11 +502,11 @@ def _radial_L(n, f):
 def _solve(poly, allow_radial):
     """The one construction behind ``solve_gamma`` and ``solve_general``.
 
-    Builds the chain once and the table once: partial (up to the vanishing
-    order) when some lap^k P vanishes, full otherwise.  A nonvanishing top
-    Laplacian is absorbed by the radial completion when ``allow_radial`` is
-    set and its hypotheses hold, and raised as a ResidueObstructionError
-    carrying the residue otherwise.
+    Builds the chain once and the table once, of min(vanishing order, h)
+    columns: partial when some lap^k P vanishes, full otherwise.  A
+    nonvanishing top Laplacian is absorbed by the radial completion when
+    ``allow_radial`` is set and its hypotheses hold, and raised as a
+    ResidueObstructionError carrying the residue otherwise.
 
     Every result passes the exact gate L(gamma + F) == P before it is
     returned, split by linearity so that the completion F is never expanded
@@ -512,13 +514,16 @@ def _solve(poly, allow_radial):
     residue top * sum_k a_k (|y|^2)^k, and L(F) == -R, which
     ``radial_completion`` checks in the one variable s = |y|^2 on F's
     weights.  Without a completion R is absent and the gate is L(gamma) == P.
+    One postcondition follows: every term of gamma has degree 2..ell, since
+    each block (|y|^2)^j lap^k P, j <= k <= h - 1, has degree
+    ell - 2(k - j).
     """
     ell = _validated_source(poly, allow_radial)
     n = poly.dimension
     chain = _laplacian_chain(poly, h_of(ell))
     h = len(chain) - 1
     vanishing = next((k for k in range(1, h + 1) if chain[k].is_zero), h + 1)
-    table = coefficient_table(n, ell, columns=vanishing if vanishing <= h else None)
+    table = coefficient_table(n, ell, columns=min(vanishing, h))
 
     completion = None
     target = poly
@@ -543,12 +548,8 @@ def _solve(poly, allow_radial):
     gamma = _combination(poly, chain, table)
     if apply_L(gamma) != target:
         raise AssertionError("construction failed exact verification")
-    if gamma.constant_term():
-        raise AssertionError("solution unexpectedly contains a constant term")
-    if any(sum(alpha) == 1 for alpha in gamma.nums):
-        raise AssertionError("solution unexpectedly contains linear terms")
-    if gamma.degree() is not None and gamma.degree() > ell:
-        raise AssertionError("solution degree exceeds the source degree")
+    if any(not 2 <= sum(alpha) <= ell for alpha in gamma.nums):
+        raise AssertionError("solution has a term of degree outside 2..ell")
     return CorrectionSolution(gamma, completion, vanishing, verified=True, n=n, ell=ell)
 
 

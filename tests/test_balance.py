@@ -92,6 +92,19 @@ def test_gradient_bound_refuses_to_sample_nothing(samples, monkeypatch):
         gradient_lower_bound(separable_even(4, 2), samples=samples)
 
 
+def test_gradient_bound_refuses_a_non_homogeneous_source(monkeypatch):
+    # y1^3 + y1 + y2^2 used to be sampled on the unit sphere and rescaled by
+    # rho**(ell - 1), both of which hold only for a homogeneous P
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a node was drawn")
+
+    monkeypatch.setattr(balance_module.quadrature, "sphere_nodes", no_draw)
+    p = var(3, 0, 3) + var(3, 0) + var(3, 1, 2)
+    message = r"^needs a homogeneous polynomial of degree >= 2$"
+    with pytest.raises(ValueError, match=message):
+        gradient_lower_bound(p, rho=2.0, samples=2000)
+
+
 def test_gradient_bound_runs_on_one_sample():
     # |grad(y1^2 - y2^2 + y3^2 - y4^2)| = 2 on the whole unit sphere
     low, high = gradient_lower_bound(separable_even(4, 2), samples=1)

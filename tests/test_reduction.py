@@ -207,7 +207,34 @@ def test_table_clamps_columns_to_h():
     table = coefficient_table(9, 8, columns=7)
     assert table.columns == 4
     assert table.C == coefficient_table(9, 8).C
-    assert table.residues is None
+    # a table of all h columns carries the residue weights however it was
+    # asked for
+    assert table.residues == coefficient_table(9, 8).residues
+
+
+@pytest.mark.parametrize("kernel", ["linear", "radial"])
+def test_solve_refuses_a_gamma_with_a_term_of_degree_outside_2_to_ell(
+    kernel, monkeypatch
+):
+    # y_1 and |y|^2 - 1 lie in L's kernel, so a gamma carrying either still
+    # passes the exact gate; the one degree check must catch it
+    n = 4
+    extra = {
+        "linear": Polynomial.variable(n, 0),
+        "radial": Polynomial.r_squared(n) - Polynomial.constant(n, 1),
+    }[kernel]
+    assert apply_L(extra).is_zero
+    combination = reduction._combination
+    monkeypatch.setattr(
+        reduction, "_combination", lambda *args: combination(*args) + extra
+    )
+    source = Polynomial.variable(n, 0, 3) * Polynomial.variable(n, 1) - (
+        Polynomial.variable(n, 0) * Polynomial.variable(n, 1, 3)
+    )
+    with pytest.raises(
+        AssertionError, match=r"^solution has a term of degree outside 2\.\.ell$"
+    ):
+        solve_gamma(source)
 
 
 def test_table_cells_satisfy_the_three_term_recurrence():
