@@ -24,13 +24,14 @@ from fractions import Fraction
 
 from . import kernels, quadrature
 from ._numpy import np
-from .errors import ExactnessError, UnsupportedCaseError
+from .errors import UnsupportedCaseError
 from .moments import _gradient_moment_map, _pizzetti_levels
 from .polynomials import (
     Polynomial,
     _evaluate,
     _integer_vector,
-    _json_list,
+    _list_of,
+    _read_fields,
     as_coefficient,
     directional_pairing,
     gradient,
@@ -101,20 +102,14 @@ class ViolationReport:
         return data
 
 
-def _rationals(value):
-    """A JSON list of {"num": ..., "den": ...} objects or exact values."""
-    return tuple(rational_from_json(x) if isinstance(x, dict) else as_coefficient(x)
-                 for x in _json_list(value))
-
-
-def _vectors(value):
-    """A JSON list of ``_rationals`` lists."""
-    return tuple(map(_rationals, _json_list(value)))
-
-
-def _polynomials(value):
-    """A JSON list of ``Polynomial.from_json`` objects."""
-    return tuple(map(Polynomial.from_json, _json_list(value)))
+# the readers of a configuration file's list fields: a JSON list of
+# {"num": ..., "den": ...} objects or exact values, a JSON list of such lists,
+# and a JSON list of polynomials (``Polynomial.from_json`` is looked up at each
+# read, so a rebinding of it is seen)
+_rationals = _list_of(
+    lambda x: rational_from_json(x) if isinstance(x, dict) else as_coefficient(x))
+_vectors = _list_of(_rationals)
+_polynomials = _list_of(lambda value: Polynomial.from_json(value))
 
 
 # the fields of a configuration file and their readers, in the order they are
@@ -150,7 +145,10 @@ class BlowupConfiguration:
             return tuple(as_coefficient(x) for x in values)
 
         for name in ("points", "flex_vectors"):
-            object.__setattr__(self, name, tuple(map(exact, getattr(self, name))))
+            vectors = tuple(map(exact, getattr(self, name)))
+            if any(len(v) != self.n for v in vectors):
+                raise ValueError(f"every entry of {name} must have length n = {self.n}")
+            object.__setattr__(self, name, vectors)
         for name in ("k_values", "flex_exponents", "scale_ratios"):
             object.__setattr__(self, name, exact(getattr(self, name)))
         counts = {
@@ -187,25 +185,23 @@ class BlowupConfiguration:
 
     @classmethod
     def from_json(cls, data):
-        try:
-            fields = {name: read(data[name]) for name, read in _FIELDS}
-        except ExactnessError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed balance configuration: {exc}") from exc
-        return cls(**fields)
+        """The fields of ``_FIELDS``, read in order by ``_read_fields``."""
+        return cls(**_read_fields(data, _FIELDS, "balance configuration"))
 
     def to_json(self):
-        rat = rational_to_json
-        return {
-            "n": self.n,
-            "points": [[rat(x) for x in p] for p in self.points],
-            "k_values": [rat(k) for k in self.k_values],
-            "taylor_polys": [p.to_json() for p in self.taylor_polys],
-            "flex_vectors": [[rat(x) for x in v] for v in self.flex_vectors],
-            "flex_exponents": [rat(e) for e in self.flex_exponents],
-            "scale_ratios": [rat(s) for s in self.scale_ratios],
-        }
+        """Each field of ``_FIELDS`` by ``_value_to_json``."""
+        return {name: _value_to_json(getattr(self, name)) for name, _ in _FIELDS}
+
+
+def _value_to_json(value):
+    """A configuration value's JSON: a tuple as a list of its entries'
+    JSON, a Polynomial by ``to_json``, a Fraction by ``rational_to_json`` and
+    the int ``n`` as it is."""
+    if isinstance(value, tuple):
+        return [_value_to_json(x) for x in value]
+    if isinstance(value, Polynomial):
+        return value.to_json()
+    return rational_to_json(value) if isinstance(value, Fraction) else value
 
 
 # ------------------------------------------------------------- local checks
@@ -223,10 +219,12 @@ def gradient_lower_bound(poly, rho=1.0, samples=10_000, seed=0):
     that radius.  Both the sampling and the rescaling hold by homogeneity
     alone, so a P that is not homogeneous of degree >= 2 is refused with a
     ValueError before any node is drawn, as ``SynthesizedCurvature`` refuses
-    it.
+    it, and so is a ``rho`` that is not finite and positive.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
     if poly.is_zero or not poly.is_homogeneous() or poly.degree() < 2:
         raise ValueError("needs a homogeneous polynomial of degree >= 2")
     n, ell = poly.dimension, poly.degree()
@@ -406,30 +404,16 @@ def single_point_constraints(poly, point):
             )
         )
 
-    # every level at X from the one read of X; level 0 is P itself
+    # every level at X from the one read of X.  The order-h moment is that
+    # of the y-degree ell - h part of P(X + y): level (ell - h) / 2 at X, and
+    # zero for odd ell - h; P(X) is the order-ell moment, level 0
     values = [_evaluate(level, d, q) for level in levels]
-    value = values[0]
-    reports.append(
-        ViolationReport(
-            constraint="taylor_value_at_drift",
-            residual_exact=value,
-            residual_float=float(value),
-            passed=value == 0,
-        )
-    )
-    # the order-h moment is that of the y-degree ell - h part of P(X + y):
-    # level (ell - h) / 2 at X, and zero for odd ell - h
-    for h in range(1, ell):
+    for h in (ell, *range(1, ell)):
         k, odd = divmod(ell - h, 2)
-        mult = Fraction(0) if odd else values[k]
-        reports.append(
-            ViolationReport(
-                constraint=f"shift_moment_order_{h}",
-                residual_exact=mult,
-                residual_float=float(mult),
-                passed=mult == 0,
-            )
-        )
+        value = Fraction(0) if odd else values[k]
+        name = "taylor_value_at_drift" if h == ell else f"shift_moment_order_{h}"
+        reports.append(ViolationReport(constraint=name, residual_exact=value,
+                                       residual_float=float(value), passed=value == 0))
     return reports
 
 

@@ -12,13 +12,13 @@ Exit codes form a contract: 0 on success, 1 on malformed input (a value
 beyond the float range included), usage errors or I/O problems, 2 on a
 mathematical obstruction (nonvanishing residue, blocked recurrence cell,
 divergent moment).  An obstruction is a result, not a crash.  ``main`` is
-the one exit map: a command returns 0 or raises, and ``main`` turns an
-``Obstruction`` into its stderr line and exit 2 and malformed input into its
-stderr line and exit 1.  Only a residue obstruction writes a
-machine-readable report (``solve``, in place of the solution, from the
-payload its error carries, before it re-raises); the other obstructions of
-``solve``, a blocked table (|y|^4 y1 y2 in n = 4) and a degree-1 source,
-exit 2 with none.
+the one exit map: a command returns or raises, and ``main`` maps both
+outcomes, a return to exit 0, an ``Obstruction`` to its stderr line and
+exit 2, and malformed input to its stderr line and exit 1.  Only a residue
+obstruction writes a machine-readable report (``solve``, in place of the
+solution, from the payload its error carries, before it re-raises); the
+other obstructions of ``solve``, a blocked table (|y|^4 y1 y2 in n = 4) and
+a degree-1 source, exit 2 with none.
 
 Runs are deterministic: fixed ``--seed`` plus identical inputs give byte
 identical outputs; files are written atomically.
@@ -131,25 +131,21 @@ def cmd_solve(args):
         raise
     # ``solution.to_json()`` with its polynomials unencoded
     _dump_json(args.output, solution._asdict())
-    return EXIT_OK
 
 
 def cmd_table(args):
     table = reduction.coefficient_table(args.n, args.ell)
     _dump_json(args.output, table.to_json())
-    return EXIT_OK
 
 
 def cmd_integrate(args):
     result = moments_mod.moment_integral(_load_polynomial(args.input))
     _dump_json(args.output, result.to_json())
-    return EXIT_OK
 
 
 def cmd_balance(args):
     config = balance_mod.BlowupConfiguration.from_json(_load_json(args.input))
     _dump_json(args.output, balance_mod.balance_report(config))
-    return EXIT_OK
 
 
 def cmd_residual_scan(args):
@@ -159,19 +155,16 @@ def cmd_residual_scan(args):
         solution.total(), source, samples=args.samples, seed=args.seed
     )
     _dump_json(args.output, report.to_json())
-    return EXIT_OK
 
 
 def cmd_green_check(args):
     _dump_json(args.output, profiles_mod.green_report(args.n, args.radius, args.seed))
-    return EXIT_OK
 
 
 def cmd_profile(args):
     spec = profiles_mod.RefinedProfileSpec.from_json(_load_json(args.input))
     header, blocks = profiles_mod.profile_rows(spec, args.samples, args.seed)
     _write_atomic(args.output, _csv_chunks(header, blocks))
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------- parser
@@ -257,13 +250,14 @@ def main(argv=None):
     # ValueErrors), then malformed input (a value beyond the float range
     # included) or an unusable path
     try:
-        return args.func(args)
+        args.func(args)
     except Obstruction as exc:
         print(f"obstruction: {exc}", file=sys.stderr)
         return EXIT_OBSTRUCTION
     except (OSError, KeyError, ValueError, OverflowError, ExactnessError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -114,12 +114,7 @@ class IntegralResult(NamedTuple):
     method: str
 
     def to_json(self):
-        return {
-            "j_multiple": rational_to_json(self.j_multiple),
-            "J": self.J,
-            "numeric": self.numeric,
-            "method": self.method,
-        }
+        return {**self._asdict(), "j_multiple": rational_to_json(self.j_multiple)}
 
 
 def _float_moment(mult, j):

@@ -23,7 +23,12 @@ integer numerator and denominator, checks the dimension and each exponent
 once, and puts the numerators over the lcm of the denominators.
 ``Polynomial(...)`` feeds it each coefficient's numerator and denominator;
 ``from_json`` feeds it one ``json_int`` read of each exponent, numerator and
-denominator, and builds no Fraction.  Every operation on polynomials returns
+denominator, and builds no Fraction.  Every input file of the package is
+read through one field reader, the private ``_read_fields``: a JSON object's
+fields in a fixed order, each by its reader (a list field by ``_list_of``,
+the one "JSON list of X" reader), with one ``malformed <what>: ...`` wrap
+for a top level that is not an object, a missing key or a refused value.
+``from_json`` is its polynomial case.  Every operation on polynomials returns
 through the private ``Polynomial._of``, whose one normaliser trusts its
 already-valid numerators, drops the zero ones and divides out the gcd.
 Iteration and serialized output follow graded-lexicographic order so that
@@ -35,18 +40,20 @@ level of a chain at a point from one read.
 
 The exact operators work on the numerators: a sum first puts its operands
 over one denominator (``_over_lcm``), a product multiplies the denominators,
-and ``laplacian``, ``iterated_laplacian``, ``r2_multiply``, ``_radial_sum``
-and ``reduction.apply_L`` are built from two integer stencils that keep the
-denominator: the Laplacian moves a_i(a_i - 1)v to alpha - 2e_i, and |y|^2
-copies v to every alpha + 2e_j.  The private ``_laplacian_chain`` (P, lap P,
-..., one ``laplacian`` pass each) is the one chain builder: ``reduction``'s
-solvers combine its entries and ``moments`` scales them into its levels.  A third, with an exact vector x over the
-lcm q of its denominators (x_i = d_i / q), moves a_i d_i v to alpha - e_i:
-``directional_pairing`` is one pass of it, over den * q, and
-``compose_shift`` is the one Taylor loop on it (T_0 = P and
-T_k = (s . grad) T_(k-1) / k), summing the terms.  No shifted moment goes
-through the loop: ``moments`` reads those from P's Laplacian chain, and
-``compose_shift`` is left to a quadrature cross-check there.
+and ``laplacian``, ``r2_multiply``, ``_radial_sum`` and ``reduction.apply_L``
+are built from two integer stencils that keep the denominator: the Laplacian
+moves a_i(a_i - 1)v to alpha - 2e_i, and |y|^2 copies v to every
+alpha + 2e_j.  The private ``_laplacian_chain`` (P, lap P, ..., one
+``laplacian`` pass each) is the one chain builder: ``reduction``'s solvers
+combine its entries, ``moments`` scales them into its levels, and
+``iterated_laplacian`` is its last entry.  A third, with an exact vector x
+over the lcm q of its denominators (x_i = d_i / q), moves a_i d_i v to
+alpha - e_i: ``partial_derivative`` is one pass of it along e_i,
+``directional_pairing`` one pass over den * q, and ``compose_shift`` is the
+one Taylor loop on it (T_0 = P and T_k = (s . grad) T_(k-1) / k), summing
+the terms.  No shifted moment goes through the loop: ``moments`` reads
+those from P's Laplacian chain, and ``compose_shift`` is left to a
+quadrature cross-check there.
 
 The zero polynomial has no numerators (with an explicit dimension); its
 degree is reported as ``None`` rather than an arbitrary sentinel number.
@@ -111,6 +118,29 @@ def _json_list(value):
     if not isinstance(value, list):
         raise ValueError(f"not a JSON list: {value!r}")
     return value
+
+
+def _list_of(read):
+    """The one "JSON list of X" reader: a reader of a ``_json_list`` whose
+    entries are each read by ``read``, into a tuple."""
+    return lambda value: tuple(map(read, _json_list(value)))
+
+
+def _read_fields(data, fields, what):
+    """{name: read(data[name])} for the ``(name, read)`` pairs of ``fields``,
+    read in that order, so the first malformed field in it is the one
+    reported.  The one place where an input file's top level that is not a
+    JSON object, a missing key or a refused value becomes
+    ``ValueError("malformed <what>: ...")``; an ``ExactnessError`` passes
+    through unchanged."""
+    try:
+        if not isinstance(data, dict):
+            raise ValueError(f"not a JSON object: {data!r}")
+        return {name: read(data[name]) for name, read in fields}
+    except ExactnessError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 def _json_ratio(data):
@@ -399,21 +429,28 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data):
-        """The ``to_json`` schema, every integer read once by ``json_int``
-        and each list by ``_json_list``, into the integer (num, den) pairs
-        that ``_validate`` checks; a repeated multi-index is refused.  No
-        ``Fraction`` is built."""
-        try:
-            dimension = json_int(data["dimension"])
-            terms = {}
-            for entry in _json_list(data["terms"]):
-                alpha = tuple(map(json_int, _json_list(entry["alpha"])))
-                if alpha in terms:
-                    raise ValueError(f"repeated multi-index {list(alpha)}")
-                terms[alpha] = _json_ratio(entry)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-        return object.__new__(cls)._validate(dimension, terms.items())
+        """The ``to_json`` schema, read by ``_read_fields``: the dimension by
+        ``json_int`` and the terms by ``_json_terms``, into the integer
+        (num, den) pairs that ``_validate`` checks.  No ``Fraction`` is
+        built."""
+        fields = _read_fields(data, _POLYNOMIAL_FIELDS, "polynomial JSON")
+        return object.__new__(cls)._validate(fields["dimension"], fields["terms"])
+
+
+def _json_terms(value):
+    """A polynomial's JSON ``terms`` as (alpha, (num, den)) pairs: each list
+    read by ``_json_list``, each exponent by ``json_int`` and each
+    coefficient by ``_json_ratio``; a repeated multi-index is refused."""
+    terms = {}
+    for entry in _json_list(value):
+        alpha = tuple(map(json_int, _json_list(entry["alpha"])))
+        if alpha in terms:
+            raise ValueError(f"repeated multi-index {list(alpha)}")
+        terms[alpha] = _json_ratio(entry)
+    return terms.items()
+
+
+_POLYNOMIAL_FIELDS = (("dimension", json_int), ("terms", _json_terms))
 
 
 # ------------------------------------------------------------- differential
@@ -429,15 +466,11 @@ def _check_index(n, index):
 
 
 def partial_derivative(poly, index):
-    """d(poly)/d(y_index), index 0-based."""
+    """d(poly)/d(y_index), index 0-based: the directional stencil along
+    e_index."""
     _check_index(poly.dimension, index)
-    nums = {}
-    for alpha, v in poly.nums.items():
-        a = alpha[index]
-        if a:
-            # lowering one exponent is one-to-one, so keys stay distinct
-            nums[alpha[:index] + (a - 1,) + alpha[index + 1 :]] = v * a
-    return Polynomial._of(poly.dimension, nums, poly.den)
+    d = [int(i == index) for i in range(poly.dimension)]
+    return Polynomial._of(poly.dimension, _pairing_stencil(poly.nums, d), poly.den)
 
 
 def _laplacian_stencil(sums):
@@ -496,17 +529,12 @@ def laplacian(poly):
 
 
 def iterated_laplacian(poly, count):
-    """count-fold composition of the Laplacian (count = 0 is the identity),
-    every pass on the same numerators, normalised once; the loop stops at
-    the zero polynomial, so a huge count costs nothing."""
+    """count-fold composition of the Laplacian (count = 0 is the identity):
+    the last entry of ``_laplacian_chain``, run for at most deg // 2 + 1
+    passes, the first that reaches zero, so a huge count costs nothing."""
     if count < 0:
         raise ValueError("iteration count must be non-negative")
-    nums = poly.nums
-    for _ in range(count):
-        if not nums:
-            break
-        nums = _laplacian_stencil(nums)
-    return Polynomial._of(poly.dimension, nums, poly.den)
+    return _laplacian_chain(poly, min(count, (poly.degree() or 0) // 2 + 1))[-1]
 
 
 def _laplacian_chain(poly, count):
@@ -559,14 +587,18 @@ def _evaluate(poly, d, q):
 
 
 def _pairing_stencil(sums, d):
-    """The directional stencil: v at alpha adds a_i d_i v at alpha - e_i."""
+    """The directional stencil: v at alpha adds a_i d_i v at alpha - e_i,
+    for the axes i with d_i != 0 alone (one axis for a partial
+    derivative)."""
     out = {}
     get = out.get
+    axes = [(i, x) for i, x in enumerate(d) if x]
     for alpha, v in sums.items():
-        for i, a in enumerate(alpha):
-            if a and d[i]:
+        for i, x in axes:
+            a = alpha[i]
+            if a:
                 key = alpha[:i] + (a - 1,) + alpha[i + 1 :]
-                out[key] = get(key, 0) + a * d[i] * v
+                out[key] = get(key, 0) + a * x * v
     return out
 
 

@@ -26,11 +26,11 @@ from one seeded stream, ``_normal_blocks``: the standard-normal rows of one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import kernels, quadrature
 from ._numpy import np
-from .polynomials import Polynomial, euler_operator, json_int
+from .polynomials import Polynomial, _list_of, _read_fields, euler_operator, json_int
 from .reduction import _L_parts, _L_sum
 
 __all__ = [
@@ -173,11 +173,7 @@ class ResidualReport:
     mean_abs: float
 
     def to_json(self):
-        return {
-            "count": self.count,
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-        }
+        return asdict(self)
 
 
 # ``linearized_residual`` samples RESIDUAL_SCALE * N(0, I)
@@ -443,26 +439,22 @@ class RefinedProfileSpec:
 
     @classmethod
     def from_json(cls, data):
-        """``n`` and ``ell`` are read by ``json_int``, the float fields by
-        ``_json_float``."""
-        try:
-            fields = dict(
-                n=json_int(data["n"]),
-                ell=json_int(data["ell"]),
-                lam=_json_float(data["lam"]),
-                xi=tuple(_json_float(x) for x in data["xi"]),
-                gamma=Polynomial.from_json(data["gamma"]),
-                harmonic_points=tuple(
-                    tuple(_json_float(x) for x in p) for p in data["harmonic_points"]
-                ),
-                harmonic_weights=tuple(
-                    _json_float(w) for w in data["harmonic_weights"]
-                ),
-                joint_radius_c=_json_float(data["joint_radius_c"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"malformed profile spec: {exc}") from exc
-        return cls(**fields)
+        """The fields of ``_SPEC_FIELDS``, read in order by
+        ``_read_fields``."""
+        return cls(**_read_fields(data, _SPEC_FIELDS, "profile spec"))
+
+
+# the fields of a profile spec and their readers, in the order they are read:
+# ``n`` and ``ell`` by ``json_int``, the float fields by ``_json_float`` (the
+# lists by ``_list_of``), and ``gamma`` by ``Polynomial.from_json``, looked up
+# at each read, so that a rebinding of it is seen
+_floats = _list_of(_json_float)
+_SPEC_FIELDS = (
+    ("n", json_int), ("ell", json_int), ("lam", _json_float), ("xi", _floats),
+    ("gamma", lambda value: Polynomial.from_json(value)),
+    ("harmonic_points", _list_of(_floats)), ("harmonic_weights", _floats),
+    ("joint_radius_c", _json_float),
+)
 
 
 class RefinedProfile:
@@ -758,13 +750,16 @@ def rescaled_average(v, xi, radii):
 
     Returns the averages at the given radii, the log-radius reparametrized
     values (t = -log r), and the number of sign changes of the discrete
-    derivative in t (= critical point count of the diagnostic).
+    derivative in t (= critical point count of the diagnostic).  Radii that
+    are not positive, finite and distinct are refused before any sampling.
     """
     xi = np.asarray(xi, dtype=float)
     n = xi.size
     radii = np.asarray(sorted(radii), dtype=float)
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
+    if not np.all(np.isfinite(radii)) or np.any(np.diff(radii) == 0):
+        raise ValueError("radii must be finite and distinct")
     nodes = quadrature.sphere_nodes(n, AVERAGE_SPHERE_COUNT)
     wbar = np.empty(radii.size)
     for i, r in enumerate(radii):

@@ -105,6 +105,21 @@ def test_gradient_bound_refuses_a_non_homogeneous_source(monkeypatch):
         gradient_lower_bound(p, rho=2.0, samples=2000)
 
 
+@pytest.mark.parametrize("rho", [-2.0, 0.0, float("nan"), float("inf")])
+def test_gradient_bound_refuses_a_rho_that_is_not_finite_and_positive(
+    monkeypatch, rho
+):
+    # for y1^4 + y2^4 + y3^4 at 200 samples these returned (-10.89, -31.78),
+    # a "min" above the "max", then (0.0, 0.0), (nan, nan) and (inf, inf)
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a node was drawn")
+
+    monkeypatch.setattr(balance_module.quadrature, "sphere_nodes", no_draw)
+    p = var(3, 0, 4) + var(3, 1, 4) + var(3, 2, 4)
+    with pytest.raises(ValueError, match=r"^rho must be finite and positive, got "):
+        gradient_lower_bound(p, rho=rho, samples=200)
+
+
 def test_gradient_bound_runs_on_one_sample():
     # |grad(y1^2 - y2^2 + y3^2 - y4^2)| = 2 on the whole unit sphere
     low, high = gradient_lower_bound(separable_even(4, 2), samples=1)
@@ -518,6 +533,17 @@ def test_configuration_invariants_enforced():
         )
     with pytest.raises(ValueError, match="at least one point"):
         BlowupConfiguration(n, (), (), (), (), (), ())
+    # a point or a drift vector of another length than n was accepted, and
+    # the balance report failed later inside ``directional_pairing``
+    origin = (Fraction(0),) * n
+    for name in ("points", "flex_vectors"):
+        fields = dict(n=n, points=(origin,), k_values=(Fraction(48),),
+                      taylor_polys=(Polynomial.zero(n),), flex_vectors=(origin,),
+                      flex_exponents=(Fraction(1, 9),), scale_ratios=(Fraction(1),))
+        fields[name] = (origin[:3],)
+        with pytest.raises(ValueError, match=f"^every entry of {name} must have "
+                                             f"length n = {n}$"):
+            BlowupConfiguration(**fields)
 
 
 @pytest.mark.parametrize(

@@ -378,10 +378,16 @@ def test_balance_refuses_inputs_it_cannot_report(
         (lambda: _with_entry("taylor_polys", 1, (
             Polynomial.variable(8, 0, 6) + Polynomial.variable(8, 1, 2)).to_json()),
          "taylor polynomials must be homogeneous of degree n - 2"),
+        # reported from inside ``directional_pairing`` as "vector length 3 !=
+        # dimension 8"
+        (lambda: _with_entry("points", 1, [3, 0, 0]),
+         "every entry of points must have length n = 8"),
+        (lambda: _with_entry("flex_vectors", 1, [1, 0, 0]),
+         "every entry of flex_vectors must have length n = 8"),
     ],
     ids=["unequal-lists", "repeated-point", "zero-curvature-scale",
          "origin-scale-ratio", "taylor-dimension", "taylor-degree",
-         "taylor-not-homogeneous"],
+         "taylor-not-homogeneous", "short-point", "short-drift-vector"],
 )
 def test_balance_refuses_an_inconsistent_configuration(
     tmp_path, capsys, payload, message
@@ -1592,23 +1598,44 @@ def _with_entry(field, index, value):
         ("balance", lambda: {**balance_config_json(),
                              "k_values": {"48": 0, "2": 0, "02": 0}}),
         ("balance", lambda: {**balance_config_json(), "scale_ratios": "111"}),
+        ("profile", lambda: {**profile_spec_json(), "xi": "00000"}),
+        ("profile", lambda: {**profile_spec_json(), "harmonic_points": {"a": 1}}),
+        ("profile", lambda: {**profile_spec_json(), "harmonic_weights": "1"}),
     ],
     ids=["string-alpha", "object-alpha", "string-terms", "object-terms",
-         "string-point", "string-vector", "object-k-values", "string-ratios"],
+         "string-point", "string-vector", "object-k-values", "string-ratios",
+         "string-xi", "object-points", "string-weights"],
 )
 def test_a_string_or_object_where_a_list_belongs_is_malformed_input(
     tmp_path, capsys, monkeypatch, command, payload
 ):
     # each read its characters or keys as the list's entries: integrate took
     # the first two as y1^2 and exited 0, solve took "" and {} as the zero
-    # polynomial and exited 2, and balance took each configuration for the
-    # mirrored pair it spells and exited 0
+    # polynomial and exited 2, balance took each configuration for the
+    # mirrored pair it spells and exited 0, and profile refused "00000" as
+    # "not a JSON number: '0'" and read {"a": 1} as the one point "a"
     (tmp_path / "in.json").write_text(json.dumps(payload()))
     monkeypatch.chdir(tmp_path)
     assert cli.main([command, "--input", "in.json", "--output", "o.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: malformed ") and "not a JSON list" in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
+
+@pytest.mark.parametrize(
+    "command, what",
+    [("integrate", "polynomial JSON"), ("balance", "balance configuration"),
+     ("profile", "profile spec")],
+)
+def test_an_input_file_whose_top_level_is_not_a_json_object_is_malformed(
+    tmp_path, capsys, command, what
+):
+    # each was read as "list indices must be integers or slices, not str"
+    path = tmp_path / "in.json"
+    path.write_text("[1]")
+    out = tmp_path / "out"
+    argv = [command, "--input", str(path), "--output", str(out)]
+    assert_refused(capsys, argv, out, 1, f"malformed {what}: not a JSON object: [1]")
 
 
 # A child that runs one command in-process, then fails unless numpy's core

@@ -23,6 +23,10 @@ def _solution_marked_verified_by_an_int():
     return reduction.CorrectionSolution.from_json(data)
 
 
+def _no_profile(points):
+    raise AssertionError("the profile was sampled")
+
+
 REFUSALS = {
     "a_multiplier_negative_index": (
         lambda: reduction.a_multiplier(8, 4, -1, 0),
@@ -80,6 +84,17 @@ REFUSALS = {
         lambda: profiles.rescaled_average(
             lambda pts: np.ones(len(pts)), [0.0] * 3, [0.5, 0.0]),
         ValueError, "radii must be positive"),
+    # a repeated radius divided 0 by 0 in the slope step, and a NaN radius
+    # was reported as a profile that is not positive and finite
+    "average_radius_repeated": (
+        lambda: profiles.rescaled_average(_no_profile, [0.0] * 3, [0.5, 1.0, 0.5]),
+        ValueError, "radii must be finite and distinct"),
+    "average_radius_nan": (
+        lambda: profiles.rescaled_average(_no_profile, [0.0] * 3, [0.5, math.nan]),
+        ValueError, "radii must be finite and distinct"),
+    "average_radius_infinite": (
+        lambda: profiles.rescaled_average(_no_profile, [0.0] * 3, [math.inf, 1.0]),
+        ValueError, "radii must be finite and distinct"),
     "average_profile_not_positive": (
         lambda: profiles.rescaled_average(
             lambda pts: np.zeros(len(pts)), [0.0] * 3, [0.5, 1.0]),
