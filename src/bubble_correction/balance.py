@@ -29,9 +29,11 @@ from .moments import _gradient_moment_map, _pizzetti_levels
 from .polynomials import (
     Polynomial,
     _evaluate,
+    _int_arg,
     _integer_vector,
     _list_of,
     _read_fields,
+    _scale_arg,
     as_coefficient,
     directional_pairing,
     gradient,
@@ -221,10 +223,8 @@ def gradient_lower_bound(poly, rho=1.0, samples=10_000, seed=0):
     ValueError before any node is drawn, as ``SynthesizedCurvature`` refuses
     it, and so is a ``rho`` that is not finite and positive.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
-    if not 0 < rho < math.inf:
-        raise ValueError(f"rho must be finite and positive, got {rho!r}")
+    _int_arg("samples", samples, 1)
+    _scale_arg("rho", rho)
     if poly.is_zero or not poly.is_homogeneous() or poly.degree() < 2:
         raise ValueError("needs a homogeneous polynomial of degree >= 2")
     n, ell = poly.dimension, poly.degree()
@@ -290,8 +290,7 @@ def flexibility_falsifier(poly, budget=2000, seed=0, tol=1e-8):
     NOT a proof.  For the separable even-power class the parity certificate
     is run as well, and that one IS a proof.
     """
-    if type(budget) is not int or budget < 1:
-        raise ValueError(f"budget must be an int >= 1, got {budget!r}")
+    _int_arg("budget", budget, 1)
     n = poly.dimension
     certificate = parity_certificate(poly)
     if poly.is_zero:
@@ -353,6 +352,8 @@ def eta_admissible(n, ell, eta):
     Degree n - 2: eta < 2 / (3n - 2).  Degree n - 3 (dimension > 6):
     eta < (n - 6) / ((n - 3)(3n - 2)).  Other degrees are unsupported.
     """
+    _int_arg("n", n, None)
+    _int_arg("ell", ell, None)
     eta = as_coefficient(eta)
     if ell == n - 2:
         bound = Fraction(2, 3 * n - 2)
@@ -430,7 +431,7 @@ def interference_check(n, etas, distinct_only=False):
     the check to pairs with different exponents, which is the condition the
     single-point conclusions actually need.
     """
-    if n <= 6:
+    if _int_arg("n", n, None) <= 6:
         raise UnsupportedCaseError("interference condition needs dimension > 6")
     etas = [as_coefficient(e) for e in etas]
     violations = []

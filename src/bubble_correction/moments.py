@@ -43,8 +43,10 @@ from .errors import DivergentMomentError
 from .polynomials import (
     Polynomial,
     _evaluate,
+    _int_arg,
     _integer_vector,
     _laplacian_chain,
+    _scale_arg,
     compose_shift,
     gradient,
     iterated_laplacian,
@@ -243,10 +245,11 @@ class CenterBreakdown(NamedTuple):
 def change_of_center(poly, xi, lam, rho, nodes=192):
     """Break the moment of Q against the off-center bubble mass into its
     centered, intermediate-shift and drift groups, and cross-check against a
-    deterministic quadrature of the original ball integral.  A NaN or
-    infinite lam, rho or xi entry, an int or Fraction lam or rho beyond the
-    float range, a lam whose lam**ell is beyond it, and an exact rho / lam
-    beyond it, are refused before any work.
+    deterministic quadrature of the original ball integral.  A lam or rho
+    that is not finite and positive (a bool included), a ``nodes`` that is
+    not an int >= 1, a NaN or infinite xi entry, an int or Fraction lam or
+    rho beyond the float range, a lam whose lam**ell is beyond it, and an
+    exact rho / lam beyond it, are refused before any work.
     """
     n = poly.dimension
     # degree 0 would make the centered and drift groups the same piece
@@ -255,13 +258,12 @@ def change_of_center(poly, xi, lam, rho, nodes=192):
     ell = poly.degree()
     if ell > n - 2:
         raise DivergentMomentError("change of center requires degree <= n - 2")
-    if lam <= 0 or rho <= 0:
-        raise ValueError("scale and radius must be positive")
+    _scale_arg("lam", lam)
+    _scale_arg("rho", rho)
+    _int_arg("nodes", nodes, 1)
     # an int or a Fraction is finite, and may be beyond isfinite's float range
-    if not all(isinstance(v, Rational) or isfinite(v) for v in (lam, rho, *xi)):
-        raise ValueError(
-            f"scale, radius and center must be finite, got {lam!r}, {rho!r}, {xi!r}"
-        )
+    if not all(isinstance(v, Rational) or isfinite(v) for v in xi):
+        raise ValueError(f"center must be finite, got {xi!r}")
     # lam and rho meet floats (rho / lam, lam**ell times a float), so an int
     # or a Fraction must fit one, and so must lam**ell (float(lam**ell) has
     # the bits that lam**ell has when a float multiplies it)

@@ -28,7 +28,12 @@ read through one field reader, the private ``_read_fields``: a JSON object's
 fields in a fixed order, each by its reader (a list field by ``_list_of``,
 the one "JSON list of X" reader), with one ``malformed <what>: ...`` wrap
 for a top level that is not an object, a missing key or a refused value.
-``from_json`` is its polynomial case.  Every operation on polynomials returns
+``from_json`` is its polynomial case.  Three value rules are written here
+once and used by every module: ``_int_arg`` (an int, never a bool, a float
+or a str, in its range), ``_scale_arg`` (a real, not a bool, with
+0 < value < inf) and the string-rational grammar of ``as_coefficient``
+(``[+-]?[0-9]+(/[0-9]+)?``, so no decimal or exponent string is read).
+Every operation on polynomials returns
 through the private ``Polynomial._of``, whose one normaliser trusts its
 already-valid numerators, drops the zero ones and divides out the gcd.
 Iteration and serialized output follow graded-lexicographic order so that
@@ -63,7 +68,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
+from numbers import Real
 from types import MappingProxyType
 
 from .errors import DimensionMismatchError, ExactnessError
@@ -85,20 +91,54 @@ __all__ = [
 ]
 
 
+# the signed ASCII digits of ``json_int``, and the numerator of a string
+# rational
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(rf"({_DECIMAL.pattern})(?:/([0-9]+))?")
+
+
 def as_coefficient(value):
-    """Coerce ints / strings / Fractions to Fraction.  Floats and booleans
-    are refused: they would silently break the exactness contract of this
-    module."""
+    """Coerce ints / string rationals / Fractions to Fraction.  A string is
+    read only when it fully matches ``[+-]?[0-9]+(/[0-9]+)?`` (ASCII digits,
+    no whitespace or underscore), its numerator and denominator as ints, and
+    a zero denominator is a ValueError; any other string, a float and a
+    boolean are refused with ExactnessError: they would silently break the
+    exactness contract of this module (a decimal string would need
+    ``Fraction``'s own grammar, whose exponents are unbounded work)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ExactnessError(f"not an exact rational coefficient: {value!r}")
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise ExactnessError(f"not an exact rational coefficient: {value!r}")
+    den = int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {value!r}")
+    return Fraction(int(match[1]), den)
 
 
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
+def _int_arg(name, value, low, high=None):
+    """The one int rule of the package's arguments: ``value`` when it is an
+    int (not a bool, a float or a str) in low..high, or else
+    ``ValueError("<name> must be an int >= <low>, got <value!r>")`` (``in
+    <low>..<high>`` under an upper bound).  A ``low`` of None checks the int
+    clause alone, for a site whose range is a domain rule with its own
+    message."""
+    if type(value) is int and (low is None or low <= value) and (
+            high is None or value <= high):
+        return value
+    rule = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+    raise ValueError(f"{name} must be an int{rule}, got {value!r}")
+
+
+def _scale_arg(name, value):
+    """The one scale rule: ``value`` when it is a real number, not a bool,
+    with 0 < value < inf (a huge exact int or Fraction passes), or else
+    ``ValueError("<name> must be finite and positive, got <value!r>")``."""
+    if isinstance(value, Real) and not isinstance(value, bool) and 0 < value < inf:
+        return value
+    raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def json_int(value):
@@ -203,8 +243,7 @@ class Polynomial:
         nonzero int den.  The dimension and each exponent are checked once,
         and the numerators go to ``_store`` over the lcm of the
         denominators; returns the polynomial."""
-        if type(dimension) is not int or dimension < 1:
-            raise ValueError(f"dimension must be a positive int, got {dimension!r}")
+        _int_arg("dimension", dimension, 1)
         checked = {}
         for alpha, ratio in terms:
             alpha = tuple(alpha)
@@ -252,9 +291,8 @@ class Polynomial:
     @classmethod
     def variable(cls, dimension, index, power=1, coeff=1):
         """The monomial coeff * y_index**power (index is 0-based)."""
-        _check_index(dimension, index)
-        alpha = [0] * dimension
-        alpha[index] = power
+        alpha = [0] * _int_arg("dimension", dimension, 1)
+        alpha[_int_arg("variable index", index, 0, dimension - 1)] = power
         return cls(dimension, {tuple(alpha): coeff})
 
     @classmethod
@@ -356,10 +394,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError(
-                f"exponent must be a non-negative int, got {exponent!r}"
-            )
+        _int_arg("exponent", exponent, 0)
         result = Polynomial.constant(self.dimension, 1)
         base = self
         e = exponent
@@ -456,19 +491,10 @@ _POLYNOMIAL_FIELDS = (("dimension", json_int), ("terms", _json_terms))
 # ------------------------------------------------------------- differential
 
 
-def _check_index(n, index):
-    """Refuse a variable index that is not an int in 0 .. n - 1 (a bool or a
-    negative index would otherwise pick a variable silently)."""
-    if type(index) is not int or not 0 <= index < n:
-        raise ValueError(
-            f"variable index must be an int in 0 .. {n - 1}, got {index!r}"
-        )
-
-
 def partial_derivative(poly, index):
     """d(poly)/d(y_index), index 0-based: the directional stencil along
     e_index."""
-    _check_index(poly.dimension, index)
+    _int_arg("variable index", index, 0, poly.dimension - 1)
     d = [int(i == index) for i in range(poly.dimension)]
     return Polynomial._of(poly.dimension, _pairing_stencil(poly.nums, d), poly.den)
 
@@ -532,8 +558,7 @@ def iterated_laplacian(poly, count):
     """count-fold composition of the Laplacian (count = 0 is the identity):
     the last entry of ``_laplacian_chain``, run for at most deg // 2 + 1
     passes, the first that reaches zero, so a huge count costs nothing."""
-    if count < 0:
-        raise ValueError("iteration count must be non-negative")
+    _int_arg("iteration count", count, 0)
     return _laplacian_chain(poly, min(count, (poly.degree() or 0) // 2 + 1))[-1]
 
 
@@ -612,8 +637,7 @@ def directional_pairing(direction, poly):
 def r2_multiply(poly, power):
     """(y_1^2 + ... + y_n^2)^power * poly: the radial sum with ``power`` zero
     blocks in front of poly."""
-    if type(power) is not int or power < 0:
-        raise ValueError(f"power must be a non-negative int, got {power!r}")
+    _int_arg("power", power, 0)
     return _radial_sum(poly.dimension, [0] * power + [poly])
 
 

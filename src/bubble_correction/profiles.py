@@ -30,7 +30,8 @@ from dataclasses import asdict, dataclass
 
 from . import kernels, quadrature
 from ._numpy import np
-from .polynomials import Polynomial, _list_of, _read_fields, euler_operator, json_int
+from .polynomials import (
+    Polynomial, _int_arg, _list_of, _read_fields, _scale_arg, euler_operator, json_int)
 from .reduction import _L_parts, _L_sum
 
 __all__ = [
@@ -60,13 +61,6 @@ __all__ = [
 ]
 
 
-def _require(ok, flag, rule, value):
-    """Refuse an argument before any work, naming the CLI flag it comes
-    from, so that a library caller and the CLI get the same refusal."""
-    if not ok:
-        raise ValueError(f"--{flag} must be {rule}, got {value!r}")
-
-
 # ------------------------------------------------------------------ bubbles
 
 
@@ -75,13 +69,11 @@ class BubbleProfile:
     and Laplacian."""
 
     def __init__(self, n, eps, center):
-        if not 0 < eps < math.inf:
-            raise ValueError(f"bubble scale must be finite and positive, got {eps!r}")
+        self.eps = float(_scale_arg("bubble scale", eps))
         if len(center) != n:
             raise ValueError("center length must equal the dimension")
         self.dimension = n
         self.center = np.asarray([float(c) for c in center])
-        self.eps = float(eps)
 
     def values(self, points):
         return kernels.bubble_values(
@@ -217,9 +209,9 @@ def check_sample_work(samples, n, terms, walk=0):
     1..MAX_SAMPLES, then when samples x ``terms``, the largest polynomial
     sampled, or samples x n, the points, is above MAX_SAMPLE_TERMS, or when
     samples x ``walk``, the power-table walk of ``_walk_length``, is above
-    MAX_SAMPLE_WALK; each refusal names the CLI's --samples flag."""
-    _require(1 <= samples <= MAX_SAMPLES, "samples", f">= 1 and <= {MAX_SAMPLES}",
-             samples)
+    MAX_SAMPLE_WALK; each refusal names the CLI's --samples flag, so that a
+    library caller and the CLI get the same refusal."""
+    _int_arg("--samples", samples, 1, MAX_SAMPLES)
     terms = max(terms, 1)
     for count, label, name, cap in (
         (terms, f"{terms} terms", "terms", MAX_SAMPLE_TERMS),
@@ -294,7 +286,7 @@ def linearized_residual(gamma, source, samples=1000, seed=0):
     parts, polys = _scan_polynomials(gamma, source)
     lap, diagonal, src = (len(p.nums) for p in polys)
     check_sample_work(samples, n, max(lap, diagonal, src), _walk_length(*polys))
-    _require(seed >= 0, "seed", ">= 0", seed)
+    _int_arg("--seed", seed, 0)
     terms = lap * (n + 1) + diagonal
     if terms * n > MAX_GATE_EXPONENTS:
         raise ValueError(
@@ -326,8 +318,7 @@ class HarmonicTail:
     sources, with its value at the origin cached as ``h_o``."""
 
     def __init__(self, points, weights, lam):
-        if not 0 < lam < math.inf:
-            raise ValueError(f"tail scale must be finite and positive, got {lam!r}")
+        self.lam = float(_scale_arg("tail scale", lam))
         points = np.asarray(points, dtype=float)
         # counted before atleast_2d, which turns an empty list into one empty row
         if points.ndim and points.shape[0] == 0:
@@ -344,7 +335,6 @@ class HarmonicTail:
             raise ValueError("tail weights must be positive")
         self.sources = points
         self.weights = weights
-        self.lam = float(lam)
         self.dimension = points.shape[1]
         # through the same evaluation path as values(), so that the value at
         # the origin cancels h_o bit for bit
@@ -413,13 +403,8 @@ class RefinedProfileSpec:
     def __post_init__(self):
         if not 2 <= self.ell <= self.n - 2:
             raise ValueError("profile degree must satisfy 2 <= ell <= n - 2")
-        # a NaN passes ``<= 0``: refuse any value outside (0, inf) first
-        if not (0 < self.lam < math.inf and 0 < self.joint_radius_c < math.inf):
-            if self.lam <= 0 or self.joint_radius_c <= 0:
-                raise ValueError("scale and joint radius must be positive")
-            raise ValueError(
-                f"scale and joint radius must be finite, got {self.lam!r} and "
-                f"{self.joint_radius_c!r}")
+        _scale_arg("lam", self.lam)
+        _scale_arg("joint_radius_c", self.joint_radius_c)
         if len(self.xi) != self.n:
             raise ValueError("drift vector length must equal the dimension")
         if self.gamma.dimension != self.n:
@@ -531,7 +516,7 @@ def profile_rows(spec, samples, seed):
     the float range is refused as it is made."""
     gamma = spec.gamma
     check_sample_work(samples, spec.n, len(gamma.nums), _walk_length(gamma))
-    _require(seed >= 0, "seed", ">= 0", seed)
+    _int_arg("--seed", seed, 0)
     header = [f"y{i + 1}" for i in range(spec.n)] + [
         "bubble", "correction", "harmonic_group", "total"
     ]
@@ -595,12 +580,10 @@ class GreensBall:
     MAX_DELTA = 0.95
 
     def __init__(self, n, a):
-        if not 0 < a < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {a!r}")
-        if n < 3:
+        self.a = float(_scale_arg("radius", a))
+        if _int_arg("n", n, None) < 3:
             raise ValueError("inverse-power form needs dimension >= 3")
         self.n = n
-        self.a = float(a)
         self._norm = 1.0 / ((n - 2) * quadrature.sphere_area(n))
 
     def reflect(self, xi):
@@ -659,8 +642,7 @@ class GreensBall:
                 f"delta must lie in (0, {self.MAX_DELTA}], got {delta!r}"
             )
         # no sample would leave both constants at 0 and both verdicts true
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples!r}")
+        _int_arg("samples", samples, 1)
         rng = np.random.default_rng(seed)
         n = self.n
         green_const = 0.0
@@ -715,11 +697,11 @@ def green_report(n, radius, seed):
     bounds of ``GreensBall.check_bounds`` at each of GREEN_GAPS, all drawn
     from ``seed``.  ``n`` (3..GREEN_MAX_N), ``radius`` (in GREEN_RADII) and
     ``seed`` (>= 0) are refused as the CLI's flags before any work."""
-    _require(n >= 3, "n", ">= 3", n)
-    _require(n <= GREEN_MAX_N, "n", f"<= {GREEN_MAX_N}", n)
+    _int_arg("--n", n, 3, GREEN_MAX_N)
     lo, hi = GREEN_RADII
-    _require(lo <= radius <= hi, "radius", f"in [{lo:g}, {hi:g}]", radius)
-    _require(seed >= 0, "seed", ">= 0", seed)
+    if not lo <= radius <= hi:
+        raise ValueError(f"--radius must be in [{lo:g}, {hi:g}], got {radius!r}")
+    _int_arg("--seed", seed, 0)
     ball = GreensBall(n, radius)
     rng = np.random.default_rng(seed)
     xi = rng.uniform(-0.3, 0.3, n) * radius

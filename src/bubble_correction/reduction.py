@@ -70,9 +70,11 @@ from .polynomials import (
     Polynomial,
     _accumulate,
     _horner,
+    _int_arg,
     _laplacian_chain,
     _laplacian_stencil,
     _radial_sum,
+    _read_fields,
     _sum,
     as_coefficient,
     iterated_laplacian,
@@ -117,21 +119,12 @@ MAX_SOLUTION_TERMS = 50_000
 
 
 def _check_degree(ell):
-    """Refuse a negative degree (malformed, unlike the degree-below-2
-    obstruction) or one above ``MAX_ELL``."""
-    if ell < 0:
+    """Refuse a degree that is not an int, a negative one (malformed, unlike
+    the degree-below-2 obstruction) or one above ``MAX_ELL``."""
+    if _int_arg("ell", ell, None) < 0:
         raise ValueError(f"source degree must be >= 0 (got ell={ell})")
     if ell > MAX_ELL:
         raise ValueError(f"source degree must be <= {MAX_ELL} (got ell={ell})")
-
-
-def _check_ints(**values):
-    """Refuse a float or bool n, ell or index, as ``Polynomial`` refuses a
-    float dimension: a cell built from a float n is binary-rounded, not
-    exact."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int (got {name}={value!r})")
 
 
 def _solution_size(n, ell, allow_radial):
@@ -152,19 +145,19 @@ def _solution_size(n, ell, allow_radial):
 
 
 def h_of(ell):
-    """Largest integer <= ell / 2."""
-    if ell < 1:
-        raise ValueError("degree must be >= 1")
-    return ell // 2
+    """Largest integer <= ell / 2, for an int ell >= 1."""
+    return _int_arg("degree", ell, 1) // 2
 
 
 def a_multiplier(n, ell, j, k):
     """The multiplier (2j)(2j + n - 2 + 2*ell - 4k) produced when the
     weighted Laplacian acts on (|y|^2)^j * lap^(k)(P).  Every argument is an
-    int (not a bool)."""
-    _check_ints(n=n, ell=ell, j=j, k=k)
-    if j < 0 or k < 0:
-        raise ValueError("indices must be non-negative")
+    int (not a bool, and a float cell would be binary-rounded, not exact),
+    and the indices are >= 0."""
+    _int_arg("n", n, None)
+    _int_arg("ell", ell, None)
+    _int_arg("j", j, 0)
+    _int_arg("k", k, 0)
     return Fraction(2 * j) * Fraction(2 * j + n - 2 + 2 * ell - 4 * k)
 
 
@@ -242,16 +235,13 @@ def coefficient_table(n, ell, columns=None):
     them in build order.  A full table, of h columns, is blocked exactly when
     h > n/2.
     """
-    _check_ints(n=n, ell=ell)
-    if not 1 <= n <= _MAX_TABLE_N:
+    if not 1 <= _int_arg("n", n, None) <= _MAX_TABLE_N:
         raise ValueError(f"dimension must be >= 1 and <= {_MAX_TABLE_N} (got n={n})")
     _check_degree(ell)
     if ell < 2:
         raise UnsupportedCaseError("source degree must be >= 2")
     h = h_of(ell)
-    if columns is not None and (type(columns) is not int or columns < 1):
-        raise ValueError(f"columns must be an int >= 1 (got columns={columns!r})")
-    columns = h if columns is None else min(columns, h)
+    columns = h if columns is None else min(_int_arg("columns", columns, 1), h)
     if n % 2 == 0 and n // 2 < columns:
         raise CharacteristicGuardError(n, ell)
 
@@ -351,42 +341,44 @@ class CorrectionSolution(NamedTuple):
 
     @classmethod
     def from_json(cls, data):
-        """Integer fields are read by ``json_int``; ``verified`` must be a
-        JSON boolean.  The record must agree with itself: gamma and the
-        completion of dimension n, ell >= 2, and the vanishing order in
-        1..ell // 2 + 1 (h + 1 when no lap^k P vanishes at or below h)."""
-        try:
-            solution = cls(
-                gamma=Polynomial.from_json(data["gamma"]),
-                radial_completion=(
-                    None
-                    if data.get("radial_completion") is None
-                    else Polynomial.from_json(data["radial_completion"])
-                ),
-                vanishing_order=json_int(data["vanishing_order"]),
-                verified=data["verified"],
-                n=json_int(data["n"]),
-                ell=json_int(data["ell"]),
-            )
-            n, ell, order = solution.n, solution.ell, solution.vanishing_order
-            if not isinstance(solution.verified, bool):
-                raise ValueError(f"verified is not a boolean: {data['verified']!r}")
-            for name in ("gamma", "radial_completion"):
-                poly = getattr(solution, name)
-                if poly is not None and poly.dimension != n:
-                    raise ValueError(
-                        f"{name} has dimension {poly.dimension}, not n = {n}"
-                    )
-            if ell < 2:
-                raise ValueError(f"ell must be >= 2, got {ell}")
-            if not 1 <= order <= ell // 2 + 1:
-                raise ValueError(
-                    f"vanishing_order must lie in 1..{ell // 2 + 1} for ell = {ell}, "
-                    f"got {order}"
-                )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed solution JSON: {exc}") from exc
+        """The fields of ``_SOLUTION_FIELDS``, read in order by
+        ``_read_fields`` (a missing ``radial_completion`` reads as null).  The
+        record must agree with itself: gamma and the completion of dimension
+        n, ell >= 2, and the vanishing order in 1..ell // 2 + 1 (h + 1 when
+        no lap^k P vanishes at or below h)."""
+        if isinstance(data, dict):
+            data = {"radial_completion": None, **data}
+        solution = cls(**_read_fields(data, _SOLUTION_FIELDS, "solution JSON"))
+        n, ell, order = solution.n, solution.ell, solution.vanishing_order
+        for name, poly in zip(("gamma", "radial_completion"), solution):
+            if poly is not None and poly.dimension != n:
+                raise ValueError(f"malformed solution JSON: {name} has dimension "
+                                 f"{poly.dimension}, not n = {n}")
+        if ell < 2:
+            raise ValueError(f"malformed solution JSON: ell must be >= 2, got {ell}")
+        if not 1 <= order <= ell // 2 + 1:
+            raise ValueError(f"malformed solution JSON: vanishing_order must lie in "
+                             f"1..{ell // 2 + 1} for ell = {ell}, got {order}")
         return solution
+
+
+def _json_bool(value):
+    """A boolean read from JSON, where an int would otherwise pass as one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"verified is not a boolean: {value!r}")
+    return value
+
+
+# the fields of a solution file and their readers, in the order they are read
+# (``Polynomial.from_json`` is looked up at each read, so a rebinding of it is
+# seen); a null ``radial_completion`` is None
+_SOLUTION_FIELDS = (
+    ("gamma", lambda value: Polynomial.from_json(value)),
+    ("radial_completion",
+     lambda value: None if value is None else Polynomial.from_json(value)),
+    ("vanishing_order", json_int), ("verified", _json_bool), ("n", json_int),
+    ("ell", json_int),
+)
 
 
 def _validated_source(poly, allow_radial=False):
@@ -439,7 +431,8 @@ def _completion_weights(n, ell, residues):
     """[B_0, B_1, ..., B_{n/2}] with B_0 = 0: the weights of the radial
     completion F = sum_k B_k (|y|^2)^k for the residue weights a_0..a_h (see
     ``radial_completion``)."""
-    _check_ints(n=n, ell=ell)
+    _int_arg("n", n, None)
+    _int_arg("ell", ell, None)
     if n < 4 or n % 2 or ell % 2 or ell > n - 2:
         raise UnsupportedCaseError(
             "outside the radial-completion hypotheses (need n >= 4 even and "

@@ -88,7 +88,7 @@ def test_gradient_bound_refuses_to_sample_nothing(samples, monkeypatch):
         raise AssertionError("a node was drawn")
 
     monkeypatch.setattr(balance_module.quadrature, "sphere_nodes", no_draw)
-    with pytest.raises(ValueError, match=r"^samples must be >= 1, got "):
+    with pytest.raises(ValueError, match=r"^samples must be an int >= 1, got "):
         gradient_lower_bound(separable_even(4, 2), samples=samples)
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import stat
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -170,6 +171,31 @@ def test_balance_rejects_inexact_config(tmp_path, field, value):
         tmp_path,
     )
     assert_input_error(result)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1/0", "malformed balance configuration: zero denominator in '1/0'"),
+        ("1e1000000", "not an exact rational coefficient: '1e1000000'"),
+    ],
+    ids=["zero-denominator", "decimal-exponent"],
+)
+def test_balance_refuses_a_string_rational_outside_the_grammar(
+    tmp_path, value, message
+):
+    # "1/0" ended in a ZeroDivisionError traceback, and "1e1000000" was parsed
+    # by Fraction's own grammar, a million-digit integer, before any check
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_with_entry("k_values", 1, value)))
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    result = run_cli(["balance", "--input", str(path), "--output", str(out)], tmp_path)
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 1
+    assert result.stderr == f"input error: {message}\n"
+    assert not out.exists()
+    assert elapsed < 1.0, elapsed
 
 
 def test_table_dump_contains_reference_cell(tmp_path):
@@ -800,7 +826,7 @@ def test_green_check_refuses_large_dimension(tmp_path, n):
         ["green-check", "--n", n, "--output", str(tmp_path / "g.json")], tmp_path
     )
     assert_input_error(result)
-    assert "--n must be <= 11" in result.stderr
+    assert f"--n must be an int in 3..11, got {n}" in result.stderr
     assert not list(tmp_path.iterdir())
 
 
@@ -882,13 +908,13 @@ def test_samples_cap_refuses_before_any_work(
         )
     assert code == 1
     assert err.startswith(
-        f"input error: --samples must be >= 1 and <= {profiles.MAX_SAMPLES}"
+        f"input error: --samples must be an int in 1..{profiles.MAX_SAMPLES}"
     ), err
     assert not out.exists()
     # at the cap, with the cap lowered so the run stays small
     monkeypatch.setattr(profiles, "MAX_SAMPLES", 7)
     code, err = run_sampling(capsys, [*argv, "--samples", "8"], out)
-    assert code == 1 and "--samples must be >= 1 and <= 7" in err
+    assert code == 1 and "--samples must be an int in 1..7, got 8" in err
     assert not out.exists()
     code, err = run_sampling(capsys, [*argv, "--samples", "7"], out)
     assert code == 0, err

@@ -281,12 +281,12 @@ def _work(samples=10):
     return profiles.check_sample_work(samples, 3, 1)
 
 
-_SAMPLES_RULE = f"--samples must be >= 1 and <= {profiles.MAX_SAMPLES}, got "
+_SAMPLES_RULE = f"--samples must be an int in 1..{profiles.MAX_SAMPLES}, got "
 _SAMPLES = [
     ({"samples": value}, f"{_SAMPLES_RULE}{value}")
     for value in (0, -3, profiles.MAX_SAMPLES + 1)
 ]
-_SEED = ({"seed": -1}, "--seed must be >= 0, got -1")
+_SEED = ({"seed": -1}, "--seed must be an int >= 0, got -1")
 _RADIUS = "--radius must be in [1e-10, 1e+10], got "
 # (call, its refused argument, the refusal's text); each call runs with its
 # defaults
@@ -294,8 +294,8 @@ LIBRARY_REFUSALS = (
     [(_scan, *case) for case in [*_SAMPLES, _SEED]]
     + [(_profile, *case) for case in [*_SAMPLES, _SEED]]
     + [
-        (_green, {"n": 2}, "--n must be >= 3, got 2"),
-        (_green, {"n": 12}, "--n must be <= 11, got 12"),
+        (_green, {"n": 2}, "--n must be an int in 3..11, got 2"),
+        (_green, {"n": 12}, "--n must be an int in 3..11, got 12"),
         (_green, {"radius": 1e11}, f"{_RADIUS}{1e11!r}"),
         (_green, {"radius": 1e-11}, f"{_RADIUS}{1e-11!r}"),
         (_green, *_SEED),
@@ -595,7 +595,8 @@ def test_spec_refuses_a_scale_that_is_not_finite(field, value):
     # unrelated harmonic-source check
     spec = example_profile_spec()
     fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
-    with pytest.raises(ValueError, match="^scale and joint radius must be finite"):
+    message = f"^{field} must be finite and positive, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
         RefinedProfileSpec(**{**fields, field: value})
 
 
@@ -603,8 +604,8 @@ def test_spec_refuses_a_scale_that_is_not_finite(field, value):
 def test_spec_keeps_its_refusal_of_a_scale_at_or_below_zero(field):
     spec = example_profile_spec()
     fields = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
-    message = "^scale and joint radius must be positive$"
     for value in (0.0, -1.0):
+        message = f"^{field} must be finite and positive, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             RefinedProfileSpec(**{**fields, field: value})
 
@@ -754,7 +755,7 @@ def test_green_and_poisson_bound_constants():
 def test_check_bounds_refuses_to_measure_nothing():
     ball = GreensBall(4, 1.0)
     for samples in (0, -5):
-        with pytest.raises(ValueError, match=r"^samples must be >= 1, got "):
+        with pytest.raises(ValueError, match=r"^samples must be an int >= 1, got "):
             ball.check_bounds(0.1, samples=samples)
     report = ball.check_bounds(0.1, samples=1)
     assert report["green_measured"] > 0 and report["poisson_measured"] > 0

@@ -9,12 +9,17 @@ import pytest
 
 from bubble_correction import balance, moments, polynomials, profiles, quadrature
 from bubble_correction import reduction
-from bubble_correction.errors import DivergentMomentError, UnsupportedCaseError
+from bubble_correction.errors import (
+    DivergentMomentError, ExactnessError, UnsupportedCaseError)
 from bubble_correction.polynomials import Polynomial
 
 
 def var(n, i, p=1):
     return Polynomial.variable(n, i, p)
+
+
+def _quadric():
+    return var(3, 0, 2) + var(3, 1, 2) + var(3, 2, 2)
 
 
 def _solution_marked_verified_by_an_int():
@@ -30,7 +35,7 @@ def _no_profile(points):
 REFUSALS = {
     "a_multiplier_negative_index": (
         lambda: reduction.a_multiplier(8, 4, -1, 0),
-        ValueError, "indices must be non-negative"),
+        ValueError, "j must be an int >= 0, got -1"),
     "radial_completion_weight_count": (
         lambda: reduction.radial_completion(8, 4, [1, 1]),
         ValueError, "expected 3 residue weights, got 2"),
@@ -42,7 +47,7 @@ REFUSALS = {
         DivergentMomentError, "change of center requires degree <= n - 2"),
     "change_of_center_scale_not_positive": (
         lambda: moments.change_of_center(var(6, 0, 2), [0.0] * 6, 0.0, 1.0),
-        ValueError, "scale and radius must be positive"),
+        ValueError, "lam must be finite and positive, got 0.0"),
     "gradient_bound_degree_below_2": (
         lambda: balance.gradient_lower_bound(var(3, 0) + var(3, 1)),
         ValueError, "needs a homogeneous polynomial of degree >= 2"),
@@ -57,7 +62,7 @@ REFUSALS = {
         ValueError, "radial integral diverges for degree >= n"),
     "iterated_laplacian_negative_count": (
         lambda: polynomials.iterated_laplacian(var(3, 0, 2), -1),
-        ValueError, "iteration count must be non-negative"),
+        ValueError, "iteration count must be an int >= 0, got -1"),
     "bubble_short_center": (
         lambda: profiles.BubbleProfile(3, 1.0, [0.0, 0.0]),
         ValueError, "center length must equal the dimension"),
@@ -99,6 +104,82 @@ REFUSALS = {
         lambda: profiles.rescaled_average(
             lambda pts: np.zeros(len(pts)), [0.0] * 3, [0.5, 1.0]),
         ValueError, "profile must be positive and finite on the annuli"),
+    # the int rule: a bool was taken as 0 or 1, and a float ended in a bare
+    # TypeError from the work it reached
+    "gradient_bound_samples_a_boolean": (
+        lambda: balance.gradient_lower_bound(_quadric(), samples=True),
+        ValueError, "samples must be an int >= 1, got True"),
+    "gradient_bound_samples_a_float": (
+        lambda: balance.gradient_lower_bound(_quadric(), samples=2.5),
+        ValueError, "samples must be an int >= 1, got 2.5"),
+    "check_bounds_samples_a_boolean": (
+        lambda: profiles.GreensBall(3, 1.0).check_bounds(0.1, samples=True),
+        ValueError, "samples must be an int >= 1, got True"),
+    "check_bounds_samples_a_float": (
+        lambda: profiles.GreensBall(3, 1.0).check_bounds(0.1, samples=2.5),
+        ValueError, "samples must be an int >= 1, got 2.5"),
+    "iterated_laplacian_count_a_boolean": (
+        lambda: polynomials.iterated_laplacian(var(3, 0, 2), True),
+        ValueError, "iteration count must be an int >= 0, got True"),
+    "iterated_laplacian_count_a_float": (
+        lambda: polynomials.iterated_laplacian(var(3, 0, 2), 2.5),
+        ValueError, "iteration count must be an int >= 0, got 2.5"),
+    "green_report_seed_a_boolean": (
+        lambda: profiles.green_report(3, 1.0, seed=True),
+        ValueError, "--seed must be an int >= 0, got True"),
+    "green_report_dimension_a_float": (
+        lambda: profiles.green_report(3.5, 1.0, 0),
+        ValueError, "--n must be an int in 3..11, got 3.5"),
+    "interference_check_dimension_a_float": (
+        lambda: balance.interference_check(7.5, [1, 2]),
+        ValueError, "n must be an int, got 7.5"),
+    "change_of_center_nodes_a_float": (
+        lambda: moments.change_of_center(var(6, 0, 2), [0.0] * 6, 0.5, 1.0, nodes=2.5),
+        ValueError, "nodes must be an int >= 1, got 2.5"),
+    # the scale rule: a bool was taken as 1.0
+    "gradient_bound_rho_a_boolean": (
+        lambda: balance.gradient_lower_bound(_quadric(), rho=True),
+        ValueError, "rho must be finite and positive, got True"),
+    "change_of_center_scale_a_boolean": (
+        lambda: moments.change_of_center(var(6, 0, 2), [0.0] * 6, True, 1.0),
+        ValueError, "lam must be finite and positive, got True"),
+    "bubble_scale_a_boolean": (
+        lambda: profiles.BubbleProfile(3, True, [0.0] * 3),
+        ValueError, "bubble scale must be finite and positive, got True"),
+    "tail_scale_a_boolean": (
+        lambda: profiles.HarmonicTail([[1.0, 0.0, 0.0]], [1.0], True),
+        ValueError, "tail scale must be finite and positive, got True"),
+    "green_radius_a_boolean": (
+        lambda: profiles.GreensBall(3, True),
+        ValueError, "radius must be finite and positive, got True"),
+    # the string-rational grammar: "1/0" ended in a ZeroDivisionError, and
+    # Fraction's own grammar read decimals, exponents, non-ASCII digits,
+    # surrounding whitespace and underscores
+    "coefficient_zero_denominator": (
+        lambda: polynomials.as_coefficient("1/0"),
+        ValueError, "zero denominator in '1/0'"),
+    "coefficient_exponent": (
+        lambda: polynomials.as_coefficient("1e400"),
+        ExactnessError, "not an exact rational coefficient: '1e400'"),
+    "coefficient_decimal": (
+        lambda: polynomials.as_coefficient("0.5"),
+        ExactnessError, "not an exact rational coefficient: '0.5'"),
+    "coefficient_non_ascii_digit": (
+        lambda: polynomials.as_coefficient("٣"),
+        ExactnessError, "not an exact rational coefficient: '٣'"),
+    "coefficient_whitespace": (
+        lambda: polynomials.as_coefficient(" 1"),
+        ExactnessError, "not an exact rational coefficient: ' 1'"),
+    "coefficient_underscore": (
+        lambda: polynomials.as_coefficient("1_0"),
+        ExactnessError, "not an exact rational coefficient: '1_0'"),
+    # the solution reader's top level, read by the one field reader
+    "solution_a_list": (
+        lambda: reduction.CorrectionSolution.from_json([1]),
+        ValueError, "malformed solution JSON: not a JSON object: [1]"),
+    "solution_a_string": (
+        lambda: reduction.CorrectionSolution.from_json("abc"),
+        ValueError, "malformed solution JSON: not a JSON object: 'abc'"),
 }
 
 

@@ -131,26 +131,42 @@ class Runner:
         }
 
 
-def _requests(inputs, runner, seed, workload, directory):
-    """The workload's records for one seed, its set-up solves first."""
+def workload_requests(inputs, seed, workload, directory, run_setup):
+    """(set-up requests, requests) of one round of the workload for the seed,
+    made from a fresh ``random.Random(seed)`` as ``perfbench/run.py`` makes
+    them.  For scan-float each set-up solve is written to ``directory`` and
+    run by ``run_setup(request)`` before the scan's requests are made from
+    the solutions it wrote there; every request's input files are written to
+    ``directory``."""
     rng = random.Random(seed)
-    records = []
+    setup = []
     if workload == "solve-exact":
         requests = inputs.solve_round(rng, "r0")
     elif workload == "light-cli":
         requests = inputs.light_round(rng, "r0")
     else:
+        setup = inputs.scan_setup(rng)
         solutions = {}
-        for i, (request, (name, *_)) in enumerate(
-                zip(inputs.scan_setup(rng), inputs.SCAN_SOLUTIONS)):
+        for request, (name, *_) in zip(setup, inputs.SCAN_SOLUTIONS):
             inputs.write_files(request, directory)
-            ident = f"seed{seed}/{workload}/setup{i}-{request['kind']}"
-            records.append(runner.run(ident, request, directory))
+            run_setup(request)
             with open(os.path.join(directory, request["output"])) as handle:
                 solutions[name] = json.load(handle)
         requests = inputs.scan_round(rng, "r0", solutions)
     for request in requests:
         inputs.write_files(request, directory)
+    return setup, requests
+
+
+def _requests(inputs, runner, seed, workload, directory):
+    """The workload's records for one seed, its set-up solves first."""
+    records = []
+
+    def run_setup(request):
+        ident = f"seed{seed}/{workload}/setup{len(records)}-{request['kind']}"
+        records.append(runner.run(ident, request, directory))
+
+    _, requests = workload_requests(inputs, seed, workload, directory, run_setup)
     for i, request in enumerate(requests):
         ident = f"seed{seed}/{workload}/{i:02d}-{request['kind']}"
         records.append(runner.run(ident, request, directory))
