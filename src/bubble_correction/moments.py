@@ -65,16 +65,19 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def j_value(n, ell):
     """The normalizing integral J(n, ell) of y_1^2...y_{ell/2}^2 against
-    (1 + |y|^2)^(-n), by the Gamma closed form.
+    (1 + |y|^2)^(-n), by the Gamma closed form.  n and ell are ints (not a
+    bool or a float, ``_int_arg``); the cache is typed, so a float n never
+    reads the entry of its int.
 
     Gamma(n) overflows from n = 172 on, while J stays a normal float well
     beyond (about 1e-167 at n = 200); the same form is then summed in logs
     through ``lgamma``, and a J below the float range comes out 0.0.
     """
-    if ell % 2:
+    _int_arg("n", n, None)
+    if _int_arg("ell", ell, None) % 2:
         raise ValueError("J is defined for even degrees")
     if not 0 <= ell <= n - 1:
         raise DivergentMomentError(

@@ -286,7 +286,12 @@ class Polynomial:
 
     @classmethod
     def constant(cls, dimension, value):
-        return cls(dimension, {(0,) * dimension: value})
+        """``value`` (read by ``as_coefficient``) in ``dimension`` variables,
+        built by ``_of`` once both are checked: the |y|^2 sums take their
+        exact weights through it."""
+        c = as_coefficient(value)
+        zero = (0,) * _int_arg("dimension", dimension, 1)
+        return cls._of(dimension, {zero: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, dimension, index, power=1, coeff=1):
@@ -518,10 +523,11 @@ def _r2_stencil(n, sums):
     for alpha, v in sums.items():
         beta = list(alpha)
         for j in range(n):
-            beta[j] += 2
+            a = beta[j]
+            beta[j] = a + 2
             up = tuple(beta)
             out[up] = get(up, 0) + v
-            beta[j] -= 2
+            beta[j] = a
     return out
 
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import gamma, pi, atan
 
 from ._numpy import np
+from .polynomials import _int_arg
 
 __all__ = [
     "gauss_legendre",
@@ -40,10 +41,11 @@ LATITUDE_NODES = 512
 TOL_QUAD = 1e-4
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(count):
-    """Nodes/weights on [-1, 1], cached."""
-    x, w = np.polynomial.legendre.leggauss(count)
+    """Nodes/weights on [-1, 1] for an int count >= 1, cached by type, so
+    that True never reads the entry of 1."""
+    x, w = np.polynomial.legendre.leggauss(_int_arg("count", count, 1))
     return x, w
 
 
@@ -85,7 +87,9 @@ def surface_monomial_integral(n, alpha):
 
 def radial_weight_integral(n, degree, upper=None, nodes=DEFAULT_RADIAL_NODES):
     """integral_0^upper r^(degree + n - 1) (1 + r^2)^(-n) dr, upper=None
-    meaning infinity.  Requires degree <= n - 1 when upper is None."""
+    meaning infinity.  Requires degree <= n - 1 when upper is None, and an
+    int ``nodes`` >= 1."""
+    _int_arg("nodes", nodes, 1)
     if upper is None and degree >= n:
         raise ValueError("radial integral diverges for degree >= n")
     theta_max = pi / 2.0 if upper is None else atan(upper)
@@ -101,8 +105,9 @@ def weighted_poly_integral(poly, upper=None, nodes=DEFAULT_RADIAL_NODES):
 
     This is the quadrature oracle against which the closed-form moment
     calculus is validated; it deliberately shares no code with it beyond the
-    surface-moment formula.
+    surface-moment formula.  ``nodes`` is an int >= 1.
     """
+    _int_arg("nodes", nodes, 1)
     n = poly.dimension
     total = 0.0
     radial_cache = {}
@@ -119,8 +124,11 @@ def weighted_poly_integral(poly, upper=None, nodes=DEFAULT_RADIAL_NODES):
 
 def sphere_nodes(n, count, seed=0):
     """Quasi-uniform unit-sphere points: seeded Gaussian directions with
-    antithetic pairs, so odd functions average to exactly zero."""
-    rng = np.random.default_rng(seed)
+    antithetic pairs, so odd functions average to exactly zero.  n and
+    count are ints >= 1, and seed an int >= 0."""
+    _int_arg("n", n, 1)
+    _int_arg("count", count, 1)
+    rng = np.random.default_rng(_int_arg("seed", seed, 0))
     half = (count + 1) // 2
     g = rng.standard_normal((half, n))
     g /= np.linalg.norm(g, axis=1, keepdims=True)

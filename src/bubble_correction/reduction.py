@@ -21,18 +21,24 @@ needs 2k - j = ell - 1, while every cell has 2k - j <= 2k <= ell - 2.  So
 one rule, checked before any cell is built, decides every table: a table
 of ``columns`` columns is blocked exactly when n is even and n/2 < columns.
 
-When the top iterated Laplacian does not vanish, L(G) = P picks up a purely
-radial residue.  For even n and even ell <= n - 2 the residue can be absorbed
-by an even radial polynomial of degree up to n (``radial_completion``), at
-the price of losing uniqueness modulo the kernel of L.  The completion is the
-degree-0 column of the same recurrence: L acts on (|y|^2)^k through
+When the top iterated Laplacian lap^h P does not vanish, the combination
+over P's full table leaves a purely radial residue R = top * sum_k a_k
+(|y|^2)^k (``residue_terms``), which an obstruction report carries.  For
+even ell the top is the constant c K_h, K_h = prod_{i=1..h}
+a_multiplier(n, 0, i, 0), of P's radial component c (|y|^2)^h, and
+P0 = P - c (|y|^2)^h has a vanishing top Laplacian.  For even n and even
+ell <= n - 2 the solver splits P there: gamma is P0's combination, and an
+even radial polynomial F of the powers (|y|^2)^(h+1) .. (|y|^2)^(n/2)
+solves L(F) = c (|y|^2)^h (``radial_completion``), at the price of losing
+uniqueness modulo the kernel of L.  The completion is the degree-0 column
+of the same recurrence: L acts on (|y|^2)^k through
 ``a_multiplier(n, 0, k, 0)`` and ``characteristic_denominator(n, 0, k, 0)``.
 
-Every |y|^2-graded sum here (the combination, grouped by row j; the residue;
-the completion) is expanded by one Horner loop in |y|^2, ``_radial_sum``;
-each row of the combination is summed over one lcm of its terms'
-denominators by ``polynomials._sum``; and every radial constant of the
-construction is an ``a_multiplier``.
+Every |y|^2-graded sum here (the combination, grouped by row j; each level
+of P0's chain; the residue; the completion) is expanded by one Horner loop
+in |y|^2, ``_radial_sum``; each row of the combination is summed over one
+lcm of its terms' denominators by ``polynomials._sum``; and every radial
+constant of the construction is an ``a_multiplier``.
 ``apply_L`` and ``_radial_sum`` are built from the integer stencils of
 ``polynomials`` (the Laplacian and the |y|^2 product), which run on a
 polynomial's numerators and keep its one denominator.  L's split into its
@@ -43,12 +49,12 @@ the parts of a loaded solution once and shares them: their term counts bound
 its work, ``_L_sum`` of them is its exact gate, and it samples them apart.
 
 Everything here is exact: every solution passes one gate before it is
-returned, split by linearity.  L(gamma + F) == P holds exactly when
-L(gamma) == P + R and L(F) == -R, where R = top * sum_k a_k (|y|^2)^k is the
-residue the completion F absorbs.  The first is checked by ``apply_L`` on the
-expanded gamma, the second in the one variable s = |y|^2 on F's weights, by a
-formula taken from L's definition, inside ``radial_completion`` itself, so no
-caller receives an unchecked completion; without a completion R is absent.
+returned, split by linearity.  L(gamma + F) == P holds when L(gamma) == P0
+and L(F) == c (|y|^2)^h.  The first is checked by ``apply_L`` on the
+expanded gamma, the second in the one variable s = |y|^2 on F's weights, by
+a formula taken from L's definition, inside ``radial_completion`` itself,
+so no caller receives an unchecked completion; without a completion
+P0 = P.
 Table dimensions are capped at ``_MAX_TABLE_N``, source degrees at
 ``MAX_ELL``, and the monomials a solution can reach at
 ``MAX_SOLUTION_TERMS``, so that no input asks for unbounded work.
@@ -158,16 +164,14 @@ def a_multiplier(n, ell, j, k):
     _int_arg("ell", ell, None)
     _int_arg("j", j, 0)
     _int_arg("k", k, 0)
-    return Fraction(2 * j) * Fraction(2 * j + n - 2 + 2 * ell - 4 * k)
+    return Fraction(2 * j * (2 * j + n - 2 + 2 * ell - 4 * k))
 
 
 def characteristic_denominator(n, ell, j, k):
     """A_{ell,j,k} - 2n * (ell + 2(j - k) - 1), the cell's own multiplier
     under L.  Factors as -(2j - n)(2j - 2(ell - 1 - 2(k - j))).  Its
     arguments are checked by ``a_multiplier``."""
-    return a_multiplier(n, ell, j, k) - Fraction(2 * n) * Fraction(
-        ell + 2 * (j - k) - 1
-    )
+    return a_multiplier(n, ell, j, k) - 2 * n * (ell + 2 * (j - k) - 1)
 
 
 def _neighbours(j, k):
@@ -180,8 +184,10 @@ class CoefficientTable(NamedTuple):
     """Recurrence coefficients C^j_k for 0 <= j <= k <= columns - 1, in build
     order, and the residue weights a_0..a_h assembled from the last column
     (present exactly when columns == h, whichever way the table was asked
-    for; None otherwise).  The multipliers and each cell's
-    dependencies follow from (n, ell, j, k) and are written by ``to_json``.
+    for; None otherwise).  Each cell's multiplier follows from (n, ell, j, k)
+    and is written by ``to_json``; its dependencies, the ``_neighbours``
+    (j - 1, k - 1), (j, k - 1) and (j + 1, k) that lie inside the table, are
+    not written.
     A NamedTuple, like ``CorrectionSolution``: a ``solve`` or ``table`` run
     then never imports ``dataclasses``."""
 
@@ -196,15 +202,14 @@ class CoefficientTable(NamedTuple):
         return self.C[(j, k)]
 
     def to_json(self):
-        # every neighbour inside the table is built before the cell, so these
-        # are the cells it was built from
+        # a cell's dependencies are not written: they are its ``_neighbours``
+        # inside the table, each written before it
         cells = [
             {
                 "j": j,
                 "k": k,
                 "C": rational_to_json(c),
                 "A": rational_to_json(a_multiplier(self.n, self.ell, j, k)),
-                "depends": [list(d) for d in _neighbours(j, k) if d in self.C],
             }
             for (j, k), c in self.C.items()
         ]
@@ -315,10 +320,12 @@ class CorrectionSolution(NamedTuple):
     """A verified polynomial solution of L(G) = P.
 
     ``gamma`` alone solves when ``radial_completion`` is None; otherwise
-    gamma + radial_completion solves.  ``vanishing_order`` is the smallest k
-    with lap^(k)(P) identically zero (h + 1 when none at or below h).
-    ``to_json`` keys each field by its name, so ``_asdict()`` is the same
-    object with its polynomials unencoded.
+    gamma + radial_completion solves, split at P's radial component
+    c (|y|^2)^h: gamma solves P - c (|y|^2)^h, and the completion, of the
+    powers of |y|^2 above h only, solves c (|y|^2)^h.  ``vanishing_order``
+    is the smallest k with lap^(k)(P) identically zero (h + 1 when none at
+    or below h).  ``to_json`` keys each field by its name, so ``_asdict()``
+    is the same object with its polynomials unencoded.
     """
 
     gamma: Polynomial
@@ -492,54 +499,88 @@ def _radial_L(n, f):
     ]
 
 
+def _radial_weights(n, top, h):
+    """[w_0, ..., w_h], w_k = c K_{h,k} the coefficient of (|y|^2)^(h-k) in
+    lap^k of P's radial component c (|y|^2)^h, with K_{h,k} =
+    prod_{i=h-k+1..h} a_multiplier(n, 0, i, 0).  Taken from the top down:
+    w_h is the constant ``top`` = lap^h P, and w_(k-1) = w_k /
+    a_multiplier(n, 0, h - k + 1, 0), so that w_0 = c."""
+    weights = [top.constant_term()]
+    for i in range(1, h + 1):
+        weights.append(weights[-1] / a_multiplier(n, 0, i, 0))
+    return weights[::-1]
+
+
+def _split_levels(chain, weights):
+    """The Laplacian chain of P0 = P - c (|y|^2)^h, read off P's chain
+    [P, ..., lap^h P] with no Laplacian pass: level k is lap^k P -
+    w_k (|y|^2)^(h-k) for the ``_radial_weights`` w_k, one ``_radial_sum``.
+    Level h is zero by the choice of c; the levels returned stop before the
+    first zero one, so there are as many as P0's vanishing order."""
+    n, h = chain[0].dimension, len(chain) - 1
+    zero = Polynomial.zero(n)
+    levels = []
+    for k in range(h):
+        level = _radial_sum(n, [chain[k]] + [zero] * (h - k - 1) + [-weights[k]])
+        if k and level.is_zero:
+            break
+        levels.append(level)
+    return levels
+
+
 def _solve(poly, allow_radial):
     """The one construction behind ``solve_gamma`` and ``solve_general``.
 
-    Builds the chain once and the table once, of min(vanishing order, h)
-    columns: partial when some lap^k P vanishes, full otherwise.  A
-    nonvanishing top Laplacian is absorbed by the radial completion when
-    ``allow_radial`` is set and its hypotheses hold, and raised as a
-    ResidueObstructionError carrying the residue otherwise.
+    Builds P's chain once.  When some lap^k P vanishes, k <= h, gamma is the
+    combination over the partial table of that many columns.  A nonvanishing
+    top Laplacian is a constant c * K_{h,h} (even ell) times its radial
+    component c (|y|^2)^h, so when ``allow_radial`` is set and the
+    completion's hypotheses hold, the split P = P0 + c (|y|^2)^h solves
+    each part on its own: gamma is the combination for P0, whose chain is
+    read off P's (``_split_levels``) and whose vanishing order picks its
+    partial table, and the completion F solves L(F) = c (|y|^2)^h alone.
+    Otherwise it is raised as a ResidueObstructionError carrying the residue
+    of P's full table.
 
     Every result passes the exact gate L(gamma + F) == P before it is
     returned, split by linearity so that the completion F is never expanded
-    to be checked: L(gamma) == P + R on the expanded gamma, with R the
-    residue top * sum_k a_k (|y|^2)^k, and L(F) == -R, which
-    ``radial_completion`` checks in the one variable s = |y|^2 on F's
-    weights.  Without a completion R is absent and the gate is L(gamma) == P.
-    One postcondition follows: every term of gamma has degree 2..ell, since
-    each block (|y|^2)^j lap^k P, j <= k <= h - 1, has degree
-    ell - 2(k - j).
+    to be checked: L(gamma) == P0 on the expanded gamma (P0 = P without a
+    completion), and L(F) == c (|y|^2)^h, which ``radial_completion`` checks
+    in the one variable s = |y|^2 on F's weights.  One postcondition
+    follows: every term of gamma has degree 2..ell, since each block
+    (|y|^2)^j lap^k P0, j <= k <= h - 1, has degree ell - 2(k - j); F holds
+    only the powers (|y|^2)^(h+1) .. (|y|^2)^(n/2), so the two supports are
+    disjoint.  A purely radial P gives gamma = 0.
     """
     ell = _validated_source(poly, allow_radial)
     n = poly.dimension
     chain = _laplacian_chain(poly, h_of(ell))
     h = len(chain) - 1
     vanishing = next((k for k in range(1, h + 1) if chain[k].is_zero), h + 1)
-    table = coefficient_table(n, ell, columns=min(vanishing, h))
 
     completion = None
-    target = poly
+    levels = chain[:vanishing]
     if vanishing > h:
         top = chain[h]
         message = (
             f"top iterated Laplacian (order {h}) does not vanish; "
             "no pure polynomial solution of this form exists"
         )
-        residue = _radial_residue(top, table)
         if allow_radial:
-            weights = [top.constant_term() * a for a in table.residues]
+            weights = _radial_weights(n, top, h)
             try:
-                completion = radial_completion(n, ell, weights)
+                completion = radial_completion(n, ell, [0] * h + [-weights[0]])
             except UnsupportedCaseError as exc:
                 message = f"{message}; residue {exc}"
             else:
-                target = poly + residue
+                levels = _split_levels(chain, weights)
         if completion is None:
+            residue = _radial_residue(top, coefficient_table(n, ell))
             raise ResidueObstructionError(message, residue=residue, top_laplacian=top)
 
-    gamma = _combination(poly, chain, table)
-    if apply_L(gamma) != target:
+    table = coefficient_table(n, ell, columns=len(levels))
+    gamma = _combination(poly, levels, table)
+    if apply_L(gamma) != levels[0]:
         raise AssertionError("construction failed exact verification")
     if any(not 2 <= sum(alpha) <= ell for alpha in gamma.nums):
         raise AssertionError("solution has a term of degree outside 2..ell")
@@ -569,7 +610,9 @@ def solve_general(poly):
 
 
 def kernel_basis(n):
-    """Polynomials annihilated by L: y_1, ..., y_n and |y|^2 - 1."""
+    """Polynomials annihilated by L: y_1, ..., y_n and |y|^2 - 1, for an
+    int n >= 1."""
+    _int_arg("n", n, 1)
     basis = [Polynomial.variable(n, i) for i in range(n)]
     basis.append(Polynomial.r_squared(n) - Polynomial.constant(n, 1))
     return basis

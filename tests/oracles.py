@@ -5,15 +5,16 @@ correction, the stereographic pair and the conformal transport between S^n
 and R^n, the scan of the elementary inequalities of the linearization step,
 the Euler operator by products, L built by sympy and L built operator by
 operator, |y|^2-graded sums by Polynomial products, the block combination
-cell by cell, the probe constant of the admissible projection, the shift by
-binomials, its pieces by shift degree (the Taylor route to the shifted
-moments) and the directional pairing by partials, the projection that
-manufactures admissible sources, the signed permutations of the weight's
-symmetry, the exact operators on plain {alpha: Fraction} dicts, the moment's
-second route (monomial bookkeeping by modified double factorials, beside
-``b_constant``) and the exact checks of the exponent trade, the power-cube formula the polynomial kernel
-must match, the multi-point balance sums at 300 digits, and the linearized
-residual with lap Pi expanded by the product rule."""
+cell by cell, the radial solve over the source's full table, the probe
+constant of the admissible projection, the shift by binomials, its pieces by
+shift degree (the Taylor route to the shifted moments) and the directional
+pairing by partials, the projection that manufactures admissible sources,
+the signed permutations of the weight's symmetry, the exact operators on
+plain {alpha: Fraction} dicts, the moment's second route (monomial
+bookkeeping by modified double factorials, beside ``b_constant``) and the
+exact checks of the exponent trade, the power-cube formula the polynomial
+kernel must match, the multi-point balance sums at 300 digits, and the
+linearized residual with lap Pi expanded by the product rule."""
 
 from fractions import Fraction
 from math import comb, factorial, gamma, pi, prod
@@ -35,7 +36,14 @@ from bubble_correction.polynomials import (
     r2_multiply,
 )
 from bubble_correction.profiles import BubbleProfile
-from bubble_correction.reduction import _validated_source, a_multiplier, h_of
+from bubble_correction.reduction import (
+    _validated_source,
+    a_multiplier,
+    coefficient_table,
+    h_of,
+    radial_completion,
+    residue_terms,
+)
 
 
 # -------------------------------------------------------- finite differences
@@ -324,6 +332,25 @@ def combination_by_cells(n, chain, table):
     for (j, k), c in table.C.items():
         rows[j] = rows[j] + c * chain[k]
     return radial_sum_by_products(n, rows)
+
+
+def solve_by_full_table(poly):
+    """gamma + F for a source whose top Laplacian is a nonzero constant, by
+    the construction the solver used before it split P at its radial
+    component: gamma the combination over P's own chain and full table
+    (``combination_by_cells``), with L(gamma) == P + R for the residue R of
+    ``residue_terms``, and F the completion of the weights top * a_k, with
+    L(F) == -R."""
+    ell = _validated_source(poly, allow_radial=True)
+    n = poly.dimension
+    h = h_of(ell)
+    table = coefficient_table(n, ell)
+    chain = [iterated_laplacian(poly, k) for k in range(h)]
+    gamma = combination_by_cells(n, chain, table)
+    if apply_L_by_operators(gamma) != poly + residue_terms(poly):
+        raise AssertionError("the full-table combination missed P + R")
+    top = iterated_laplacian(poly, h).constant_term()
+    return gamma + radial_completion(n, ell, [top * a for a in table.residues])
 
 
 def projection_reference(n, ell):

@@ -206,8 +206,9 @@ def test_table_dump_contains_reference_cell(tmp_path):
     first = next(c for c in data["cells"] if c["j"] == 0 and c["k"] == 0)
     assert first["C"] == {"num": "-1", "den": "30"}
     # a blocked table is refused before any cell is built, so no cell
-    # carries a guard status
-    assert all(set(c) == {"j", "k", "C", "A", "depends"} for c in data["cells"])
+    # carries a guard status; a cell's dependencies are its neighbours inside
+    # the table and are not written
+    assert all(set(c) == {"j", "k", "C", "A"} for c in data["cells"])
     assert len(data["residues"]) == data["h"] + 1
 
 

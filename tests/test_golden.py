@@ -10,11 +10,14 @@ before the compact layout, so the values are pinned since then.  Refactors
 must keep these artifacts byte-identical.  Float-tier artifacts (``residual-scan``, ``green-check``,
 ``profile``, the floats of ``integrate``) are left out: their last bits
 depend on the platform's libm.  A change that alters one of these digests
-on purpose is a schema change and must say so.
+on purpose is a schema change and must say so.  A radial solution's total,
+gamma + radial_completion, is pinned apart by the digest of its sorted
+exact terms, which no change of the split between the two fields alters.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -87,8 +90,8 @@ CASES = {
     ),
     "solve-radial": (
         ["solve", "--allow-radial", "--input", "{in}"], R4_8, 0,
-        "abfe356deced89846573f75ac4093e460e2f7f855f176d8ca23a850ecea7a9f6",
-        "59102126ae0c725ca11cf6d66c732350888fabaa2dd458e2fe9ae2c3269ca5fb",
+        "d3fc5b08678b468ca17dc615ff491b4bbf64742c0fcc0b1db7371c1d2689c94c",
+        "7a306c827b850b09eb67ded0f54638dd1dd027de9be9c21ddc5856b1a7cc5b00",
     ),
     "solve-obstructed": (
         ["solve", "--input", "{in}"], R4_7, 2,
@@ -97,8 +100,8 @@ CASES = {
     ),
     "table": (
         ["table", "--n", "7", "--ell", "6"], None, 0,
-        "6eaa696f5e16f6607c6cbdb3efab32cedd7996f0599f407841b212f65d9ab26d",
-        "389cb9b7e03ea33375ff6645d9c0ac8228bb8afb8ee82c5ae8e5dd02ce26a6b5",
+        "63811eb83c626bd6a3ddde0534b42b3bc3ddc88df7db4911eab2138b8ff35bcf",
+        "bf12cc39ebde97189bf96e5c4c59b117f25152f648f1c03a286c5541e29235d8",
     ),
     "table-obstructed": (["table", "--n", "6", "--ell", "8"], None, 2, None, None),
     "balance-exact": (
@@ -106,6 +109,14 @@ CASES = {
         "28244485db4d20cfb4c45d01e8790a0f042df603f0b336b9d2d923746e91450f",
         "628ef036630636faa4e4db7a4976cb3a22457aaed86ee59c8c7bcb7cd8d3276e",
     ),
+}
+
+
+# name -> sha256 of the solution's total gamma + radial_completion: its
+# exact terms summed, the zero ones dropped, as [alpha, "num/den"] pairs in
+# sorted order, written compactly
+TOTALS = {
+    "solve-radial": "6470db0ecfb689ca4f6c10b1faebd49371adea9a79f3164a35358142ad62a6ed",
 }
 
 
@@ -132,6 +143,22 @@ def test_exact_artifact_digest(tmp_path, name):
         assert hashlib.sha256(data).hexdigest() == compact_digest
         indented = json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(indented.encode()).hexdigest() == indented_digest
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_solution_total_digest(tmp_path, name):
+    code, out = run_case(tmp_path, name)
+    assert code == 0
+    value = json.loads(out.read_bytes())
+    total = {}
+    for part in (value["gamma"], value["radial_completion"]):
+        for term in part["terms"]:
+            alpha = tuple(term["alpha"])
+            ratio = Fraction(int(term["num"]), int(term["den"]))
+            total[alpha] = total.get(alpha, 0) + ratio
+    terms = [[list(a), str(c)] for a, c in sorted(total.items()) if c]
+    digest = hashlib.sha256(json.dumps(terms, separators=(",", ":")).encode())
+    assert digest.hexdigest() == TOTALS[name]
 
 
 def test_integrate_exact_multiple(tmp_path):

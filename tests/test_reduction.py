@@ -147,10 +147,11 @@ def test_small_degrees_have_single_cell():
 
 
 def test_table_json_cells_follow_their_dependencies():
-    # each written cell's "depends" is exactly its neighbours inside the table,
-    # all written before it, and "A" is the multiplier written out from its
-    # closed form 2j(2j + n - 2 + 2 ell - 4k); full and partial tables.  The
-    # table itself stores only the cells and the residue weights.
+    # each written cell holds j, k, C and A only; its neighbours inside the
+    # table, (j - 1, k - 1), (j, k - 1) and (j + 1, k), are all written before
+    # it, and "A" is the multiplier written out from its closed form
+    # 2j(2j + n - 2 + 2 ell - 4k); full and partial tables.  The table itself
+    # stores only the cells and the residue weights.
     stored = list(reduction.CoefficientTable._fields)
     assert stored == ["n", "ell", "h", "columns", "C", "residues"]
     for n, ell, columns in ((9, 8, None), (7, 9, None), (8, 10, 4), (6, 8, 3)):
@@ -160,11 +161,10 @@ def test_table_json_cells_follow_their_dependencies():
         assert len(set(cells)) == len(cells) == size
         seen = set()
         for cell in data["cells"]:
+            assert sorted(cell) == ["A", "C", "j", "k"]
             j, k = cell["j"], cell["k"]
-            inside = [d for d in ((j - 1, k - 1), (j, k - 1), (j + 1, k)) if d in cells]
-            depends = [tuple(d) for d in cell["depends"]]
-            assert depends == inside, (n, ell, j, k)
-            assert set(depends) <= seen, (n, ell, j, k)
+            inside = {d for d in ((j - 1, k - 1), (j, k - 1), (j + 1, k)) if d in cells}
+            assert inside <= seen, (n, ell, j, k)
             a = 2 * j * (2 * j + n - 2 + 2 * ell - 4 * k)
             assert cell["A"] == {"num": str(a), "den": "1"}, (n, ell, j, k)
             seen.add((j, k))
@@ -659,10 +659,12 @@ def test_radial_completion_solves_arbitrary_weights_in_dimension_12(rng):
     assert apply_L(completions) == target
 
 
-def test_solution_size_is_reached_by_a_dense_source():
+def test_solution_size_bounds_a_dense_source():
     # every monomial of degree 4 in 6 variables: gamma fills degrees 2 and 4
     # (21 + 126 of the 148 counted, the constant never occurs) and the
-    # completion every power of |y|^2 up to the third (6 + 21 + 56)
+    # completion the one power of |y|^2 above ell, the third (56 of the
+    # 6 + 21 + 56 counted for the powers up to n/2), so the count bounds the
+    # solution from above
     n, ell = 6, 4
     rng = random.Random(4)
     terms = {}
@@ -673,7 +675,76 @@ def test_solution_size_is_reached_by_a_dense_source():
     solution = solve_general(Polynomial(n, terms))
     assert reduction._solution_size(n, ell, True) == 148 + 83
     assert len(solution.gamma.terms) == 147
-    assert len(solution.radial_completion.terms) == 83
+    assert len(solution.radial_completion.terms) == 56
+
+
+# --------------------------------------------------------------- radial split
+
+RADIAL_CASES = [(n, ell) for n in (4, 6, 8, 10) for ell in range(2, n - 1, 2)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(RADIAL_CASES), st.randoms(use_true_random=False),
+       st.fractions(-5, 5, max_denominator=6))
+def test_radial_solve_splits_at_the_radial_component(case, rnd, weight):
+    # P = P0 + c (|y|^2)^h with lap^h P0 = 0: gamma solves P0, F solves
+    # c (|y|^2)^h and holds only degrees above ell, and their sum is the
+    # full-table construction's gamma + F
+    n, ell = case
+    h = h_of(ell)
+    r2h = Polynomial.r_squared(n) ** h
+    p = random_homogeneous(rnd, n, ell) + weight * r2h
+    top = iterated_laplacian(p, h)
+    assume(not top.is_zero)
+    solution = solve_general(p)
+    gamma, completion = solution.gamma, solution.radial_completion
+    assert not gamma.nums.keys() & completion.nums.keys()
+    assert all(sum(alpha) > ell for alpha in completion.nums)
+    c = top.constant_term() / oracles.projection_reference(n, ell)
+    assert apply_L(gamma) == p - c * r2h
+    assert solution.vanishing_order == h + 1
+    assert solution.total() == oracles.solve_by_full_table(p)
+
+
+def test_a_purely_radial_source_leaves_gamma_zero():
+    n = 8
+    p = Polynomial.r_squared(n) ** 2
+    solution = solve_general(p)
+    assert solution.gamma.is_zero
+    assert solution.vanishing_order == 3
+    assert apply_L(solution.radial_completion) == p
+    assert solution.total() == oracles.solve_by_full_table(p)
+
+
+def test_a_radial_solve_builds_one_chain_and_only_the_table_of_p0(
+    rng, monkeypatch
+):
+    # P0's levels come from P's chain with no Laplacian pass of their own,
+    # and the success path builds P0's table, of P0's vanishing order, and
+    # no residue
+    passes, widths = [], []
+    laplacian, table = polynomials.laplacian, reduction.coefficient_table
+
+    def counted_laplacian(poly):
+        passes.append(poly)
+        return laplacian(poly)
+
+    def recorded_table(n, ell, columns=None):
+        widths.append(columns)
+        return table(n, ell, columns=columns)
+
+    source = radial_source(rng)
+    c = iterated_laplacian(source, 3).constant_term() / (
+        oracles.projection_reference(8, 6))
+    p0 = source - c * Polynomial.r_squared(8) ** 3
+    order = next(k for k in range(1, 4) if iterated_laplacian(p0, k).is_zero)
+    monkeypatch.setattr(polynomials, "laplacian", counted_laplacian)
+    monkeypatch.setattr(reduction, "coefficient_table", recorded_table)
+    monkeypatch.setattr(reduction, "_radial_residue", None)
+    solution = solve_general(source)
+    assert len(passes) == 3
+    assert widths == [order]
+    assert apply_L(solution.total()) == source
 
 
 # ----------------------------------------------------------------- projector

@@ -136,6 +136,38 @@ REFUSALS = {
     "change_of_center_nodes_a_float": (
         lambda: moments.change_of_center(var(6, 0, 2), [0.0] * 6, 0.5, 1.0, nodes=2.5),
         ValueError, "nodes must be an int >= 1, got 2.5"),
+    # j_value: a float n was computed, a bool ell read as 1, and a float n
+    # equal to a cached int read that int's entry
+    "j_value_dimension_a_float": (
+        lambda: moments.j_value(7.5, 2),
+        ValueError, "n must be an int, got 7.5"),
+    "j_value_degree_a_boolean": (
+        lambda: moments.j_value(6, True),
+        ValueError, "ell must be an int, got True"),
+    "j_value_float_dimension_after_its_int": (
+        lambda: moments.j_value(6, 2) and moments.j_value(6.0, 2),
+        ValueError, "n must be an int, got 6.0"),
+    # the counts of reduction and quadrature: a float ended in a bare
+    # TypeError, and a bool was taken as 1 (gauss_legendre(True) read the
+    # cached entry of 1)
+    "kernel_basis_dimension_a_float": (
+        lambda: reduction.kernel_basis(2.5),
+        ValueError, "n must be an int >= 1, got 2.5"),
+    "gauss_legendre_count_a_boolean_after_1": (
+        lambda: quadrature.gauss_legendre(1) and quadrature.gauss_legendre(True),
+        ValueError, "count must be an int >= 1, got True"),
+    "gauss_legendre_count_a_float": (
+        lambda: quadrature.gauss_legendre(2.5),
+        ValueError, "count must be an int >= 1, got 2.5"),
+    "sphere_nodes_count_a_boolean": (
+        lambda: quadrature.sphere_nodes(3, True),
+        ValueError, "count must be an int >= 1, got True"),
+    "sphere_nodes_count_a_float": (
+        lambda: quadrature.sphere_nodes(3, 2.5),
+        ValueError, "count must be an int >= 1, got 2.5"),
+    "radial_integral_nodes_a_float": (
+        lambda: quadrature.radial_weight_integral(6, 2, nodes=2.5),
+        ValueError, "nodes must be an int >= 1, got 2.5"),
     # the scale rule: a bool was taken as 1.0
     "gradient_bound_rho_a_boolean": (
         lambda: balance.gradient_lower_bound(_quadric(), rho=True),

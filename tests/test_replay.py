@@ -5,6 +5,7 @@ artifacts against the manifest its ``pin`` mode writes."""
 import collections
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,55 @@ def test_exact_artifacts_match_the_pinned_manifest(tmp_path):
         for r in records if r != expected[r["id"]]
     ]
     assert differing == []
+
+
+def solution_bytes(gamma, completion):
+    """A solution artifact in n = 2 from {alpha: Fraction} parts."""
+
+    def part(terms):
+        return {"dimension": 2, "terms": [
+            {"alpha": list(a), "num": str(c.numerator), "den": str(c.denominator)}
+            for a, c in sorted(terms.items())]}
+
+    value = {"gamma": part(gamma), "n": 2, "ell": 2, "verified": True,
+             "vanishing_order": 2,
+             "radial_completion": None if completion is None else part(completion)}
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def solve_record(data):
+    """The record ``run`` makes of a solve request whose artifact is ``data``."""
+    return record("r", files={"out.json": replay._sha256(data)},
+                  bytes={"out.json": len(data)},
+                  values={"out.json": replay._value_sha256(data)},
+                  totals={"out.json": replay._total_sha256(data)})
+
+
+def test_a_solution_split_another_way_has_the_same_total(tmp_path, capsys):
+    # gamma and the completion of the parent's split share the |y|^4-like
+    # term (4, 0), which cancels in the total; a split that leaves it out of
+    # both has the same total, and a changed coefficient does not
+    half, one, two = Fraction(1, 2), Fraction(1), Fraction(2)
+    parent = solution_bytes({(2, 0): half, (1, 1): one, (4, 0): one},
+                            {(4, 0): -one, (6, 0): two})
+    split = solution_bytes({(2, 0): half, (1, 1): one}, {(6, 0): two})
+    changed = solution_bytes({(2, 0): half, (1, 1): one}, {(6, 0): one})
+    assert replay._total_sha256(parent) == replay._total_sha256(split) is not None
+    assert replay._total_sha256(changed) != replay._total_sha256(parent)
+    assert replay._value_sha256(parent) != replay._value_sha256(split)
+    # an obstruction report and an unparsed file have no total
+    assert replay._total_sha256(b'{"error":"residue_obstruction"}') is None
+    assert replay._total_sha256(b'{"gamma": ') is None
+    a, b, c = (manifest(solve_record(data)) for data in (parent, split, changed))
+    assert replay.differences(a, b) == [("r", ["file out.json (same total)"])]
+    assert replay.differences(a, c) == [("r", ["file out.json"])]
+    # diff prints each command's bytes on both sides
+    paths = []
+    for name, data in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(data))
+    assert replay.main(["diff", *map(str, paths)]) == 1
+    assert capsys.readouterr().out == (
+        "r: file out.json (same total)\n"
+        f"solve bytes: A {len(parent):,}, B {len(split):,}\n"
+        "1 of 1 requests differ\n")

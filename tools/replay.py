@@ -11,10 +11,13 @@ light-cli: 54 requests a seed), and runs each as a fresh ``python -m
 bubble_correction.cli`` child with ``SRC`` on ``PYTHONPATH``.  The manifest
 records, per request: its argv, exit code, the sha256 of its stderr (with
 the work directory written as ``<work>``), the sha256 of every file it
-created or changed, the sha256 of the value of each such ``.json`` file
-that parses (of ``json.dumps(value, indent=2, sort_keys=True)``, which no
-change of layout alters), and the verdict of ``perfbench/checks.py`` on its
-artifact (null when the check passes).  ``perfbench/`` is read, never
+created or changed and its byte count, the sha256 of the value of each
+such ``.json`` file that parses (of ``json.dumps(value, indent=2,
+sort_keys=True)``, which no change of layout alters), for a ``solve``
+solution the sha256 of its total gamma + radial_completion (its exact terms
+summed with ``fractions``, the zero ones dropped, sorted; no package code is
+imported), and the verdict of ``perfbench/checks.py`` on its artifact (null
+when the check passes).  ``perfbench/`` is read, never
 written: its modules are loaded from their files with no bytecode cache.
 
 With ``--work DIR`` the inputs and artifacts are kept in DIR, one directory
@@ -23,8 +26,11 @@ any artifact fails its check, once the manifest is written.
 
 ``diff`` prints each request whose record differs between two manifests,
 with the fields and files that differ, a file whose bytes differ but whose
-value digest is the same labelled ``(layout only)``, and exits 1 if any
-does, 0 if none.
+value digest is the same labelled ``(layout only)``, and a solution whose
+value differs but whose total is the same (gamma and the completion split
+the same polynomial another way) labelled ``(same total)``.  It then prints
+each command's bytes written on both sides, and exits 1 if any request
+differs, 0 if none.
 
 ``pin`` writes the exact tier's pinned results, by default to
 ``tests/exact_manifest.json`` (PINNED), which
@@ -56,6 +62,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -92,6 +99,26 @@ def _value_sha256(data):
     return _sha256(json.dumps(value, indent=2, sort_keys=True).encode())
 
 
+def _total_sha256(data):
+    """The sha256 of a solution's total gamma + radial_completion, whatever
+    the split: its exact terms summed with ``fractions``, the zero ones
+    dropped, sorted by exponents; None when the file is not a solution."""
+    try:
+        value = json.loads(data)
+    except ValueError:
+        return None
+    if not isinstance(value, dict) or "gamma" not in value:
+        return None
+    total = {}
+    for part in (value["gamma"], value.get("radial_completion")):
+        for term in [] if part is None else part["terms"]:
+            alpha = tuple(term["alpha"])
+            ratio = Fraction(int(term["num"]), int(term["den"]))
+            total[alpha] = total.get(alpha, 0) + ratio
+    terms = [[list(a), str(c)] for a, c in sorted(total.items()) if c]
+    return _sha256(json.dumps(terms, separators=(",", ":")).encode())
+
+
 def _snapshot(work):
     return {entry.name: (entry.stat().st_size, entry.stat().st_mtime_ns)
             for entry in os.scandir(work) if entry.is_file()}
@@ -110,14 +137,17 @@ class Runner:
             [sys.executable, "-m", "bubble_correction.cli", *request["argv"]],
             cwd=directory, env=self.env, capture_output=True)
         after = _snapshot(directory)
-        files, values = {}, {}
+        files, sizes, values, totals = {}, {}, {}, {}
         for name in sorted(after):
             if before.get(name) != after[name]:
                 with open(os.path.join(directory, name), "rb") as handle:
                     data = handle.read()
                 files[name] = _sha256(data)
+                sizes[name] = len(data)
                 if name.endswith(".json"):
                     values[name] = _value_sha256(data)
+                if request["argv"][0] == "solve" and name == request["output"]:
+                    totals[name] = _total_sha256(data)
         stderr = proc.stderr.replace(directory.encode(), b"<work>")
         output = os.path.join(directory, request["output"])
         return {
@@ -126,7 +156,9 @@ class Runner:
             "exit": proc.returncode,
             "stderr_sha256": _sha256(stderr),
             "files": files,
+            "bytes": sizes,
             "values": values,
+            "totals": totals,
             "check": self.checks.check(request, proc.returncode, output),
         }
 
@@ -286,6 +318,29 @@ def pin(src, out):
     return 0
 
 
+def _same_label(x, y, name):
+    """The label of a file whose bytes differ between two records: `` (layout
+    only)`` when its value is the same, `` (same total)`` when it is a
+    solution of the same total, and none otherwise (a manifest written before
+    value or total digests has none)."""
+    for key, label in (("values", " (layout only)"), ("totals", " (same total)")):
+        digest = x.get(key, {}).get(name)
+        if digest is not None and digest == y.get(key, {}).get(name):
+            return label
+    return ""
+
+
+def _bytes_by_command(manifest):
+    """{command: bytes written by its requests} over the records that carry
+    byte counts."""
+    written = {}
+    for record in manifest["requests"]:
+        if "bytes" in record:
+            command = record["argv"][0]
+            written[command] = written.get(command, 0) + sum(record["bytes"].values())
+    return written
+
+
 def differences(a, b):
     """[(request id, [what differs])] between two manifests' records."""
     left = {r["id"]: r for r in a["requests"]}
@@ -301,10 +356,7 @@ def differences(a, b):
         names = sorted(x["files"].keys() | y["files"].keys())
         for name in names:
             if x["files"].get(name) != y["files"].get(name):
-                # a manifest written before value digests has none
-                value = x.get("values", {}).get(name)
-                same = value is not None and value == y.get("values", {}).get(name)
-                what.append(f"file {name}" + (" (layout only)" if same else ""))
+                what.append(f"file {name}" + _same_label(x, y, name))
         if what:
             found.append((ident, what))
     return found
@@ -318,6 +370,10 @@ def diff(path_a, path_b):
     found = differences(a, b)
     for ident, what in found:
         print(f"{ident}: {', '.join(what)}")
+    left, right = _bytes_by_command(a), _bytes_by_command(b)
+    for command in sorted(left.keys() | right.keys()):
+        print(f"{command} bytes: A {left.get(command, 0):,}, "
+              f"B {right.get(command, 0):,}")
     total = len({r["id"] for r in a["requests"]} | {r["id"] for r in b["requests"]})
     print(f"{len(found)} of {total} requests differ")
     return 1 if found else 0
